@@ -69,19 +69,18 @@ func TestRunEndToEnd(t *testing.T) {
 
 func TestRunBudgetAccounting(t *testing.T) {
 	d := testDataset(8, 8, 40, 20, 2)
-	cfg := tinyConfig()
-	cfg.EpsPattern = 4
-	cfg.EpsSanitize = 6
-	res, err := Run(d, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := res.Accountant.TotalEpsilon()
-	if total > cfg.EpsTotal()+1e-9 {
-		t.Fatalf("accountant total %v exceeds ε_tot %v", total, cfg.EpsTotal())
-	}
-	if total < cfg.EpsTotal()*0.5 {
-		t.Fatalf("accountant total %v implausibly small vs ε_tot %v", total, cfg.EpsTotal())
+	// The accountant must spend exactly ε_tot = ε_p + ε_s: the whole
+	// split, no more (a privacy violation) and no less (wasted budget).
+	for _, eps := range [][2]float64{{4, 6}, {0.3, 0.7}, {1, 2}, {0.1, 0.2}} {
+		cfg := tinyConfig()
+		cfg.EpsPattern, cfg.EpsSanitize = eps[0], eps[1]
+		res, err := Run(d, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if total := res.Accountant.TotalEpsilon(); total != cfg.EpsTotal() {
+			t.Errorf("(ε_p, ε_s) = %v: accountant total %v, want exactly ε_tot %v", eps, total, cfg.EpsTotal())
+		}
 	}
 }
 

@@ -1,19 +1,15 @@
 package dp
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+	"maps"
 	"math"
-	"os"
-	"strconv"
-	"strings"
 	"sync"
 
+	"repro/internal/journal"
 	"repro/internal/resilience"
 )
 
@@ -24,31 +20,29 @@ import (
 // refuses an over-budget release reads the sum of everything any prior
 // process charged against the same dataset.
 //
-// On-disk format: one entry per line, `<crc32-hex> <json>\n`. The
-// checksum covers the JSON bytes, so a torn final line (the only damage
-// an fsynced append-only file can suffer from a crash) is detectable
-// and safely ignorable: Charge fsyncs the entry *before* the caller
-// publishes, so a torn entry proves the matching release never made it
-// out. The converse crash — entry durable, release lost — over-counts
-// spending, which is the conservative direction for a privacy budget.
-// A bad checksum anywhere except the final line is corruption and
-// refuses to open.
+// On-disk format: one entry per line in the internal/journal line
+// format, `<crc32-hex> <json>\n`, with its torn-tail, heal and poison
+// rules. A torn final line is safely ignorable: Charge fsyncs the entry
+// *before* the caller publishes, so a torn entry proves the matching
+// release never made it out. The converse crash — entry durable,
+// release lost — over-counts spending, which is the conservative
+// direction for a privacy budget.
 //
 // Compaction (Compact) folds settled entries into a single checkpoint
 // line so the file does not grow without bound across process
 // lifetimes. The checkpoint records, per dataset, the exact running
-// spend — computed by the same left-to-right fold spentLocked uses —
-// so post-compaction budget arithmetic is bit-identical to summing the
+// spend — the same left-to-right fold Spent reports — so
+// post-compaction budget arithmetic is bit-identical to summing the
 // original entries. A checkpoint is only legal as the first line.
 type Ledger struct {
 	mu      sync.Mutex
 	path    string
-	f       *os.File
+	h       *journal.Appender
+	base    int // entries folded into the checkpoint line
 	entries []LedgerEntry
-	base    int                // entries folded into the checkpoint line
-	spent0  map[string]float64 // per-dataset ε folded into the checkpoint
-	end     int64              // durable end offset, for append self-heal
-	broken  bool               // failed fsync: disk state unknown, refuse further charges
+	// spent is the per-dataset ε: the checkpoint's fold continued left to
+	// right over the live entries.
+	spent map[string]float64
 }
 
 // ledgerCheckpoint is the JSON payload of a checkpoint line, wrapped as
@@ -58,7 +52,7 @@ type ledgerCheckpoint struct {
 	// Seq is the number of entries folded in; live entries continue the
 	// sequence at Seq+1.
 	Seq int `json:"seq"`
-	// Spent is the per-dataset folded ε, in spentLocked's fold order.
+	// Spent is the per-dataset folded ε, in Ledger.spent's fold order.
 	Spent map[string]float64 `json:"spent"`
 }
 
@@ -113,95 +107,30 @@ func (e *BudgetError) Is(target error) bool { return target == ErrBudgetExhauste
 
 // OpenLedger loads (or creates) the ledger at path, verifying every
 // entry's checksum and sequence. A torn final line is dropped; any
-// other damage is an error naming the line.
+// other damage is a *LedgerFault naming the line.
 func OpenLedger(path string) (*Ledger, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	l := &Ledger{path: path}
+	h, err := journal.Open(path, ErrLedgerPoisoned, func(raw []byte) (int64, error) {
+		sc, err := ScanLedger(path, raw)
+		if err != nil {
+			return 0, err
+		}
+		l.base, l.entries, l.spent = sc.Base, sc.Entries, sc.Spent
+		return sc.Durable, nil
+	})
 	if err != nil {
-		return nil, fmt.Errorf("dp: opening ledger: %w", err)
-	}
-	l := &Ledger{path: path, f: f}
-	if err := l.recover(); err != nil {
-		f.Close()
 		return nil, err
 	}
+	l.h = h
 	return l, nil
 }
 
-// recover scans the file, loading the optional leading checkpoint and
-// every valid entry, truncating a torn final line.
-func (l *Ledger) recover() error {
-	raw, err := os.ReadFile(l.path)
-	if err != nil {
-		return fmt.Errorf("dp: reading ledger: %w", err)
-	}
-	off := 0
-	for lineNo := 1; off < len(raw); lineNo++ {
-		nl := bytes.IndexByte(raw[off:], '\n')
-		if nl < 0 {
-			// No terminating newline: the append was cut mid-line. Only
-			// tolerable at the very end of the file.
-			break
-		}
-		line := raw[off : off+nl]
-		rec, perr := parseLedgerLine(line)
-		if perr != nil {
-			if off+nl+1 == len(raw) {
-				// Complete-looking final line that fails its checksum: the
-				// crash landed mid-write before the tail bytes hit disk but
-				// after the newline did — still the torn-tail case only if
-				// nothing follows it.
-				break
-			}
-			return fmt.Errorf("dp: ledger %s line %d: %w", l.path, lineNo, perr)
-		}
-		if rec.Checkpoint != nil {
-			if lineNo != 1 {
-				return fmt.Errorf("dp: ledger %s line %d: checkpoint after entries — the file was spliced", l.path, lineNo)
-			}
-			l.base = rec.Checkpoint.Seq
-			l.spent0 = rec.Checkpoint.Spent
-			off += nl + 1
-			continue
-		}
-		if want := l.base + len(l.entries) + 1; rec.Seq != want {
-			return fmt.Errorf("dp: ledger %s line %d: sequence %d, want %d (entries missing or reordered)", l.path, lineNo, rec.Seq, want)
-		}
-		l.entries = append(l.entries, rec.LedgerEntry)
-		off += nl + 1
-	}
-	if off < len(raw) {
-		// Truncate the torn tail so the next append starts a fresh line.
-		if err := l.f.Truncate(int64(off)); err != nil {
-			return fmt.Errorf("dp: truncating torn ledger tail: %w", err)
-		}
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("dp: syncing truncated ledger: %w", err)
-		}
-	}
-	if _, err := l.f.Seek(int64(off), 0); err != nil {
-		return err
-	}
-	l.end = int64(off)
-	return nil
-}
-
-// parseLedgerLine validates `<crc32-hex> <json>` and decodes either an
-// entry or a checkpoint.
-func parseLedgerLine(line []byte) (ledgerLine, error) {
+// decodeLedgerLine verifies one line and decodes either an entry or a
+// checkpoint, refusing spends no Charge could have written.
+func decodeLedgerLine(line []byte) (ledgerLine, error) {
 	var rec ledgerLine
-	sumHex, doc, ok := strings.Cut(string(line), " ")
-	if !ok {
-		return rec, errors.New("no checksum separator")
-	}
-	sum, err := strconv.ParseUint(sumHex, 16, 32)
-	if err != nil {
-		return rec, fmt.Errorf("bad checksum field %q", sumHex)
-	}
-	if crc32.ChecksumIEEE([]byte(doc)) != uint32(sum) {
-		return rec, errors.New("checksum mismatch")
-	}
-	if err := json.Unmarshal([]byte(doc), &rec); err != nil {
-		return rec, fmt.Errorf("checksummed entry does not decode: %w", err)
+	if err := journal.Decode(line, &rec); err != nil {
+		return rec, err
 	}
 	if ck := rec.Checkpoint; ck != nil {
 		if ck.Seq < 0 {
@@ -228,20 +157,7 @@ func isFinite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 func (l *Ledger) Spent(dataset string) float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.spentLocked(dataset)
-}
-
-func (l *Ledger) spentLocked(dataset string) float64 {
-	// Start from the checkpoint's folded value and continue the same
-	// left-to-right fold over live entries — Compact records exactly this
-	// fold, so spending is bit-identical before and after compaction.
-	total := l.spent0[dataset]
-	for _, e := range l.entries {
-		if e.Dataset == dataset {
-			total += e.Eps()
-		}
-	}
-	return total
+	return l.spent[dataset]
 }
 
 // Entries returns a copy of the ledger's live (uncompacted) entries in
@@ -276,7 +192,9 @@ func (l *Ledger) Compacted() int {
 // is recorded for audit but never refused. The entry's Seq is assigned
 // by the ledger. Charge returns only after fsync — callers publish the
 // release strictly after a nil return, which is what makes a torn tail
-// safe to drop on recovery.
+// safe to drop on recovery. A failed fsync poisons the ledger
+// (ErrLedgerPoisoned) without counting the entry: a spend the disk may
+// not remember must refuse the publication.
 func (l *Ledger) Charge(ctx context.Context, e LedgerEntry, budget float64) error {
 	if e.Dataset == "" {
 		return errors.New("dp: ledger entry needs a dataset name")
@@ -286,123 +204,64 @@ func (l *Ledger) Charge(ctx context.Context, e LedgerEntry, budget float64) erro
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.broken {
-		return fmt.Errorf("%w (%s)", ErrLedgerPoisoned, l.path)
+	if err := l.h.Err(); err != nil {
+		return err
 	}
 	const tol = 1e-9
-	if spent := l.spentLocked(e.Dataset); budget > 0 && e.Eps() > budget-spent+tol {
+	if spent := l.spent[e.Dataset]; budget > 0 && e.Eps() > budget-spent+tol {
 		return &BudgetError{Dataset: e.Dataset, Requested: e.Eps(), Spent: spent, Budget: budget}
 	}
 	e.Seq = l.base + len(l.entries) + 1
-	doc, err := json.Marshal(e)
+	line, err := journal.Encode(e)
 	if err != nil {
 		return fmt.Errorf("dp: encoding ledger entry: %w", err)
 	}
-	line := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(doc), doc)
-	if _, err := resilience.WriteString(ctx, l.f, line); err != nil {
-		// A failed plain write (ENOSPC, typically) may have torn the line
-		// onto disk without making anything durable. Heal: truncate back
-		// to the last fsynced offset so the file never accumulates a torn
-		// interior line, and stay usable — the charge simply did not
-		// happen, and the caller must not publish.
-		if herr := l.healLocked(); herr != nil {
-			l.broken = true
-			return fmt.Errorf("dp: appending ledger entry: %w (and healing the torn tail failed: %w — ledger poisoned)", err, herr)
-		}
+	// FaultLedgerAppend fires with the entry written but not yet durable:
+	// a crash there leaves a (possibly torn) uncommitted line and no
+	// published release.
+	if err := l.h.Append(ctx, line, resilience.FaultLedgerAppend, e.Seq); err != nil {
 		return fmt.Errorf("dp: appending ledger entry: %w", err)
 	}
-	// Fault window: entry written, not yet durable. A crash here leaves
-	// a (possibly torn) uncommitted line and no published release.
-	if err := resilience.Fire(ctx, resilience.FaultLedgerAppend, e.Seq); err != nil {
-		l.broken = true
-		return fmt.Errorf("%w: syncing entry: %w", ErrLedgerPoisoned, err)
-	}
-	if err := resilience.Sync(ctx, l.f); err != nil {
-		// fsync failed: the kernel may have dropped the dirty page and
-		// cleared the error — the bytes' fate is unknowable through this
-		// handle. Poison the ledger; only a reopen (which re-reads the
-		// durable prefix) recovers. Critically, the entry is NOT counted:
-		// a spend the disk may not remember must refuse the publication.
-		l.broken = true
-		return fmt.Errorf("%w: syncing entry: %w", ErrLedgerPoisoned, err)
-	}
-	l.end += int64(len(line))
 	l.entries = append(l.entries, e)
+	l.spent[e.Dataset] += e.Eps()
 	return nil
-}
-
-// healLocked truncates the file back to the last durable offset after a
-// failed plain write, restoring the append position.
-func (l *Ledger) healLocked() error {
-	if err := l.f.Truncate(l.end); err != nil {
-		return err
-	}
-	if _, err := l.f.Seek(l.end, 0); err != nil {
-		return err
-	}
-	// Make the truncation itself durable so a crash right now cannot
-	// resurrect torn bytes past the committed prefix.
-	return l.f.Sync()
 }
 
 // Compact folds every committed entry into a single checkpoint line,
 // rewriting the ledger atomically (temp file, fsync, rename) and
 // reopening the handle on the new file. Per-dataset spending is
 // preserved exactly: the checkpoint records the same left-to-right fold
-// spentLocked computes, so no budget decision changes across a
-// compaction. A crash at any instant leaves either the old multi-line
-// file or the complete checkpointed one — both recover to identical
-// spending.
+// Spent reports, so no budget decision changes across a compaction. A
+// crash at any instant leaves either the old multi-line file or the
+// complete checkpointed one — both recover to identical spending.
 func (l *Ledger) Compact(ctx context.Context) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.broken {
-		return fmt.Errorf("%w (%s)", ErrLedgerPoisoned, l.path)
+	if err := l.h.Err(); err != nil {
+		return err
 	}
 	if len(l.entries) == 0 {
 		return nil // nothing settled since the last checkpoint
 	}
-	ck := ledgerCheckpoint{Seq: l.base + len(l.entries), Spent: map[string]float64{}}
-	for ds, eps := range l.spent0 {
-		ck.Spent[ds] = eps
-	}
-	for _, e := range l.entries {
-		ck.Spent[e.Dataset] += e.Eps()
-	}
-	doc, err := json.Marshal(struct {
+	ck := ledgerCheckpoint{Seq: l.base + len(l.entries), Spent: maps.Clone(l.spent)}
+	line, err := journal.Encode(struct {
 		Checkpoint *ledgerCheckpoint `json:"checkpoint"`
 	}{&ck})
 	if err != nil {
 		return fmt.Errorf("dp: encoding ledger checkpoint: %w", err)
 	}
-	line := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(doc), doc)
 	if err := resilience.AtomicWriteFile(ctx, l.path, func(w io.Writer) error {
-		_, werr := io.WriteString(w, line)
+		_, werr := w.Write(line)
 		return werr
 	}); err != nil {
 		return fmt.Errorf("dp: writing ledger checkpoint: %w", err)
 	}
-	// The rename is durable; swap the handle to the new file. The old
-	// descriptor points at an unlinked inode and is safe to close.
-	nf, err := os.OpenFile(l.path, os.O_RDWR, 0o644)
-	if err != nil {
-		// The checkpoint is on disk but we cannot append through a fresh
-		// handle; poison so no charge is silently lost.
-		l.broken = true
-		return fmt.Errorf("%w: reopening after checkpoint: %w", ErrLedgerPoisoned, err)
+	// The rename is durable; a handle that cannot follow it poisons so no
+	// charge is silently lost.
+	if err := l.h.Reopen(nil); err != nil {
+		return fmt.Errorf("dp: after writing the ledger checkpoint: %w", err)
 	}
-	end, err := nf.Seek(0, io.SeekEnd)
-	if err != nil {
-		nf.Close()
-		l.broken = true
-		return fmt.Errorf("%w: seeking after checkpoint: %w", ErrLedgerPoisoned, err)
-	}
-	l.f.Close()
-	l.f = nf
-	l.end = end
-	l.base = ck.Seq
-	l.spent0 = ck.Spent
-	l.entries = nil
+	l.base, l.entries, l.spent = ck.Seq, nil, ck.Spent
 	return nil
 }
 
@@ -411,5 +270,5 @@ func (l *Ledger) Compact(ctx context.Context) error {
 func (l *Ledger) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.f.Close()
+	return l.h.Close()
 }

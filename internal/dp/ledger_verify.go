@@ -1,9 +1,11 @@
 package dp
 
 import (
-	"bytes"
+	"errors"
 	"fmt"
 	"os"
+
+	"repro/internal/journal"
 )
 
 // LedgerFault reports the first verification failure found in a ledger
@@ -37,7 +39,7 @@ type LedgerScan struct {
 	// Entries are the live (post-checkpoint) entries in append order.
 	Entries []LedgerEntry
 	// Spent is the per-dataset ε fold — checkpoint value plus live
-	// entries, in exactly spentLocked's left-to-right order, so a verify
+	// entries, in exactly Ledger.spent's left-to-right order, so a verify
 	// agrees bit-for-bit with the running ledger's arithmetic.
 	Spent map[string]float64
 	// Durable is the offset after the last valid line.
@@ -56,48 +58,40 @@ type LedgerScan struct {
 // messages.
 func ScanLedger(path string, raw []byte) (*LedgerScan, error) {
 	sc := &LedgerScan{Spent: map[string]float64{}}
-	off := 0
-	for lineNo := 1; off < len(raw); lineNo++ {
-		nl := bytes.IndexByte(raw[off:], '\n')
-		if nl < 0 {
-			break // torn tail: append cut mid-line
-		}
-		line := raw[off : off+nl]
-		rec, perr := parseLedgerLine(line)
-		if perr != nil {
-			if off+nl+1 == len(raw) {
-				break // complete-looking final line failing checksum: torn tail
+	durable, err := journal.Scan(raw, decodeLedgerLine, func(line int, rec ledgerLine) error {
+		if ck := rec.Checkpoint; ck != nil {
+			if line != 1 {
+				return &LedgerFault{Reason: "checkpoint after entries — the file was spliced"}
 			}
-			// Past line 1 the damaged line can only be an entry, so the
-			// sequence it should have carried is known.
-			seq := 0
-			if lineNo > 1 {
-				seq = sc.Base + len(sc.Entries) + 1
-			}
-			return nil, &LedgerFault{Path: path, Line: lineNo, Seq: seq, Offset: int64(off), Reason: perr.Error()}
-		}
-		if rec.Checkpoint != nil {
-			if lineNo != 1 {
-				return nil, &LedgerFault{Path: path, Line: lineNo, Offset: int64(off),
-					Reason: "checkpoint after entries — the file was spliced"}
-			}
-			sc.Base = rec.Checkpoint.Seq
-			for ds, eps := range rec.Checkpoint.Spent {
+			sc.Base = ck.Seq
+			for ds, eps := range ck.Spent {
 				sc.Spent[ds] = eps
 			}
-			off += nl + 1
-			continue
+			return nil
 		}
 		if want := sc.Base + len(sc.Entries) + 1; rec.Seq != want {
-			return nil, &LedgerFault{Path: path, Line: lineNo, Seq: want, Offset: int64(off),
-				Reason: fmt.Sprintf("sequence %d, want %d (entries missing or reordered)", rec.Seq, want)}
+			return &LedgerFault{Seq: want, Reason: fmt.Sprintf("sequence %d, want %d (entries missing or reordered)", rec.Seq, want)}
 		}
 		sc.Entries = append(sc.Entries, rec.LedgerEntry)
 		sc.Spent[rec.Dataset] += rec.Eps()
-		off += nl + 1
+		return nil
+	})
+	var f *journal.Fault
+	if errors.As(err, &f) {
+		lf, ok := f.Err.(*LedgerFault)
+		if !ok {
+			// Past line 1 a line that fails to decode can only be an entry,
+			// so the sequence it should have carried is known.
+			lf = &LedgerFault{Reason: f.Err.Error()}
+			if f.Line > 1 {
+				lf.Seq = sc.Base + len(sc.Entries) + 1
+			}
+		}
+		lf.Path, lf.Line, lf.Offset = path, f.Line, f.Offset
+		return nil, lf
 	}
-	sc.Durable = int64(off)
-	sc.Torn = off < len(raw)
+	sc.Durable = durable
+	sc.Torn = durable < int64(len(raw))
 	return sc, nil
 }
 
@@ -121,11 +115,7 @@ func VerifyLedgerFile(path string) (*LedgerScan, error) {
 func (l *Ledger) Verify() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	raw, err := os.ReadFile(l.path)
-	if err != nil {
-		return fmt.Errorf("dp: reading ledger: %w", err)
-	}
-	sc, err := ScanLedger(l.path, raw)
+	sc, err := VerifyLedgerFile(l.path)
 	if err != nil {
 		return err
 	}
@@ -135,10 +125,10 @@ func (l *Ledger) Verify() error {
 		return &LedgerFault{Path: l.path, Line: len(sc.Entries) + 1, Offset: sc.Durable,
 			Reason: "trailing bytes past the durable prefix while no append is in flight"}
 	}
-	if sc.Base != l.base || len(sc.Entries) != len(l.entries) || sc.Durable != l.end {
+	if sc.Base != l.base || len(sc.Entries) != len(l.entries) || sc.Durable != l.h.End() {
 		return &LedgerFault{Path: l.path, Line: len(sc.Entries), Offset: sc.Durable,
 			Reason: fmt.Sprintf("file holds base=%d entries=%d durable=%d, memory says base=%d entries=%d durable=%d — the file changed behind the live handle",
-				sc.Base, len(sc.Entries), sc.Durable, l.base, len(l.entries), l.end)}
+				sc.Base, len(sc.Entries), sc.Durable, l.base, len(l.entries), l.h.End())}
 	}
 	return nil
 }

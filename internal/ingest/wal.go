@@ -26,6 +26,7 @@ import (
 	"path/filepath"
 	"sort"
 
+	"repro/internal/journal"
 	"repro/internal/resilience"
 )
 
@@ -83,14 +84,12 @@ var ErrWALPoisoned = errors.New("ingest: WAL poisoned by a failed fsync; restart
 // WAL is an append-only, segmented write-ahead log of accepted batches.
 // Not safe for concurrent use; the Ingester serialises access.
 type WAL struct {
-	f       *os.File
-	path    string // active segment path; sealed segments are path.<seq>
-	records int    // complete batches replayed at open + appended since
-	active  int    // records in the active segment
-	seq     uint64 // sequence the active segment receives when sealed
+	h       *journal.Appender // the active segment
+	path    string            // active segment path; sealed segments are path.<seq>
+	records int               // complete batches replayed at open + appended since
+	active  int               // records in the active segment
+	seq     uint64            // sequence the active segment receives when sealed
 	sealed  []uint64
-	end     int64 // durable end offset of the active file
-	broken  bool  // a failed fsync poisons the handle: disk state unknown
 	buf     []byte
 }
 
@@ -172,8 +171,7 @@ func OpenWALAfter(path string, base uint64, replay func(batch []Reading) error) 
 	if err != nil {
 		return nil, fmt.Errorf("ingest: opening WAL: %w", err)
 	}
-	w.f = f
-	if err := w.recoverActive(replay); err != nil {
+	if w.h, err = w.recoverActive(f, replay); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -204,60 +202,42 @@ func (w *WAL) replaySealed(path string, replay func(batch []Reading) error) erro
 	return nil
 }
 
-// recoverActive scans the active file, delivers complete batches,
-// truncates a torn tail, and positions the handle for appending.
-func (w *WAL) recoverActive(replay func(batch []Reading) error) error {
-	info, err := w.f.Stat()
+// recoverActive scans the active file, delivers complete batches, and
+// attaches the append handle after the last complete record, truncating
+// a torn tail.
+func (w *WAL) recoverActive(f *os.File, replay func(batch []Reading) error) (*journal.Appender, error) {
+	info, err := f.Stat()
 	if err != nil {
-		return fmt.Errorf("ingest: WAL stat: %w", err)
+		return nil, fmt.Errorf("ingest: WAL stat: %w", err)
 	}
 	size := info.Size()
 	if size < walHeaderLen {
 		// Empty or a crash during header creation: either way no record
 		// was ever durable, but refuse if the bytes present are not a
 		// prefix of our magic — that is someone else's file.
-		if size > 0 {
-			head := make([]byte, size)
-			if _, err := w.f.ReadAt(head, 0); err != nil {
-				return fmt.Errorf("ingest: reading WAL header: %w", err)
-			}
-			if string(head) != string(walMagic[:size]) {
-				return fmt.Errorf("%w: %s is not a WAL (bad magic)", ErrWALCorrupt, w.path)
-			}
+		head := make([]byte, size)
+		if _, err := f.ReadAt(head, 0); err != nil {
+			return nil, fmt.Errorf("ingest: reading WAL header: %w", err)
 		}
-		if err := w.f.Truncate(0); err != nil {
-			return fmt.Errorf("ingest: resetting WAL: %w", err)
+		if string(head) != string(walMagic[:size]) {
+			return nil, fmt.Errorf("%w: %s is not a WAL (bad magic)", ErrWALCorrupt, w.path)
 		}
-		if _, err := w.f.WriteAt(walMagic[:], 0); err != nil {
-			return fmt.Errorf("ingest: writing WAL header: %w", err)
+		if _, err := f.WriteAt(walMagic[:], 0); err != nil {
+			return nil, fmt.Errorf("ingest: writing WAL header: %w", err)
 		}
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("ingest: syncing WAL header: %w", err)
+		if err := f.Sync(); err != nil {
+			return nil, fmt.Errorf("ingest: syncing WAL header: %w", err)
 		}
-		w.end = walHeaderLen
-		_, err := w.f.Seek(walHeaderLen, io.SeekStart)
-		return err
+		return journal.Attach(f, walHeaderLen, walHeaderLen, ErrWALPoisoned)
 	}
-
-	off, n, err := scanRecords(w.f, size, w.path, replay)
+	off, n, err := scanRecords(f, size, w.path, replay)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	w.records += n
 	w.active = n
-	if off < size {
-		// Drop the torn tail so the next append starts on a record
-		// boundary; the lost suffix was never acknowledged as durable.
-		if err := w.f.Truncate(off); err != nil {
-			return fmt.Errorf("ingest: truncating torn WAL tail: %w", err)
-		}
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("ingest: syncing truncated WAL: %w", err)
-		}
-	}
-	w.end = off
-	_, err = w.f.Seek(off, io.SeekStart)
-	return err
+	// The torn tail past off was never acknowledged as durable.
+	return journal.Attach(f, size, off, ErrWALPoisoned)
 }
 
 // scanRecords validates records from the start of one segment image,
@@ -326,10 +306,10 @@ func (w *WAL) Records() int { return w.records }
 
 // ActiveBytes returns the durable size of the active segment — the
 // bytes a compaction would fold away.
-func (w *WAL) ActiveBytes() int64 { return w.end }
+func (w *WAL) ActiveBytes() int64 { return w.h.End() }
 
 // Broken reports whether the handle is poisoned by a failed fsync.
-func (w *WAL) Broken() bool { return w.broken }
+func (w *WAL) Broken() bool { return w.h.Err() != nil }
 
 // Append encodes batch as one record, writes it in a single call, and
 // fsyncs before returning — only then may the caller apply the batch to
@@ -344,56 +324,25 @@ func (w *WAL) Broken() bool { return w.broken }
 // is poisoned (ErrWALPoisoned) and every later Append is refused; the
 // process must restart and recover from the log.
 func (w *WAL) Append(ctx context.Context, batch []Reading) error {
-	if w.broken {
-		return fmt.Errorf("%w (%s)", ErrWALPoisoned, w.path)
-	}
 	if len(batch) == 0 {
 		return nil
 	}
-	payload := encodeBatch(w.buf[:0], batch)
-	w.buf = payload // reuse the allocation across appends
-	var hdr [recHeaderLen]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	rec := append(hdr[:], payload...)
-	if _, err := resilience.Write(ctx, w.f, rec); err != nil {
-		return w.healAppend(err)
-	}
-	// Fault window: the record's bytes are written but not yet durable.
-	// A hook error here simulates fsync failure; a stalled hook lets a
-	// crash test SIGKILL the process mid-commit.
-	if err := resilience.Fire(ctx, resilience.FaultWALSync, w.records); err != nil {
-		w.broken = true
-		return fmt.Errorf("ingest: syncing WAL record: %w: %w", ErrWALPoisoned, err)
-	}
-	if err := resilience.Sync(ctx, w.f); err != nil {
-		w.broken = true
-		return fmt.Errorf("ingest: syncing WAL record: %w: %w", ErrWALPoisoned, err)
+	// Header and payload share one buffer, reused across appends, so the
+	// record goes out in a single write.
+	rec := encodeBatch(append(w.buf[:0], make([]byte, recHeaderLen)...), batch)
+	w.buf = rec
+	payload := rec[recHeaderLen:]
+	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(payload))
+	// FaultWALSync fires with the record written but not yet durable: a
+	// hook error simulates fsync failure; a stalled hook lets a crash test
+	// SIGKILL the process mid-commit.
+	if err := w.h.Append(ctx, rec, resilience.FaultWALSync, w.records); err != nil {
+		return fmt.Errorf("ingest: appending WAL record: %w", err)
 	}
 	w.records++
 	w.active++
-	w.end += int64(len(rec))
 	return nil
-}
-
-// healAppend recovers from a failed or short append write: truncate the
-// file back to the last durable record boundary (and reposition the
-// handle) so the torn tail is gone before anyone can mistake it for
-// interior damage. If the heal itself fails the handle is poisoned.
-func (w *WAL) healAppend(cause error) error {
-	if terr := w.f.Truncate(w.end); terr != nil {
-		w.broken = true
-		return fmt.Errorf("ingest: WAL append failed (%v) and truncating the torn tail failed: %w: %w", cause, ErrWALPoisoned, terr)
-	}
-	if _, serr := w.f.Seek(w.end, io.SeekStart); serr != nil {
-		w.broken = true
-		return fmt.Errorf("ingest: WAL append failed (%v) and repositioning failed: %w: %w", cause, ErrWALPoisoned, serr)
-	}
-	if serr := w.f.Sync(); serr != nil {
-		w.broken = true
-		return fmt.Errorf("ingest: WAL append failed (%v) and syncing the truncation failed: %w: %w", cause, ErrWALPoisoned, serr)
-	}
-	return fmt.Errorf("ingest: appending WAL record (tail truncated to last durable record): %w", cause)
 }
 
 // Rotate seals the active segment: the file (already durable — every
@@ -405,20 +354,15 @@ func (w *WAL) healAppend(cause error) error {
 // rotation failure leaves the log consistent — exactly what a crashed
 // compaction leaves for recovery to finish.
 func (w *WAL) Rotate(ctx context.Context) (uint64, error) {
-	if w.broken {
-		return 0, fmt.Errorf("%w (%s)", ErrWALPoisoned, w.path)
+	if err := w.h.Err(); err != nil {
+		return 0, err
 	}
 	if w.active == 0 {
 		return w.seq - 1, nil
 	}
-	if err := w.f.Close(); err != nil {
-		w.broken = true
-		return 0, fmt.Errorf("ingest: closing active segment: %w: %w", ErrWALPoisoned, err)
-	}
 	sealed := w.seq
 	if err := os.Rename(w.path, segName(w.path, sealed)); err != nil {
-		w.broken = true
-		return 0, fmt.Errorf("ingest: sealing segment %d: %w: %w", sealed, ErrWALPoisoned, err)
+		return 0, fmt.Errorf("ingest: sealing segment %d: %w", sealed, err)
 	}
 	// Rename durability is advisory: if the dir entry update is lost to a
 	// power cut, recovery sees the pre-rotation layout, which replays to
@@ -426,23 +370,12 @@ func (w *WAL) Rotate(ctx context.Context) (uint64, error) {
 	_ = resilience.SyncDir(filepath.Dir(w.path))
 	// Crash window: no active file exists at path.
 	ferr := resilience.Fire(ctx, resilience.FaultWALRotate, sealed)
-	f, err := os.OpenFile(w.path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err == nil {
-		if _, werr := f.Write(walMagic[:]); werr != nil {
-			err = werr
-		} else {
-			err = f.Sync()
-		}
+	if err := w.h.Reopen(walMagic[:]); err != nil {
+		return 0, fmt.Errorf("ingest: starting fresh active segment: %w", err)
 	}
-	if err != nil {
-		w.broken = true
-		return 0, fmt.Errorf("ingest: starting fresh active segment: %w: %w", ErrWALPoisoned, err)
-	}
-	w.f = f
 	w.sealed = append(w.sealed, sealed)
 	w.seq = sealed + 1
 	w.active = 0
-	w.end = walHeaderLen
 	if ferr != nil {
 		return sealed, fmt.Errorf("ingest: rotating WAL: %w", ferr)
 	}
@@ -479,7 +412,7 @@ func (w *WAL) DropThrough(ctx context.Context, seq uint64) error {
 
 // Close releases the file handle. The log is already durable — every
 // acknowledged Append fsynced — so Close has nothing to flush.
-func (w *WAL) Close() error { return w.f.Close() }
+func (w *WAL) Close() error { return w.h.Close() }
 
 // encodeBatch appends the canonical encoding of batch to dst: u32 count
 // then per reading u32 x, u32 y, u32 t, f64 bits, all little-endian.

@@ -4,8 +4,9 @@
 // long-running process that survives SIGKILL at any instant.
 //
 // The heart of the package is the window manifest — a crash-safe,
-// append-only journal (same checksummed-line discipline as dp.Ledger)
-// recording each window's progress through the fixed lifecycle
+// append-only journal (see internal/journal for its checksummed-line
+// format and recovery rules) recording each window's progress through
+// the fixed lifecycle
 //
 //	cut → released → charged → published → reloaded
 //
@@ -20,18 +21,13 @@
 package pipeline
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
-	"os"
-	"strconv"
-	"strings"
 	"sync"
 
+	"repro/internal/journal"
 	"repro/internal/resilience"
 )
 
@@ -109,59 +105,32 @@ var ErrManifestPoisoned = errors.New("pipeline: manifest poisoned by a failed fs
 // must refuse to run rather than guess which windows really published.
 var ErrManifestCorrupt = errors.New("pipeline: manifest corrupt")
 
-// Manifest is the durable window-lifecycle journal. On-disk format is
-// one record per line, `<crc32-hex> <json>\n`, exactly the ledger's
-// discipline: a torn final line (the only damage an fsynced append-only
-// file can suffer) is truncated on open; anything else refuses.
+// Manifest is the durable window-lifecycle journal: one record per line
+// in the internal/journal line format, `<crc32-hex> <json>\n`, so a torn
+// final line (the only damage an fsynced append-only file can suffer) is
+// truncated on open and anything else refuses.
 type Manifest struct {
-	mu     sync.Mutex
-	path   string
-	f      *os.File
-	recs   []Record
-	end    int64 // durable end offset, for append self-heal
-	broken bool
+	mu   sync.Mutex
+	path string
+	h    *journal.Appender
+	recs []Record
 }
 
 // OpenManifest loads (or creates) the manifest at path, verifying every
 // line's checksum, the gapless sequence, and the lifecycle state
 // machine, truncating a torn final line.
 func OpenManifest(path string) (*Manifest, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	m := &Manifest{path: path}
+	h, err := journal.Open(path, ErrManifestPoisoned, func(raw []byte) (int64, error) {
+		recs, durable, err := ScanManifest(path, raw)
+		m.recs = recs
+		return durable, err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: opening manifest: %w", err)
-	}
-	m := &Manifest{path: path, f: f}
-	if err := m.recover(); err != nil {
-		f.Close()
 		return nil, err
 	}
+	m.h = h
 	return m, nil
-}
-
-func (m *Manifest) recover() error {
-	raw, err := os.ReadFile(m.path)
-	if err != nil {
-		return fmt.Errorf("pipeline: reading manifest: %w", err)
-	}
-	recs, durable, err := ScanManifest(m.path, raw)
-	if err != nil {
-		return err
-	}
-	m.recs = recs
-	off := durable
-	if off < int64(len(raw)) {
-		if err := m.f.Truncate(off); err != nil {
-			return fmt.Errorf("pipeline: truncating torn manifest tail: %w", err)
-		}
-		if err := m.f.Sync(); err != nil {
-			return fmt.Errorf("pipeline: syncing truncated manifest: %w", err)
-		}
-	}
-	if _, err := m.f.Seek(off, 0); err != nil {
-		return err
-	}
-	m.end = off
-	return nil
 }
 
 // ScanManifest validates raw manifest bytes strictly read-only — the
@@ -175,37 +144,20 @@ func (m *Manifest) recover() error {
 // path is used only for error messages.
 func ScanManifest(path string, raw []byte) ([]Record, int64, error) {
 	var recs []Record
-	off := 0
-	for lineNo := 1; off < len(raw); lineNo++ {
-		nl := bytes.IndexByte(raw[off:], '\n')
-		if nl < 0 {
-			break // torn tail: append cut mid-line
-		}
-		line := raw[off : off+nl]
-		rec, perr := DecodeLine(line)
-		if perr != nil {
-			if off+nl+1 == len(raw) {
-				// Complete-looking final line failing its checksum: the crash
-				// landed after the newline but before the body was durable.
-				break
-			}
-			return nil, 0, fmt.Errorf("%w: %s line %d: %v", ErrManifestCorrupt, path, lineNo, perr)
-		}
+	durable, err := journal.Scan(raw, DecodeLine, func(_ int, rec Record) error {
 		if want := len(recs) + 1; rec.Seq != want {
-			return nil, 0, fmt.Errorf("%w: %s line %d: sequence %d, want %d (records missing or reordered)",
-				ErrManifestCorrupt, path, lineNo, rec.Seq, want)
+			return fmt.Errorf("sequence %d, want %d (records missing or reordered)", rec.Seq, want)
 		}
-		var tip *Record
-		if len(recs) > 0 {
-			tip = &recs[len(recs)-1]
-		}
-		if err := validAfter(tip, rec); err != nil {
-			return nil, 0, fmt.Errorf("%w: %s line %d: %v", ErrManifestCorrupt, path, lineNo, err)
+		if err := validAfter(tip(recs), rec); err != nil {
+			return err
 		}
 		recs = append(recs, rec)
-		off += nl + 1
+		return nil
+	})
+	if err != nil {
+		return nil, 0, fmt.Errorf("%w: %s %v", ErrManifestCorrupt, path, err)
 	}
-	return recs, int64(off), nil
+	return recs, durable, nil
 }
 
 // DecodeLine validates one manifest line `<crc32-hex> <json>` and
@@ -213,19 +165,8 @@ func ScanManifest(path string, raw []byte) ([]Record, int64, error) {
 // parser recovery trusts.
 func DecodeLine(line []byte) (Record, error) {
 	var rec Record
-	sumHex, doc, ok := strings.Cut(string(line), " ")
-	if !ok {
-		return rec, errors.New("no checksum separator")
-	}
-	sum, err := strconv.ParseUint(sumHex, 16, 32)
-	if err != nil {
-		return rec, fmt.Errorf("bad checksum field %q", sumHex)
-	}
-	if crc32.ChecksumIEEE([]byte(doc)) != uint32(sum) {
-		return rec, errors.New("checksum mismatch")
-	}
-	if err := json.Unmarshal([]byte(doc), &rec); err != nil {
-		return rec, fmt.Errorf("checksummed record does not decode: %w", err)
+	if err := journal.Decode(line, &rec); err != nil {
+		return rec, err
 	}
 	if _, known := stateOrder[rec.State]; !known {
 		return rec, fmt.Errorf("unknown lifecycle state %q", rec.State)
@@ -240,6 +181,14 @@ func DecodeLine(line []byte) (Record, error) {
 		return rec, fmt.Errorf("cut record carries empty span [%d,%d)", rec.T0, rec.T1)
 	}
 	return rec, nil
+}
+
+// tip returns the newest record, nil on an empty journal.
+func tip(recs []Record) *Record {
+	if len(recs) == 0 {
+		return nil
+	}
+	return &recs[len(recs)-1]
 }
 
 // validAfter checks that rec legally follows the journal tip (nil on an
@@ -275,14 +224,10 @@ func validAfter(tip *Record, rec Record) error {
 func (m *Manifest) Append(ctx context.Context, rec Record) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.broken {
-		return fmt.Errorf("%w (%s)", ErrManifestPoisoned, m.path)
+	if err := m.h.Err(); err != nil {
+		return err
 	}
-	var tip *Record
-	if len(m.recs) > 0 {
-		tip = &m.recs[len(m.recs)-1]
-	}
-	if err := validAfter(tip, rec); err != nil {
+	if err := validAfter(tip(m.recs), rec); err != nil {
 		return fmt.Errorf("pipeline: manifest refuses %v", err)
 	}
 	rec.Seq = len(m.recs) + 1
@@ -292,37 +237,15 @@ func (m *Manifest) Append(ctx context.Context, rec Record) error {
 	if err := resilience.Fire(ctx, resilience.FaultManifestAppend, &rec); err != nil {
 		return fmt.Errorf("pipeline: manifest append: %w", err)
 	}
-	doc, err := json.Marshal(rec)
+	line, err := journal.Encode(rec)
 	if err != nil {
 		return fmt.Errorf("pipeline: encoding manifest record: %w", err)
 	}
-	line := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(doc), doc)
-	if _, err := resilience.WriteString(ctx, m.f, line); err != nil {
-		if herr := m.healLocked(); herr != nil {
-			m.broken = true
-			return fmt.Errorf("pipeline: appending manifest record: %w (and healing the torn tail failed: %w — manifest poisoned)", err, herr)
-		}
+	if err := m.h.Append(ctx, line, "", nil); err != nil {
 		return fmt.Errorf("pipeline: appending manifest record: %w", err)
 	}
-	if err := resilience.Sync(ctx, m.f); err != nil {
-		m.broken = true
-		return fmt.Errorf("%w: syncing record: %w", ErrManifestPoisoned, err)
-	}
-	m.end += int64(len(line))
 	m.recs = append(m.recs, rec)
 	return nil
-}
-
-// healLocked truncates back to the last durable offset after a failed
-// plain write, restoring the append position.
-func (m *Manifest) healLocked() error {
-	if err := m.f.Truncate(m.end); err != nil {
-		return err
-	}
-	if _, err := m.f.Seek(m.end, 0); err != nil {
-		return err
-	}
-	return m.f.Sync()
 }
 
 // LastWindow returns the newest window with any journalled progress,
@@ -330,20 +253,20 @@ func (m *Manifest) healLocked() error {
 func (m *Manifest) LastWindow() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.recs) == 0 {
-		return 0
+	if t := tip(m.recs); t != nil {
+		return t.Window
 	}
-	return m.recs[len(m.recs)-1].Window
+	return 0
 }
 
 // LastState returns the newest record's state, "" on an empty journal.
 func (m *Manifest) LastState() State {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if len(m.recs) == 0 {
-		return ""
+	if t := tip(m.recs); t != nil {
+		return t.State
 	}
-	return m.recs[len(m.recs)-1].State
+	return ""
 }
 
 // Get returns window w's record for the given state, if journalled.
@@ -379,5 +302,5 @@ func (m *Manifest) Len() int {
 func (m *Manifest) Close() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.f.Close()
+	return m.h.Close()
 }

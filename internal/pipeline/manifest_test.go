@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 
 	"repro/internal/resilience"
@@ -220,6 +221,63 @@ func TestManifestPoisonedOnFailedSync(t *testing.T) {
 	defer re.Close()
 	if err := re.Append(context.Background(), nextRecord(re)); err != nil {
 		t.Fatalf("append after reopen: %v", err)
+	}
+}
+
+// TestManifestAppendENOSPCSelfHeals: a failed or short plain write is
+// not a failed fsync — the torn tail is truncated away, the manifest
+// stays usable, and the same record lands once space returns.
+func TestManifestAppendENOSPCSelfHeals(t *testing.T) {
+	for _, fault := range []resilience.Fault{resilience.FaultWriteENOSPC, resilience.FaultShortWrite} {
+		t.Run(string(fault), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "manifest")
+			m, err := OpenManifest(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			walk(t, m, 1)
+
+			inj := resilience.NewInjector().On(fault, func(context.Context, any) error {
+				return fmt.Errorf("injected: %w", syscall.ENOSPC)
+			})
+			next := nextRecord(m)
+			err = m.Append(resilience.WithInjector(context.Background(), inj), next)
+			if !resilience.IsDiskFull(err) {
+				t.Fatalf("append with a full disk: %v, want disk-full", err)
+			}
+			if errors.Is(err, ErrManifestPoisoned) {
+				t.Fatal("a healed ENOSPC must not poison the manifest")
+			}
+			if m.Len() != 5 {
+				t.Fatalf("failed append changed the journal: len=%d", m.Len())
+			}
+
+			// Space returns: the same record lands.
+			if err := m.Append(context.Background(), next); err != nil {
+				t.Fatalf("append after space returned: %v", err)
+			}
+			m.Close()
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.HasSuffix(string(raw), "\n") || strings.Count(string(raw), "\n") != 6 {
+				t.Fatalf("manifest holds a torn line:\n%s", raw)
+			}
+			re, err := OpenManifest(path)
+			if err != nil {
+				t.Fatalf("reopen after heal: %v", err)
+			}
+			defer re.Close()
+			for i, r := range re.Records() {
+				if r.Seq != i+1 {
+					t.Fatalf("record %d carries seq %d", i, r.Seq)
+				}
+			}
+			if re.Len() != 6 || re.LastWindow() != 2 || re.LastState() != StateCut {
+				t.Fatalf("reopened: len=%d window=%d state=%s", re.Len(), re.LastWindow(), re.LastState())
+			}
+		})
 	}
 }
 
