@@ -25,6 +25,13 @@
 // an authenticated POST /-/budget with a larger ε resumes the stream
 // exactly where it stopped. In one-shot mode exhaustion exits with
 // status 2 so schedulers can tell "refused by budget" from a crash.
+//
+// Malformed readings are quarantined to -dead-letter (JSONL, rotated at
+// ingest.DefaultDeadLetterMax). The WAL folds into a snapshot every
+// walCompactBatches batches or walCompactBytes of log (or on POST
+// /-/compact), so disk use stays bounded. An http(s):// -in source is
+// fetched under ingest.DefaultSourcePolicy: five attempts, honouring
+// Retry-After.
 package main
 
 import (
@@ -49,6 +56,14 @@ import (
 	"repro/internal/scrub"
 )
 
+// WAL compaction thresholds: fold the log into a snapshot after this
+// many committed batches, or once the active segment passes this many
+// bytes, whichever comes first.
+const (
+	walCompactBatches = 1024
+	walCompactBytes   = 64 << 20
+)
+
 func main() {
 	var (
 		walPath     = flag.String("wal", "", "write-ahead log path; required (replayed on start)")
@@ -63,7 +78,8 @@ func main() {
 		budget      = flag.Float64("budget", 0, "lifetime ε budget (0 = record only, never refuse)")
 		sens        = flag.Float64("sensitivity", 1, "per-cell L1 sensitivity of one reading")
 		seed        = flag.Int64("seed", 1, "base seed for deterministic window noise")
-		inPath      = flag.String("in", "", "one-shot mode: ingest this CSV ('-' = stdin), publish, exit")
+		inPath      = flag.String("in", "", "one-shot mode: ingest this CSV ('-' = stdin, http(s):// = fetched with bounded retries), publish, exit")
+		deadPath    = flag.String("dead-letter", "", "quarantine file for malformed readings (JSONL; default: no file, counted only)")
 		listen      = flag.String("listen", "", "daemon mode: serve ingestion + supervision on this address")
 		token       = flag.String("token", "", "bearer token for mutating HTTP endpoints")
 		reloadURL   = flag.String("reload-url", "", "POST this URL after each publication (stpt-serve /-/reload)")
@@ -106,7 +122,19 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	in, err := ingest.New(ingest.Config{Cx: *gridSide, Cy: *gridSide, Ct: *tLen, BatchSize: *batch}, *walPath)
+	icfg := ingest.Config{
+		Cx: *gridSide, Cy: *gridSide, Ct: *tLen, BatchSize: *batch,
+		CompactBatches: walCompactBatches, CompactBytes: walCompactBytes,
+	}
+	if *deadPath != "" {
+		dead, err := ingest.OpenDeadLetter(*deadPath, ingest.DefaultDeadLetterMax)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		defer dead.Close()
+		icfg.DeadLetter = dead
+	}
+	in, err := ingest.New(icfg, *walPath)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -170,13 +198,21 @@ func main() {
 			go sc.Run(ctx)
 			fmt.Fprintf(os.Stderr, "stpt-pipeline: scrubbing at-rest artifacts every %s\n", *scrubEvery)
 		}
-		serveHTTP(ctx, sup, in, sc, *listen, *token, *interval)
+		serveHTTP(ctx, sup, sc, *listen, *token, *interval)
 		return
 	}
 
 	// One-shot: stream the feed in, then publish every covered window.
 	var src io.Reader = os.Stdin
-	if *inPath != "" && *inPath != "-" {
+	switch {
+	case strings.HasPrefix(*inPath, "http://"), strings.HasPrefix(*inPath, "https://"):
+		body, err := ingest.FetchHTTP(ctx, nil, *inPath, ingest.DefaultSourcePolicy())
+		if err != nil {
+			fatalf("%v", err)
+		}
+		defer body.Close()
+		src = body
+	case *inPath != "-":
 		f, err := os.Open(*inPath)
 		if err != nil {
 			fatalf("%v", err)
@@ -206,11 +242,8 @@ func main() {
 // context is cancelled, then drains. With a scrubber attached, /readyz
 // reports "corrupt" while artifacts are latched damaged and /metrics
 // carries the scrub counters.
-func serveHTTP(ctx context.Context, sup *pipeline.Supervisor, in *ingest.Ingester, sc *scrub.Scrubber, addr, token string, interval time.Duration) {
-	hcfg := pipeline.HandlerConfig{
-		Token:  token,
-		Ingest: ingest.Handler(in, ingest.HandlerConfig{Token: token}),
-	}
+func serveHTTP(ctx context.Context, sup *pipeline.Supervisor, sc *scrub.Scrubber, addr, token string, interval time.Duration) {
+	hcfg := pipeline.HandlerConfig{Token: token}
 	if sc != nil {
 		hcfg.Integrity = sc
 		hcfg.Metrics = scrubMetricsHandler(sc)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -280,5 +281,184 @@ func TestOneShotBudgetExhaustionExitsTwo(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "out", "window-000004.csv")); err == nil {
 		t.Fatal("refused window 4 was published anyway")
+	}
+}
+
+// oneShot runs the binary in one-shot mode over in, keeping the WAL,
+// ledger and releases of this run under dir/name.
+func oneShot(t *testing.T, bin, dir, name, in string, extra ...string) (string, error) {
+	t.Helper()
+	root := filepath.Join(dir, name)
+	if err := os.MkdirAll(root, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	args := append([]string{
+		"-wal", filepath.Join(root, "feed.wal"), "-grid", "2", "-t", "12",
+		"-window", "3", "-in", in, "-out", filepath.Join(root, "out"),
+		"-ledger", filepath.Join(root, "budget.ledger"),
+		"-eps-node", "0.5", "-budget", "4", "-seed", "42",
+	}, extra...)
+	cmd := exec.Command(bin, args...)
+	var buf bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &buf, &buf
+	err := cmd.Run()
+	return buf.String(), err
+}
+
+// publishedFiles reads every file a run published under dir/name/out.
+func publishedFiles(t *testing.T, dir, name string) map[string][]byte {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, name, "out", "*.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{}
+	for _, p := range paths {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[filepath.Base(p)] = b
+	}
+	return files
+}
+
+// samePublication fails unless want is a full four-window publication
+// and got holds exactly its files, byte for byte.
+func samePublication(t *testing.T, got, want map[string][]byte) {
+	t.Helper()
+	if len(want) != 5 {
+		t.Fatalf("reference run published %d files, want 4 windows + latest.csv", len(want))
+	}
+	if len(got) != len(want) {
+		t.Fatalf("published %d files, want %d", len(got), len(want))
+	}
+	for name, b := range want {
+		if !bytes.Equal(got[name], b) {
+			t.Fatalf("%s differs from the reference run", name)
+		}
+	}
+}
+
+// TestOneShotDeadLetter: malformed lines in the feed land in the
+// -dead-letter file, one {line, reason, raw} record each, and the
+// published windows are byte-identical to a run over the clean feed.
+func TestOneShotDeadLetter(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the binary")
+	}
+	dir := t.TempDir()
+	bin := buildPipelineBin(t, dir)
+
+	// 48 clean lines (and a trailing ""), with bad ones spliced in at
+	// these 1-based line numbers of the dirty feed.
+	clean := strings.SplitAfter(cliFeed(12), "\n")
+	bad := map[int]string{
+		3:  "bad,line",
+		20: "0,0,99,1.5",
+		51: "1,1,1,-2",
+	}
+	var dirty strings.Builder
+	for line, next := 1, 0; line <= 48+len(bad); line++ {
+		if raw, ok := bad[line]; ok {
+			dirty.WriteString(raw + "\n")
+			continue
+		}
+		dirty.WriteString(clean[next])
+		next++
+	}
+	cleanPath := filepath.Join(dir, "clean.csv")
+	dirtyPath := filepath.Join(dir, "dirty.csv")
+	if err := os.WriteFile(cleanPath, []byte(cliFeed(12)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dirtyPath, []byte(dirty.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if log, err := oneShot(t, bin, dir, "clean", cleanPath); err != nil {
+		t.Fatalf("clean run: %v\n%s", err, log)
+	}
+	deadPath := filepath.Join(dir, "dead.jsonl")
+	log, err := oneShot(t, bin, dir, "dirty", dirtyPath, "-dead-letter", deadPath)
+	if err != nil {
+		t.Fatalf("dirty run: %v\n%s", err, log)
+	}
+	if !strings.Contains(log, "accepted 48, quarantined 3") {
+		t.Fatalf("dirty run output: %s", log)
+	}
+
+	raw, err := os.ReadFile(deadPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	if len(recs) != len(bad) {
+		t.Fatalf("dead letter holds %d records, want %d:\n%s", len(recs), len(bad), raw)
+	}
+	for _, rec := range recs {
+		var r struct {
+			Line   int    `json:"line"`
+			Reason string `json:"reason"`
+			Raw    string `json:"raw"`
+		}
+		if err := json.Unmarshal([]byte(rec), &r); err != nil {
+			t.Fatalf("dead-letter record %q: %v", rec, err)
+		}
+		if bad[r.Line] != r.Raw || r.Reason == "" {
+			t.Fatalf("dead-letter record %+v does not match the feed's bad line %d", r, r.Line)
+		}
+	}
+	samePublication(t, publishedFiles(t, dir, "dirty"), publishedFiles(t, dir, "clean"))
+}
+
+// TestOneShotHTTPSource: an http:// -in is fetched with bounded retries.
+// A 503 with Retry-After is waited out, and the windows match the
+// file-input run byte for byte; a 404 fails fast with a non-zero exit
+// and publishes nothing.
+func TestOneShotHTTPSource(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the binary")
+	}
+	dir := t.TempDir()
+	bin := buildPipelineBin(t, dir)
+
+	feed := cliFeed(12)
+	var fetches atomic.Int64
+	src := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path != "/feed.csv":
+			http.NotFound(w, r)
+		case fetches.Add(1) == 1:
+			w.Header().Set("Retry-After", "1")
+			w.WriteHeader(http.StatusServiceUnavailable)
+		default:
+			io.WriteString(w, feed)
+		}
+	}))
+	defer src.Close()
+
+	filePath := filepath.Join(dir, "readings.csv")
+	if err := os.WriteFile(filePath, []byte(feed), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if log, err := oneShot(t, bin, dir, "file", filePath); err != nil {
+		t.Fatalf("file run: %v\n%s", err, log)
+	}
+	if log, err := oneShot(t, bin, dir, "http", src.URL+"/feed.csv"); err != nil {
+		t.Fatalf("http run: %v\n%s", err, log)
+	}
+	if n := fetches.Load(); n != 2 {
+		t.Fatalf("source fetched %d times, want 2 (one 503, one success)", n)
+	}
+	samePublication(t, publishedFiles(t, dir, "http"), publishedFiles(t, dir, "file"))
+
+	log, err := oneShot(t, bin, dir, "missing", src.URL+"/missing.csv")
+	var exitErr *exec.ExitError
+	if !errors.As(err, &exitErr) || exitErr.ExitCode() == 0 {
+		t.Fatalf("404 source: %v, want a non-zero exit\n%s", err, log)
+	}
+	if got := publishedFiles(t, dir, "missing"); len(got) != 0 {
+		t.Fatalf("404 source published %d files", len(got))
 	}
 }

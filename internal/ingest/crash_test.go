@@ -17,15 +17,15 @@ import (
 )
 
 // Kill-and-replay: a child process ingests a known stream, stalls at an
-// injected fault point (mid-commit, mid-fsync, or mid-rename), and the
-// parent SIGKILLs it there — a real crash, not a simulated one. The
+// injected fault point (mid-commit, mid-fsync, or inside a compaction
+// step), and the parent SIGKILLs it there — a real crash, not a simulated one. The
 // parent then recovers the WAL and asserts the replayed matrix is
 // byte-identical (as CSV) to the prefix the child had durably committed,
 // and that resuming ingestion of the uncommitted remainder reproduces
 // the full-input matrix exactly.
 
 const (
-	crashChildEnv = "STPT_INGEST_CRASH_CHILD" // mode: mid-batch | mid-sync | mid-rename
+	crashChildEnv = "STPT_INGEST_CRASH_CHILD" // mode: a TestIngestKillReplay subtest name
 	crashDirEnv   = "STPT_INGEST_CRASH_DIR"
 
 	crashCx, crashCy, crashCt = 6, 5, 12
@@ -68,10 +68,6 @@ func TestIngestCrashChild(t *testing.T) {
 		// Freeze after the record's bytes are written but before fsync:
 		// the record was never acknowledged, but its bytes may survive.
 		inj.On(resilience.FaultWALSync, stallAtOrdinal)
-	case "mid-rename":
-		// Freeze inside Publish's commit window: ledger charged, temp file
-		// written, rename pending. The release must not exist afterwards.
-		inj.On(resilience.FaultAtomicRename, stall)
 	case "mid-rotate":
 		// Freeze inside compaction's rotate window: the active segment is
 		// sealed and no active file exists at the WAL path.
@@ -126,15 +122,6 @@ func TestIngestCrashChild(t *testing.T) {
 		os.Exit(3)
 	}
 	switch mode {
-	case "mid-rename":
-		led, err := dp.OpenLedger(filepath.Join(dir, "ledger"))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "child ledger:", err)
-			os.Exit(3)
-		}
-		err = in.Publish(ctx, filepath.Join(dir, "release.csv"), led,
-			dp.LedgerEntry{Dataset: "crash", EpsPattern: 1, EpsSanitize: 2}, 0)
-		fmt.Fprintln(os.Stderr, "child publish returned:", err)
 	case "mid-rotate", "mid-snapshot", "mid-compact-delete":
 		err := in.Compact(ctx)
 		fmt.Fprintln(os.Stderr, "child compact returned:", err)
@@ -148,7 +135,7 @@ func TestIngestKillReplay(t *testing.T) {
 		t.Skip("subprocess crash test")
 	}
 	for _, mode := range []string{
-		"mid-batch", "mid-sync", "mid-rename",
+		"mid-batch", "mid-sync",
 		"mid-rotate", "mid-snapshot", "mid-compact-delete", "mid-ledger-compact",
 	} {
 		t.Run(mode, func(t *testing.T) { runKillReplay(t, mode) })
@@ -289,7 +276,7 @@ func runKillReplay(t *testing.T, mode string) {
 			t.Fatalf("replayed %d batches, want %d or %d", committed, crashStallAt, crashStallAt+1)
 		}
 	default:
-		// mid-rename and every compaction window: all batches were durably
+		// Every compaction window: all batches were durably
 		// acknowledged before the crash, so all must replay — from sealed
 		// segments, snapshot + segments, or snapshot alone, depending on
 		// where the kill landed.
@@ -350,36 +337,6 @@ func runKillReplay(t *testing.T, mode string) {
 		}
 		if !bytes.Equal(wantCSV.Bytes(), snapCSV.Bytes()) {
 			t.Fatal("snapshot-recovered matrix differs from the committed input")
-		}
-	case "mid-rename":
-		// The crash hit inside the commit window: no release may exist
-		// (complete or partial), but the ledger charge — fsynced strictly
-		// before the write — must have survived. Over-counting spend on a
-		// lost release is the conservative failure.
-		if _, err := os.Stat(filepath.Join(dir, "release.csv")); !os.IsNotExist(err) {
-			t.Fatalf("release exists after mid-rename crash (stat err=%v)", err)
-		}
-		led, err := dp.OpenLedger(filepath.Join(dir, "ledger"))
-		if err != nil {
-			t.Fatalf("ledger did not recover: %v", err)
-		}
-		defer led.Close()
-		if got := led.Spent("crash"); got != 3 {
-			t.Fatalf("ledger spent %g after crash, want 3 (charge precedes publish)", got)
-		}
-		// Leftover temp files are expected debris; they must not look like
-		// releases. Re-publishing after recovery must succeed cleanly.
-		if err := re.Publish(context.Background(), filepath.Join(dir, "release.csv"), led,
-			dp.LedgerEntry{Dataset: "crash", EpsPattern: 1, EpsSanitize: 2}, 0); err != nil {
-			t.Fatalf("re-publish after recovery: %v", err)
-		}
-		f, err := os.Open(filepath.Join(dir, "release.csv"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		if _, err := datasets.LoadMatrixCSV(f); err != nil {
-			t.Fatalf("re-published release does not load: %v", err)
 		}
 	}
 }

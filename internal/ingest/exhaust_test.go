@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -315,95 +313,5 @@ func TestDeadLetterENOSPCSurfaces(t *testing.T) {
 	_, _, err = in.Ingest(enospcOn(resilience.FaultWriteENOSPC), strings.NewReader("not,a,valid,reading,line\n"))
 	if !resilience.IsDiskFull(err) {
 		t.Fatalf("quarantine during exhaustion: %v, want disk-full", err)
-	}
-}
-
-// TestHTTPDiskFull503Resume: the daemon answers 503 + Retry-After while
-// the disk is full, flips /readyz, and resumes accepting the resent
-// data once space returns — without dropping or double-counting any
-// WAL-acknowledged batch.
-func TestHTTPDiskFull503Resume(t *testing.T) {
-	dir := t.TempDir()
-	const cx, cy, ct, batch, total = 4, 4, 6, 8, 64
-	cfg := Config{Cx: cx, Cy: cy, Ct: ct, BatchSize: batch}
-	in, err := New(cfg, filepath.Join(dir, "h.wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer in.Close()
-
-	h := Handler(in, HandlerConfig{})
-	full := false // toggled by the test to simulate the disk filling up
-	inj := resilience.NewInjector()
-	inj.On(resilience.FaultWriteENOSPC, func(ctx context.Context, payload any) error {
-		if full {
-			return fmt.Errorf("injected: %w", syscall.ENOSPC)
-		}
-		return nil
-	})
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		h.ServeHTTP(w, r.WithContext(resilience.WithInjector(r.Context(), inj)))
-	}))
-	defer ts.Close()
-
-	readings := genReadings(total, cx, cy, ct, 37)
-	half := total / 2
-	post := func(body string) *http.Response {
-		resp, err := http.Post(ts.URL+"/ingest", "text/csv", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { resp.Body.Close() })
-		return resp
-	}
-
-	if resp := post(readingsCSV(readings[:half])); resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthy ingest: %d", resp.StatusCode)
-	}
-
-	full = true
-	resp := post(readingsCSV(readings[half:]))
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("ingest with a full disk: %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 without a Retry-After header")
-	}
-	ready, err := http.Get(ts.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ready.Body.Close()
-	if ready.StatusCode != http.StatusServiceUnavailable || ready.Header.Get("Retry-After") == "" {
-		t.Fatalf("/readyz during exhaustion: %d, Retry-After=%q", ready.StatusCode, ready.Header.Get("Retry-After"))
-	}
-
-	full = false
-	if resp := post(readingsCSV(readings[half:])); resp.StatusCode != http.StatusOK {
-		t.Fatalf("resent tail after space returned: %d", resp.StatusCode)
-	}
-	ready2, err := http.Get(ts.URL + "/readyz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ready2.Body.Close()
-	if ready2.StatusCode != http.StatusOK {
-		t.Fatalf("/readyz after recovery: %d", ready2.StatusCode)
-	}
-	if !matricesEqual(in.Snapshot(), matrixOf(readings, cx, cy, ct)) {
-		t.Fatal("matrix after the HTTP drill differs from the full input")
-	}
-
-	// /-/compact works over HTTP and folds the log.
-	cresp, err := http.Post(ts.URL+"/-/compact", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cresp.Body.Close()
-	if cresp.StatusCode != http.StatusOK {
-		t.Fatalf("/-/compact: %d", cresp.StatusCode)
-	}
-	if segs, _ := listSegments(filepath.Join(dir, "h.wal")); len(segs) != 0 {
-		t.Fatalf("segments survive /-/compact: %v", segs)
 	}
 }

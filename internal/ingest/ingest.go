@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"repro/internal/datasets"
-	"repro/internal/dp"
 	"repro/internal/grid"
 	"repro/internal/resilience"
 )
@@ -491,30 +490,6 @@ func (in *Ingester) Snapshot() *grid.Matrix {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	return in.m.Clone()
-}
-
-// Publish closes the epoch: it flushes the tail batch, charges the
-// spend to the ledger (refusing with dp.ErrBudgetExhausted before
-// anything is written if the lifetime budget would be exceeded), and
-// writes the matrix snapshot atomically — temp file, fsync, rename —
-// so a crash at any instant leaves either no file or a complete one,
-// never a partial, loadable-looking release. ledger may be nil to
-// publish without budget accounting (entry and budget are then ignored).
-func (in *Ingester) Publish(ctx context.Context, path string, ledger *dp.Ledger, entry dp.LedgerEntry, budget float64) error {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if err := in.commitLocked(ctx); err != nil {
-		return err
-	}
-	if ledger != nil {
-		// Charge strictly before writing: a crash between the two
-		// over-counts spending (safe); the reverse order could publish a
-		// release the ledger never heard about.
-		if err := ledger.Charge(ctx, entry, budget); err != nil {
-			return err
-		}
-	}
-	return datasets.SaveMatrixCSVFile(ctx, path, in.m)
 }
 
 // Close flushes nothing (acknowledged input is already durable) and

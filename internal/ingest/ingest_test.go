@@ -4,18 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/datasets"
-	"repro/internal/dp"
 	"repro/internal/grid"
 )
 
@@ -181,155 +176,6 @@ func TestIngestWALDimensionMismatch(t *testing.T) {
 	in.Close()
 	if _, err := New(Config{Cx: 4, Cy: 4, Ct: 4}, wal); err == nil {
 		t.Fatal("replayed an 8x8x8 WAL into a 4x4x4 matrix")
-	}
-}
-
-// TestPublishAtomicAndLedgerGated: Publish writes a complete, loadable
-// snapshot; with a ledger attached the spend is recorded first, and an
-// over-budget publication is refused with the typed error before any
-// file is touched.
-func TestPublishAtomicAndLedgerGated(t *testing.T) {
-	dir := t.TempDir()
-	const cx, cy, ct = 4, 4, 6
-	in, err := New(Config{Cx: cx, Cy: cy, Ct: ct, BatchSize: 8}, filepath.Join(dir, "p.wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer in.Close()
-	readings := genReadings(200, cx, cy, ct, 3)
-	if _, _, err := in.Ingest(context.Background(), strings.NewReader(readingsCSV(readings))); err != nil {
-		t.Fatal(err)
-	}
-
-	led, err := dp.OpenLedger(filepath.Join(dir, "ledger"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer led.Close()
-
-	out := filepath.Join(dir, "epoch1.csv")
-	entry := dp.LedgerEntry{Dataset: "meters", Algorithm: "ingest", EpsPattern: 10, EpsSanitize: 15}
-	if err := in.Publish(context.Background(), out, led, entry, 30); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := datasets.LoadMatrixCSV(f)
-	f.Close()
-	if err != nil {
-		t.Fatalf("published snapshot does not load: %v", err)
-	}
-	if !matricesEqual(m, matrixOf(readings, cx, cy, ct)) {
-		t.Fatal("published snapshot differs from the ingested matrix")
-	}
-	if got := led.Spent("meters"); got != 25 {
-		t.Fatalf("ledger spent %g, want 25", got)
-	}
-
-	// Second epoch would need 25 more: over the lifetime 30. Typed
-	// refusal, no file written, no spend recorded.
-	out2 := filepath.Join(dir, "epoch2.csv")
-	err = in.Publish(context.Background(), out2, led, entry, 30)
-	if !errors.Is(err, dp.ErrBudgetExhausted) {
-		t.Fatalf("err = %v, want ErrBudgetExhausted", err)
-	}
-	var be *dp.BudgetError
-	if !errors.As(err, &be) || be.Dataset != "meters" || be.Spent != 25 || be.Budget != 30 {
-		t.Fatalf("budget error detail = %+v", be)
-	}
-	if _, serr := os.Stat(out2); !os.IsNotExist(serr) {
-		t.Fatal("refused publication still wrote a file")
-	}
-	if got := led.Spent("meters"); got != 25 {
-		t.Fatalf("refused publication changed the ledger: spent %g", got)
-	}
-}
-
-// TestHTTPIngestAndPublish drives the HTTP surface: authenticated CSV
-// posts accumulate, stats report, and /-/publish maps a budget refusal
-// to 409.
-func TestHTTPIngestAndPublish(t *testing.T) {
-	dir := t.TempDir()
-	const cx, cy, ct = 4, 4, 4
-	in, err := New(Config{Cx: cx, Cy: cy, Ct: ct, BatchSize: 4}, filepath.Join(dir, "h.wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer in.Close()
-	led, err := dp.OpenLedger(filepath.Join(dir, "ledger"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer led.Close()
-
-	const token = "sekrit"
-	publishes := 0
-	h := Handler(in, HandlerConfig{Token: token, Publish: func() error {
-		publishes++
-		return in.Publish(context.Background(), filepath.Join(dir, fmt.Sprintf("e%d.csv", publishes)),
-			led, dp.LedgerEntry{Dataset: "m", EpsSanitize: 20}, 30)
-	}})
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-
-	post := func(path, body, auth string) (int, map[string]any) {
-		req, _ := http.NewRequest(http.MethodPost, ts.URL+path, strings.NewReader(body))
-		if auth != "" {
-			req.Header.Set("Authorization", "Bearer "+auth)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var out map[string]any
-		json.NewDecoder(resp.Body).Decode(&out)
-		return resp.StatusCode, out
-	}
-
-	// Unauthenticated and wrong-token posts are refused.
-	if status, _ := post("/ingest", "0,0,0,1\n", ""); status != http.StatusForbidden {
-		t.Fatalf("unauthenticated ingest: %d", status)
-	}
-	if status, _ := post("/ingest", "0,0,0,1\n", "wrong"); status != http.StatusForbidden {
-		t.Fatalf("wrong token: %d", status)
-	}
-	// GET on a mutating endpoint is refused.
-	if resp, err := http.Get(ts.URL + "/ingest"); err != nil || resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /ingest: %v %d", err, resp.StatusCode)
-	}
-
-	status, body := post("/ingest", "0,0,0,1.5\n1,1,1,2\nbad,line\n", token)
-	if status != http.StatusOK || body["accepted"].(float64) != 2 || body["quarantined"].(float64) != 1 {
-		t.Fatalf("ingest: %d %v", status, body)
-	}
-
-	if status, _ = post("/-/publish", "", token); status != http.StatusOK {
-		t.Fatalf("first publish: %d", status)
-	}
-	status, body = post("/-/publish", "", token)
-	if status != http.StatusConflict {
-		t.Fatalf("over-budget publish: %d %v, want 409", status, body)
-	}
-	if !strings.Contains(body["error"].(string), "budget") {
-		t.Fatalf("409 body %v does not name the budget", body)
-	}
-
-	// Stats endpoint reflects the traffic.
-	resp, err := http.Get(ts.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st struct {
-		Stats Stats `json:"stats"`
-		Cx    int   `json:"cx"`
-	}
-	json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if st.Stats.Accepted != 2 || st.Stats.Quarantined != 1 || st.Cx != cx {
-		t.Fatalf("stats = %+v", st)
 	}
 }
 

@@ -4,8 +4,9 @@
 // appended to a checksummed write-ahead log before it touches the
 // in-memory consumption matrix, and a crash at any instant replays the
 // log back to the identical matrix. Malformed records are quarantined
-// to a dead-letter sink instead of aborting the stream, and epoch close
-// publishes an atomic snapshot gated by the privacy-budget ledger.
+// to a dead-letter sink instead of aborting the stream. The package only
+// accumulates: releases are cut from the matrix, noised, charged and
+// published by internal/pipeline.
 //
 // Under continual release the log would otherwise grow without bound,
 // so the WAL supports snapshot-based compaction: the ingester

@@ -50,16 +50,27 @@ func pipeCrashConfig(dir string) Config {
 // WAL replay alone — what a real recovery does, since re-sending the
 // feed would double-count every reading.
 func buildCrashStack(ctx context.Context, dir string, feed bool) (*Supervisor, func(), error) {
-	in, err := ingest.New(ingest.Config{Cx: tpCx, Cy: tpCy, Ct: tpCt, BatchSize: 8},
-		filepath.Join(dir, "feed.wal"))
+	s, cleanup, err := openCrashStack(dir, 0)
 	if err != nil {
 		return nil, nil, err
 	}
 	if feed {
-		if _, _, err := in.Ingest(ctx, strings.NewReader(feedCSV(tpCt))); err != nil {
-			in.Close()
+		if _, _, err := s.in.Ingest(ctx, strings.NewReader(feedCSV(tpCt))); err != nil {
+			cleanup()
 			return nil, nil, err
 		}
+	}
+	return s, cleanup, nil
+}
+
+// openCrashStack opens (or recovers) the crash-stack layers in dir
+// without feeding anything; compactBatches > 0 turns on the ingester's
+// snapshot compaction.
+func openCrashStack(dir string, compactBatches int) (*Supervisor, func(), error) {
+	in, err := ingest.New(ingest.Config{Cx: tpCx, Cy: tpCy, Ct: tpCt, BatchSize: 8, CompactBatches: compactBatches},
+		filepath.Join(dir, "feed.wal"))
+	if err != nil {
+		return nil, nil, err
 	}
 	led, err := dp.OpenLedger(filepath.Join(dir, "ledger"))
 	if err != nil {
@@ -231,15 +242,10 @@ func captureArtifacts(t *testing.T, dir string) goldenArtifacts {
 	return g
 }
 
-// TestPipelineKillRecover is the acceptance suite: SIGKILL at every
-// lifecycle transition, recover, finish, and demand byte-identical
-// artifacts against a never-crashed run.
-func TestPipelineKillRecover(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess crash test")
-	}
-
-	// Golden: a clean, uninterrupted run.
+// runGolden runs the crash-stack stream once, clean and uninterrupted,
+// and captures its artifacts.
+func runGolden(t *testing.T) goldenArtifacts {
+	t.Helper()
 	goldenDir := t.TempDir()
 	s, cleanup, err := buildCrashStack(context.Background(), goldenDir, true)
 	if err != nil {
@@ -255,6 +261,17 @@ func TestPipelineKillRecover(t *testing.T) {
 	if want := math.Float64bits(1.5); golden.spent != want {
 		t.Fatalf("golden spend bits %x, want %x", golden.spent, want)
 	}
+	return golden
+}
+
+// TestPipelineKillRecover is the acceptance suite: SIGKILL at every
+// lifecycle transition, recover, finish, and demand byte-identical
+// artifacts against a never-crashed run.
+func TestPipelineKillRecover(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess crash test")
+	}
+	golden := runGolden(t)
 
 	modes := []string{
 		"mid-cut", "before-cut-record",
@@ -306,5 +323,69 @@ func TestPipelineKillRecover(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPipelineCompactedStreamMatchesGolden: WAL compaction changes no
+// output. The crash-stack stream runs with a snapshot every two batches
+// and is closed and reopened mid-window, so the second process recovers
+// from snapshot + tail and cuts window 2 from readings of both. Every
+// artifact must equal the uncompacted golden byte for byte.
+func TestPipelineCompactedStreamMatchesGolden(t *testing.T) {
+	golden := runGolden(t)
+	ctx := context.Background()
+	dir := t.TempDir()
+	// Intervals 0–4: window 1 publishes, window 2 ([3,6)) waits for t=5.
+	firstPart := feedCSV(5)
+
+	// First process: the first part of the feed, then a clean close.
+	func() {
+		s, cleanup, err := openCrashStack(dir, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cleanup()
+		ingestCSV(t, s.in, firstPart)
+		if err := s.RunOnce(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if st := s.in.Stats(); st.Compactions == 0 {
+			t.Fatalf("first part never compacted: %+v", st)
+		}
+	}()
+
+	// 20 readings in batches of 8: two batches (t=0–3) folded into the
+	// snapshot, the third (t=4) left in the active segment as the tail.
+	walPath := filepath.Join(dir, "feed.wal")
+	if _, err := os.Stat(walPath + ".snap"); err != nil {
+		t.Fatalf("no snapshot to recover from: %v", err)
+	}
+	if fi, err := os.Stat(walPath); err != nil || fi.Size() <= int64(len("STPTWAL\x01")) {
+		t.Fatalf("no WAL tail beyond the snapshot: %v", err)
+	}
+	s, cleanup, err := openCrashStack(dir, 2)
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer cleanup()
+	if got, want := s.in.Stats().Replayed, int64(5*tpCx*tpCy); got != want {
+		t.Fatalf("recovered %d readings from snapshot + tail, want %d", got, want)
+	}
+	ingestCSV(t, s.in, strings.TrimPrefix(feedCSV(tpCt), firstPart))
+	if err := s.RunOnce(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.in.Stats(); st.Compactions == 0 {
+		t.Fatalf("rest of the feed never compacted: %+v", st)
+	}
+
+	got := captureArtifacts(t, dir)
+	if got.spent != golden.spent {
+		t.Fatalf("compacted spend bits %x != golden %x", got.spent, golden.spent)
+	}
+	for name, want := range golden.files {
+		if !bytes.Equal(got.files[name], want) {
+			t.Errorf("%s differs from the uncompacted golden run", name)
+		}
 	}
 }

@@ -3,8 +3,12 @@ package pipeline
 import (
 	"crypto/subtle"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strings"
+
+	"repro/internal/ingest"
+	"repro/internal/resilience"
 )
 
 // HandlerConfig wires a Supervisor into an HTTP surface.
@@ -12,10 +16,6 @@ type HandlerConfig struct {
 	// Token guards the mutating endpoints (bearer auth); empty disables
 	// auth, which is only sane on localhost.
 	Token string
-	// Ingest, when non-nil, answers every path the pipeline mux does
-	// not claim — typically ingest.Handler, so one listener serves both
-	// the feed (/ingest, /stats, /-/compact) and the supervisor.
-	Ingest http.Handler
 	// Integrity, when non-nil, feeds the at-rest scrubber's latched
 	// corrupt set into /readyz: a daemon sitting on damaged journals or
 	// releases reports "corrupt" instead of publishing onward from them.
@@ -25,17 +25,32 @@ type HandlerConfig struct {
 	Metrics http.Handler
 }
 
-// Handler exposes the supervisor over HTTP:
+// diskFullRetryAfter is the Retry-After (seconds) answered with a 503
+// while the disk is full: long enough that a polite client does not
+// hammer a full disk, short enough to resume promptly once an operator
+// frees space.
+const diskFullRetryAfter = "5"
+
+// Handler exposes the supervisor and its ingester over HTTP:
 //
+//	POST /ingest     CSV body (x,y,t,value lines) → {"accepted":N,"quarantined":M}
+//	POST /-/compact  fold the WAL into a snapshot and drop covered segments
+//	GET  /stats      ingest lifetime counters + matrix dimensions
 //	GET  /healthz    liveness
-//	GET  /readyz     readiness: 503 while the budget is exhausted (the
-//	                 last good generation keeps serving, but no new
-//	                 windows will publish until the budget is raised)
+//	GET  /readyz     readiness: 503 while artifacts are latched corrupt,
+//	                 while the disk is full or the WAL is poisoned, or
+//	                 while the budget is exhausted (the last good
+//	                 generation keeps serving, but no new windows will
+//	                 publish)
 //	GET  /status     full supervisor snapshot
 //	POST /-/budget   {"budget": ε} — raise (or lower) the lifetime
 //	                 budget; raising it resumes a degraded pipeline
 //
-// plus whatever cfg.Ingest serves underneath.
+// Resource exhaustion maps to 503 Service Unavailable with a
+// Retry-After header: a full disk loses no acknowledged data, and the
+// client should simply resend the unacknowledged tail once space
+// returns. A poisoned WAL (failed fsync) is also 503, but without
+// Retry-After — it needs a restart, not patience.
 func Handler(s *Supervisor, cfg HandlerConfig) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -53,6 +68,19 @@ func Handler(s *Supervisor, cfg HandlerConfig) http.Handler {
 				return
 			}
 		}
+		if h := s.in.Health(); h.Poisoned || h.DiskFull {
+			status := "poisoned"
+			if h.DiskFull {
+				status = "disk_full"
+				w.Header().Set("Retry-After", diskFullRetryAfter)
+			}
+			writeJSON(w, http.StatusServiceUnavailable, map[string]any{
+				"status":   status,
+				"reason":   h.Reason,
+				"pipeline": s.Status(),
+			})
+			return
+		}
 		st := s.Status()
 		if st.BudgetExhausted {
 			writeJSON(w, http.StatusServiceUnavailable, st)
@@ -62,6 +90,40 @@ func Handler(s *Supervisor, cfg HandlerConfig) http.Handler {
 	})
 	mux.HandleFunc("/status", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Status())
+	})
+	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
+		cx, cy, ct := s.in.Dims()
+		writeJSON(w, http.StatusOK, map[string]any{
+			"stats": s.in.Stats(), "cx": cx, "cy": cy, "ct": ct,
+		})
+	})
+	mux.HandleFunc("/ingest", func(w http.ResponseWriter, r *http.Request) {
+		if !authorised(w, r, cfg.Token) {
+			return
+		}
+		accepted, quarantined, err := s.in.Ingest(r.Context(), r.Body)
+		if err != nil {
+			// Accepted-and-committed readings stay durable even when the
+			// stream dies halfway; report both the failure and the progress
+			// so the client can resend exactly the unacknowledged tail.
+			writeIngestError(w, err, map[string]any{
+				"error": err.Error(), "accepted": accepted, "quarantined": quarantined,
+			})
+			return
+		}
+		writeJSON(w, http.StatusOK, map[string]any{
+			"accepted": accepted, "quarantined": quarantined,
+		})
+	})
+	mux.HandleFunc("/-/compact", func(w http.ResponseWriter, r *http.Request) {
+		if !authorised(w, r, cfg.Token) {
+			return
+		}
+		if err := s.in.Compact(r.Context()); err != nil {
+			writeIngestError(w, err, map[string]any{"error": err.Error()})
+			return
+		}
+		writeJSON(w, http.StatusOK, map[string]any{"compacted": true})
 	})
 	mux.HandleFunc("/-/budget", func(w http.ResponseWriter, r *http.Request) {
 		if !authorised(w, r, cfg.Token) {
@@ -80,14 +142,28 @@ func Handler(s *Supervisor, cfg HandlerConfig) http.Handler {
 	if cfg.Metrics != nil {
 		mux.Handle("/metrics", cfg.Metrics)
 	}
-	if cfg.Ingest != nil {
-		mux.Handle("/", cfg.Ingest)
-	}
 	return mux
 }
 
-// authorised enforces method and bearer-token auth for the pipeline's
-// mutating endpoints, mirroring the ingest daemon's discipline.
+// writeIngestError maps a durable-write failure to its HTTP shape:
+// disk-full → 503 + Retry-After (transient, resend later), poisoned WAL
+// → 503 (needs a restart), anything else → 500.
+func writeIngestError(w http.ResponseWriter, err error, body map[string]any) {
+	switch {
+	case resilience.IsDiskFull(err):
+		w.Header().Set("Retry-After", diskFullRetryAfter)
+		body["retryable"] = true
+		writeJSON(w, http.StatusServiceUnavailable, body)
+	case errors.Is(err, ingest.ErrWALPoisoned):
+		writeJSON(w, http.StatusServiceUnavailable, body)
+	default:
+		writeJSON(w, http.StatusInternalServerError, body)
+	}
+}
+
+// authorised enforces method and bearer-token auth for state-changing
+// endpoints, writing the refusal itself and reporting whether to
+// proceed.
 func authorised(w http.ResponseWriter, r *http.Request, token string) bool {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)

@@ -29,13 +29,14 @@ type fsckHarness struct {
 
 // newFsckHarness runs a real pipeline end-to-end — ingest, ledger,
 // manifest, four published windows — and returns the FsckConfig that
-// audits it. The ingester stays open so tests can re-freeze a window's
+// audits it. compactBatches > 0 turns on the ingester's snapshot
+// compaction. The ingester stays open so tests can re-freeze a window's
 // cut (staging is swept once a window completes).
-func newFsckHarness(t *testing.T) *fsckHarness {
+func newFsckHarness(t *testing.T, compactBatches int) *fsckHarness {
 	t.Helper()
 	ctx := context.Background()
 	dir := t.TempDir()
-	in, err := ingest.New(ingest.Config{Cx: fsCx, Cy: fsCy, Ct: fsCt, BatchSize: 8},
+	in, err := ingest.New(ingest.Config{Cx: fsCx, Cy: fsCy, Ct: fsCt, BatchSize: 8, CompactBatches: compactBatches},
 		filepath.Join(dir, "feed.wal"))
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +128,7 @@ func findingByCode(rep *Report, code string) *Finding {
 // A green end-to-end run audits clean: every invariant holds, zero
 // error findings, and the spend equation is among what was checked.
 func TestFsckCleanRun(t *testing.T) {
-	h := newFsckHarness(t)
+	h := newFsckHarness(t, 0)
 	rep, err := Fsck(context.Background(), h.cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -141,13 +142,33 @@ func TestFsckCleanRun(t *testing.T) {
 	}
 }
 
+// A run whose WAL compacted along the way — snapshot plus active tail,
+// covered segments deleted — audits exactly as clean.
+func TestFsckCleanRunCompacted(t *testing.T) {
+	h := newFsckHarness(t, 2)
+	// 48 readings in batches of 8, a snapshot every 2 batches.
+	if n := h.in.Stats().Compactions; n != 3 {
+		t.Fatalf("harness compacted %d times, want 3", n)
+	}
+	rep, err := Fsck(context.Background(), h.cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Errors() != 0 {
+		t.Fatalf("compacted run has %d error findings: %+v", rep.Errors(), rep.Findings)
+	}
+	if rep.Checked < 8 {
+		t.Fatalf("only %d invariants checked", rep.Checked)
+	}
+}
+
 // A damaged window file is found by CRC, planned as rebuild-from-cut
 // when the frozen cut exists, and Apply restores it byte-identically —
 // the journalled checksum proves the rebuild reproduced the original
 // noise draw exactly.
 func TestFsckRebuildsWindowFromCut(t *testing.T) {
 	ctx := context.Background()
-	h := newFsckHarness(t)
+	h := newFsckHarness(t, 0)
 	target := pipeline.WindowPath(h.cfg.OutDir, 2)
 	golden, err := os.ReadFile(target)
 	if err != nil {
@@ -187,7 +208,7 @@ func TestFsckRebuildsWindowFromCut(t *testing.T) {
 // Without the frozen cut the window finding carries no repair plan and
 // says so — the seed is useless without the raw bytes it noised.
 func TestFsckWindowUnrepairableWithoutCut(t *testing.T) {
-	h := newFsckHarness(t)
+	h := newFsckHarness(t, 0)
 	target := pipeline.WindowPath(h.cfg.OutDir, 3)
 	flipByte(t, target, 10)
 
@@ -211,7 +232,7 @@ func TestFsckWindowUnrepairableWithoutCut(t *testing.T) {
 // published window, which still carries the journalled checksum.
 func TestFsckRewritesLatest(t *testing.T) {
 	ctx := context.Background()
-	h := newFsckHarness(t)
+	h := newFsckHarness(t, 0)
 	latest := pipeline.LatestPath(h.cfg.OutDir)
 	flipByte(t, latest, 3)
 
@@ -237,7 +258,7 @@ func TestFsckRewritesLatest(t *testing.T) {
 // spend equation: spent ε must equal ExpectedSpend(charged windows)
 // exactly.
 func TestFsckLedgerSpendDivergence(t *testing.T) {
-	h := newFsckHarness(t)
+	h := newFsckHarness(t, 0)
 	led, err := dp.OpenLedger(h.cfg.Ledger)
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +281,7 @@ func TestFsckLedgerSpendDivergence(t *testing.T) {
 // Interior ledger damage is an error finding carrying the typed fault's
 // line/offset detail.
 func TestFsckLedgerCorruption(t *testing.T) {
-	h := newFsckHarness(t)
+	h := newFsckHarness(t, 0)
 	raw, err := os.ReadFile(h.cfg.Ledger)
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +334,7 @@ func TestFsckWALGap(t *testing.T) {
 // Quarantined evidence left on disk is a warning, never an error: the
 // system is healthy, the residue just wants triage.
 func TestFsckQuarantineResidueWarns(t *testing.T) {
-	h := newFsckHarness(t)
+	h := newFsckHarness(t, 0)
 	ev := pipeline.WindowPath(h.cfg.OutDir, 1) + ".corrupt"
 	if err := os.WriteFile(ev, []byte("old evidence"), 0o644); err != nil {
 		t.Fatal(err)
