@@ -9,6 +9,7 @@
 package repro
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"strconv"
@@ -50,7 +51,10 @@ func benchOptions() experiments.Options {
 func BenchmarkTable2Datasets(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		rows := experiments.RunTable2(o)
+		rows, err := experiments.RunTable2(context.Background(), o)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if len(rows) != 4 {
 			b.Fatal("table2 rows")
 		}
@@ -63,7 +67,7 @@ func BenchmarkTable2Datasets(b *testing.B) {
 func benchFig6(b *testing.B, spec datasets.Spec, layout datasets.Layout) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		row, err := experiments.RunFig6Single(o, spec, layout)
+		row, err := experiments.RunFig6Single(context.Background(), o, spec, layout)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -110,7 +114,7 @@ func BenchmarkFig7WPO(b *testing.B) {
 func BenchmarkFig8PatternBudget(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		pts, err := experiments.RunFig8PatternBudget(o)
+		pts, err := experiments.RunFig8PatternBudget(context.Background(), o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -122,7 +126,7 @@ func BenchmarkFig8PatternBudget(b *testing.B) {
 func BenchmarkFig8Quantization(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		pts, err := experiments.RunFig8Quantization(o)
+		pts, err := experiments.RunFig8Quantization(context.Background(), o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -134,7 +138,7 @@ func BenchmarkFig8Quantization(b *testing.B) {
 func BenchmarkFig8RuntimeAll(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunFig8Runtime(o)
+		rows, err := experiments.RunFig8Runtime(context.Background(), o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -149,7 +153,7 @@ func BenchmarkFig8RuntimeAll(b *testing.B) {
 func BenchmarkFig8TreeDepth(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		pts, err := experiments.RunFig8TreeDepth(o)
+		pts, err := experiments.RunFig8TreeDepth(context.Background(), o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -161,7 +165,7 @@ func BenchmarkFig8TreeDepth(b *testing.B) {
 func BenchmarkFig8BudgetSplit(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		pts, err := experiments.RunFig8BudgetSplit(o)
+		pts, err := experiments.RunFig8BudgetSplit(context.Background(), o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -174,7 +178,7 @@ func BenchmarkFig8BudgetSplit(b *testing.B) {
 func BenchmarkFig8TotalBudget(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		pts, err := experiments.RunFig8TotalBudget(o)
+		pts, err := experiments.RunFig8TotalBudget(context.Background(), o)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -186,7 +190,7 @@ func BenchmarkFig8TotalBudget(b *testing.B) {
 func BenchmarkFig8Models(b *testing.B) {
 	o := benchOptions()
 	for i := 0; i < b.N; i++ {
-		pts, err := experiments.RunFig8Models(o)
+		pts, err := experiments.RunFig8Models(context.Background(), o)
 		if err != nil {
 			b.Fatal(err)
 		}

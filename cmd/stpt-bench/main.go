@@ -139,7 +139,11 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		if n := ck.Len(); n > 0 {
+		n, err := experiments.BindCheckpoint(ck, opts)
+		if err != nil {
+			fatalf("%s: %v (use a fresh -checkpoint file)", *checkpoint, err)
+		}
+		if n > 0 {
 			fmt.Fprintf(os.Stderr, "stpt-bench: resuming from %s (%d completed cells)\n", *checkpoint, n)
 		}
 		opts.Checkpoint = ck
@@ -195,8 +199,20 @@ func main() {
 		fatalf("%s: %v", name, err)
 	}
 
+	// The comparison tables share one runner, printer and headline metric.
+	comparison := func(name string) {
+		run(name, func() (map[string]float64, error) {
+			rows, err := experiments.RunComparison(ctx, opts, name)
+			if err != nil {
+				return nil, err
+			}
+			experiments.PrintComparison(w, name, rows)
+			return stptMRE(rows), nil
+		})
+	}
+
 	run("table2", func() (map[string]float64, error) {
-		rows, err := experiments.RunTable2Context(ctx, opts)
+		rows, err := experiments.RunTable2(ctx, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -210,18 +226,7 @@ func main() {
 		weekday := (rows[0].Totals[0] + rows[0].Totals[1] + rows[0].Totals[2] + rows[0].Totals[3] + rows[0].Totals[4]) / 5
 		return map[string]float64{"cer_weekend_lift": weekend / weekday}, nil
 	})
-	run("fig6", func() (map[string]float64, error) {
-		rows, err := experiments.RunFig6Context(ctx, opts)
-		if err != nil {
-			return nil, err
-		}
-		experiments.PrintFig6(w, rows)
-		var results [][]experiments.AlgResult
-		for _, r := range rows {
-			results = append(results, r.Results)
-		}
-		return stptMRE(results), nil
-	})
+	comparison("fig6")
 	run("fig6-single", func() (map[string]float64, error) {
 		spec, err := datasets.ByName(*dataset)
 		if err != nil {
@@ -231,27 +236,16 @@ func main() {
 		if err != nil {
 			return nil, err
 		}
-		row, err := experiments.RunFig6SingleContext(ctx, opts, spec, lay)
+		row, err := experiments.RunFig6Single(ctx, opts, spec, lay)
 		if err != nil {
 			return nil, err
 		}
-		experiments.PrintFig6(w, []experiments.Fig6Row{row})
-		return stptMRE([][]experiments.AlgResult{row.Results}), nil
+		experiments.PrintComparison(w, "fig6", []experiments.Row{row})
+		return stptMRE([]experiments.Row{row}), nil
 	})
-	run("fig7", func() (map[string]float64, error) {
-		rows, err := experiments.RunFig7Context(ctx, opts)
-		if err != nil {
-			return nil, err
-		}
-		experiments.PrintFig7(w, rows)
-		var results [][]experiments.AlgResult
-		for _, r := range rows {
-			results = append(results, r.Results)
-		}
-		return stptMRE(results), nil
-	})
+	comparison("fig7")
 	run("fig8ab", func() (map[string]float64, error) {
-		pts, err := experiments.RunFig8PatternBudgetContext(ctx, opts)
+		pts, err := experiments.RunFig8PatternBudget(ctx, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -259,7 +253,7 @@ func main() {
 		return sweepPattern(pts), nil
 	})
 	run("fig8c", func() (map[string]float64, error) {
-		pts, err := experiments.RunFig8QuantizationContext(ctx, opts)
+		pts, err := experiments.RunFig8Quantization(ctx, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -267,7 +261,7 @@ func main() {
 		return sweepMRE(pts), nil
 	})
 	run("fig8d", func() (map[string]float64, error) {
-		rows, err := experiments.RunFig8RuntimeContext(ctx, opts)
+		rows, err := experiments.RunFig8Runtime(ctx, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -279,7 +273,7 @@ func main() {
 		return m, nil
 	})
 	run("fig8ef", func() (map[string]float64, error) {
-		pts, err := experiments.RunFig8TreeDepthContext(ctx, opts)
+		pts, err := experiments.RunFig8TreeDepth(ctx, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -287,7 +281,7 @@ func main() {
 		return sweepPattern(pts), nil
 	})
 	run("fig8g", func() (map[string]float64, error) {
-		pts, err := experiments.RunFig8BudgetSplitContext(ctx, opts)
+		pts, err := experiments.RunFig8BudgetSplit(ctx, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -295,7 +289,7 @@ func main() {
 		return sweepMRE(pts), nil
 	})
 	run("fig8h", func() (map[string]float64, error) {
-		pts, err := experiments.RunFig8TotalBudgetContext(ctx, opts)
+		pts, err := experiments.RunFig8TotalBudget(ctx, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -303,39 +297,17 @@ func main() {
 		return sweepMRE(pts), nil
 	})
 	run("fig8i", func() (map[string]float64, error) {
-		pts, err := experiments.RunFig8ModelsContext(ctx, opts)
+		pts, err := experiments.RunFig8Models(ctx, opts)
 		if err != nil {
 			return nil, err
 		}
 		experiments.PrintSweepMRE(w, "Figure 8(i): distinct ML models", pts)
 		return sweepMRE(pts), nil
 	})
-	run("ldp", func() (map[string]float64, error) {
-		rows, err := experiments.RunLDPExtensionContext(ctx, opts)
-		if err != nil {
-			return nil, err
-		}
-		experiments.PrintLDPExtension(w, rows)
-		var results [][]experiments.AlgResult
-		for _, r := range rows {
-			results = append(results, r.Results)
-		}
-		return stptMRE(results), nil
-	})
-	run("extended", func() (map[string]float64, error) {
-		rows, err := experiments.RunExtendedContext(ctx, opts)
-		if err != nil {
-			return nil, err
-		}
-		experiments.PrintExtended(w, rows)
-		var results [][]experiments.AlgResult
-		for _, r := range rows {
-			results = append(results, r.Results)
-		}
-		return stptMRE(results), nil
-	})
+	comparison("ldp")
+	comparison("extended")
 	run("ablations", func() (map[string]float64, error) {
-		rows, err := experiments.RunAblationsContext(ctx, opts)
+		rows, err := experiments.RunAblations(ctx, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -382,11 +354,11 @@ func main() {
 
 // stptMRE averages the STPT slot's per-class MRE over the given rows of
 // a comparison table — the headline regression metric per figure.
-func stptMRE(rows [][]experiments.AlgResult) map[string]float64 {
+func stptMRE(rows []experiments.Row) map[string]float64 {
 	m := map[string]float64{}
 	n := 0
-	for _, results := range rows {
-		for _, r := range results {
+	for _, row := range rows {
+		for _, r := range row.Results {
 			if r.Name != "stpt" {
 				continue
 			}

@@ -376,20 +376,6 @@ func (c *Coordinator) Dead() []string {
 	return dead
 }
 
-// ActiveWorkers counts workers seen within the given window.
-func (c *Coordinator) ActiveWorkers(window time.Duration) int {
-	now := c.cfg.Clock()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := 0
-	for _, seen := range c.workers {
-		if now.Sub(seen) <= window {
-			n++
-		}
-	}
-	return n
-}
-
 // Joined reports how many /join handshakes this incarnation served.
 func (c *Coordinator) Joined() int {
 	c.mu.Lock()

@@ -42,10 +42,10 @@ func goldenFig6Single(t *testing.T, o experiments.Options) []byte {
 	t.Helper()
 	serial := o
 	serial.Checkpoint = resilience.NewMemoryCheckpoint()
-	if _, err := experiments.RunFig6Single(serial, datasets.CA, datasets.Uniform); err != nil {
+	if _, err := experiments.RunFig6Single(context.Background(), serial, datasets.CA, datasets.Uniform); err != nil {
 		t.Fatal(err)
 	}
-	row, err := experiments.RunFig6Single(serial, datasets.CA, datasets.Uniform)
+	row, err := experiments.RunFig6Single(context.Background(), serial, datasets.CA, datasets.Uniform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func reduceFromJournal(t *testing.T, o experiments.Options, path string) []byte 
 	}
 	reduced := o
 	reduced.Checkpoint = ck
-	row, err := experiments.RunFig6Single(reduced, datasets.CA, datasets.Uniform)
+	row, err := experiments.RunFig6Single(context.Background(), reduced, datasets.CA, datasets.Uniform)
 	if err != nil {
 		t.Fatal(err)
 	}

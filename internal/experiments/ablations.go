@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/baselines"
 	"repro/internal/core"
-	"repro/internal/datasets"
 )
 
 // AblationResult compares full STPT against one disabled design choice.
@@ -20,43 +18,26 @@ type AblationResult struct {
 // RunAblations measures the contribution of each STPT design choice
 // called out in DESIGN.md: hierarchical training sanitisation, Theorem-8
 // budget allocation, k-quantization partitioning and the learned
-// predictor.
-func RunAblations(o Options) ([]AblationResult, error) {
-	return RunAblationsContext(context.Background(), o)
-}
-
-// RunAblationsContext is the cancellable, checkpointed variant; the full
-// configuration and every ablation run their (variant, rep) cells on one
-// worker pool.
-func RunAblationsContext(ctx context.Context, o Options) ([]AblationResult, error) {
-	spec := fig8Spec()
-	d := o.generate(spec, datasets.Uniform)
-	in := baselines.Input{Dataset: d, TTrain: o.TTrain, CellSensitivity: spec.DailyClip()}
-	truth := in.Truth()
-	qs := o.drawQueries(truth)
-
-	ablations := []struct {
-		name string
-		mut  func(*core.Config)
-	}{
-		{"flat-training", func(c *core.Config) { c.FlatTraining = true }},
-		{"uniform-budget", func(c *core.Config) { c.UniformBudget = true }},
-		{"no-partitions", func(c *core.Config) { c.NoPartitions = true }},
-		{"persistence", func(c *core.Config) { c.Model = core.ModelPersistence }},
+// predictor. The full configuration and every ablation run their
+// (variant, rep) cells on one worker pool.
+func RunAblations(ctx context.Context, o Options) ([]AblationResult, error) {
+	vs := []stptVariant{
+		{label: "stpt"},
+		{label: "flat-training", mut: func(c *core.Config) { c.FlatTraining = true }},
+		{label: "uniform-budget", mut: func(c *core.Config) { c.UniformBudget = true }},
+		{label: "no-partitions", mut: func(c *core.Config) { c.NoPartitions = true }},
+		{label: "persistence", mut: func(c *core.Config) { c.Model = core.ModelPersistence }},
 	}
-	algs := []algCells{o.stptCells(d, spec, truth, qs, nil, "ablations/stpt")}
-	for _, ab := range ablations {
-		c := o.stptCells(d, spec, truth, qs, ab.mut, "ablations/"+ab.name)
-		c.name = ab.name
-		algs = append(algs, c)
+	for i := range vs {
+		vs[i].key = "ablations/" + vs[i].label
 	}
-	results, err := o.runCells(ctx, algs)
+	results, err := o.scoreVariants(ctx, "ablations", vs)
 	if err != nil {
-		return nil, fmt.Errorf("ablations: %w", err)
+		return nil, err
 	}
-	out := make([]AblationResult, len(ablations))
-	for i, ab := range ablations {
-		out[i] = AblationResult{Name: ab.name, Full: results[0], Ablated: results[i+1]}
+	out := make([]AblationResult, len(results)-1)
+	for i, ablated := range results[1:] {
+		out[i] = AblationResult{Name: ablated.Name, Full: results[0], Ablated: ablated}
 	}
 	return out, nil
 }

@@ -2,9 +2,11 @@
 // evaluation (Section 5): Table 2's dataset summaries, Figure 6's
 // STPT-vs-benchmarks MRE comparison, Figure 7's WPO comparison, the nine
 // detailed panels of Figure 8, Figure 9's weekday totals, and the
-// DESIGN.md ablations. Each experiment has a Run function returning
-// structured results and a Print helper emitting the same rows/series the
-// paper plots.
+// DESIGN.md ablations. Each experiment has a ctx-first Run function
+// returning structured results and a Print helper emitting the same
+// rows/series the paper plots. The comparison tables (Figure 6, Figure 7
+// and the local-DP and related-work extensions) are declared once and
+// share RunComparison and PrintComparison.
 package experiments
 
 import (
@@ -17,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/grid"
+	"repro/internal/ldp"
 	"repro/internal/nn"
 	"repro/internal/parallel"
 	"repro/internal/query"
@@ -61,7 +64,8 @@ type Options struct {
 	// experiment's stable identity (e.g. "fig6/CER/uniform/stpt/rep3"),
 	// never by wall-clock, so a resumed run reproduces the uninterrupted
 	// result bit for bit — at any worker count, since cell values don't
-	// depend on Workers. nil disables checkpointing.
+	// depend on Workers. A file is bound to the options that produced its
+	// cells (BindCheckpoint). nil disables checkpointing.
 	Checkpoint *resilience.Checkpoint
 	// Retry governs baseline-release retries on retryable failures; the
 	// zero value keeps the historical fail-fast behaviour. (STPT runs
@@ -292,37 +296,90 @@ func (o Options) runCells(ctx context.Context, algs []algCells) ([]AlgResult, er
 	return out, nil
 }
 
-// stptCells is the STPT slot of a sweep row: each rep runs the full
-// pipeline on a private config copy with the rep's derived seed.
-func (o Options) stptCells(d *timeseries.Dataset, spec datasets.Spec, truth *grid.Matrix, qs map[query.Class][]grid.Query, mutate func(*core.Config), prefix string) algCells {
-	return algCells{name: "stpt", prefix: prefix, run: func(ctx context.Context, rep int) (map[query.Class]float64, error) {
-		cfg := o.STPTConfig(spec)
-		if mutate != nil {
-			mutate(&cfg)
-		}
-		cfg.Seed = o.Seed + int64(rep)
-		res, err := core.RunContext(ctx, d, cfg)
+// rowInput is what every cell of one sweep row shares: the generated
+// dataset (inside the baseline input), its truth matrix and one query
+// draw, as the paper scores all algorithms on a dataset.
+type rowInput struct {
+	spec  datasets.Spec
+	in    baselines.Input
+	truth *grid.Matrix
+	qs    map[query.Class][]grid.Query
+}
+
+// newRow generates a row's shared inputs for a spec/layout at this scale.
+func (o Options) newRow(spec datasets.Spec, layout datasets.Layout) *rowInput {
+	in := baselines.Input{Dataset: o.generate(spec, layout), TTrain: o.TTrain, CellSensitivity: spec.DailyClip()}
+	truth := in.Truth()
+	return &rowInput{spec: spec, in: in, truth: truth, qs: o.drawQueries(truth)}
+}
+
+// column is one slot of a sweep row: a display name and the release one
+// rep of it produces from the row's shared inputs.
+type column struct {
+	name    string
+	release func(ctx context.Context, o Options, r *rowInput, rep int) (*grid.Matrix, error)
+}
+
+// cells builds a column's slot on a row: rep cells keyed under prefix,
+// each scoring its release against the row's truth on the shared queries.
+func (o Options) cells(r *rowInput, col column, prefix string) algCells {
+	return algCells{name: col.name, prefix: prefix, run: func(ctx context.Context, rep int) (map[query.Class]float64, error) {
+		rel, err := col.release(ctx, o, r, rep)
 		if err != nil {
 			return nil, err
 		}
-		return evalRelease(truth, res.Sanitized, qs), nil
+		return evalRelease(r.truth, rel, r.qs), nil
 	}}
 }
 
-// baselineCells is one baseline's slot, with o.Retry-governed retries of
-// retryable release failures (each retry draws a jittered seed).
-func (o Options) baselineCells(alg baselines.Algorithm, in baselines.Input, truth *grid.Matrix, qs map[query.Class][]grid.Query, prefix string) algCells {
-	return algCells{name: alg.Name(), prefix: prefix, run: func(ctx context.Context, rep int) (map[query.Class]float64, error) {
-		var rel *grid.Matrix
-		err := resilience.Retry(ctx, o.Retry, func(_ int, seedOffset int64) error {
-			var rerr error
-			rel, rerr = baselines.ReleaseContext(ctx, alg, in, o.EpsPattern+o.EpsSanitize, o.Seed+int64(rep)+seedOffset)
-			return rerr
-		})
+// runSTPT runs one rep of the full STPT pipeline on d: the options'
+// config for spec, altered by mut (nil keeps it), on a private copy
+// seeded with the rep.
+func (o Options) runSTPT(ctx context.Context, spec datasets.Spec, d *timeseries.Dataset, mut func(*core.Config), rep int) (*core.Result, error) {
+	cfg := o.STPTConfig(spec)
+	if mut != nil {
+		mut(&cfg)
+	}
+	cfg.Seed = o.Seed + int64(rep)
+	return core.RunContext(ctx, d, cfg)
+}
+
+// stptColumn is an STPT slot whose config mut alters (nil keeps it).
+func stptColumn(name string, mut func(*core.Config)) column {
+	return column{name: name, release: func(ctx context.Context, o Options, r *rowInput, rep int) (*grid.Matrix, error) {
+		res, err := o.runSTPT(ctx, r.spec, r.in.Dataset, mut, rep)
 		if err != nil {
 			return nil, err
 		}
-		return evalRelease(truth, rel, qs), nil
+		return res.Sanitized, nil
+	}}
+}
+
+// baselineColumns makes one slot per baseline, with o.Retry-governed
+// retries of retryable release failures (each retry draws a jittered
+// seed).
+func baselineColumns(algs ...baselines.Algorithm) []column {
+	cols := make([]column, len(algs))
+	for i, alg := range algs {
+		cols[i] = column{name: alg.Name(), release: func(ctx context.Context, o Options, r *rowInput, rep int) (*grid.Matrix, error) {
+			var rel *grid.Matrix
+			err := resilience.Retry(ctx, o.Retry, func(_ int, seedOffset int64) error {
+				var rerr error
+				rel, rerr = baselines.ReleaseContext(ctx, alg, r.in, o.EpsPattern+o.EpsSanitize, o.Seed+int64(rep)+seedOffset)
+				return rerr
+			})
+			return rel, err
+		}}
+	}
+	return cols
+}
+
+// ldpColumn is a local-DP mechanism's slot: households perturb their own
+// series before collection, under the spec's clip bound.
+func ldpColumn(m ldp.Mechanism) column {
+	return column{name: m.Name(), release: func(_ context.Context, o Options, r *rowInput, rep int) (*grid.Matrix, error) {
+		lin := ldp.Input{Dataset: r.in.Dataset, TTrain: r.in.TTrain, Clip: r.in.CellSensitivity}
+		return m.Release(lin, o.EpsPattern+o.EpsSanitize, o.Seed+int64(rep))
 	}}
 }
 

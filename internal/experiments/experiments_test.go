@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -21,7 +22,10 @@ func micro() Options {
 }
 
 func TestRunTable2AndPrint(t *testing.T) {
-	rows := RunTable2(micro())
+	rows, err := RunTable2(context.Background(), micro())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -62,7 +66,7 @@ func TestRunFig9AndPrint(t *testing.T) {
 
 func TestRunFig6SinglePanel(t *testing.T) {
 	o := micro()
-	row, err := RunFig6Single(o, datasets.CA, datasets.Uniform)
+	row, err := RunFig6Single(context.Background(), o, datasets.CA, datasets.Uniform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +85,7 @@ func TestRunFig6SinglePanel(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	PrintFig6(&buf, []Fig6Row{row})
+	PrintComparison(&buf, "fig6", []Row{row})
 	if !strings.Contains(buf.String(), "stpt") || !strings.Contains(buf.String(), "improvement") {
 		t.Fatalf("print output incomplete:\n%s", buf.String())
 	}
@@ -90,7 +94,7 @@ func TestRunFig6SinglePanel(t *testing.T) {
 func TestRunFig8Sweeps(t *testing.T) {
 	o := micro()
 	t.Run("pattern-budget", func(t *testing.T) {
-		pts, err := RunFig8PatternBudget(o)
+		pts, err := RunFig8PatternBudget(context.Background(), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +113,7 @@ func TestRunFig8Sweeps(t *testing.T) {
 		}
 	})
 	t.Run("quantization", func(t *testing.T) {
-		pts, err := RunFig8Quantization(o)
+		pts, err := RunFig8Quantization(context.Background(), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +127,7 @@ func TestRunFig8Sweeps(t *testing.T) {
 		}
 	})
 	t.Run("tree-depth", func(t *testing.T) {
-		pts, err := RunFig8TreeDepth(o)
+		pts, err := RunFig8TreeDepth(context.Background(), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +136,7 @@ func TestRunFig8Sweeps(t *testing.T) {
 		}
 	})
 	t.Run("budget-split", func(t *testing.T) {
-		pts, err := RunFig8BudgetSplit(o)
+		pts, err := RunFig8BudgetSplit(context.Background(), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +145,7 @@ func TestRunFig8Sweeps(t *testing.T) {
 		}
 	})
 	t.Run("total-budget", func(t *testing.T) {
-		pts, err := RunFig8TotalBudget(o)
+		pts, err := RunFig8TotalBudget(context.Background(), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,7 +154,7 @@ func TestRunFig8Sweeps(t *testing.T) {
 		}
 	})
 	t.Run("models", func(t *testing.T) {
-		pts, err := RunFig8Models(o)
+		pts, err := RunFig8Models(context.Background(), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +163,7 @@ func TestRunFig8Sweeps(t *testing.T) {
 		}
 	})
 	t.Run("runtime", func(t *testing.T) {
-		rows, err := RunFig8Runtime(o)
+		rows, err := RunFig8Runtime(context.Background(), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +180,7 @@ func TestRunFig8Sweeps(t *testing.T) {
 
 func TestRunFig7(t *testing.T) {
 	o := micro()
-	rows, err := RunFig7(o)
+	rows, err := RunComparison(context.Background(), o, "fig7")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +188,7 @@ func TestRunFig7(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	var buf bytes.Buffer
-	PrintFig7(&buf, rows)
+	PrintComparison(&buf, "fig7", rows)
 	if !strings.Contains(buf.String(), "wpo") {
 		t.Fatal("print missing wpo")
 	}
@@ -192,7 +196,7 @@ func TestRunFig7(t *testing.T) {
 
 func TestRunAblations(t *testing.T) {
 	o := micro()
-	rows, err := RunAblations(o)
+	rows, err := RunAblations(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +213,7 @@ func TestRunAblations(t *testing.T) {
 }
 
 func TestImprovementComputation(t *testing.T) {
-	row := Fig6Row{Results: []AlgResult{
+	row := Row{Results: []AlgResult{
 		{Name: "stpt", MRE: map[query.Class]float64{query.Random: 10}},
 		{Name: "identity", MRE: map[query.Class]float64{query.Random: 40}},
 		{Name: "fast", MRE: map[query.Class]float64{query.Random: 25}},
@@ -221,7 +225,7 @@ func TestImprovementComputation(t *testing.T) {
 }
 
 func TestRunLDPExtension(t *testing.T) {
-	rows, err := RunLDPExtension(micro())
+	rows, err := RunComparison(context.Background(), micro(), "ldp")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,14 +238,14 @@ func TestRunLDPExtension(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	PrintLDPExtension(&buf, rows)
+	PrintComparison(&buf, "ldp", rows)
 	if !strings.Contains(buf.String(), "ldp-laplace") {
 		t.Fatal("print missing mechanism")
 	}
 }
 
 func TestRunExtended(t *testing.T) {
-	rows, err := RunExtended(micro())
+	rows, err := RunComparison(context.Background(), micro(), "extended")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +258,7 @@ func TestRunExtended(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	PrintExtended(&buf, rows)
+	PrintComparison(&buf, "extended", rows)
 	if !strings.Contains(buf.String(), "htf") {
 		t.Fatal("print missing htf")
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/datasets"
 	"repro/internal/parallel"
 	"repro/internal/query"
+	"repro/internal/timeseries"
 )
 
 // patternCell is the checkpoint encoding of one rep's pattern errors
@@ -34,37 +35,64 @@ type SweepPoint struct {
 	MRE map[query.Class]float64
 }
 
-// RunFig8PatternBudget regenerates Figures 8(a, b): pattern MAE/RMSE as
-// the per-training-datapoint budget ε_pattern/TTrain varies while the
-// sanitisation budget stays fixed.
-func RunFig8PatternBudget(o Options) ([]SweepPoint, error) {
-	return RunFig8PatternBudgetContext(context.Background(), o)
+// stptVariant is one STPT configuration of a Figure 8 panel or the
+// ablations: where it plots, where its rep cells are checkpointed
+// ("<key>/rep<N>") and how it alters the options' config.
+type stptVariant struct {
+	x     float64
+	label string
+	key   string
+	mut   func(*core.Config)
 }
 
-// RunFig8PatternBudgetContext is the cancellable, checkpointed variant.
-// All (budget point, rep) cells run on one worker pool; per-point rep
-// averages are reduced in rep order, so the sweep is bit-identical for
-// every worker count.
-func RunFig8PatternBudgetContext(ctx context.Context, o Options) ([]SweepPoint, error) {
-	perPoint := []float64{0.01, 0.05, 0.1, 0.2, 0.5}
-	spec := fig8Spec()
-	d := o.generate(spec, datasets.Uniform)
-	cells := make([]patternCell, len(perPoint)*o.Reps)
+// scoreVariants scores STPT variants by query MRE on the Figure 8 dataset
+// (CER, uniform layout), sharing one dataset, truth and query draw; every
+// (variant, rep) cell runs on one worker pool. Results carry the
+// variants' labels as names.
+func (o Options) scoreVariants(ctx context.Context, panel string, vs []stptVariant) ([]AlgResult, error) {
+	r := o.newRow(fig8Spec(), datasets.Uniform)
+	algs := make([]algCells, len(vs))
+	for i, v := range vs {
+		algs[i] = o.cells(r, stptColumn(v.label, v.mut), v.key)
+	}
+	results, err := o.runCells(ctx, algs)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", panel, err)
+	}
+	return results, nil
+}
+
+// mrePanel scores an MRE panel's variants (c, g, h, i) as sweep points.
+func (o Options) mrePanel(ctx context.Context, panel string, vs []stptVariant) ([]SweepPoint, error) {
+	results, err := o.scoreVariants(ctx, panel, vs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]SweepPoint, len(vs))
+	for i, v := range vs {
+		out[i] = SweepPoint{X: v.x, Label: v.label, MRE: results[i].MRE}
+	}
+	return out, nil
+}
+
+// patternPoints measures STPT variants' pattern-recognition error on d:
+// every (variant, rep) cell runs on one worker pool, checkpointed under
+// the variant's key, and each variant's reps are averaged in rep order,
+// so the points are bit-identical for every worker count. fail maps a
+// failed run to the error the panel reports.
+func (o Options) patternPoints(ctx context.Context, d *timeseries.Dataset, vs []stptVariant, fail func(stptVariant, error) error) ([]SweepPoint, error) {
+	cells := make([]patternCell, len(vs)*o.Reps)
 	err := parallel.Do(ctx, o.Workers, len(cells), func(i int) error {
-		pi, rep := i/o.Reps, i%o.Reps
-		pp := perPoint[pi]
-		key := repKey(fmt.Sprintf("fig8ab/pp%g", pp), rep)
+		v, rep := vs[i/o.Reps], i%o.Reps
+		key := repKey(v.key, rep)
 		var cell patternCell
 		if o.Checkpoint.Lookup(key, &cell) {
 			cells[i] = cell
 			return nil
 		}
-		cfg := o.STPTConfig(spec)
-		cfg.EpsPattern = pp * float64(o.TTrain)
-		cfg.Seed = o.Seed + int64(rep)
-		res, err := core.RunContext(ctx, d, cfg)
+		res, err := o.runSTPT(ctx, fig8Spec(), d, v.mut, rep)
 		if err != nil {
-			return fmt.Errorf("fig8ab ε/point=%v: %w", pp, err)
+			return fail(v, err)
 		}
 		cells[i] = patternCell{MAE: res.PatternMAE, RMSE: res.PatternRMSE}
 		return o.Checkpoint.Record(key, cells[i])
@@ -72,51 +100,42 @@ func RunFig8PatternBudgetContext(ctx context.Context, o Options) ([]SweepPoint, 
 	if err != nil {
 		return nil, err
 	}
-	out := make([]SweepPoint, 0, len(perPoint))
-	for pi, pp := range perPoint {
+	out := make([]SweepPoint, len(vs))
+	for vi, v := range vs {
 		var mae, rmse float64
-		for rep := 0; rep < o.Reps; rep++ {
-			c := cells[pi*o.Reps+rep]
+		for _, c := range cells[vi*o.Reps : (vi+1)*o.Reps] {
 			mae += c.MAE
 			rmse += c.RMSE
 		}
-		out = append(out, SweepPoint{
-			X: pp, Label: fmt.Sprintf("%.2f", pp),
-			MAE: mae / float64(o.Reps), RMSE: rmse / float64(o.Reps),
-		})
+		out[vi] = SweepPoint{X: v.x, Label: v.label, MAE: mae / float64(o.Reps), RMSE: rmse / float64(o.Reps)}
 	}
 	return out, nil
+}
+
+// RunFig8PatternBudget regenerates Figures 8(a, b): pattern MAE/RMSE as
+// the per-training-datapoint budget ε_pattern/TTrain varies while the
+// sanitisation budget stays fixed. All (budget point, rep) cells run on
+// one worker pool.
+func RunFig8PatternBudget(ctx context.Context, o Options) ([]SweepPoint, error) {
+	var vs []stptVariant
+	for _, pp := range []float64{0.01, 0.05, 0.1, 0.2, 0.5} {
+		vs = append(vs, stptVariant{x: pp, label: fmt.Sprintf("%.2f", pp), key: fmt.Sprintf("fig8ab/pp%g", pp),
+			mut: func(c *core.Config) { c.EpsPattern = pp * float64(o.TTrain) }})
+	}
+	return o.patternPoints(ctx, o.generate(fig8Spec(), datasets.Uniform), vs, func(v stptVariant, err error) error {
+		return fmt.Errorf("fig8ab ε/point=%v: %w", v.x, err)
+	})
 }
 
 // RunFig8Quantization regenerates Figure 8(c): query MRE as the number of
 // quantization levels k varies.
-func RunFig8Quantization(o Options) ([]SweepPoint, error) {
-	return RunFig8QuantizationContext(context.Background(), o)
-}
-
-// RunFig8QuantizationContext is the cancellable, checkpointed variant;
-// every (k, rep) cell runs on one worker pool.
-func RunFig8QuantizationContext(ctx context.Context, o Options) ([]SweepPoint, error) {
-	levels := []int{2, 4, 8, 16, 32, 64}
-	spec := fig8Spec()
-	d := o.generate(spec, datasets.Uniform)
-	in := baselines.Input{Dataset: d, TTrain: o.TTrain, CellSensitivity: spec.DailyClip()}
-	truth := in.Truth()
-	qs := o.drawQueries(truth)
-	algs := make([]algCells, len(levels))
-	for i, k := range levels {
-		algs[i] = o.stptCells(d, spec, truth, qs, func(c *core.Config) { c.QuantLevels = k },
-			fmt.Sprintf("fig8c/k%d", k))
+func RunFig8Quantization(ctx context.Context, o Options) ([]SweepPoint, error) {
+	var vs []stptVariant
+	for _, k := range []int{2, 4, 8, 16, 32, 64} {
+		vs = append(vs, stptVariant{x: float64(k), label: fmt.Sprintf("k=%d", k), key: fmt.Sprintf("fig8c/k%d", k),
+			mut: func(c *core.Config) { c.QuantLevels = k }})
 	}
-	results, err := o.runCells(ctx, algs)
-	if err != nil {
-		return nil, fmt.Errorf("fig8c: %w", err)
-	}
-	out := make([]SweepPoint, len(levels))
-	for i, k := range levels {
-		out[i] = SweepPoint{X: float64(k), Label: fmt.Sprintf("k=%d", k), MRE: results[i].MRE}
-	}
-	return out, nil
+	return o.mrePanel(ctx, "fig8c", vs)
 }
 
 // RuntimeResult is one algorithm's wall-clock time (Figure 8(d)).
@@ -126,17 +145,12 @@ type RuntimeResult struct {
 }
 
 // RunFig8Runtime regenerates Figure 8(d): end-to-end runtime of every
-// algorithm on the same dataset.
-func RunFig8Runtime(o Options) ([]RuntimeResult, error) {
-	return RunFig8RuntimeContext(context.Background(), o)
-}
-
-// RunFig8RuntimeContext is the cancellable variant. Runtime measurements
-// are deliberately not checkpointed: a resumed timing is not the quantity
-// the panel plots. The panel also deliberately ignores o.Workers —
-// algorithms are timed one at a time on the serial pipeline so the
-// wall-clock comparison isn't distorted by co-scheduling.
-func RunFig8RuntimeContext(ctx context.Context, o Options) ([]RuntimeResult, error) {
+// algorithm on the same dataset. Runtime measurements are deliberately
+// not checkpointed: a resumed timing is not the quantity the panel
+// plots. The panel also deliberately ignores o.Workers — algorithms are
+// timed one at a time on the serial pipeline so the wall-clock
+// comparison isn't distorted by co-scheduling.
+func RunFig8Runtime(ctx context.Context, o Options) ([]RuntimeResult, error) {
 	spec := fig8Spec()
 	d := o.generate(spec, datasets.Uniform)
 	in := baselines.Input{Dataset: d, TTrain: o.TTrain, CellSensitivity: spec.DailyClip()}
@@ -159,69 +173,40 @@ func RunFig8RuntimeContext(ctx context.Context, o Options) ([]RuntimeResult, err
 	return out, nil
 }
 
-// RunFig8TreeDepth regenerates Figures 8(e, f): pattern MAE/RMSE as the
-// quadtree depth varies.
-func RunFig8TreeDepth(o Options) ([]SweepPoint, error) {
-	return RunFig8TreeDepthContext(context.Background(), o)
-}
-
 // errDepthInfeasible marks a depth whose segments undercut the window
 // size — structurally impossible at the current scale, skipped rather
 // than failed.
 var errDepthInfeasible = errors.New("depth infeasible at this scale")
 
-// RunFig8TreeDepthContext is the cancellable, checkpointed variant.
-// Depths stay sequential — whether a depth is feasible gates whether its
-// point appears at all — but the reps within each depth run on the
-// worker pool, reduced in rep order.
-func RunFig8TreeDepthContext(ctx context.Context, o Options) ([]SweepPoint, error) {
-	spec := fig8Spec()
-	d := o.generate(spec, datasets.Uniform)
+// RunFig8TreeDepth regenerates Figures 8(e, f): pattern MAE/RMSE as the
+// quadtree depth varies. Depths stay sequential — whether a depth is
+// feasible gates whether its point appears at all — but the reps within
+// each depth run on the worker pool.
+func RunFig8TreeDepth(ctx context.Context, o Options) ([]SweepPoint, error) {
+	d := o.generate(fig8Spec(), datasets.Uniform)
 	maxDepth := 0
 	for s := min(o.Cx, o.Cy); s > 1; s >>= 1 {
 		maxDepth++
 	}
-	var out []SweepPoint
-	for depth := 0; depth <= maxDepth; depth++ {
-		if o.TTrain < depth+1 {
-			break
+	infeasible := func(_ stptVariant, err error) error {
+		if ctx.Err() != nil {
+			return err
 		}
-		cells := make([]patternCell, o.Reps)
-		err := parallel.Do(ctx, o.Workers, o.Reps, func(rep int) error {
-			key := repKey(fmt.Sprintf("fig8ef/depth%d", depth), rep)
-			var cell patternCell
-			if o.Checkpoint.Lookup(key, &cell) {
-				cells[rep] = cell
-				return nil
-			}
-			cfg := o.STPTConfig(spec)
-			cfg.Depth = depth
-			cfg.Seed = o.Seed + int64(rep)
-			res, err := core.RunContext(ctx, d, cfg)
-			if err != nil {
-				if ctx.Err() != nil {
-					return err
-				}
-				return fmt.Errorf("%w: %v", errDepthInfeasible, err)
-			}
-			cells[rep] = patternCell{MAE: res.PatternMAE, RMSE: res.PatternRMSE}
-			return o.Checkpoint.Record(key, cells[rep])
-		})
+		return fmt.Errorf("%w: %v", errDepthInfeasible, err)
+	}
+	var out []SweepPoint
+	for depth := 0; depth <= maxDepth && depth < o.TTrain; depth++ {
+		pts, err := o.patternPoints(ctx, d, []stptVariant{{
+			x: float64(depth), label: fmt.Sprintf("depth=%d", depth), key: fmt.Sprintf("fig8ef/depth%d", depth),
+			mut: func(c *core.Config) { c.Depth = depth },
+		}}, infeasible)
 		if err != nil {
 			if errors.Is(err, errDepthInfeasible) && ctx.Err() == nil {
 				continue
 			}
 			return nil, err
 		}
-		var mae, rmse float64
-		for _, c := range cells {
-			mae += c.MAE
-			rmse += c.RMSE
-		}
-		out = append(out, SweepPoint{
-			X: float64(depth), Label: fmt.Sprintf("depth=%d", depth),
-			MAE: mae / float64(o.Reps), RMSE: rmse / float64(o.Reps),
-		})
+		out = append(out, pts...)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("fig8ef: no feasible depth at this scale")
@@ -231,100 +216,42 @@ func RunFig8TreeDepthContext(ctx context.Context, o Options) ([]SweepPoint, erro
 
 // RunFig8BudgetSplit regenerates Figure 8(g): query MRE as the share of
 // ε_tot given to pattern recognition varies, total held constant.
-func RunFig8BudgetSplit(o Options) ([]SweepPoint, error) {
-	return RunFig8BudgetSplitContext(context.Background(), o)
-}
-
-// RunFig8BudgetSplitContext is the cancellable, checkpointed variant;
-// every (fraction, rep) cell runs on one worker pool.
-func RunFig8BudgetSplitContext(ctx context.Context, o Options) ([]SweepPoint, error) {
-	fractions := []float64{0.1, 0.2, 0.33, 0.5, 0.67, 0.8, 0.9}
+func RunFig8BudgetSplit(ctx context.Context, o Options) ([]SweepPoint, error) {
 	total := o.EpsPattern + o.EpsSanitize
-	spec := fig8Spec()
-	d := o.generate(spec, datasets.Uniform)
-	in := baselines.Input{Dataset: d, TTrain: o.TTrain, CellSensitivity: spec.DailyClip()}
-	truth := in.Truth()
-	qs := o.drawQueries(truth)
-	algs := make([]algCells, len(fractions))
-	for i, f := range fractions {
-		algs[i] = o.stptCells(d, spec, truth, qs, func(c *core.Config) {
-			c.EpsPattern = f * total
-			c.EpsSanitize = (1 - f) * total
-		}, fmt.Sprintf("fig8g/f%g", f))
+	var vs []stptVariant
+	for _, f := range []float64{0.1, 0.2, 0.33, 0.5, 0.67, 0.8, 0.9} {
+		vs = append(vs, stptVariant{x: f, label: fmt.Sprintf("%.0f%%", 100*f), key: fmt.Sprintf("fig8g/f%g", f),
+			mut: func(c *core.Config) {
+				c.EpsPattern = f * total
+				c.EpsSanitize = (1 - f) * total
+			}})
 	}
-	results, err := o.runCells(ctx, algs)
-	if err != nil {
-		return nil, fmt.Errorf("fig8g: %w", err)
-	}
-	out := make([]SweepPoint, len(fractions))
-	for i, f := range fractions {
-		out[i] = SweepPoint{X: f, Label: fmt.Sprintf("%.0f%%", 100*f), MRE: results[i].MRE}
-	}
-	return out, nil
+	return o.mrePanel(ctx, "fig8g", vs)
 }
 
 // RunFig8TotalBudget regenerates Figure 8(h): query MRE as ε_tot varies
 // with the pattern/sanitize ratio fixed at the paper's 1:2.
-func RunFig8TotalBudget(o Options) ([]SweepPoint, error) {
-	return RunFig8TotalBudgetContext(context.Background(), o)
+func RunFig8TotalBudget(ctx context.Context, o Options) ([]SweepPoint, error) {
+	var vs []stptVariant
+	for _, tot := range []float64{5, 10, 20, 30, 50} {
+		vs = append(vs, stptVariant{x: tot, label: fmt.Sprintf("ε=%.0f", tot), key: fmt.Sprintf("fig8h/eps%g", tot),
+			mut: func(c *core.Config) {
+				c.EpsPattern = tot / 3
+				c.EpsSanitize = 2 * tot / 3
+			}})
+	}
+	return o.mrePanel(ctx, "fig8h", vs)
 }
 
-// RunFig8TotalBudgetContext is the cancellable, checkpointed variant;
-// every (ε_tot, rep) cell runs on one worker pool.
-func RunFig8TotalBudgetContext(ctx context.Context, o Options) ([]SweepPoint, error) {
-	totals := []float64{5, 10, 20, 30, 50}
-	spec := fig8Spec()
-	d := o.generate(spec, datasets.Uniform)
-	in := baselines.Input{Dataset: d, TTrain: o.TTrain, CellSensitivity: spec.DailyClip()}
-	truth := in.Truth()
-	qs := o.drawQueries(truth)
-	algs := make([]algCells, len(totals))
-	for i, tot := range totals {
-		algs[i] = o.stptCells(d, spec, truth, qs, func(c *core.Config) {
-			c.EpsPattern = tot / 3
-			c.EpsSanitize = 2 * tot / 3
-		}, fmt.Sprintf("fig8h/eps%g", tot))
+// RunFig8Models regenerates Figure 8(i): query MRE with the RNN, GRU,
+// attentive-GRU and transformer predictors.
+func RunFig8Models(ctx context.Context, o Options) ([]SweepPoint, error) {
+	var vs []stptVariant
+	for i, kind := range []core.ModelKind{core.ModelRNN, core.ModelGRU, core.ModelAttentiveGRU, core.ModelTransformer} {
+		vs = append(vs, stptVariant{x: float64(i), label: kind.String(), key: "fig8i/" + kind.String(),
+			mut: func(c *core.Config) { c.Model = kind }})
 	}
-	results, err := o.runCells(ctx, algs)
-	if err != nil {
-		return nil, fmt.Errorf("fig8h: %w", err)
-	}
-	out := make([]SweepPoint, len(totals))
-	for i, tot := range totals {
-		out[i] = SweepPoint{X: tot, Label: fmt.Sprintf("ε=%.0f", tot), MRE: results[i].MRE}
-	}
-	return out, nil
-}
-
-// RunFig8Models regenerates Figure 8(i): query MRE with the RNN, GRU and
-// transformer predictors (plus LSTM, which the library also supports).
-func RunFig8Models(o Options) ([]SweepPoint, error) {
-	return RunFig8ModelsContext(context.Background(), o)
-}
-
-// RunFig8ModelsContext is the cancellable, checkpointed variant; every
-// (model, rep) cell runs on one worker pool.
-func RunFig8ModelsContext(ctx context.Context, o Options) ([]SweepPoint, error) {
-	kinds := []core.ModelKind{core.ModelRNN, core.ModelGRU, core.ModelAttentiveGRU, core.ModelTransformer}
-	spec := fig8Spec()
-	d := o.generate(spec, datasets.Uniform)
-	in := baselines.Input{Dataset: d, TTrain: o.TTrain, CellSensitivity: spec.DailyClip()}
-	truth := in.Truth()
-	qs := o.drawQueries(truth)
-	algs := make([]algCells, len(kinds))
-	for i, kind := range kinds {
-		algs[i] = o.stptCells(d, spec, truth, qs, func(c *core.Config) { c.Model = kind },
-			"fig8i/"+kind.String())
-	}
-	results, err := o.runCells(ctx, algs)
-	if err != nil {
-		return nil, fmt.Errorf("fig8i: %w", err)
-	}
-	out := make([]SweepPoint, len(kinds))
-	for i, kind := range kinds {
-		out[i] = SweepPoint{X: float64(i), Label: kind.String(), MRE: results[i].MRE}
-	}
-	return out, nil
+	return o.mrePanel(ctx, "fig8i", vs)
 }
 
 // PrintSweepMRE renders MRE-valued sweep points (panels c, g, h, i).
@@ -356,11 +283,4 @@ func PrintRuntimes(w io.Writer, rows []RuntimeResult) {
 		fmt.Fprintf(w, "  %-14s %12.3f\n", r.Name, r.Seconds)
 	}
 	fmt.Fprintln(w)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -14,7 +14,7 @@ import (
 
 // sameResults compares algorithm names and per-class MREs exactly
 // (Seconds is wall-clock and excluded).
-func sameResults(t *testing.T, got, want Fig6Row) {
+func sameResults(t *testing.T, got, want Row) {
 	t.Helper()
 	if got.Dataset != want.Dataset || got.Layout != want.Layout {
 		t.Fatalf("row header %s/%s != %s/%s", got.Dataset, got.Layout, want.Dataset, want.Layout)
@@ -46,7 +46,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 	spec, layout := datasets.CA, datasets.Uniform
 
 	// Reference: uninterrupted, no checkpoint.
-	want, err := RunFig6Single(o, spec, layout)
+	want, err := RunFig6Single(context.Background(), o, spec, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 		}
 		return nil
 	})
-	_, err = RunFig6SingleContext(resilience.WithInjector(context.Background(), crash), o, spec, layout)
+	_, err = RunFig6Single(resilience.WithInjector(context.Background(), crash), o, spec, layout)
 	if !errors.Is(err, boom) {
 		t.Fatalf("interrupted run: err = %v, want simulated crash", err)
 	}
@@ -90,7 +90,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 		released = append(released, fmt.Sprint(payload))
 		return nil
 	})
-	got, err := RunFig6SingleContext(resilience.WithInjector(context.Background(), count), o, spec, layout)
+	got, err := RunFig6Single(resilience.WithInjector(context.Background(), count), o, spec, layout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestSweepCancellation(t *testing.T) {
 
 	pre, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunFig6Context(pre, o); !errors.Is(err, context.Canceled) {
+	if _, err := RunComparison(pre, o, "fig6"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled: err = %v", err)
 	}
 
@@ -127,7 +127,7 @@ func TestSweepCancellation(t *testing.T) {
 		cancelMid()
 		return nil
 	})
-	_, err := RunFig6SingleContext(resilience.WithInjector(ctx, in), o, datasets.CA, datasets.Uniform)
+	_, err := RunFig6Single(resilience.WithInjector(ctx, in), o, datasets.CA, datasets.Uniform)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-run cancel: err = %v", err)
 	}
@@ -152,7 +152,7 @@ func TestCheckpointCrashBeforeWrite(t *testing.T) {
 		}
 		return nil
 	})
-	_, err = RunFig6SingleContext(resilience.WithInjector(context.Background(), in), o, datasets.CA, datasets.Uniform)
+	_, err = RunFig6Single(resilience.WithInjector(context.Background(), in), o, datasets.CA, datasets.Uniform)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want power loss", err)
 	}
@@ -170,7 +170,7 @@ func TestCheckpointCrashBeforeWrite(t *testing.T) {
 	}
 
 	o.Checkpoint = ck2
-	row, err := RunFig6Single(o, datasets.CA, datasets.Uniform)
+	row, err := RunFig6Single(context.Background(), o, datasets.CA, datasets.Uniform)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,17 +17,10 @@ type Table2Row struct {
 }
 
 // RunTable2 regenerates Table 2: per-dataset household counts and hourly
-// consumption statistics, measured over one generated week.
-func RunTable2(o Options) []Table2Row {
-	rows, _ := RunTable2Context(context.Background(), o)
-	return rows
-}
-
-// RunTable2Context is RunTable2 with cooperative cancellation and
-// per-dataset checkpoint cells (keyed "table2/<dataset>"), one cell per
-// worker-pool task. The only error sources are the context and
-// checkpoint I/O.
-func RunTable2Context(ctx context.Context, o Options) ([]Table2Row, error) {
+// consumption statistics, measured over one generated week. Each dataset
+// is one checkpoint cell (keyed "table2/<dataset>") and one worker-pool
+// task. The only error sources are the context and checkpoint I/O.
+func RunTable2(ctx context.Context, o Options) ([]Table2Row, error) {
 	specs := datasets.All()
 	rows := make([]Table2Row, len(specs))
 	err := parallel.Do(ctx, o.Workers, len(specs), func(i int) error {

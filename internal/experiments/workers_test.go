@@ -15,14 +15,14 @@ import (
 // worker count, not merely statistically equivalent.
 func TestFig6RowWorkersBitIdentical(t *testing.T) {
 	o := micro()
-	base, err := RunFig6Single(o, datasets.CA, datasets.Uniform)
+	base, err := RunFig6Single(context.Background(), o, datasets.CA, datasets.Uniform)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 5} {
 		ow := o
 		ow.Workers = workers
-		got, err := RunFig6SingleContext(context.Background(), ow, datasets.CA, datasets.Uniform)
+		got, err := RunFig6Single(context.Background(), ow, datasets.CA, datasets.Uniform)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -32,13 +32,13 @@ func TestFig6RowWorkersBitIdentical(t *testing.T) {
 
 func TestFig8SweepWorkersBitIdentical(t *testing.T) {
 	o := micro()
-	base, err := RunFig8Quantization(o)
+	base, err := RunFig8Quantization(context.Background(), o)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ow := o
 	ow.Workers = 4
-	got, err := RunFig8QuantizationContext(context.Background(), ow)
+	got, err := RunFig8Quantization(context.Background(), ow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,11 +59,17 @@ func TestFig8SweepWorkersBitIdentical(t *testing.T) {
 
 func TestTable2AndFig9Workers(t *testing.T) {
 	o := micro()
-	baseT := RunTable2(o)
+	baseT, err := RunTable2(context.Background(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
 	baseF := RunFig9(o)
 	ow := o
 	ow.Workers = 3
-	gotT := RunTable2(ow)
+	gotT, err := RunTable2(context.Background(), ow)
+	if err != nil {
+		t.Fatal(err)
+	}
 	gotF := RunFig9(ow)
 	if len(gotT) != len(baseT) || len(gotF) != len(baseF) {
 		t.Fatalf("row counts differ: table2 %d/%d fig9 %d/%d", len(gotT), len(baseT), len(gotF), len(baseF))
@@ -86,7 +92,7 @@ func TestTable2AndFig9Workers(t *testing.T) {
 // vice versa) without recomputation drift.
 func TestParallelSweepCheckpointInterchangeable(t *testing.T) {
 	o := micro()
-	want, err := RunFig6Single(o, datasets.CA, datasets.Uniform)
+	want, err := RunFig6Single(context.Background(), o, datasets.CA, datasets.Uniform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +105,7 @@ func TestParallelSweepCheckpointInterchangeable(t *testing.T) {
 	op := o
 	op.Workers = 4
 	op.Checkpoint = ck
-	got, err := RunFig6SingleContext(context.Background(), op, datasets.CA, datasets.Uniform)
+	got, err := RunFig6Single(context.Background(), op, datasets.CA, datasets.Uniform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +126,7 @@ func TestParallelSweepCheckpointInterchangeable(t *testing.T) {
 		released = append(released, fmt.Sprint(payload))
 		return nil
 	})
-	resumed, err := RunFig6SingleContext(resilience.WithInjector(context.Background(), count), os, datasets.CA, datasets.Uniform)
+	resumed, err := RunFig6Single(resilience.WithInjector(context.Background(), count), os, datasets.CA, datasets.Uniform)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,19 +8,9 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/baselines"
 	"repro/internal/datasets"
+	"repro/internal/resilience"
 )
-
-// registryNames lists the Figure-6 baseline suite's slot names in
-// registry order.
-func registryNames() []string {
-	var names []string
-	for _, alg := range baselines.Registry() {
-		names = append(names, alg.Name())
-	}
-	return names
-}
 
 // This file is the distributed-execution surface of the experiment
 // sweeps: it exposes the same (dataset, algorithm, rep) cells that
@@ -43,9 +33,11 @@ func registryNames() []string {
 // experiment's identity plus every scalar knob of Options. It
 // deliberately carries no process-local state (no checkpoint handle, no
 // worker count, no retry policy) — those belong to whichever process
-// interprets the spec.
+// interprets the spec. A valid spec sets Experiment and Reps; they are
+// omitted when zero only so a checkpoint's options record
+// (BindCheckpoint) holds just the knobs it binds.
 type SweepSpec struct {
-	Experiment string `json:"experiment"`
+	Experiment string `json:"experiment,omitempty"`
 	// Dataset and Layout select the single row of fig6-single; other
 	// experiments ignore them.
 	Dataset string `json:"dataset,omitempty"`
@@ -64,16 +56,24 @@ type SweepSpec struct {
 	EpsPattern  float64 `json:"eps_pattern"`
 	EpsSanitize float64 `json:"eps_sanitize"`
 	Queries     int     `json:"queries"`
-	Reps        int     `json:"reps"`
+	Reps        int     `json:"reps,omitempty"`
 	Seed        int64   `json:"seed"`
 	Households  int     `json:"households,omitempty"`
 }
 
 // DistributableExperiments names the sweeps that shard into independent
-// (dataset, algorithm, rep) cells. The fig8 parameter sweeps, table2 and
-// fig9 do not use per-cell checkpoint keys and stay in-process.
+// (dataset, algorithm, rep) cells: every comparison table and its
+// single-row variant. The fig8 panels, the ablations, table2 and fig9
+// stay in-process.
 func DistributableExperiments() []string {
-	return []string{"fig6", "fig6-single", "fig7", "ldp", "extended"}
+	var names []string
+	for _, c := range comparisons() {
+		names = append(names, c.name)
+		if c.single != "" {
+			names = append(names, c.single)
+		}
+	}
+	return names
 }
 
 // NewSweepSpec freezes an Options into a portable spec for the given
@@ -87,6 +87,48 @@ func NewSweepSpec(experiment, dataset, layout string, o Options) SweepSpec {
 		EpsPattern: o.EpsPattern, EpsSanitize: o.EpsSanitize,
 		Queries: o.Queries, Reps: o.Reps, Seed: o.Seed, Households: o.Households,
 	}
+}
+
+// optionsKey is the checkpoint entry that records the options a file's
+// cells were computed under. Like dist's "dist:attempts" it contains a
+// ':', which no cell key does.
+const optionsKey = "experiments:options"
+
+// BindCheckpoint ties ck to the options that produce its cells, so a
+// file never serves cells computed under other options. A fresh
+// checkpoint records o's output-affecting options: every SweepSpec knob
+// except the experiment, its row and Reps, since cells are shared across
+// those (as across Workers and Retry). A checkpoint recorded under other
+// options is refused, and so is a non-empty one with no record, whose
+// cells cannot be matched to any options. It returns the number of
+// completed cells, not counting reserved entries.
+func BindCheckpoint(ck *resilience.Checkpoint, o Options) (int, error) {
+	want := NewSweepSpec("", "", "", o)
+	want.Reps = 0
+	show := func(s SweepSpec) string {
+		raw, _ := json.Marshal(s)
+		return string(raw)
+	}
+	var got SweepSpec
+	switch {
+	case ck.Lookup(optionsKey, &got):
+		if got != want {
+			return 0, fmt.Errorf("experiments: checkpoint cells were computed under options %s, not this run's %s", show(got), show(want))
+		}
+	case ck.Len() > 0:
+		return 0, fmt.Errorf("experiments: checkpoint has %d entries but no options record, so its cells cannot be matched to this run's options %s", ck.Len(), show(want))
+	default:
+		if err := ck.Record(optionsKey, want); err != nil {
+			return 0, err
+		}
+	}
+	cells := 0
+	for _, key := range ck.Keys() {
+		if !strings.Contains(key, ":") {
+			cells++
+		}
+	}
+	return cells, nil
 }
 
 // Options reconstructs the experiment options a worker must run with.
@@ -105,7 +147,7 @@ func (s SweepSpec) Options() Options {
 // Validate rejects specs that could not have come from a well-formed
 // coordinator before any expensive work starts.
 func (s SweepSpec) Validate() error {
-	if _, err := s.rows(); err != nil {
+	if _, _, err := s.table(); err != nil {
 		return err
 	}
 	if s.Cx <= 0 || s.Cy <= 0 || s.TTrain <= 0 || s.Horizon <= 0 {
@@ -132,117 +174,45 @@ func DecodeSweepSpec(raw []byte) (SweepSpec, error) {
 	return s, nil
 }
 
-// distRow is one comparison row of a distributable sweep: its stable
-// checkpoint prefix, the algorithm slot names in canonical order (cheap
-// to enumerate), and a builder that materialises the row's cells —
-// deliberately lazy, because building generates the row's dataset.
-type distRow struct {
-	prefix string
-	algs   []string
-	build  func(o Options) []algCells
-}
-
-// rows enumerates the spec's comparison rows in canonical order — the
-// exact flattening order the in-process runners feed runCells.
-func (s SweepSpec) rows() ([]distRow, error) {
-	stptPlus := func(names ...string) []string { return append([]string{"stpt"}, names...) }
-	switch s.Experiment {
-	case "fig6":
-		var rows []distRow
-		names := registryNames()
-		for _, spec := range datasets.All() {
-			for _, layout := range []datasets.Layout{datasets.Uniform, datasets.Normal} {
-				spec, layout := spec, layout
-				rows = append(rows, distRow{
-					prefix: fmt.Sprintf("fig6/%s/%s", spec.Name, layout),
-					algs:   stptPlus(names...),
-					build:  func(o Options) []algCells { return o.fig6RowCells(spec, layout) },
-				})
+// table resolves the spec to its comparison declaration and the rows it
+// sweeps, in canonical order — the exact flattening order the in-process
+// runner feeds runCells.
+func (s SweepSpec) table() (comparison, []tableRow, error) {
+	for _, c := range comparisons() {
+		if s.Experiment == c.name {
+			return c, c.rows(), nil
+		}
+		if c.single != "" && s.Experiment == c.single {
+			spec, err := datasets.ByName(s.Dataset)
+			if err != nil {
+				return comparison{}, nil, err
 			}
+			layout, err := datasets.ParseLayout(s.Layout)
+			if err != nil {
+				return comparison{}, nil, err
+			}
+			return c, []tableRow{{spec, layout}}, nil
 		}
-		return rows, nil
-	case "fig6-single":
-		spec, err := datasets.ByName(s.Dataset)
-		if err != nil {
-			return nil, err
-		}
-		layout, err := datasets.ParseLayout(s.Layout)
-		if err != nil {
-			return nil, err
-		}
-		return []distRow{{
-			prefix: fmt.Sprintf("fig6/%s/%s", spec.Name, layout),
-			algs:   stptPlus(registryNames()...),
-			build:  func(o Options) []algCells { return o.fig6RowCells(spec, layout) },
-		}}, nil
-	case "fig7":
-		var names []string
-		for _, alg := range fig7Comparators() {
-			names = append(names, alg.Name())
-		}
-		var rows []distRow
-		for _, spec := range datasets.All() {
-			spec := spec
-			rows = append(rows, distRow{
-				prefix: "fig7/" + spec.Name,
-				algs:   stptPlus(names...),
-				build:  func(o Options) []algCells { return o.fig7RowCells(spec) },
-			})
-		}
-		return rows, nil
-	case "ldp":
-		var names []string
-		for _, m := range ldpMechanisms() {
-			names = append(names, m.Name())
-		}
-		var rows []distRow
-		for _, spec := range ldpSpecs() {
-			spec := spec
-			rows = append(rows, distRow{
-				prefix: "ldp/" + spec.Name,
-				algs:   stptPlus(names...),
-				build:  func(o Options) []algCells { return o.ldpRowCells(spec) },
-			})
-		}
-		return rows, nil
-	case "extended":
-		var names []string
-		for _, alg := range baselines.Extended() {
-			names = append(names, alg.Name())
-		}
-		var rows []distRow
-		for _, layout := range []datasets.Layout{datasets.Uniform, datasets.Normal} {
-			layout := layout
-			rows = append(rows, distRow{
-				prefix: fmt.Sprintf("extended/%s/%s", datasets.CER.Name, layout),
-				algs:   stptPlus(names...),
-				build:  func(o Options) []algCells { return o.extendedRowCells(layout) },
-			})
-		}
-		return rows, nil
-	default:
-		return nil, fmt.Errorf("experiments: %q is not distributable (distributable: %s)",
-			s.Experiment, strings.Join(DistributableExperiments(), ", "))
 	}
+	return comparison{}, nil, fmt.Errorf("experiments: %q is not distributable (distributable: %s)",
+		s.Experiment, strings.Join(DistributableExperiments(), ", "))
 }
 
 // WorkList enumerates every cell key of the sweep in canonical order:
-// row-major, then algorithm slot, then rep — the same order the
-// in-process reduction consumes them. Enumeration is cheap (no dataset
-// is generated), so a coordinator can build its lease table instantly.
+// row-major, then column, then rep — the same order the in-process
+// reduction consumes them. Enumeration is cheap (no dataset is
+// generated), so a coordinator can build its lease table instantly.
 func (s SweepSpec) WorkList() ([]string, error) {
-	rows, err := s.rows()
-	if err != nil {
-		return nil, err
-	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	c, rows, _ := s.table() // Validate resolved it
+	cols := c.columns()
 	var keys []string
 	for _, row := range rows {
-		for _, alg := range row.algs {
+		for _, col := range cols {
 			for rep := 0; rep < s.Reps; rep++ {
-				keys = append(keys, repKey(row.prefix+"/"+alg, rep))
+				keys = append(keys, repKey(c.prefix(row)+"/"+col.name, rep))
 			}
 		}
 	}
@@ -254,14 +224,17 @@ func (s SweepSpec) WorkList() ([]string, error) {
 // once per row and cached, so a worker streaming through a row's cells
 // pays the generation cost once. Execute is safe for concurrent use.
 type CellRunner struct {
-	opts Options
-	rows map[string]*rowState
+	opts  Options
+	table comparison
+	rows  map[string]*rowState
 }
 
+// rowState builds its row's cells on first use: building generates the
+// row's dataset, so it is deliberately lazy.
 type rowState struct {
 	once  sync.Once
-	build func(o Options) []algCells
-	algs  []algCells
+	row   tableRow
+	cells []algCells
 }
 
 // NewCellRunner validates the spec and prepares (but does not build)
@@ -270,13 +243,10 @@ func NewCellRunner(spec SweepSpec) (*CellRunner, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	rows, err := spec.rows()
-	if err != nil {
-		return nil, err
-	}
-	r := &CellRunner{opts: spec.Options(), rows: make(map[string]*rowState, len(rows))}
+	c, rows, _ := spec.table() // Validate resolved it
+	r := &CellRunner{opts: spec.Options(), table: c, rows: make(map[string]*rowState, len(rows))}
 	for _, row := range rows {
-		r.rows[row.prefix] = &rowState{build: row.build}
+		r.rows[c.prefix(row)] = &rowState{row: row}
 	}
 	return r, nil
 }
@@ -314,9 +284,9 @@ func (r *CellRunner) Execute(ctx context.Context, key string) ([]byte, error) {
 	if rep >= r.opts.Reps {
 		return nil, fmt.Errorf("experiments: cell %q has rep %d, sweep runs %d reps", key, rep, r.opts.Reps)
 	}
-	row.once.Do(func() { row.algs = row.build(r.opts) })
+	row.once.Do(func() { row.cells = r.opts.rowCells(r.table, row.row) })
 	want := prefix + "/" + alg
-	for _, cells := range row.algs {
+	for _, cells := range row.cells {
 		if cells.prefix != want {
 			continue
 		}

@@ -4,10 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
+	"repro/internal/baselines"
 	"repro/internal/datasets"
+	"repro/internal/query"
 	"repro/internal/resilience"
 )
 
@@ -24,7 +30,7 @@ func TestWorkListCanonicalOrderAndShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 4 datasets x 2 layouts x (stpt + registry) algs x 2 reps.
-	perRow := 1 + len(registryNames())
+	perRow := 1 + len(baselines.Registry())
 	if want := 4 * 2 * perRow * 2; len(keys) != want {
 		t.Fatalf("len(keys) = %d, want %d", len(keys), want)
 	}
@@ -70,73 +76,178 @@ func TestSplitCellKey(t *testing.T) {
 }
 
 // TestExecuteMatchesSerialCheckpointCells is the distribution soundness
-// proof at package level: for every cell of a row, the CellRunner's
-// portable value is byte-identical to what the serial checkpointed
-// sweep records under the same key, and a journal assembled purely from
-// Execute outputs drives the in-process reduction to the exact serial
-// tables.
+// proof at package level, for every distributable table: the serial
+// checkpointed sweep records exactly the work list's keys, for every
+// cell the CellRunner's portable value is byte-identical to what the
+// serial sweep records under the same key, and a journal assembled
+// purely from Execute outputs drives the in-process reduction to the
+// exact serial tables.
 func TestExecuteMatchesSerialCheckpointCells(t *testing.T) {
-	o := micro()
-	spec := microSpec("fig6-single", "CA", "uniform")
+	for _, tc := range []struct {
+		name, exp, dataset, layout string
+	}{
+		{"fig6-single-CA-uniform", "fig6-single", "CA", "uniform"},
+		{"fig6-single-CER-losangeles", "fig6-single", "CER", "losangeles"},
+		{"fig7", "fig7", "", ""},
+		{"ldp", "ldp", "", ""},
+		{"extended", "extended", "", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := micro()
+			spec := microSpec(tc.exp, tc.dataset, tc.layout)
+			run := func(o Options) ([]Row, error) {
+				if tc.exp != "fig6-single" {
+					return RunComparison(context.Background(), o, tc.exp)
+				}
+				ds, err := datasets.ByName(tc.dataset)
+				if err != nil {
+					return nil, err
+				}
+				layout, err := datasets.ParseLayout(tc.layout)
+				if err != nil {
+					return nil, err
+				}
+				row, err := RunFig6Single(context.Background(), o, ds, layout)
+				return []Row{row}, err
+			}
 
-	// Serial golden run with a real checkpoint file.
-	path := filepath.Join(t.TempDir(), "serial.json")
+			// Serial golden run with a real checkpoint file.
+			path := filepath.Join(t.TempDir(), "serial.json")
+			ck, err := resilience.OpenCheckpoint(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			serial := o
+			serial.Checkpoint = ck
+			want, err := run(serial)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			keys, err := spec.WorkList()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sorted := append([]string(nil), keys...)
+			sort.Strings(sorted)
+			if got := ck.Keys(); !reflect.DeepEqual(got, sorted) {
+				t.Fatalf("serial checkpoint recorded %v, work list is %v", got, sorted)
+			}
+
+			runner, err := NewCellRunner(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			journal := resilience.NewMemoryCheckpoint()
+			for _, key := range keys {
+				raw, err := runner.Execute(context.Background(), key)
+				if err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				if err := ValidateCellValue(raw); err != nil {
+					t.Fatalf("%s: %v", key, err)
+				}
+				var serialCell mreCell
+				if !ck.Lookup(key, &serialCell) {
+					t.Fatalf("serial checkpoint is missing %s", key)
+				}
+				serialRaw, err := json.Marshal(serialCell)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(raw, serialRaw) {
+					t.Fatalf("%s: Execute value %s != serial checkpoint cell %s", key, raw, serialRaw)
+				}
+				if err := journal.Record(key, json.RawMessage(raw)); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			// Reduction from the assembled journal reproduces the serial tables.
+			reduced := o
+			reduced.Checkpoint = journal
+			got, err := run(reduced)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("reduced %d rows, serial %d", len(got), len(want))
+			}
+			for i := range want {
+				sameResults(t, got[i], want[i])
+			}
+		})
+	}
+}
+
+// TestBindCheckpoint: a checkpoint is bound to the output-affecting
+// options of the run that created it. A run under different options is
+// refused (it would be served stale cells), a run differing only in
+// process-local knobs or the rep count resumes, and a non-empty file
+// with no options record cannot be matched to any options.
+func TestBindCheckpoint(t *testing.T) {
+	o := micro()
+	path := filepath.Join(t.TempDir(), "sweep.json")
 	ck, err := resilience.OpenCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := o
-	serial.Checkpoint = ck
-	want, err := RunFig6Single(serial, datasets.CA, datasets.Uniform)
-	if err != nil {
-		t.Fatal(err)
+	if n, err := BindCheckpoint(ck, o); err != nil || n != 0 {
+		t.Fatalf("fresh checkpoint: n = %d, err = %v", n, err)
 	}
-
-	keys, err := spec.WorkList()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(keys) != ck.Len() {
-		t.Fatalf("work list has %d cells, serial checkpoint recorded %d", len(keys), ck.Len())
-	}
-
-	runner, err := NewCellRunner(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	journal := resilience.NewMemoryCheckpoint()
-	for _, key := range keys {
-		raw, err := runner.Execute(context.Background(), key)
-		if err != nil {
-			t.Fatalf("%s: %v", key, err)
-		}
-		if err := ValidateCellValue(raw); err != nil {
-			t.Fatalf("%s: %v", key, err)
-		}
-		var serialCell mreCell
-		if !ck.Lookup(key, &serialCell) {
-			t.Fatalf("serial checkpoint is missing %s", key)
-		}
-		serialRaw, err := json.Marshal(serialCell)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(raw, serialRaw) {
-			t.Fatalf("%s: Execute value %s != serial checkpoint cell %s", key, raw, serialRaw)
-		}
-		if err := journal.Record(key, json.RawMessage(raw)); err != nil {
+	cell := encodeMRE(map[query.Class]float64{query.Random: 1})
+	for _, key := range []string{"fig6/CA/uniform/stpt/rep0", "dist:attempts"} {
+		if err := ck.Record(key, cell); err != nil {
 			t.Fatal(err)
 		}
 	}
-
-	// Reduction from the assembled journal reproduces the serial tables.
-	reduced := o
-	reduced.Checkpoint = journal
-	got, err := RunFig6Single(reduced, datasets.CA, datasets.Uniform)
+	ck, err = resilience.OpenCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResults(t, got, want)
+	if !ck.Lookup(optionsKey, nil) {
+		t.Fatal("fresh checkpoint did not record its options")
+	}
+
+	for name, mut := range map[string]func(*Options){
+		"seed":       func(o *Options) { o.Seed++ },
+		"cx":         func(o *Options) { o.Cx *= 2 },
+		"households": func(o *Options) { o.Households++ },
+	} {
+		other := o
+		mut(&other)
+		_, err := BindCheckpoint(ck, other)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf(`"seed":%d`, o.Seed)) ||
+			!strings.Contains(err.Error(), fmt.Sprintf(`"seed":%d`, other.Seed)) {
+			t.Fatalf("different %s: err = %v, want a mismatch naming both option sets", name, err)
+		}
+	}
+	for name, mut := range map[string]func(*Options){
+		"workers": func(o *Options) { o.Workers = 4 },
+		"reps":    func(o *Options) { o.Reps = 3 },
+		"retry":   func(o *Options) { o.Retry = resilience.DefaultPolicy() },
+	} {
+		other := o
+		mut(&other)
+		n, err := BindCheckpoint(ck, other)
+		if err != nil {
+			t.Fatalf("different %s: %v", name, err)
+		}
+		if n != 1 {
+			t.Fatalf("different %s: %d completed cells, want 1 (reserved entries excluded)", name, n)
+		}
+	}
+
+	legacy := resilience.NewMemoryCheckpoint()
+	if err := legacy.Record("fig6/CA/uniform/stpt/rep0", cell); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BindCheckpoint(legacy, o); err == nil {
+		t.Fatal("a non-empty checkpoint without an options record was accepted")
+	}
+	if legacy.Lookup(optionsKey, nil) {
+		t.Fatal("refusing a legacy checkpoint recorded options into it")
+	}
 }
 
 func TestExecuteRejectsForeignAndMalformedKeys(t *testing.T) {

@@ -94,7 +94,6 @@ type Scrubber struct {
 	repaired     uint64
 	quarantined  uint64
 	corrupt      map[string]string // path -> reason, latched until a clean verify
-	lastPass     time.Time
 }
 
 // New validates cfg and builds a scrubber.
@@ -160,7 +159,6 @@ func (s *Scrubber) RunPass(ctx context.Context) error {
 	}
 	s.mu.Lock()
 	s.passes++
-	s.lastPass = time.Now()
 	s.mu.Unlock()
 	return nil
 }
@@ -346,12 +344,4 @@ func (s *Scrubber) ScrubCounts() (passes, corruptFound, repaired, quarantined ui
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.passes, s.corruptFound, s.repaired, s.quarantined
-}
-
-// LastPass returns when the most recent pass completed (zero before the
-// first).
-func (s *Scrubber) LastPass() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastPass
 }

@@ -173,14 +173,3 @@ func windowTargets(outDir, manifestPath string) []Target {
 	}
 	return out
 }
-
-// MergeTargets fans several enumerators into one.
-func MergeTargets(fns ...func() []Target) func() []Target {
-	return func() []Target {
-		var out []Target
-		for _, fn := range fns {
-			out = append(out, fn()...)
-		}
-		return out
-	}
-}
