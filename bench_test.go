@@ -101,7 +101,7 @@ func BenchmarkFig7WPO(b *testing.B) {
 	wpo := baselines.NewWPO()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rel, err := wpo.Release(in, o.EpsPattern+o.EpsSanitize, o.Seed+int64(i))
+		rel, err := wpo.Release(context.Background(), in, o.EpsPattern+o.EpsSanitize, o.Seed+int64(i))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -228,7 +228,7 @@ func benchAblation(b *testing.B, mutate func(*core.Config)) {
 		if mutate != nil {
 			mutate(&cfg)
 		}
-		res, err := core.Run(d, cfg)
+		res, err := core.RunContext(context.Background(), d, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -338,7 +338,7 @@ func BenchmarkSTPTEndToEnd(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := o.STPTConfig(spec)
 		cfg.Seed = int64(i + 1)
-		if _, err := core.Run(d, cfg); err != nil {
+		if _, err := core.RunContext(context.Background(), d, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,7 +29,7 @@ func main() {
 		var total float64
 		for rep := int64(0); rep < 3; rep++ {
 			cfg.Seed = 1 + rep
-			res, err := stpt.Run(data, cfg)
+			res, err := stpt.RunContext(context.Background(), data, cfg)
 			if err != nil {
 				log.Fatal(err)
 			}

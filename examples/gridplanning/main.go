@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -37,7 +38,7 @@ func main() {
 	cfg.Hidden = 8
 	cfg.Train.Epochs = 5
 	cfg.ClipFactor = stpt.SpecTX.ClipFactor
-	res, err := stpt.Run(data, cfg)
+	res, err := stpt.RunContext(context.Background(), data, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,7 +26,7 @@ func main() {
 	cfg.Hidden = 8
 	cfg.Train.Epochs = 5
 	cfg.ClipFactor = clip
-	res, err := stpt.Run(data, cfg)
+	res, err := stpt.RunContext(context.Background(), data, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -37,7 +38,7 @@ func main() {
 		cfg := base
 		cfg.Model = kind
 		start := time.Now()
-		res, err := stpt.Run(data, cfg)
+		res, err := stpt.RunContext(context.Background(), data, cfg)
 		if err != nil {
 			log.Fatal(err)
 		}

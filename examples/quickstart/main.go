@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,7 +28,7 @@ func main() {
 	cfg.ClipFactor = stpt.SpecCA.ClipFactor
 
 	// 3. Run: the result's Sanitized matrix is safe to share.
-	res, err := stpt.Run(data, cfg)
+	res, err := stpt.RunContext(context.Background(), data, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func main() {
 	fmt.Printf("large-query  MRE: %6.2f%%\n", stpt.EvaluateMRE(res.Truth, res.Sanitized, stpt.QueryLarge, 300, 7))
 
 	// 5. Compare with the Identity baseline at the same total budget.
-	idRelease, err := stpt.RunBaseline("identity", data, cfg.TTrain, stpt.SpecCA.ClipFactor, cfg.EpsTotal(), 1)
+	idRelease, err := stpt.RunBaselineContext(context.Background(), "identity", data, cfg.TTrain, stpt.SpecCA.ClipFactor, cfg.EpsTotal(), 1)
 	if err != nil {
 		log.Fatal(err)
 	}

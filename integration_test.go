@@ -2,6 +2,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 	cfg.Hidden = 6
 	cfg.Train.Epochs = 4
 	cfg.ClipFactor = stpt.SpecCA.ClipFactor
-	res, err := stpt.Run(loaded, cfg)
+	res, err := stpt.RunContext(context.Background(), loaded, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 
 	// Utility beats the Identity baseline at equal budget on random queries.
 	stptMRE := stpt.EvaluateMRE(res.Truth, res.Sanitized, stpt.QueryRandom, 200, 7)
-	idRelease, err := stpt.RunBaseline("identity", loaded, cfg.TTrain, cfg.ClipFactor, cfg.EpsTotal(), 1)
+	idRelease, err := stpt.RunBaselineContext(context.Background(), "identity", loaded, cfg.TTrain, cfg.ClipFactor, cfg.EpsTotal(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestBudgetSplitIntegration(t *testing.T) {
 		var total float64
 		for rep := int64(0); rep < 3; rep++ {
 			cfg.Seed = rep + 1
-			res, err := stpt.Run(data, cfg)
+			res, err := stpt.RunContext(context.Background(), data, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"math"
 	"math/rand"
 
@@ -28,7 +29,7 @@ func NewAdaptiveGrid() *AdaptiveGrid { return &AdaptiveGrid{C: 10} }
 func (*AdaptiveGrid) Name() string { return "agrid" }
 
 // Release implements Algorithm.
-func (g *AdaptiveGrid) Release(in Input, epsilon float64, seed int64) (*grid.Matrix, error) {
+func (g *AdaptiveGrid) Release(_ context.Context, in Input, epsilon float64, seed int64) (*grid.Matrix, error) {
 	truth := in.Truth()
 	lap := dp.NewLaplace(rand.New(rand.NewSource(seed)))
 	c := g.C

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"math"
 	"math/rand"
 
@@ -30,7 +31,7 @@ func NewAR1() *AR1 { return &AR1{Rho: 0.9} }
 func (*AR1) Name() string { return "ar1" }
 
 // Release implements Algorithm.
-func (a *AR1) Release(in Input, epsilon float64, seed int64) (*grid.Matrix, error) {
+func (a *AR1) Release(_ context.Context, in Input, epsilon float64, seed int64) (*grid.Matrix, error) {
 	truth := in.Truth()
 	rho := a.Rho
 	if rho <= 0 || rho >= 1 {

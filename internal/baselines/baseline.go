@@ -51,8 +51,9 @@ func (in Input) Truth() *grid.Matrix {
 type Algorithm interface {
 	Name() string
 	// Release produces an epsilon-DP (user-level) version of the horizon
-	// consumption matrix.
-	Release(in Input, epsilon float64, seed int64) (*grid.Matrix, error)
+	// consumption matrix. Iterative algorithms (LGAN-DP) check ctx while
+	// they run; the rest ignore it.
+	Release(ctx context.Context, in Input, epsilon float64, seed int64) (*grid.Matrix, error)
 }
 
 // Registry returns every implemented baseline, in the paper's order. The
@@ -100,18 +101,10 @@ func Lookup(name string) (Algorithm, error) {
 	return nil, fmt.Errorf("baselines: unknown algorithm %q (have %v)", name, Names())
 }
 
-// ContextReleaser is optionally implemented by algorithms whose Release
-// runs long enough to want cooperative cancellation (e.g. LGAN-DP's GAN
-// training loop). ReleaseContext dispatches to it when present.
-type ContextReleaser interface {
-	ReleaseContext(ctx context.Context, in Input, epsilon float64, seed int64) (*grid.Matrix, error)
-}
-
 // ReleaseContext releases via a, honouring the context and the
 // resilience fault-injection point FaultRelease (payload: the algorithm
-// name). Algorithms implementing ContextReleaser get the context for
-// in-flight cancellation checks; the rest are checked before and after
-// the (uninterruptible) release.
+// name). The context is checked before and after the release and passed
+// to a.Release for the algorithms that also check it in flight.
 func ReleaseContext(ctx context.Context, a Algorithm, in Input, epsilon float64, seed int64) (*grid.Matrix, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -119,10 +112,7 @@ func ReleaseContext(ctx context.Context, a Algorithm, in Input, epsilon float64,
 	if err := resilience.Fire(ctx, resilience.FaultRelease, a.Name()); err != nil {
 		return nil, fmt.Errorf("baselines: %s release: %w", a.Name(), err)
 	}
-	if cr, ok := a.(ContextReleaser); ok {
-		return cr.ReleaseContext(ctx, in, epsilon, seed)
-	}
-	m, err := a.Release(in, epsilon, seed)
+	m, err := a.Release(ctx, in, epsilon, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -34,7 +35,7 @@ func TestAllBaselinesProduceValidReleases(t *testing.T) {
 	truth := in.Truth()
 	algs := append(Registry(), NewWPO())
 	for _, a := range algs {
-		rel, err := a.Release(in, 10, 7)
+		rel, err := a.Release(context.Background(), in, 10, 7)
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name(), err)
 		}
@@ -55,11 +56,11 @@ func TestAllBaselinesProduceValidReleases(t *testing.T) {
 func TestBaselinesDeterministicPerSeed(t *testing.T) {
 	in := testInput(4, 4, 20, 18, 2)
 	for _, a := range Registry() {
-		r1, err := a.Release(in, 5, 42)
+		r1, err := a.Release(context.Background(), in, 5, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := a.Release(in, 5, 42)
+		r2, err := a.Release(context.Background(), in, 5, 42)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +80,7 @@ func TestIdentityErrorShrinksWithBudget(t *testing.T) {
 		var total float64
 		const trials = 10
 		for s := int64(0); s < trials; s++ {
-			rel, e := id.Release(in, eps, s)
+			rel, e := id.Release(context.Background(), in, eps, s)
 			if e != nil {
 				t.Fatal(e)
 			}
@@ -257,7 +258,7 @@ func TestFASTTracksConstantSeriesWithGenerousBudget(t *testing.T) {
 		}
 	}
 	truth := in.Truth()
-	rel, err := NewFAST().Release(in, 200, 1)
+	rel, err := NewFAST().Release(context.Background(), in, 200, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +275,7 @@ func TestFASTTracksConstantSeriesWithGenerousBudget(t *testing.T) {
 
 func TestWPOIsSpatiallyUniform(t *testing.T) {
 	in := testInput(4, 4, 30, 24, 6)
-	rel, err := NewWPO().Release(in, 10, 3)
+	rel, err := NewWPO().Release(context.Background(), in, 10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +295,7 @@ func TestWPOIsSpatiallyUniform(t *testing.T) {
 func TestFourierHighBudgetRecoversSmoothSeries(t *testing.T) {
 	in := testInput(2, 2, 20, 24, 7)
 	truth := in.Truth()
-	rel, err := NewFourier(20).Release(in, 1e6, 1)
+	rel, err := NewFourier(20).Release(context.Background(), in, 1e6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +312,7 @@ func TestExtendedBaselinesProduceValidReleases(t *testing.T) {
 	in := testInput(8, 8, 60, 24, 11)
 	truth := in.Truth()
 	for _, a := range Extended() {
-		rel, err := a.Release(in, 20, 5)
+		rel, err := a.Release(context.Background(), in, 20, 5)
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name(), err)
 		}
@@ -339,7 +340,7 @@ func TestAR1SmoothsBetterThanIdentityOnPersistentSeries(t *testing.T) {
 	errOf := func(a Algorithm) float64 {
 		var total float64
 		for seed := int64(0); seed < 10; seed++ {
-			rel, err := a.Release(in, 5, seed)
+			rel, err := a.Release(context.Background(), in, 5, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -357,7 +358,7 @@ func TestAR1SmoothsBetterThanIdentityOnPersistentSeries(t *testing.T) {
 func TestAdaptiveGridCoarsensUnderSmallBudget(t *testing.T) {
 	in := testInput(8, 8, 30, 18, 13)
 	// Tiny budget → m = 1 → every time slice spatially uniform.
-	rel, err := NewAdaptiveGrid().Release(in, 0.0001, 3)
+	rel, err := NewAdaptiveGrid().Release(context.Background(), in, 0.0001, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,7 +389,7 @@ func TestHTFPartitionsTrackMass(t *testing.T) {
 			}
 		}
 	}
-	rel, err := NewHTF().Release(in, 500, 2)
+	rel, err := NewHTF().Release(context.Background(), in, 500, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,7 +407,7 @@ func TestHTFSingleCellMatrix(t *testing.T) {
 	// Degenerate 1x1x1 volume must not split and must release one value.
 	in := testInput(1, 1, 3, 3, 22)
 	in.TTrain = 2
-	rel, err := NewHTF().Release(in, 10, 1)
+	rel, err := NewHTF().Release(context.Background(), in, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

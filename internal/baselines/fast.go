@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"math"
 	"math/rand"
 
@@ -35,7 +36,7 @@ func NewFAST() *FAST {
 func (*FAST) Name() string { return "fast" }
 
 // Release implements Algorithm.
-func (f *FAST) Release(in Input, epsilon float64, seed int64) (*grid.Matrix, error) {
+func (f *FAST) Release(_ context.Context, in Input, epsilon float64, seed int64) (*grid.Matrix, error) {
 	truth := in.Truth()
 	lap := dp.NewLaplace(rand.New(rand.NewSource(seed)))
 	T := truth.Ct

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -40,7 +41,7 @@ func (f *Fourier) Name() string {
 }
 
 // Release implements Algorithm.
-func (f *Fourier) Release(in Input, epsilon float64, seed int64) (*grid.Matrix, error) {
+func (f *Fourier) Release(_ context.Context, in Input, epsilon float64, seed int64) (*grid.Matrix, error) {
 	d := in.Dataset
 	T := d.T() - in.TTrain
 	if T <= 0 {

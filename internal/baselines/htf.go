@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"math"
 	"math/rand"
 
@@ -41,7 +42,7 @@ func (b htfBox) cells() int {
 }
 
 // Release implements Algorithm.
-func (h *HTF) Release(in Input, epsilon float64, seed int64) (*grid.Matrix, error) {
+func (h *HTF) Release(_ context.Context, in Input, epsilon float64, seed int64) (*grid.Matrix, error) {
 	truth := in.Truth()
 	depth := h.MaxDepth
 	if depth <= 0 {

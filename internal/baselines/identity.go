@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"math/rand"
 
 	"repro/internal/dp"
@@ -20,7 +21,7 @@ func NewIdentity() *Identity { return &Identity{} }
 func (*Identity) Name() string { return "identity" }
 
 // Release implements Algorithm.
-func (*Identity) Release(in Input, epsilon float64, seed int64) (*grid.Matrix, error) {
+func (*Identity) Release(_ context.Context, in Input, epsilon float64, seed int64) (*grid.Matrix, error) {
 	truth := in.Truth()
 	lap := dp.NewLaplace(rand.New(rand.NewSource(seed)))
 	perSlice := epsilon / float64(truth.Ct)

@@ -32,15 +32,10 @@ func NewLGANDP() *LGANDP { return &LGANDP{Iterations: 30, Hidden: 8, Window: 6} 
 // Name implements Algorithm.
 func (*LGANDP) Name() string { return "lgan-dp" }
 
-// Release implements Algorithm.
-func (g *LGANDP) Release(in Input, epsilon float64, seed int64) (*grid.Matrix, error) {
-	return g.ReleaseContext(context.Background(), in, epsilon, seed)
-}
-
-// ReleaseContext implements ContextReleaser: the GAN training loop checks
-// the context every iteration and the synthesis loop every row, so the
-// slowest baseline cancels promptly.
-func (g *LGANDP) ReleaseContext(ctx context.Context, in Input, epsilon float64, seed int64) (*grid.Matrix, error) {
+// Release implements Algorithm. The GAN training loop checks the context
+// every iteration and the synthesis loop every row, so the slowest
+// baseline cancels promptly.
+func (g *LGANDP) Release(ctx context.Context, in Input, epsilon float64, seed int64) (*grid.Matrix, error) {
 	truth := in.Truth()
 	rng := rand.New(rand.NewSource(seed))
 	lap := dp.NewLaplace(rng)

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -39,7 +40,7 @@ func releaseMassOutsideCell(rel *grid.Matrix, x, y int) float64 {
 
 func TestFourierReleasesOnlyAtHouseholdCells(t *testing.T) {
 	in := singleHouseholdInput(28)
-	rel, err := NewFourier(10).Release(in, 1e5, 1)
+	rel, err := NewFourier(10).Release(context.Background(), in, 1e5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestFourierReleasesOnlyAtHouseholdCells(t *testing.T) {
 
 func TestWaveletReleasesOnlyAtHouseholdCells(t *testing.T) {
 	in := singleHouseholdInput(28)
-	rel, err := NewWavelet(10).Release(in, 1e5, 1)
+	rel, err := NewWavelet(10).Release(context.Background(), in, 1e5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +87,11 @@ func TestTransformBaselinesClipBeforeTransform(t *testing.T) {
 		return Input{Dataset: d, TTrain: 0, CellSensitivity: 2}
 	}
 	for _, alg := range []Algorithm{NewFourier(5), NewWavelet(5)} {
-		a, err := alg.Release(mk(50), 10, 7)
+		a, err := alg.Release(context.Background(), mk(50), 10, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := alg.Release(mk(500), 10, 7)
+		b, err := alg.Release(context.Background(), mk(500), 10, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,10 +106,10 @@ func TestTransformBaselinesClipBeforeTransform(t *testing.T) {
 func TestTransformBaselinesRejectEmptyHorizon(t *testing.T) {
 	in := singleHouseholdInput(10)
 	in.TTrain = 10
-	if _, err := NewFourier(5).Release(in, 1, 1); err == nil {
+	if _, err := NewFourier(5).Release(context.Background(), in, 1, 1); err == nil {
 		t.Fatal("fourier should reject empty horizon")
 	}
-	if _, err := NewWavelet(5).Release(in, 1, 1); err == nil {
+	if _, err := NewWavelet(5).Release(context.Background(), in, 1, 1); err == nil {
 		t.Fatal("wavelet should reject empty horizon")
 	}
 }

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"math"
 	"math/rand"
 
@@ -34,7 +35,7 @@ func (w *Wavelet) Name() string {
 }
 
 // Release implements Algorithm.
-func (w *Wavelet) Release(in Input, epsilon float64, seed int64) (*grid.Matrix, error) {
+func (w *Wavelet) Release(_ context.Context, in Input, epsilon float64, seed int64) (*grid.Matrix, error) {
 	d := in.Dataset
 	T := d.T() - in.TTrain
 	if T <= 0 {

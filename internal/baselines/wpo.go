@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -39,7 +40,7 @@ func NewWPO() *WPO { return &WPO{Harmonics: 4, Period: 7} }
 func (*WPO) Name() string { return "wpo" }
 
 // Release implements Algorithm.
-func (w *WPO) Release(in Input, epsilon float64, seed int64) (*grid.Matrix, error) {
+func (w *WPO) Release(_ context.Context, in Input, epsilon float64, seed int64) (*grid.Matrix, error) {
 	truth := in.Truth()
 	lap := dp.NewLaplace(rand.New(rand.NewSource(seed)))
 	T := truth.Ct

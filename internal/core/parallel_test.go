@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 )
 
@@ -11,7 +12,7 @@ func TestQuantizeWorkersBitIdentical(t *testing.T) {
 	d := testDataset(8, 8, 60, 24, 9)
 	pattern := horizonMatrix(d, 12)
 	for _, mode := range []QuantMode{QuantLog, QuantLinear} {
-		serial := QuantizeMode(pattern, 6, mode)
+		serial := QuantizeModeWorkers(pattern, 6, mode, 1)
 		for _, workers := range []int{2, 3, 8, 100} {
 			got := QuantizeModeWorkers(pattern, 6, mode, workers)
 			if len(got) != len(serial) {
@@ -40,7 +41,7 @@ func TestRunWorkersDeterminism(t *testing.T) {
 	run := func(workers int) *Result {
 		cfg := tinyConfig()
 		cfg.Workers = workers
-		res, err := Run(d, cfg)
+		res, err := RunContext(context.Background(), d, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +77,7 @@ func TestRunWorkersPersistenceBitIdentical(t *testing.T) {
 		cfg := tinyConfig()
 		cfg.Model = ModelPersistence
 		cfg.Workers = workers
-		res, err := Run(d, cfg)
+		res, err := RunContext(context.Background(), d, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

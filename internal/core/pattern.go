@@ -241,11 +241,7 @@ func rolloutClones(model nn.Model, workers, rows int) []nn.Model {
 	shards := parallel.Shards(rows, workers)
 	clones := make([]nn.Model, len(shards))
 	for i := range clones {
-		c := sc.ShadowClone()
-		if c == nil {
-			return nil
-		}
-		clones[i] = c
+		clones[i] = sc.ShadowClone()
 	}
 	return clones
 }

@@ -146,7 +146,7 @@ func TestRunDeadlineDuringTraining(t *testing.T) {
 // TestRunRecoveryOnCleanRun: an untouched run reports a clean recovery.
 func TestRunRecoveryOnCleanRun(t *testing.T) {
 	d := testDataset(8, 8, 60, 24, 1)
-	res, err := Run(d, tinyConfig())
+	res, err := RunContext(context.Background(), d, tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

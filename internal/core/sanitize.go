@@ -40,21 +40,11 @@ const (
 	QuantLinear
 )
 
-// Quantize performs the k-quantization of Definition 4 over the pattern
-// matrix: the value range is cut into k buckets (log-width by default, see
-// QuantMode) and every cell is assigned to its bucket's partition. Empty
-// partitions are dropped.
-func Quantize(pattern *grid.Matrix, k int) []*Partition {
-	return QuantizeMode(pattern, k, QuantLog)
-}
-
-// QuantizeMode is Quantize with an explicit bucket geometry.
-func QuantizeMode(pattern *grid.Matrix, k int, mode QuantMode) []*Partition {
-	return QuantizeModeWorkers(pattern, k, mode, 1)
-}
-
-// QuantizeModeWorkers is QuantizeMode with the cell scan sharded across
-// workers. Shards cover contiguous stretches of the serial (y, x, t)
+// QuantizeModeWorkers performs the k-quantization of Definition 4 over the
+// pattern matrix: the value range is cut into k buckets of log or linear
+// width (see QuantMode) and every cell is assigned to its bucket's
+// partition. Empty partitions are dropped. The cell scan is sharded across
+// workers: shards cover contiguous stretches of the serial (y, x, t)
 // enumeration and per-bucket cell lists are concatenated in shard order,
 // so the partitioning — cell order included — is bit-identical to the
 // serial scan for every worker count.

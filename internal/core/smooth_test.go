@@ -129,7 +129,7 @@ func TestSanitizeStepMassAndClamping(t *testing.T) {
 	cfg.EpsSanitize = 1e6
 	truth := horizonMatrix(d, cfg.TTrain)
 	pattern := truth.Clone() // oracle pattern
-	parts := QuantizeMode(pattern, 16, QuantLog)
+	parts := QuantizeModeWorkers(pattern, 16, QuantLog, 1)
 	lap := dp.NewLaplace(rand.New(rand.NewSource(4)))
 	acct := dp.NewAccountant("t", dp.Sequential)
 	rel := sanitizeStep(truth, parts, cfg, 1, lap, acct.Root())

@@ -34,14 +34,9 @@ type Result struct {
 	Recovery *resilience.Report
 }
 
-// Run executes STPT end to end on a dataset whose first cfg.TTrain
+// RunContext executes STPT end to end on a dataset whose first cfg.TTrain
 // readings are the training prefix and whose remainder is the released
-// horizon.
-func Run(d *timeseries.Dataset, cfg Config) (*Result, error) {
-	return RunContext(context.Background(), d, cfg)
-}
-
-// RunContext is Run with cooperative cancellation and fault recovery.
+// horizon, with cooperative cancellation and fault recovery.
 //
 // Cancellation: the context is checked between phases, at every training
 // batch and at every rollout row, so a cancelled or deadline-expired run

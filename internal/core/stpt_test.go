@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -47,7 +48,7 @@ func tinyConfig() Config {
 func TestRunEndToEnd(t *testing.T) {
 	d := testDataset(8, 8, 60, 24, 1)
 	cfg := tinyConfig()
-	res, err := Run(d, cfg)
+	res, err := RunContext(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestRunBudgetAccounting(t *testing.T) {
 	for _, eps := range [][2]float64{{4, 6}, {0.3, 0.7}, {1, 2}, {0.1, 0.2}} {
 		cfg := tinyConfig()
 		cfg.EpsPattern, cfg.EpsSanitize = eps[0], eps[1]
-		res, err := Run(d, cfg)
+		res, err := RunContext(context.Background(), d, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,11 +89,11 @@ func TestRunDeterministicWithSeed(t *testing.T) {
 	d := testDataset(4, 4, 30, 18, 3)
 	cfg := tinyConfig()
 	cfg.Depth = 1
-	a, err := Run(d, cfg)
+	a, err := RunContext(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(d, cfg)
+	b, err := RunContext(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestRunDeterministicWithSeed(t *testing.T) {
 		}
 	}
 	cfg.Seed = 777
-	c, err := Run(d, cfg)
+	c, err := RunContext(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,12 +123,12 @@ func TestRunValidation(t *testing.T) {
 	d := testDataset(4, 4, 10, 20, 4)
 	bad := tinyConfig()
 	bad.EpsPattern = 0
-	if _, err := Run(d, bad); err == nil {
+	if _, err := RunContext(context.Background(), d, bad); err == nil {
 		t.Fatal("expected budget validation error")
 	}
 	short := testDataset(4, 4, 10, 12, 4)
 	cfg := tinyConfig() // TTrain = 12 leaves no horizon
-	if _, err := Run(short, cfg); err == nil {
+	if _, err := RunContext(context.Background(), short, cfg); err == nil {
 		t.Fatal("expected no-horizon error")
 	}
 }
@@ -138,7 +139,7 @@ func TestRunAllModels(t *testing.T) {
 		cfg := tinyConfig()
 		cfg.Depth = 1
 		cfg.Model = kind
-		res, err := Run(d, cfg)
+		res, err := RunContext(context.Background(), d, cfg)
 		if err != nil {
 			t.Fatalf("%v: %v", kind, err)
 		}
@@ -157,7 +158,7 @@ func TestRunAblations(t *testing.T) {
 	} {
 		cfg := tinyConfig()
 		mod(&cfg)
-		if _, err := Run(d, cfg); err != nil {
+		if _, err := RunContext(context.Background(), d, cfg); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
@@ -175,7 +176,7 @@ func TestQuantizeDefinition4(t *testing.T) {
 			}
 		}
 	}
-	parts := QuantizeMode(p, 4, QuantLinear)
+	parts := QuantizeModeWorkers(p, 4, QuantLinear, 1)
 	if len(parts) != 4 {
 		t.Fatalf("partitions = %d", len(parts))
 	}
@@ -196,11 +197,11 @@ func TestQuantizeLogSeparatesSkewedValues(t *testing.T) {
 	// outlier into bucket 0; log buckets separate the magnitudes.
 	p := grid.NewMatrix(2, 2, 2)
 	copy(p.Data(), []float64{0, 0, 0, 0, 1, 1, 10, 1000})
-	linear := QuantizeMode(p, 4, QuantLinear)
+	linear := QuantizeModeWorkers(p, 4, QuantLinear, 1)
 	if len(linear) != 2 { // bucket 0 (7 cells) + top bucket (1 cell)
 		t.Fatalf("linear partitions = %d", len(linear))
 	}
-	logParts := QuantizeMode(p, 4, QuantLog)
+	logParts := QuantizeModeWorkers(p, 4, QuantLog, 1)
 	if len(logParts) < 3 {
 		t.Fatalf("log partitions = %d, want >= 3", len(logParts))
 	}
@@ -226,7 +227,7 @@ func TestQuantizeConstantMatrix(t *testing.T) {
 	for i := range p.Data() {
 		p.Data()[i] = 0.5
 	}
-	parts := Quantize(p, 5)
+	parts := QuantizeModeWorkers(p, 5, QuantLog, 1)
 	if len(parts) != 1 {
 		t.Fatalf("constant matrix should form one partition, got %d", len(parts))
 	}
@@ -250,7 +251,7 @@ func TestQuantizeCoverageProperty(t *testing.T) {
 		for i := range p.Data() {
 			p.Data()[i] = rng.Float64()
 		}
-		parts := Quantize(p, k)
+		parts := QuantizeModeWorkers(p, k, QuantLog, 1)
 		total := 0
 		for _, pt := range parts {
 			total += len(pt.Cells)
@@ -273,7 +274,7 @@ func TestPillarMaxSinglePillar(t *testing.T) {
 	for i := range p.Data() {
 		p.Data()[i] = 0.3
 	}
-	parts := Quantize(p, 3)
+	parts := QuantizeModeWorkers(p, 3, QuantLog, 1)
 	if len(parts) != 1 || parts[0].PillarMax != 6 {
 		t.Fatalf("parts %d PillarMax %d", len(parts), parts[0].PillarMax)
 	}
@@ -299,7 +300,7 @@ func TestReleasePreservesMass(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.EpsPattern = 20
 	cfg.EpsSanitize = 100
-	res, err := Run(d, cfg)
+	res, err := RunContext(context.Background(), d, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

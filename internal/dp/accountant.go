@@ -147,48 +147,3 @@ func (s *scope) report(b *strings.Builder, depth int) {
 		c.report(b, depth+1)
 	}
 }
-
-// Budget is a simple decrementing budget guard for callers that just need
-// "don't overspend ε_tot" semantics on top of the structural accountant.
-type Budget struct {
-	mu        sync.Mutex
-	total     float64
-	remaining float64
-}
-
-// NewBudget returns a budget of total ε. total must be positive.
-func NewBudget(total float64) *Budget {
-	if total <= 0 {
-		panic(fmt.Sprintf("dp: non-positive budget %v", total))
-	}
-	return &Budget{total: total, remaining: total}
-}
-
-// Total returns the initial budget.
-func (b *Budget) Total() float64 { return b.total }
-
-// Remaining returns the unspent budget.
-func (b *Budget) Remaining() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.remaining
-}
-
-// Spend withdraws eps, returning an error if the budget would go negative
-// (beyond a tiny float tolerance).
-func (b *Budget) Spend(eps float64) error {
-	if eps < 0 {
-		return fmt.Errorf("dp: negative spend %v", eps)
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	const tol = 1e-9
-	if eps > b.remaining+tol {
-		return fmt.Errorf("dp: budget exhausted: requested %.6g, remaining %.6g of %.6g", eps, b.remaining, b.total)
-	}
-	b.remaining -= eps
-	if b.remaining < 0 {
-		b.remaining = 0
-	}
-	return nil
-}

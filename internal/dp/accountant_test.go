@@ -101,28 +101,6 @@ func TestReportContainsScopes(t *testing.T) {
 	}
 }
 
-func TestBudgetGuard(t *testing.T) {
-	b := NewBudget(1.0)
-	if err := b.Spend(0.6); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Spend(0.4); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Spend(0.01); err == nil {
-		t.Fatal("expected budget-exhausted error")
-	}
-	if b.Remaining() != 0 {
-		t.Fatalf("remaining = %v", b.Remaining())
-	}
-	if b.Total() != 1.0 {
-		t.Fatalf("total = %v", b.Total())
-	}
-	if err := b.Spend(-1); err == nil {
-		t.Fatal("expected error on negative spend")
-	}
-}
-
 func TestAllocateOptimalMatchesClosedForm(t *testing.T) {
 	s := []float64{1, 8} // s^{2/3} = 1, 4
 	got := AllocateOptimal(s, 10)

@@ -1,7 +1,7 @@
 // Package dp implements the differential-privacy primitives used throughout
-// the library: the Laplace and geometric mechanisms, a hardened sampler for
-// release-grade noise, and a budget accountant modelling sequential and
-// parallel composition (Theorems 1 and 2 of the paper).
+// the library: the Laplace mechanism, a hardened sampler for release-grade
+// noise, and a budget accountant modelling sequential and parallel
+// composition (Theorems 1 and 2 of the paper).
 package dp
 
 import (
@@ -30,22 +30,18 @@ func (l *Laplace) Sample(scale float64) float64 {
 	if scale <= 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
 		panic(fmt.Sprintf("dp: invalid Laplace scale %v", scale))
 	}
-	// Inverse CDF: u ∈ (-1/2, 1/2), x = -b·sign(u)·ln(1-2|u|).
-	u := l.rng.Float64() - 0.5
+	// Inverse CDF: x = -b·sign(u)·ln(1-2|u|) with u ∈ (-1/2, 1/2). Float64
+	// draws from [0, 1), so a 0 (which would make u = -1/2 and x = -Inf) is
+	// redrawn; every other draw is used as is.
+	f := l.rng.Float64()
+	for f == 0 {
+		f = l.rng.Float64()
+	}
+	u := f - 0.5
 	if u >= 0 {
 		return -scale * math.Log(1-2*u)
 	}
 	return scale * math.Log(1+2*u)
-}
-
-// SampleVec adds independent Laplace(0, scale) noise to each element of v,
-// returning a new slice.
-func (l *Laplace) SampleVec(v []float64, scale float64) []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = x + l.Sample(scale)
-	}
-	return out
 }
 
 // Perturb returns value + Laplace(sensitivity/epsilon) noise, the standard
@@ -71,54 +67,4 @@ func Scale(sensitivity, epsilon float64) float64 {
 func LaplaceVariance(sensitivity, epsilon float64) float64 {
 	b := Scale(sensitivity, epsilon)
 	return 2 * b * b
-}
-
-// Geometric draws from the two-sided geometric (discrete Laplace)
-// distribution, the integer analogue of the Laplace mechanism. It provides
-// ε-DP for integer-valued queries of sensitivity 1 with parameter
-// alpha = exp(-ε).
-type Geometric struct {
-	rng *rand.Rand
-}
-
-// NewGeometric returns a two-sided geometric sampler backed by rng.
-func NewGeometric(rng *rand.Rand) *Geometric {
-	if rng == nil {
-		panic("dp: nil rng")
-	}
-	return &Geometric{rng: rng}
-}
-
-// Sample returns one draw of two-sided geometric noise for budget epsilon
-// and integer sensitivity. P(X=k) ∝ exp(-ε|k|/s).
-func (g *Geometric) Sample(sensitivity int, epsilon float64) int64 {
-	if sensitivity <= 0 {
-		panic("dp: geometric sensitivity must be positive")
-	}
-	if epsilon <= 0 || math.IsNaN(epsilon) {
-		panic(fmt.Sprintf("dp: invalid epsilon %v", epsilon))
-	}
-	alpha := math.Exp(-epsilon / float64(sensitivity))
-	// Sample magnitude from geometric tail, sign uniformly, handling the
-	// double-counted zero: P(0) = (1-α)/(1+α).
-	u := g.rng.Float64()
-	p0 := (1 - alpha) / (1 + alpha)
-	if u < p0 {
-		return 0
-	}
-	// Remaining mass split evenly between the two signs.
-	u = (u - p0) / (1 - p0)
-	sign := int64(1)
-	if u < 0.5 {
-		sign = -1
-		u *= 2
-	} else {
-		u = 2 * (u - 0.5)
-	}
-	// Magnitude k ≥ 1 with P(k) ∝ α^k: inverse CDF, k = 1 + floor(ln(1-u)/ln α).
-	k := 1 + int64(math.Floor(math.Log(1-u)/math.Log(alpha)))
-	if k < 1 {
-		k = 1
-	}
-	return sign * k
 }

@@ -110,61 +110,33 @@ func TestScaleValidation(t *testing.T) {
 	}
 }
 
-func TestSampleVecLengthAndNoise(t *testing.T) {
-	l := NewLaplace(rand.New(rand.NewSource(5)))
-	v := []float64{1, 2, 3, 4}
-	out := l.SampleVec(v, 0.1)
-	if len(out) != len(v) {
-		t.Fatalf("length %d", len(out))
+// zeroFirstSource's first Int63 is 0, so the first rng.Float64() is
+// exactly 0; after that it counts up from 1<<62 (Float64 = 0.5, ...).
+type zeroFirstSource struct{ n int64 }
+
+func (s *zeroFirstSource) Int63() int64 {
+	if s.n == 0 {
+		s.n = 1 << 62
+		return 0
 	}
-	same := true
-	for i := range v {
-		if out[i] != v[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("no noise added")
-	}
+	v := s.n
+	s.n++
+	return v
 }
 
-func TestGeometricMoments(t *testing.T) {
-	g := NewGeometric(rand.New(rand.NewSource(6)))
-	const n = 200000
-	eps := 0.8
-	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		x := float64(g.Sample(1, eps))
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / n
-	if math.Abs(mean) > 0.05 {
-		t.Fatalf("geometric mean %v", mean)
-	}
-	alpha := math.Exp(-eps)
-	want := 2 * alpha / ((1 - alpha) * (1 - alpha))
-	variance := sumSq/n - mean*mean
-	if math.Abs(variance-want)/want > 0.07 {
-		t.Fatalf("geometric variance %v, want ~%v", variance, want)
-	}
-}
+func (s *zeroFirstSource) Seed(int64) {}
 
-func TestGeometricZeroMass(t *testing.T) {
-	g := NewGeometric(rand.New(rand.NewSource(9)))
-	eps := 1.0
-	const n = 200000
-	var zeros int
-	for i := 0; i < n; i++ {
-		if g.Sample(1, eps) == 0 {
-			zeros++
-		}
+// A Float64 draw of exactly 0 would put u at -1/2 and return ln 0 = -Inf;
+// Sample redraws it and uses the next draw unchanged.
+func TestLaplaceSampleRedrawsZero(t *testing.T) {
+	l := NewLaplace(rand.New(&zeroFirstSource{}))
+	x := l.Sample(1)
+	if math.IsInf(x, 0) || math.IsNaN(x) {
+		t.Fatalf("Sample(1) = %v after a zero draw, want finite", x)
 	}
-	alpha := math.Exp(-eps)
-	want := (1 - alpha) / (1 + alpha)
-	got := float64(zeros) / n
-	if math.Abs(got-want)/want > 0.05 {
-		t.Fatalf("P(0) = %v, want ~%v", got, want)
+	// The redraw is Float64 = 0.5, so u = 0 and the sample is -ln 1 = 0.
+	if x != 0 {
+		t.Fatalf("Sample(1) = %v, want 0 from the redrawn u = 0", x)
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 // LedgerFault reports the first verification failure found in a ledger
 // file: which line, which expected sequence (0 when the damage is not an
 // entry-sequence problem), the byte offset the bad line starts at, and
-// why it was refused. It is the typed error both (*Ledger).Verify and
-// the cross-artifact fsck surface.
+// why it was refused. It is the typed error ScanLedger and the
+// cross-artifact fsck surface.
 type LedgerFault struct {
 	Path   string
 	Line   int   // 1-based line number of the bad line
@@ -105,30 +105,4 @@ func VerifyLedgerFile(path string) (*LedgerScan, error) {
 		return nil, fmt.Errorf("dp: reading ledger: %w", err)
 	}
 	return ScanLedger(path, raw)
-}
-
-// Verify re-walks the on-disk checkpoint and tail and cross-checks them
-// against the live handle's state, returning a *LedgerFault naming the
-// first bad seq/checksum with its byte offset. A clean file that has
-// diverged from memory (spliced or doubly-opened) is also refused: the
-// whole point of the ledger is that disk and arithmetic agree.
-func (l *Ledger) Verify() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	sc, err := VerifyLedgerFile(l.path)
-	if err != nil {
-		return err
-	}
-	// Under the lock no append is in flight, so the file must match
-	// memory exactly — even a torn tail here means someone else wrote.
-	if sc.Torn {
-		return &LedgerFault{Path: l.path, Line: len(sc.Entries) + 1, Offset: sc.Durable,
-			Reason: "trailing bytes past the durable prefix while no append is in flight"}
-	}
-	if sc.Base != l.base || len(sc.Entries) != len(l.entries) || sc.Durable != l.h.End() {
-		return &LedgerFault{Path: l.path, Line: len(sc.Entries), Offset: sc.Durable,
-			Reason: fmt.Sprintf("file holds base=%d entries=%d durable=%d, memory says base=%d entries=%d durable=%d — the file changed behind the live handle",
-				sc.Base, len(sc.Entries), sc.Durable, l.base, len(l.entries), l.h.End())}
-	}
-	return nil
 }

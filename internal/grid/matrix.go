@@ -118,13 +118,6 @@ func (m *Matrix) Max() float64 {
 	return best
 }
 
-// Scale multiplies every element by s in place.
-func (m *Matrix) Scale(s float64) {
-	for i := range m.data {
-		m.data[i] *= s
-	}
-}
-
 // Query is a 3-orthotope range query (Definition 3) with inclusive bounds
 // in all three dimensions. The JSON tags define the wire shape the
 // serving daemon exposes, so they are part of the public API.

@@ -118,10 +118,6 @@ func TestTimeSliceAndTotal(t *testing.T) {
 	if m.Max() != 7 {
 		t.Fatalf("Max = %v", m.Max())
 	}
-	m.Scale(2)
-	if m.Total() != 56 {
-		t.Fatalf("Scale broken: %v", m.Total())
-	}
 }
 
 func TestCloneIndependence(t *testing.T) {

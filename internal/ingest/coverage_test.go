@@ -93,7 +93,7 @@ func TestWALCoverageRefusesGap(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "g.wal")
-	w, err := OpenWAL(path, nil)
+	w, err := OpenWALAfter(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestWALCoverageTornTails(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.wal")
-	w, err := OpenWAL(path, nil)
+	w, err := OpenWALAfter(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func enospcOn(fault resilience.Fault) context.Context {
 func TestWALAppendPartialWriteTruncates(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "p.wal")
-	w, err := OpenWAL(path, nil)
+	w, err := OpenWALAfter(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestWALAppendPartialWriteTruncates(t *testing.T) {
 	}
 	w.Close()
 	n := 0
-	re, err := OpenWAL(path, func(b []Reading) error { n += len(b); return nil })
+	re, err := OpenWALAfter(path, 0, func(b []Reading) error { n += len(b); return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestWALAppendPartialWriteTruncates(t *testing.T) {
 func TestWALAppendENOSPCNothingWritten(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "n.wal")
-	w, err := OpenWAL(path, nil)
+	w, err := OpenWALAfter(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestWALAppendENOSPCNothingWritten(t *testing.T) {
 func TestWALSyncEIOPoisons(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "s.wal")
-	w, err := OpenWAL(path, nil)
+	w, err := OpenWALAfter(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestWALSyncEIOPoisons(t *testing.T) {
 	// Restart: the unacknowledged record's bytes may or may not have hit
 	// the platter; either a clean 0-record or 1-record log is honest.
 	w.Close()
-	re, err := OpenWAL(path, nil)
+	re, err := OpenWALAfter(path, 0, nil)
 	if err != nil {
 		t.Fatalf("recovery after poisoning: %v", err)
 	}

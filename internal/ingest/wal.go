@@ -128,19 +128,16 @@ func listSegments(path string) ([]uint64, error) {
 	return seqs, nil
 }
 
-// OpenWAL opens (or creates) the log at path, validates every existing
-// record, and hands each decoded batch to replay in append order. A
-// short tail on the active segment — the signature of a torn final
-// append — is truncated away so the log is ready for new appends; any
-// other damage is an ErrWALCorrupt. replay may be nil to skip delivery
-// (still validates).
-func OpenWAL(path string, replay func(batch []Reading) error) (*WAL, error) {
-	return OpenWALAfter(path, 0, replay)
-}
-
-// OpenWALAfter opens the log, skipping sealed segments with sequence
-// <= base — those are folded into a snapshot the caller has already
-// loaded. Covered segments still on disk (a crash landed between the
+// OpenWALAfter opens (or creates) the log at path, validates every
+// existing record, and hands each decoded batch to replay in append
+// order. A short tail on the active segment — the signature of a torn
+// final append — is truncated away so the log is ready for new appends;
+// any other damage is an ErrWALCorrupt. replay may be nil to skip
+// delivery (still validates).
+//
+// Sealed segments with sequence <= base are skipped — those are folded
+// into a snapshot the caller has already loaded (base 0 means no
+// snapshot). Covered segments still on disk (a crash landed between the
 // snapshot commit and the segment deletes) are deleted here, finishing
 // the interrupted compaction. The sealed segments that remain must be
 // contiguous from base+1; a gap means a covered-by-nothing segment was

@@ -28,7 +28,7 @@ func testBatches(n int) [][]Reading {
 
 func appendAll(t *testing.T, path string, batches [][]Reading) {
 	t.Helper()
-	w, err := OpenWAL(path, nil)
+	w, err := OpenWALAfter(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func appendAll(t *testing.T, path string, batches [][]Reading) {
 func replayAll(t *testing.T, path string) [][]Reading {
 	t.Helper()
 	var got [][]Reading
-	w, err := OpenWAL(path, func(batch []Reading) error {
+	w, err := OpenWALAfter(path, 0, func(batch []Reading) error {
 		cp := make([]Reading, len(batch))
 		copy(cp, batch)
 		got = append(got, cp)
@@ -86,7 +86,7 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatalf("replay mismatch: got %d batches, want %d", len(got), len(batches))
 	}
 	// Reopen-and-extend.
-	w, err := OpenWAL(path, nil)
+	w, err := OpenWALAfter(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestWALTornTailEveryOffset(t *testing.T) {
 	var recordEnds []int
 	{
 		off := walHeaderLen
-		w, err := OpenWAL(full, func([]Reading) error { return nil })
+		w, err := OpenWALAfter(full, 0, func([]Reading) error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestWALTornTailEveryOffset(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got int
-		w, err := OpenWAL(path, func([]Reading) error { got++; return nil })
+		w, err := OpenWALAfter(path, 0, func([]Reading) error { got++; return nil })
 		if err != nil {
 			t.Fatalf("cut %d: reopen failed: %v", cut, err)
 		}
@@ -187,7 +187,7 @@ func TestWALInteriorCorruptionRefused(t *testing.T) {
 			if err := os.WriteFile(path, b, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, err := OpenWAL(path, nil)
+			_, err := OpenWALAfter(path, 0, nil)
 			if !errors.Is(err, ErrWALCorrupt) {
 				t.Fatalf("err = %v, want ErrWALCorrupt", err)
 			}
@@ -223,7 +223,7 @@ func TestWALFsyncFailurePoisons(t *testing.T) {
 	})
 	ctx := resilience.WithInjector(context.Background(), inj)
 
-	w, err := OpenWAL(path, nil)
+	w, err := OpenWALAfter(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestWALTornWriteInjection(t *testing.T) {
 	})
 	ctx := resilience.WithInjector(context.Background(), inj)
 
-	w, err := OpenWAL(path, nil)
+	w, err := OpenWALAfter(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestWALEmptyAndHeaderOnly(t *testing.T) {
 		if err := os.WriteFile(path, walMagic[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		w, err := OpenWAL(path, nil)
+		w, err := OpenWALAfter(path, 0, nil)
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}

@@ -248,41 +248,3 @@ func mulATRows(out, a, b []float64, k, m, n, r0, r1 int) {
 		}
 	}
 }
-
-// MulBT stores a·bᵀ into m and returns m. a is M x K, b is N x K and m is
-// M x N; m must not alias a or b. The result is bit-identical to
-// m.Mul(a, b.T()) without materialising the transpose.
-func (m *Matrix) MulBT(a, b *Matrix) *Matrix {
-	if a.Cols != b.Cols {
-		panic("mat: MulBT inner dimension mismatch")
-	}
-	if m.Rows != a.Rows || m.Cols != b.Rows {
-		panic("mat: MulBT output shape mismatch")
-	}
-	mulBTRows(m.Data, a.Data, b.Data, a.Cols, b.Rows, 0, a.Rows)
-	return m
-}
-
-// MulBT returns a·bᵀ as a new matrix.
-func MulBT(a, b *Matrix) *Matrix {
-	return New(a.Rows, b.Rows).MulBT(a, b)
-}
-
-// MulAT stores aᵀ·b into m and returns m. a is K x M, b is K x N and m is
-// M x N; m must not alias a or b. The result is bit-identical to
-// m.Mul(a.T(), b) without materialising the transpose.
-func (m *Matrix) MulAT(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic("mat: MulAT inner dimension mismatch")
-	}
-	if m.Rows != a.Cols || m.Cols != b.Cols {
-		panic("mat: MulAT output shape mismatch")
-	}
-	mulATRows(m.Data, a.Data, b.Data, a.Rows, a.Cols, b.Cols, 0, a.Cols)
-	return m
-}
-
-// MulAT returns aᵀ·b as a new matrix.
-func MulAT(a, b *Matrix) *Matrix {
-	return New(a.Cols, b.Cols).MulAT(a, b)
-}

@@ -81,12 +81,10 @@ func TestMulBTMatchesTransposedMul(t *testing.T) {
 		a := randMat(rng, m, k)
 		b := randMat(rng, n, k) // b: n x k so a·bᵀ is m x n
 		want := Mul(a, b.T())
-		got := MulBT(a, b)
-		if !Equal(want, got, 0) {
-			t.Fatalf("MulBT %v differs from Mul(a, b.T())", d)
-		}
-		if !Equal(want, MulAutoBT(a, b), 0) {
-			t.Fatalf("MulAutoBT %v differs from Mul(a, b.T())", d)
+		got := New(m, n)
+		got.Fill(99) // must be overwritten, not accumulated into
+		if !Equal(want, MulAutoBTTo(got, a, b), 0) {
+			t.Fatalf("MulAutoBTTo %v differs from Mul(a, b.T())", d)
 		}
 	}
 }
@@ -98,12 +96,10 @@ func TestMulATMatchesTransposedMul(t *testing.T) {
 		a := randMat(rng, k, m) // a: k x m so aᵀ·b is m x n
 		b := randMat(rng, k, n)
 		want := Mul(a.T(), b)
-		got := MulAT(a, b)
-		if !Equal(want, got, 0) {
-			t.Fatalf("MulAT %v differs from Mul(a.T(), b)", d)
-		}
-		if !Equal(want, MulAutoAT(a, b), 0) {
-			t.Fatalf("MulAutoAT %v differs from Mul(a.T(), b)", d)
+		got := New(m, n)
+		got.Fill(99) // must be overwritten, not accumulated into
+		if !Equal(want, MulAutoATTo(got, a, b), 0) {
+			t.Fatalf("MulAutoATTo %v differs from Mul(a.T(), b)", d)
 		}
 	}
 }
@@ -118,9 +114,9 @@ func TestMulParallelClampsWorkers(t *testing.T) {
 		b := randMat(rng, 6, 4)
 		want := Mul(a, b)
 		for _, workers := range []int{1, 2, 7, 64} {
-			got := MulParallel(a, b, workers)
+			got := mulParallelTo(New(rows, 4), a, b, workers)
 			if !Equal(want, got, 0) {
-				t.Fatalf("MulParallel(%d rows, %d workers) differs from Mul", rows, workers)
+				t.Fatalf("mulParallelTo(%d rows, %d workers) differs from Mul", rows, workers)
 			}
 		}
 	}
@@ -137,12 +133,12 @@ func TestMulParallelMatchesSerialLarge(t *testing.T) {
 	b := randMat(rng, 129, 65)
 	want := Mul(a, b)
 	for _, workers := range []int{2, 3, 4, 16} {
-		if got := MulParallel(a, b, workers); !Equal(want, got, 0) {
-			t.Fatalf("MulParallel workers=%d differs from serial", workers)
+		if got := mulParallelTo(New(67, 65), a, b, workers); !Equal(want, got, 0) {
+			t.Fatalf("mulParallelTo workers=%d differs from serial", workers)
 		}
 	}
-	if got := MulAuto(a, b); !Equal(want, got, 0) {
-		t.Fatal("MulAuto differs from serial")
+	if got := MulAutoTo(New(67, 65), a, b); !Equal(want, got, 0) {
+		t.Fatal("MulAutoTo differs from serial")
 	}
 }
 
@@ -159,13 +155,13 @@ func TestMulToZeroAllocsSteadyState(t *testing.T) {
 		t.Fatalf("Mul into existing output allocates %v per run, want 0", allocs)
 	}
 	bt := randMat(rng, 12, 24) // a·btᵀ is 16 x 12
-	if allocs := testing.AllocsPerRun(50, func() { out.MulBT(a, bt) }); allocs != 0 {
-		t.Fatalf("MulBT into existing output allocates %v per run, want 0", allocs)
+	if allocs := testing.AllocsPerRun(50, func() { MulAutoBTTo(out, a, bt) }); allocs != 0 {
+		t.Fatalf("MulAutoBTTo into existing output allocates %v per run, want 0", allocs)
 	}
 	at := randMat(rng, 24, 16) // atᵀ·(at·?) — use atᵀ·b2 of shape 16 x 12
 	b2 := randMat(rng, 24, 12)
-	if allocs := testing.AllocsPerRun(50, func() { out.MulAT(at, b2) }); allocs != 0 {
-		t.Fatalf("MulAT into existing output allocates %v per run, want 0", allocs)
+	if allocs := testing.AllocsPerRun(50, func() { MulAutoATTo(out, at, b2) }); allocs != 0 {
+		t.Fatalf("MulAutoATTo into existing output allocates %v per run, want 0", allocs)
 	}
 }
 

@@ -139,51 +139,6 @@ func (m *Matrix) Add(a, b *Matrix) *Matrix {
 	return m
 }
 
-// Sub stores a-b into m and returns m.
-func (m *Matrix) Sub(a, b *Matrix) *Matrix {
-	sameShape3(m, a, b)
-	for i := range m.Data {
-		m.Data[i] = a.Data[i] - b.Data[i]
-	}
-	return m
-}
-
-// MulElem stores the Hadamard product a*b into m and returns m.
-func (m *Matrix) MulElem(a, b *Matrix) *Matrix {
-	sameShape3(m, a, b)
-	for i := range m.Data {
-		m.Data[i] = a.Data[i] * b.Data[i]
-	}
-	return m
-}
-
-// Scale stores s*a into m and returns m.
-func (m *Matrix) Scale(s float64, a *Matrix) *Matrix {
-	sameShape2(m, a)
-	for i := range m.Data {
-		m.Data[i] = s * a.Data[i]
-	}
-	return m
-}
-
-// AddScaled performs m += s*a in place and returns m.
-func (m *Matrix) AddScaled(s float64, a *Matrix) *Matrix {
-	sameShape2(m, a)
-	for i := range m.Data {
-		m.Data[i] += s * a.Data[i]
-	}
-	return m
-}
-
-// Apply stores f(a[i]) into m element-wise and returns m.
-func (m *Matrix) Apply(f func(float64) float64, a *Matrix) *Matrix {
-	sameShape2(m, a)
-	for i := range m.Data {
-		m.Data[i] = f(a.Data[i])
-	}
-	return m
-}
-
 func sameShape2(a, b *Matrix) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic(fmt.Sprintf("mat: shape mismatch %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -250,38 +205,6 @@ func (m *Matrix) MulVecTo(dst, x []float64) []float64 {
 		dst[i] = s
 	}
 	return dst
-}
-
-// Dot returns the inner product of equal-length vectors.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("mat: Dot length mismatch")
-	}
-	var s float64
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Norm2 returns the Euclidean norm of v, guarding against overflow.
-func Norm2(v []float64) float64 {
-	var scale, ssq float64 = 0, 1
-	for _, x := range v {
-		if x == 0 {
-			continue
-		}
-		ax := math.Abs(x)
-		if scale < ax {
-			r := scale / ax
-			ssq = 1 + ssq*r*r
-			scale = ax
-		} else {
-			r := ax / scale
-			ssq += r * r
-		}
-	}
-	return scale * math.Sqrt(ssq)
 }
 
 // KahanSum returns a compensated sum of v, robust to cancellation.

@@ -184,26 +184,6 @@ func TestElementwiseOps(t *testing.T) {
 	if sum.At(1, 1) != 44 {
 		t.Fatalf("Add: %v", sum)
 	}
-	diff := New(2, 2).Sub(b, a)
-	if diff.At(0, 0) != 9 {
-		t.Fatalf("Sub: %v", diff)
-	}
-	had := New(2, 2).MulElem(a, b)
-	if had.At(1, 0) != 90 {
-		t.Fatalf("MulElem: %v", had)
-	}
-	sc := New(2, 2).Scale(2, a)
-	if sc.At(0, 1) != 4 {
-		t.Fatalf("Scale: %v", sc)
-	}
-	sc.AddScaled(1, a)
-	if sc.At(0, 1) != 6 {
-		t.Fatalf("AddScaled: %v", sc)
-	}
-	ap := New(2, 2).Apply(func(x float64) float64 { return -x }, a)
-	if ap.At(1, 1) != -4 {
-		t.Fatalf("Apply: %v", ap)
-	}
 }
 
 func TestKahanSumPrecision(t *testing.T) {
@@ -220,24 +200,12 @@ func TestKahanSumPrecision(t *testing.T) {
 	}
 }
 
-func TestNorm2Overflow(t *testing.T) {
-	v := []float64{1e300, 1e300}
-	got := Norm2(v)
-	want := 1e300 * math.Sqrt2
-	if math.IsInf(got, 0) || math.Abs(got-want)/want > 1e-12 {
-		t.Fatalf("Norm2 overflow guard failed: %v", got)
-	}
-	if Norm2(nil) != 0 {
-		t.Fatal("Norm2(nil) != 0")
-	}
-}
-
 func TestOuterAndAddOuter(t *testing.T) {
 	a := []float64{1, 2}
 	b := []float64{3, 4, 5}
-	m := New(2, 3).Outer(a, b)
+	m := New(2, 3).AddOuter(a, b) // onto zeros: the outer product
 	if m.At(1, 2) != 10 {
-		t.Fatalf("Outer: %v", m)
+		t.Fatalf("AddOuter onto zeros: %v", m)
 	}
 	m.AddOuter(a, b)
 	if m.At(0, 0) != 6 {
@@ -269,10 +237,6 @@ func TestSoftmax(t *testing.T) {
 }
 
 func TestMinMaxAndClamp(t *testing.T) {
-	min, max := MinMax([]float64{3, -1, 4, 1, 5})
-	if min != -1 || max != 5 {
-		t.Fatalf("MinMax = %v,%v", min, max)
-	}
 	if Clamp(10, 0, 1) != 1 || Clamp(-1, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
 		t.Fatal("Clamp broken")
 	}
@@ -285,9 +249,6 @@ func TestMeanVarianceStd(t *testing.T) {
 	}
 	if Variance(v) != 4 {
 		t.Fatalf("Variance = %v", Variance(v))
-	}
-	if Std(v) != 2 {
-		t.Fatalf("Std = %v", Std(v))
 	}
 	if Mean(nil) != 0 || Variance(nil) != 0 {
 		t.Fatal("empty-slice stats should be 0")
@@ -313,10 +274,6 @@ func TestVectorOps(t *testing.T) {
 	if dst[2] != 9 {
 		t.Fatalf("AddVec: %v", dst)
 	}
-	SubVec(dst, b, a)
-	if dst[0] != 3 {
-		t.Fatalf("SubVec: %v", dst)
-	}
 	HadamardVec(dst, a, b)
 	if dst[1] != 10 {
 		t.Fatalf("HadamardVec: %v", dst)
@@ -328,9 +285,6 @@ func TestVectorOps(t *testing.T) {
 	AxpyVec(dst, 1, a)
 	if dst[2] != 9 {
 		t.Fatalf("AxpyVec: %v", dst)
-	}
-	if Dot(a, b) != 32 {
-		t.Fatalf("Dot = %v", Dot(a, b))
 	}
 }
 

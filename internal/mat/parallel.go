@@ -5,20 +5,15 @@ import (
 	"sync"
 )
 
-// parallelThreshold is the work size (rows*cols*inner) above which MulAuto
-// fans out across cores; below it the single-threaded kernel's cache
-// behaviour wins.
+// parallelThreshold is the work size (rows*cols*inner) above which the
+// MulAuto…To kernels fan out across cores; below it the single-threaded
+// kernel's cache behaviour wins.
 const parallelThreshold = 1 << 18
 
-// MulAuto computes a*b, choosing between the single-threaded tiled kernel
-// and a row-sharded parallel kernel based on problem size. The result is
-// identical to Mul.
-func MulAuto(a, b *Matrix) *Matrix {
-	return MulAutoTo(New(a.Rows, b.Cols), a, b)
-}
-
-// MulAutoTo is MulAuto into a caller-provided output, for call sites that
-// reuse scratch. m must not alias a or b.
+// MulAutoTo stores a*b into m and returns m, choosing between the
+// single-threaded tiled kernel and a row-sharded parallel kernel based on
+// problem size. The result is identical to m.Mul(a, b). m must not alias
+// a or b.
 func MulAutoTo(m, a, b *Matrix) *Matrix {
 	work := a.Rows * a.Cols * b.Cols
 	if work < parallelThreshold || runtime.GOMAXPROCS(0) < 2 {
@@ -27,19 +22,16 @@ func MulAutoTo(m, a, b *Matrix) *Matrix {
 	return mulParallelTo(m, a, b, 0)
 }
 
-// MulAutoBT computes a·bᵀ with the same serial/parallel policy as MulAuto.
-// Bit-identical to MulAuto(a, b.T()).
-func MulAutoBT(a, b *Matrix) *Matrix {
-	return MulAutoBTTo(New(a.Rows, b.Rows), a, b)
-}
-
-// MulAutoBTTo is MulAutoBT into a caller-provided output.
+// MulAutoBTTo stores a·bᵀ into m and returns m, with the same
+// serial/parallel policy as MulAutoTo. a is M x K, b is N x K and m is
+// M x N; m must not alias a or b. The result is bit-identical to
+// m.Mul(a, b.T()) without materialising the transpose.
 func MulAutoBTTo(m, a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {
-		panic("mat: MulBT inner dimension mismatch")
+		panic("mat: MulAutoBTTo inner dimension mismatch")
 	}
 	if m.Rows != a.Rows || m.Cols != b.Rows {
-		panic("mat: MulBT output shape mismatch")
+		panic("mat: MulAutoBTTo output shape mismatch")
 	}
 	work := a.Rows * a.Cols * b.Rows
 	workers := shardWorkers(work, 0, a.Rows)
@@ -53,19 +45,16 @@ func MulAutoBTTo(m, a, b *Matrix) *Matrix {
 	return m
 }
 
-// MulAutoAT computes aᵀ·b with the same serial/parallel policy as MulAuto.
-// Bit-identical to MulAuto(a.T(), b).
-func MulAutoAT(a, b *Matrix) *Matrix {
-	return MulAutoATTo(New(a.Cols, b.Cols), a, b)
-}
-
-// MulAutoATTo is MulAutoAT into a caller-provided output.
+// MulAutoATTo stores aᵀ·b into m and returns m, with the same
+// serial/parallel policy as MulAutoTo. a is K x M, b is K x N and m is
+// M x N; m must not alias a or b. The result is bit-identical to
+// m.Mul(a.T(), b) without materialising the transpose.
 func MulAutoATTo(m, a, b *Matrix) *Matrix {
 	if a.Rows != b.Rows {
-		panic("mat: MulAT inner dimension mismatch")
+		panic("mat: MulAutoATTo inner dimension mismatch")
 	}
 	if m.Rows != a.Cols || m.Cols != b.Cols {
-		panic("mat: MulAT output shape mismatch")
+		panic("mat: MulAutoATTo output shape mismatch")
 	}
 	work := a.Cols * a.Rows * b.Cols
 	workers := shardWorkers(work, 0, a.Cols)
@@ -79,25 +68,19 @@ func MulAutoATTo(m, a, b *Matrix) *Matrix {
 	return m
 }
 
-// MulParallel computes a*b with the row range sharded across workers
-// goroutines (0 = GOMAXPROCS). Shards write disjoint output rows, so no
-// synchronisation is needed beyond the final join. Workers are clamped to
-// the number of microMR-row blocks, so tiny matrices never spawn more
-// goroutines than there are register-tile row blocks; at one worker the
-// serial kernel runs, which reproduces historical results exactly.
-func MulParallel(a, b *Matrix, workers int) *Matrix {
-	if a.Cols != b.Rows {
-		panic("mat: MulParallel inner dimension mismatch")
-	}
-	return mulParallelTo(New(a.Rows, b.Cols), a, b, workers)
-}
-
+// mulParallelTo stores a*b into m with the row range sharded across
+// workers goroutines (0 = GOMAXPROCS). Shards write disjoint output rows,
+// so no synchronisation is needed beyond the final join. Workers are
+// clamped to the number of microMR-row blocks, so tiny matrices never
+// spawn more goroutines than there are register-tile row blocks; at one
+// worker the serial kernel runs, which reproduces historical results
+// exactly.
 func mulParallelTo(m, a, b *Matrix, workers int) *Matrix {
 	if a.Cols != b.Rows {
-		panic("mat: MulParallel inner dimension mismatch")
+		panic("mat: mulParallelTo inner dimension mismatch")
 	}
 	if m.Rows != a.Rows || m.Cols != b.Cols {
-		panic("mat: MulParallel output shape mismatch")
+		panic("mat: mulParallelTo output shape mismatch")
 	}
 	rowBlocks := (a.Rows + microMR - 1) / microMR
 	if workers <= 0 {

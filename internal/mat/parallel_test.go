@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 )
 
-// Property: MulParallel and MulAuto agree exactly with Mul (same
+// Property: mulParallelTo and MulAutoTo agree exactly with Mul (same
 // floating-point operation order per output row).
 func TestMulParallelMatchesSerialProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -16,11 +16,11 @@ func TestMulParallelMatchesSerialProperty(t *testing.T) {
 		b := New(m, p).RandNormal(rng, 1)
 		serial := Mul(a, b)
 		for _, workers := range []int{0, 1, 2, 3} {
-			if !Equal(MulParallel(a, b, workers), serial, 0) {
+			if !Equal(mulParallelTo(New(n, p), a, b, workers), serial, 0) {
 				return false
 			}
 		}
-		return Equal(MulAuto(a, b), serial, 0)
+		return Equal(MulAutoTo(New(n, p), a, b), serial, 0)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -31,7 +31,7 @@ func TestMulParallelLargeMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := New(128, 96).RandNormal(rng, 1)
 	b := New(96, 128).RandNormal(rng, 1)
-	if !Equal(MulParallel(a, b, 2), Mul(a, b), 0) {
+	if !Equal(mulParallelTo(New(128, 128), a, b, 2), Mul(a, b), 0) {
 		t.Fatal("parallel result diverges on large matrix")
 	}
 }
@@ -48,17 +48,17 @@ func TestMulParallelOddShapes(t *testing.T) {
 		{129, 65, 33, 7}, // just past the block boundary
 		{3, 200, 1, 8},   // more workers than rows
 		{1, 1, 1, 16},    // degenerate
-		{64, 64, 64, 3},  // exactly the MulAuto threshold work size
+		{64, 64, 64, 3},  // exactly the MulAutoTo threshold work size
 	}
 	for _, s := range shapes {
 		a := New(s.n, s.m).RandNormal(rng, 1)
 		b := New(s.m, s.p).RandNormal(rng, 1)
 		serial := Mul(a, b)
-		if !Equal(MulParallel(a, b, s.workers), serial, 0) {
-			t.Errorf("MulParallel(%dx%d * %dx%d, workers=%d) != Mul", s.n, s.m, s.m, s.p, s.workers)
+		if !Equal(mulParallelTo(New(s.n, s.p), a, b, s.workers), serial, 0) {
+			t.Errorf("mulParallelTo(%dx%d * %dx%d, workers=%d) != Mul", s.n, s.m, s.m, s.p, s.workers)
 		}
-		if !Equal(MulAuto(a, b), serial, 0) {
-			t.Errorf("MulAuto(%dx%d * %dx%d) != Mul", s.n, s.m, s.m, s.p)
+		if !Equal(MulAutoTo(New(s.n, s.p), a, b), serial, 0) {
+			t.Errorf("MulAutoTo(%dx%d * %dx%d) != Mul", s.n, s.m, s.m, s.p)
 		}
 	}
 }
@@ -69,7 +69,7 @@ func TestMulParallelDimMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MulParallel(New(2, 3), New(4, 2), 2)
+	mulParallelTo(New(2, 2), New(2, 3), New(4, 2), 2)
 }
 
 func BenchmarkMulSerial256(b *testing.B) {
@@ -86,8 +86,9 @@ func BenchmarkMulParallel256(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := New(256, 256).RandNormal(rng, 1)
 	y := New(256, 256).RandNormal(rng, 1)
+	out := New(256, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MulParallel(x, y, 0)
+		mulParallelTo(out, x, y, 0)
 	}
 }

@@ -140,27 +140,3 @@ func LeastSquares(a *Matrix, b []float64, ridge float64) ([]float64, error) {
 	}
 	return SolveCholesky(l, atb), nil
 }
-
-// Inverse returns a⁻¹ by solving against the identity, column by column.
-func Inverse(a *Matrix) (*Matrix, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("mat: Inverse of non-square %dx%d", a.Rows, a.Cols)
-	}
-	n := a.Rows
-	inv := New(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := Solve(a, e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
-}

@@ -153,19 +153,3 @@ func TestLeastSquaresResidualOrthogonality(t *testing.T) {
 		}
 	}
 }
-
-func TestInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	n := 5
-	a := New(n, n).RandNormal(rng, 1)
-	for i := 0; i < n; i++ {
-		a.Set(i, i, a.At(i, i)+float64(n))
-	}
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(Mul(a, inv), Identity(n), 1e-9) {
-		t.Fatal("a * a⁻¹ != I")
-	}
-}

@@ -15,14 +15,6 @@ func AddVec(dst, a, b []float64) {
 	}
 }
 
-// SubVec stores a-b into dst.
-func SubVec(dst, a, b []float64) {
-	checkLen(len(dst), len(a), len(b))
-	for i := range dst {
-		dst[i] = a[i] - b[i]
-	}
-}
-
 // ScaleVec stores s*a into dst.
 func ScaleVec(dst []float64, s float64, a []float64) {
 	checkLen(len(dst), len(a), len(a))
@@ -102,27 +94,6 @@ func Variance(v []float64) float64 {
 	return s / float64(len(v))
 }
 
-// Std returns the population standard deviation of v.
-func Std(v []float64) float64 { return math.Sqrt(Variance(v)) }
-
-// MinMax returns the smallest and largest elements of v.
-// It panics on empty input.
-func MinMax(v []float64) (min, max float64) {
-	if len(v) == 0 {
-		panic("mat: MinMax of empty slice")
-	}
-	min, max = v[0], v[0]
-	for _, x := range v[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
-}
-
 // Clamp limits x to [lo, hi].
 func Clamp(x, lo, hi float64) float64 {
 	if x < lo {
@@ -155,20 +126,6 @@ func (m *Matrix) RandNormal(rng *rand.Rand, std float64) *Matrix {
 func (m *Matrix) GlorotUniform(rng *rand.Rand, fanIn, fanOut int) *Matrix {
 	scale := math.Sqrt(6 / float64(fanIn+fanOut))
 	return m.RandUniform(rng, scale)
-}
-
-// Outer stores the outer product a*bᵀ into m and returns m.
-func (m *Matrix) Outer(a, b []float64) *Matrix {
-	if m.Rows != len(a) || m.Cols != len(b) {
-		panic("mat: Outer shape mismatch")
-	}
-	for i, av := range a {
-		row := m.Row(i)
-		for j, bv := range b {
-			row[j] = av * bv
-		}
-	}
-	return m
 }
 
 // AddOuter performs m += a*bᵀ in place.

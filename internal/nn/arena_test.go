@@ -5,7 +5,7 @@ import (
 	"testing"
 )
 
-// trainStep is the inner loop of Trainer.Fit for one sample: zero the
+// trainStep is the inner loop of Trainer.FitContext for one sample: zero the
 // gradients, forward the window, backprop the loss derivative.
 func trainStep(m Model, window, ctx []float64, ps []*Param) {
 	ZeroGrads(ps)

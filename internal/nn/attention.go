@@ -47,7 +47,7 @@ func (a *SelfAttention) Forward(x *mat.Matrix) (*mat.Matrix, *attnCache) {
 	}
 	n := x.Rows
 	// Q = X·Wqᵀ etc. via the transpose-free BT kernel: bit-identical to
-	// MulAuto(x, W.T()) without materialising any transpose.
+	// MulAutoTo(out, x, W.T()) without materialising any transpose.
 	q := mat.MulAutoBTTo(arenaMatrix(a.ar, n, a.Dim), x, a.Wq.W)
 	k := mat.MulAutoBTTo(arenaMatrix(a.ar, n, a.Dim), x, a.Wk.W)
 	v := mat.MulAutoBTTo(arenaMatrix(a.ar, n, a.Dim), x, a.Wv.W)

@@ -22,6 +22,9 @@ type RecurrentCell interface {
 	// gradients, returning dL/dx and dL/d(prevState).
 	StepBackward(cache any, dNewState []float64) (dx, dPrevState []float64)
 	Params() []*Param
+	// shadow returns a clone sharing the cell's weights but owning fresh
+	// gradients and scratch, for a worker's ShadowClone.
+	shadow() RecurrentCell
 }
 
 // ZeroState returns an all-zero initial state for the cell.

@@ -6,19 +6,10 @@ package nn
 // accumulators and scratch buffers, so each worker goroutine can run
 // Forward/Backward on its own clone without synchronisation. The trainer
 // reduces clone gradients into the base parameters in fixed shard order;
-// optimizers only ever step base parameters.
-//
-// ShadowClone returns nil when the model cannot be cloned (e.g. a
-// RecurrentModel wrapping a third-party cell); the trainer then falls
-// back to the serial path.
+// optimizers only ever step base parameters. Every model in this package
+// implements it.
 type ShadowCloner interface {
 	ShadowClone() Model
-}
-
-// cellShadower is the cell-level counterpart of ShadowCloner; all
-// in-tree cells implement it.
-type cellShadower interface {
-	shadow() RecurrentCell
 }
 
 func (a *SelfAttention) shadow() *SelfAttention {
@@ -29,27 +20,14 @@ func (l *LayerNorm) shadow() *LayerNorm {
 	return &LayerNorm{Dim: l.Dim, Gamma: l.Gamma.Shadow(), Beta: l.Beta.Shadow()}
 }
 
-func (m *MultiHeadAttention) shadow() *MultiHeadAttention {
-	out := &MultiHeadAttention{Dim: m.Dim, Heads: m.Heads, Wo: m.Wo.Shadow()}
-	for _, h := range m.heads {
-		out.heads = append(out.heads, h.shadow())
-	}
-	return out
-}
-
-// ShadowClone returns a worker-private clone, or nil when the wrapped
-// cell does not support shadowing.
+// ShadowClone returns a worker-private clone.
 func (m *RecurrentModel) ShadowClone() Model {
-	cs, ok := m.cell.(cellShadower)
-	if !ok {
-		return nil
-	}
 	c := &RecurrentModel{
 		name:  m.name,
 		ws:    m.ws,
 		ctx:   m.ctx,
 		embed: m.embed.shadow(),
-		cell:  cs.shadow(),
+		cell:  m.cell.shadow(),
 		head:  m.head.shadow(),
 	}
 	c.wire(c.embed, c.cell, c.head)

@@ -9,39 +9,6 @@ type Optimizer interface {
 	Step(params []*Param)
 }
 
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-	vel      map[*Param][]float64
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, vel: map[*Param][]float64{}}
-}
-
-// Step applies one SGD update.
-func (o *SGD) Step(params []*Param) {
-	for _, p := range params {
-		if o.Momentum == 0 {
-			for i := range p.W.Data {
-				p.W.Data[i] -= o.LR * p.G.Data[i]
-			}
-			continue
-		}
-		v := o.vel[p]
-		if v == nil {
-			v = make([]float64, len(p.W.Data))
-			o.vel[p] = v
-		}
-		for i := range p.W.Data {
-			v[i] = o.Momentum*v[i] - o.LR*p.G.Data[i]
-			p.W.Data[i] += v[i]
-		}
-	}
-}
-
 // RMSProp is the optimiser the paper trains with (lr 1e-3, Appendix C).
 type RMSProp struct {
 	LR    float64

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -17,7 +18,7 @@ func fitWithWorkers(t *testing.T, mk func(*rand.Rand) Model, workers int) ([]flo
 		Rng:     rand.New(rand.NewSource(99)),
 		Workers: workers,
 	}
-	losses, err := tr.Fit(sineWindows(60, 6))
+	losses, err := tr.FitContext(context.Background(), sineWindows(60, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +144,11 @@ func TestParallelFitThenSerialFit(t *testing.T) {
 		Cfg: TrainConfig{Epochs: 2, BatchSize: 8, ClipNorm: 5},
 		Rng: rand.New(rand.NewSource(7)), Workers: 3}
 	samples := sineWindows(60, 6)
-	if _, err := tr.Fit(samples); err != nil {
+	if _, err := tr.FitContext(context.Background(), samples); err != nil {
 		t.Fatal(err)
 	}
 	tr.Workers = 0
-	if _, err := tr.Fit(samples); err != nil {
+	if _, err := tr.FitContext(context.Background(), samples); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,7 +1,7 @@
 // Package nn is a from-scratch neural-network substrate: dense layers,
 // Elman RNN / GRU / LSTM recurrent cells, single-head self-attention, layer
 // normalisation and a transformer encoder block, trained with manual
-// backpropagation-through-time and SGD/RMSProp/Adam optimisers. It exists
+// backpropagation-through-time and RMSProp/Adam optimisers. It exists
 // because the paper's pattern-recognition step trains sequence models on
 // sanitised series (Section 4.2, Figure 4) and the module must be
 // self-contained: float64 everywhere, stdlib only.

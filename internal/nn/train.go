@@ -17,11 +17,6 @@ type TrainConfig struct {
 	ClipNorm  float64 // 0 disables gradient clipping
 }
 
-// DefaultTrainConfig mirrors the paper's setup: 20 epochs, batch 32.
-func DefaultTrainConfig() TrainConfig {
-	return TrainConfig{Epochs: 20, BatchSize: 32, ClipNorm: 5}
-}
-
 // Trainer fits a Model on supervised windows with mini-batch gradient
 // descent and MSE loss.
 //
@@ -32,8 +27,7 @@ func DefaultTrainConfig() TrainConfig {
 // historical serial loop and is bit-identical to it; Workers = N is
 // deterministic for fixed N (shard boundaries and reduction order depend
 // only on batch size and N) but regroups floating-point sums relative to
-// the serial path. Models that do not implement ShadowCloner silently
-// fall back to serial.
+// the serial path. Models that do not implement ShadowCloner run serially.
 type Trainer struct {
 	Model   Model
 	Opt     Optimizer
@@ -42,16 +36,12 @@ type Trainer struct {
 	Workers int
 }
 
-// Fit trains the model and returns the mean training loss of each epoch.
-func (tr *Trainer) Fit(samples []timeseries.Window) ([]float64, error) {
-	return tr.FitContext(context.Background(), samples)
-}
-
-// FitContext is Fit with cooperative cancellation: the context is checked
-// at every batch boundary, so a cancelled or deadline-expired training run
-// stops within one batch rather than one full fit. Divergence (non-finite
-// weights after an epoch) is reported as a retryable error: a fresh seed
-// usually draws DP noise the optimiser survives.
+// FitContext trains the model and returns the mean training loss of each
+// epoch. The context is checked at every batch boundary, so a cancelled or
+// deadline-expired training run stops within one batch rather than one
+// full fit. Divergence (non-finite weights after an epoch) is reported as
+// a retryable error: a fresh seed usually draws DP noise the optimiser
+// survives.
 func (tr *Trainer) FitContext(ctx context.Context, samples []timeseries.Window) ([]float64, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("nn: no training samples")
@@ -105,23 +95,16 @@ func (tr *Trainer) FitContext(ctx context.Context, samples []timeseries.Window) 
 	return losses, nil
 }
 
-// workerClones returns one shadow clone per extra worker, or nil when the
-// fit should run serially (Workers <= 1 or the model cannot be cloned).
+// workerClones returns one shadow clone per worker, or nil when the fit
+// runs serially (Workers <= 1 or the model cannot be cloned).
 func (tr *Trainer) workerClones() []Model {
-	if tr.Workers <= 1 {
-		return nil
-	}
 	sc, ok := tr.Model.(ShadowCloner)
-	if !ok {
+	if tr.Workers <= 1 || !ok {
 		return nil
 	}
 	clones := make([]Model, tr.Workers)
 	for i := range clones {
-		c := sc.ShadowClone()
-		if c == nil {
-			return nil
-		}
-		clones[i] = c
+		clones[i] = sc.ShadowClone()
 	}
 	return clones
 }

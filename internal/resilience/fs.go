@@ -66,12 +66,6 @@ func Write(ctx context.Context, f *os.File, p []byte) (int, error) {
 	return f.Write(p)
 }
 
-// WriteString is Write for string payloads, avoiding a copy at the
-// call site that would only feed the seam.
-func WriteString(ctx context.Context, f *os.File, s string) (int, error) {
-	return Write(ctx, f, []byte(s))
-}
-
 // Sync fsyncs f through the fault seam (FaultSyncEIO, payload: the file
 // name). A failed fsync means the kernel may have dropped the dirty
 // pages without writing them: the caller must not assume any

@@ -301,7 +301,7 @@ func TestFsckWALGap(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "g.wal")
-	w, err := ingest.OpenWAL(path, nil)
+	w, err := ingest.OpenWALAfter(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

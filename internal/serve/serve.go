@@ -81,9 +81,6 @@ func New(ctx context.Context, store *Store, cfg Config) *Server {
 // Call before traffic starts; the caller owns running f (Follower.Run).
 func (s *Server) SetFollower(f *Follower) { s.follower.Store(f) }
 
-// Follower returns the replica's follower, or nil on a leader.
-func (s *Server) Follower() *Follower { return s.follower.Load() }
-
 // SetIntegrity attaches the scrubber whose corrupt-artifact latch gates
 // /readyz and whose counters appear on /metrics. Call before traffic
 // starts; the caller owns running the scrubber.

@@ -229,20 +229,6 @@ func (s *Store) Reload() error {
 	return nil
 }
 
-// LoadFile loads one release from a CSV file into the current set,
-// sniffing the format from the header row: a stpt-run cell list
-// (x,y,t,value) loads directly; a stpt-datagen household file
-// (x,y,v0,...) is aggregated into its consumption matrix first (cx/cy
-// as in datasets.LoadCSV: 0 infers a power-of-two grid).
-func (s *Store) LoadFile(name, path string, cx, cy int) error {
-	m, _, err := loadSpecFile(LoadSpec{Name: name, Path: path, Cx: cx, Cy: cy})
-	if err != nil {
-		return err
-	}
-	s.Add(name, m)
-	return nil
-}
-
 // castagnoli is the CRC-32C table shared by catalog hashing and
 // follower verification — the same polynomial the ingest WAL uses.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)

@@ -31,7 +31,7 @@ func TestLoadFileSniffsMatrixCSV(t *testing.T) {
 	path := writeFile(t, "release.csv", sb.String())
 
 	s := NewStore()
-	if err := s.LoadFile("rel", path, 0, 0); err != nil {
+	if err := s.LoadAll([]LoadSpec{{Name: "rel", Path: path}}); err != nil {
 		t.Fatal(err)
 	}
 	rel, err := s.Get("rel")
@@ -55,7 +55,7 @@ func TestLoadFileSniffsMatrixCSV(t *testing.T) {
 func TestLoadFileSniffsHouseholdCSV(t *testing.T) {
 	path := writeFile(t, "households.csv", "x,y,v0,v1\n0,0,1.5,2\n1,1,0.5,3\n0,0,1,1\n")
 	s := NewStore()
-	if err := s.LoadFile("hh", path, 2, 2); err != nil {
+	if err := s.LoadAll([]LoadSpec{{Name: "hh", Path: path, Cx: 2, Cy: 2}}); err != nil {
 		t.Fatal(err)
 	}
 	rel, err := s.Get("hh")
@@ -75,7 +75,7 @@ func TestLoadFileSniffsHouseholdCSV(t *testing.T) {
 // bodies are errors naming the path — never a silently empty release.
 func TestLoadFileRefusals(t *testing.T) {
 	s := NewStore()
-	if err := s.LoadFile("x", filepath.Join(t.TempDir(), "absent.csv"), 0, 0); err == nil {
+	if err := s.LoadAll([]LoadSpec{{Name: "x", Path: filepath.Join(t.TempDir(), "absent.csv")}}); err == nil {
 		t.Error("loaded a nonexistent file")
 	}
 	for name, content := range map[string]string{
@@ -85,7 +85,7 @@ func TestLoadFileRefusals(t *testing.T) {
 		"corrupt-hh":     "x,y,v0\n0,0,+Inf\n",
 	} {
 		path := writeFile(t, name+".csv", content)
-		if err := s.LoadFile(name, path, 0, 0); err == nil {
+		if err := s.LoadAll([]LoadSpec{{Name: name, Path: path}}); err == nil {
 			t.Errorf("%s: load succeeded", name)
 		} else if !strings.Contains(err.Error(), name+".csv") && name != "empty" {
 			t.Errorf("%s: error %q does not name the file", name, err)

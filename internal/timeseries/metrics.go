@@ -51,19 +51,6 @@ func MRE(truth, noisy, floor float64) float64 {
 	return math.Abs(truth-noisy) / den * 100
 }
 
-// MeanMRE averages MRE over paired query answers.
-func MeanMRE(truth, noisy []float64, floor float64) float64 {
-	checkPair(truth, noisy)
-	if len(truth) == 0 {
-		return 0
-	}
-	var s float64
-	for i := range truth {
-		s += MRE(truth[i], noisy[i], floor)
-	}
-	return s / float64(len(truth))
-}
-
 func checkPair(a, b []float64) {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("timeseries: metric length mismatch %d vs %d", len(a), len(b)))

@@ -159,14 +159,9 @@ type Normalizer struct {
 	Min, Max float64
 }
 
-// FitNormalizer computes global min-max bounds over the dataset.
-func FitNormalizer(d *Dataset) Normalizer {
-	min, max := d.GlobalMinMax()
-	return Normalizer{Min: min, Max: max}
-}
-
-// FitNormalizerWorkers is FitNormalizer with the scan sharded across
-// workers; the fitted bounds are identical for every worker count.
+// FitNormalizerWorkers computes global min-max bounds over the dataset,
+// with the scan sharded across workers; the fitted bounds are identical
+// for every worker count.
 func FitNormalizerWorkers(d *Dataset, workers int) Normalizer {
 	min, max := d.GlobalMinMaxWorkers(workers)
 	return Normalizer{Min: min, Max: max}

@@ -80,7 +80,7 @@ func TestGlobalMinMaxWorkersMatchesSerial(t *testing.T) {
 
 func TestNormalizerRoundTrip(t *testing.T) {
 	d := twoHouseholdDataset()
-	n := FitNormalizer(d)
+	n := FitNormalizerWorkers(d, 1)
 	norm := n.Apply(d)
 	// All values must land in [0,1], extremes at the bounds.
 	if norm.Series[0].Values[0] != 0 || norm.Series[1].Values[2] != 1 {
@@ -102,7 +102,7 @@ func TestNormalizerRoundTrip(t *testing.T) {
 
 func TestNormalizerDegenerate(t *testing.T) {
 	d := &Dataset{Cx: 1, Cy: 1, Series: []*Series{{Values: []float64{5, 5, 5}}}}
-	n := FitNormalizer(d)
+	n := FitNormalizerWorkers(d, 1)
 	norm := n.Apply(d)
 	for _, v := range norm.Series[0].Values {
 		if v != 0 {
@@ -182,7 +182,7 @@ func TestMetricsHandComputed(t *testing.T) {
 }
 
 func TestMetricsEmpty(t *testing.T) {
-	if MAE(nil, nil) != 0 || RMSE(nil, nil) != 0 || MeanMRE(nil, nil, 1) != 0 {
+	if MAE(nil, nil) != 0 || RMSE(nil, nil) != 0 {
 		t.Fatal("empty metrics should be 0")
 	}
 }
@@ -198,13 +198,6 @@ func TestMREFloorGuards(t *testing.T) {
 	// Non-positive floor falls back to the package default.
 	if got := MRE(0, 0, 0); got != 0 {
 		t.Fatalf("MRE(0,0) = %v", got)
-	}
-}
-
-func TestMeanMRE(t *testing.T) {
-	got := MeanMRE([]float64{10, 20}, []float64{5, 30}, 1)
-	if got != 50 { // (50 + 50) / 2
-		t.Fatalf("MeanMRE = %v", got)
 	}
 }
 

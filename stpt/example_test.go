@@ -1,14 +1,15 @@
 package stpt_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/stpt"
 )
 
-// ExampleRun publishes a small synthetic dataset under ε-DP and prints the
-// audited privacy spend.
-func ExampleRun() {
+// ExampleRunContext publishes a small synthetic dataset under ε-DP and
+// prints the audited privacy spend.
+func ExampleRunContext() {
 	data := stpt.GenerateDataset(stpt.SpecCA, stpt.LayoutUniform, 8, 8, 28, 1)
 	cfg := stpt.DefaultConfig()
 	cfg.TTrain = 16
@@ -19,7 +20,7 @@ func ExampleRun() {
 	cfg.Train.Epochs = 2
 	cfg.ClipFactor = stpt.SpecCA.ClipFactor
 
-	res, err := stpt.Run(data, cfg)
+	res, err := stpt.RunContext(context.Background(), data, cfg)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -31,10 +32,11 @@ func ExampleRun() {
 	// privacy spend: ε=30
 }
 
-// ExampleRunBaseline releases the same horizon with the Identity baseline.
-func ExampleRunBaseline() {
+// ExampleRunBaselineContext releases the same horizon with the Identity
+// baseline.
+func ExampleRunBaselineContext() {
 	data := stpt.GenerateDataset(stpt.SpecTX, stpt.LayoutUniform, 4, 4, 20, 2)
-	rel, err := stpt.RunBaseline("identity", data, 8, stpt.SpecTX.ClipFactor, 30, 1)
+	rel, err := stpt.RunBaselineContext(context.Background(), "identity", data, 8, stpt.SpecTX.ClipFactor, 30, 1)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -11,7 +11,7 @@
 //
 //	data := stpt.GenerateDataset(stpt.SpecCER, stpt.LayoutUniform, 32, 32, 220, 1)
 //	cfg := stpt.DefaultConfig()
-//	res, err := stpt.Run(data, cfg)
+//	res, err := stpt.RunContext(context.Background(), data, cfg)
 //	// res.Sanitized is the ε_tot-DP release; evaluate utility:
 //	mre := stpt.EvaluateMRE(res.Truth, res.Sanitized, stpt.QueryRandom, 300, 1)
 package stpt
@@ -102,14 +102,12 @@ const (
 // CPU-friendly network sizes.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
-// Run executes STPT on a dataset whose first cfg.TTrain readings form the
-// training prefix and whose remainder is the released horizon.
-func Run(d *Dataset, cfg Config) (*Result, error) { return core.Run(d, cfg) }
-
-// RunContext is Run with cooperative cancellation: training and release
-// stop promptly when ctx is cancelled or its deadline passes. Retryable
-// failures (e.g. diverged training) are retried per cfg.Retry and degrade
-// down cfg.FallbackModels; Result.Recovery records what happened.
+// RunContext executes STPT on a dataset whose first cfg.TTrain readings
+// form the training prefix and whose remainder is the released horizon.
+// Training and release stop promptly when ctx is cancelled or its deadline
+// passes. Retryable failures (e.g. diverged training) are retried per
+// cfg.Retry and degrade down cfg.FallbackModels; Result.Recovery records
+// what happened.
 func RunContext(ctx context.Context, d *Dataset, cfg Config) (*Result, error) {
 	return core.RunContext(ctx, d, cfg)
 }
@@ -138,22 +136,9 @@ func Baselines() []Algorithm { return baselines.Registry() }
 // Baseline looks an algorithm up by name; "wpo" (Figure 7) is included.
 func Baseline(name string) (Algorithm, error) { return baselines.Lookup(name) }
 
-// RunBaseline releases the dataset's horizon with the named baseline under
-// the given total budget.
-func RunBaseline(name string, d *Dataset, tTrain int, cellSensitivity, epsilon float64, seed int64) (*Matrix, error) {
-	alg, err := baselines.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	if d.T() <= tTrain {
-		return nil, fmt.Errorf("stpt: dataset length %d must exceed tTrain %d", d.T(), tTrain)
-	}
-	in := baselines.Input{Dataset: d, TTrain: tTrain, CellSensitivity: cellSensitivity}
-	return alg.Release(in, epsilon, seed)
-}
-
-// RunBaselineContext is RunBaseline with cooperative cancellation:
-// iterative baselines (LGAN-DP) check ctx between iterations.
+// RunBaselineContext releases the dataset's horizon with the named
+// baseline under the given total budget. Iterative baselines (LGAN-DP)
+// check ctx between iterations.
 func RunBaselineContext(ctx context.Context, name string, d *Dataset, tTrain int, cellSensitivity, epsilon float64, seed int64) (*Matrix, error) {
 	alg, err := baselines.Lookup(name)
 	if err != nil {

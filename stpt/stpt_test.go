@@ -2,6 +2,7 @@ package stpt_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"repro/stpt"
@@ -24,7 +25,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	data := stpt.GenerateDataset(stpt.SpecCA, stpt.LayoutUniform, 8, 8, 28, 1)
 	cfg := smallConfig()
 	cfg.ClipFactor = stpt.SpecCA.ClipFactor
-	res, err := stpt.Run(data, cfg)
+	res, err := stpt.RunContext(context.Background(), data, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestPublicBaselines(t *testing.T) {
 		t.Fatalf("expected 7 registry baselines, got %d", len(stpt.Baselines()))
 	}
 	data := stpt.GenerateDataset(stpt.SpecTX, stpt.LayoutNormal, 4, 4, 20, 2)
-	rel, err := stpt.RunBaseline("identity", data, 8, stpt.SpecTX.ClipFactor, 10, 3)
+	rel, err := stpt.RunBaselineContext(context.Background(), "identity", data, 8, stpt.SpecTX.ClipFactor, 10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,10 +51,10 @@ func TestPublicBaselines(t *testing.T) {
 	if rel.Ct != truth.Ct {
 		t.Fatalf("dims %d vs %d", rel.Ct, truth.Ct)
 	}
-	if _, err := stpt.RunBaseline("bogus", data, 8, 1, 10, 3); err == nil {
+	if _, err := stpt.RunBaselineContext(context.Background(), "bogus", data, 8, 1, 10, 3); err == nil {
 		t.Fatal("expected unknown-baseline error")
 	}
-	if _, err := stpt.RunBaseline("identity", data, 20, 1, 10, 3); err == nil {
+	if _, err := stpt.RunBaselineContext(context.Background(), "identity", data, 20, 1, 10, 3); err == nil {
 		t.Fatal("expected no-horizon error")
 	}
 }
