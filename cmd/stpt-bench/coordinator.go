@@ -26,10 +26,10 @@ type coordinatorConfig struct {
 // runCoordinator executes the distributed phase of a sweep: it serves
 // the experiment's cells as leases to stpt-sweep workers and blocks
 // until every cell is journaled into the -checkpoint file (or
-// quarantined). If no worker joins within LocalAfter, the cells run
-// in-process instead — same lease state machine, same journal. Either
-// way the caller's normal experiment path afterwards finds every cell
-// cached and reduces the tables bit-identically to a serial run.
+// quarantined). If no worker has joined within LocalAfter, it steps
+// aside and returns nil: the caller's ordinary -workers sweep runs the
+// missing cells into the same journal. Either way the caller then
+// reduces the tables bit-identically to a serial run.
 func runCoordinator(ctx context.Context, opts experiments.Options, cfg coordinatorConfig) error {
 	if cfg.Checkpoint == "" {
 		return fmt.Errorf("-coordinator needs -checkpoint: the journal is the sweep's durable state (restart = resume)")
@@ -79,8 +79,10 @@ func runCoordinator(ctx context.Context, opts experiments.Options, cfg coordinat
 		return err
 	}
 
+	waitCtx, stopWait := context.WithCancel(ctx)
+	defer stopWait()
 	done := make(chan error, 1)
-	go func() { done <- c.Wait(ctx) }()
+	go func() { done <- c.Wait(waitCtx) }()
 	fallback := time.NewTimer(cfg.LocalAfter)
 	defer fallback.Stop()
 	select {
@@ -88,18 +90,13 @@ func runCoordinator(ctx context.Context, opts experiments.Options, cfg coordinat
 		return finish(err)
 	case <-fallback.C:
 	}
-	if c.Joined() > 0 {
-		// Workers are (or were) on the sweep; leave the cells to them.
-		// A worker crash only parks its cells until their leases expire
-		// and another worker — possibly started much later — picks them
-		// up; Ctrl-C still abandons cleanly with the journal intact.
-		return finish(<-done)
+	if c.Joined() == 0 {
+		fmt.Fprintf(os.Stderr, "stpt-bench: no workers joined within %s; running the remaining cells in-process\n", cfg.LocalAfter)
+		return nil
 	}
-	fmt.Fprintf(os.Stderr, "stpt-bench: no workers joined within %s; running cells in-process (%d workers)\n",
-		cfg.LocalAfter, opts.Workers)
-	runner, err := experiments.NewCellRunner(spec)
-	if err != nil {
-		return err
-	}
-	return finish(dist.RunLocal(ctx, c, opts.Workers, runner.Execute))
+	// Workers are (or were) on the sweep; leave the cells to them. A
+	// worker crash only parks its cells until their leases expire and
+	// another worker — possibly started much later — picks them up;
+	// Ctrl-C still abandons cleanly with the journal intact.
+	return finish(<-done)
 }

@@ -38,6 +38,7 @@ import (
 
 	"repro/internal/datasets"
 	"repro/internal/experiments"
+	"repro/internal/journal"
 	"repro/internal/parallel"
 	"repro/internal/query"
 	"repro/internal/resilience"
@@ -127,18 +128,18 @@ func main() {
 	opts.Workers = parallel.Workers(*workers)
 	opts.Retry = resilience.DefaultPolicy()
 	if *checkpoint != "" {
-		// One writer per checkpoint file: two sweeps resuming the same
-		// file would interleave whole-file rewrites and silently drop
-		// each other's cells.
+		// One writer per checkpoint file: two appenders would each write
+		// at their own end offset and overwrite each other's lines.
 		release, err := resilience.AcquireFileLock(*checkpoint)
 		if err != nil {
 			fatalf("%v", err)
 		}
 		defer release() //nolint:errcheck // beyond releasing there is nothing to do
-		ck, err := resilience.OpenCheckpoint(*checkpoint)
+		ck, err := journal.OpenCheckpoint(*checkpoint)
 		if err != nil {
 			fatalf("%v", err)
 		}
+		defer ck.Close() //nolint:errcheck // every recorded cell is already durable
 		n, err := experiments.BindCheckpoint(ck, opts)
 		if err != nil {
 			fatalf("%s: %v (use a fresh -checkpoint file)", *checkpoint, err)
@@ -157,10 +158,10 @@ func main() {
 		defer cancel()
 	}
 
-	// Coordinator mode: farm the sweep's cells out to stpt-sweep workers
-	// (or fall back in-process), filling the checkpoint; the normal run
-	// path below then reduces it with every cell cached, so the printed
-	// tables are bit-identical to a serial run.
+	// Coordinator mode: farm the sweep's cells out to stpt-sweep workers,
+	// filling the checkpoint; the normal run path below then runs any
+	// cell still missing (all of them when no worker joined) and reduces
+	// the tables bit-identically to a serial run.
 	if *coordinator != "" {
 		err := runCoordinator(ctx, opts, coordinatorConfig{
 			Addr:        *coordinator,

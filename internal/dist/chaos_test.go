@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/resilience"
 )
 
@@ -42,7 +43,7 @@ func newTestServer(t *testing.T, ctx context.Context, n int, ttl time.Duration) 
 		Spec:        json.RawMessage(`{}`),
 		TTL:         ttl,
 		MaxAttempts: 5,
-		Journal:     resilience.NewMemoryCheckpoint(),
+		Journal:     journal.NewMemoryCheckpoint(),
 		Logf:        t.Logf,
 	}
 	c, err := NewCoordinator(cfg)

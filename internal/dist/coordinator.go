@@ -11,7 +11,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/resilience"
+	"repro/internal/journal"
 )
 
 // Sentinel errors the wire layer maps onto HTTP statuses and workers
@@ -78,7 +78,7 @@ type Config struct {
 	// Journal durably records accepted results under their cell keys —
 	// the same format as stpt-bench -checkpoint files, so the journal
 	// IS the resume state and the reduction input. Required.
-	Journal *resilience.Checkpoint
+	Journal *journal.Checkpoint
 	// Validate, when non-nil, vets an uploaded value before it is
 	// journaled; a validation failure counts as a failed attempt.
 	Validate func(key string, value []byte) error
@@ -89,8 +89,7 @@ type Config struct {
 }
 
 // Coordinator owns the lease table. All methods are safe for concurrent
-// use; the HTTP server and the in-process fallback drive the same
-// state machine.
+// use; the HTTP server drives it.
 type Coordinator struct {
 	cfg   Config
 	nonce string // per-incarnation lease-id prefix

@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/resilience"
+	"repro/internal/journal"
 )
 
 // fakeClock lets lease-expiry tests move time without sleeping.
@@ -51,7 +51,7 @@ func testConfig(t *testing.T, n int) (Config, *fakeClock) {
 		Spec:        json.RawMessage(`{}`),
 		TTL:         time.Minute,
 		MaxAttempts: 3,
-		Journal:     resilience.NewMemoryCheckpoint(),
+		Journal:     journal.NewMemoryCheckpoint(),
 		Clock:       clock.Now,
 		Logf:        t.Logf,
 	}, clock
@@ -189,11 +189,11 @@ func TestAttemptCapQuarantinesPoisonedCell(t *testing.T) {
 // and restarts from the journal file. Delivered cells stay done,
 // in-flight leases evaporate, and persisted attempt counts keep a
 // crash-looping cell from resetting its budget. (The journal file
-// itself surviving a mid-write SIGKILL is the checkpoint's atomic-
-// rename contract, proven in the resilience package.)
+// itself surviving a mid-append SIGKILL is the checkpoint's torn-tail
+// contract, proven in the journal package.)
 func TestRestartResumesFromJournal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.json")
-	ck, err := resilience.OpenCheckpoint(path)
+	ck, err := journal.OpenCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func TestRestartResumesFromJournal(t *testing.T) {
 	}
 
 	// "SIGKILL": c1 is never touched again. Reopen the journal file.
-	ck2, err := resilience.OpenCheckpoint(path)
+	ck2, err := journal.OpenCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,36 +308,11 @@ func TestNewCoordinatorRejectsBadWorkLists(t *testing.T) {
 	}
 }
 
-func TestRunLocalDrainsSweep(t *testing.T) {
-	cfg, _ := testConfig(t, 20)
-	c, err := NewCoordinator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	var ran sync.Map
-	exec := func(ctx context.Context, key string) ([]byte, error) {
-		if _, dup := ran.LoadOrStore(key, true); dup {
-			t.Errorf("%s executed twice", key)
-		}
-		return cellValue(key), nil
-	}
-	if err := RunLocal(ctx, c, 4, exec); err != nil {
-		t.Fatal(err)
-	}
-	for _, key := range cfg.Keys {
-		if !cfg.Journal.Lookup(key, nil) {
-			t.Fatalf("journal is missing %s", key)
-		}
-	}
-}
-
-// TestRunLocalPanicAndFailureQuarantine proves the in-process fallback
-// obeys the same dead-letter policy as the distributed path: a
-// persistently panicking cell burns its attempts and the sweep finishes
-// with a dead-letter error instead of crashing or hanging.
-func TestRunLocalPanicAndFailureQuarantine(t *testing.T) {
+// TestWorkerPanicAndFailureQuarantine proves a worker obeys the
+// dead-letter policy: a persistently panicking cell burns its attempts
+// (the client turns the panic into a failed attempt) and the sweep
+// finishes with a dead-letter error instead of crashing or hanging.
+func TestWorkerPanicAndFailureQuarantine(t *testing.T) {
 	cfg, _ := testConfig(t, 6)
 	cfg.MaxAttempts = 2
 	c, err := NewCoordinator(cfg)
@@ -346,6 +321,11 @@ func TestRunLocalPanicAndFailureQuarantine(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+	srv, err := Serve(ctx, c, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
 	exec := func(ctx context.Context, key string) ([]byte, error) {
 		switch key {
 		case "row/alg/rep2":
@@ -355,9 +335,10 @@ func TestRunLocalPanicAndFailureQuarantine(t *testing.T) {
 		}
 		return cellValue(key), nil
 	}
-	err = RunLocal(ctx, c, 3, exec)
+	joinAndRun(t, ctx, newTestClient(t, srv, "w"), exec)
+	err = c.Wait(ctx)
 	if err == nil || !strings.Contains(err.Error(), "dead-letter") {
-		t.Fatalf("RunLocal = %v, want dead-letter error", err)
+		t.Fatalf("Wait = %v, want dead-letter error", err)
 	}
 	dead := c.Dead()
 	if len(dead) != 2 || dead[0] != "row/alg/rep2" || dead[1] != "row/alg/rep4" {

@@ -12,7 +12,7 @@ import (
 
 	"repro/internal/datasets"
 	"repro/internal/experiments"
-	"repro/internal/resilience"
+	"repro/internal/journal"
 )
 
 // The integration drills run the paper's real experiment cells (micro
@@ -41,7 +41,7 @@ func microOptions() experiments.Options {
 func goldenFig6Single(t *testing.T, o experiments.Options) []byte {
 	t.Helper()
 	serial := o
-	serial.Checkpoint = resilience.NewMemoryCheckpoint()
+	serial.Checkpoint = journal.NewMemoryCheckpoint()
 	if _, err := experiments.RunFig6Single(context.Background(), serial, datasets.CA, datasets.Uniform); err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +61,11 @@ func goldenFig6Single(t *testing.T, o experiments.Options) []byte {
 // every cell hits the cache, so this is pure reduction.
 func reduceFromJournal(t *testing.T, o experiments.Options, path string) []byte {
 	t.Helper()
-	ck, err := resilience.OpenCheckpoint(path)
+	ck, err := journal.OpenCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer ck.Close()
 	reduced := o
 	reduced.Checkpoint = ck
 	row, err := experiments.RunFig6Single(context.Background(), reduced, datasets.CA, datasets.Uniform)
@@ -88,17 +89,18 @@ func sweepConfig(t *testing.T, spec experiments.SweepSpec, journalPath string) C
 	if err != nil {
 		t.Fatal(err)
 	}
-	journal, err := resilience.OpenCheckpoint(journalPath)
+	ck, err := journal.OpenCheckpoint(journalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { ck.Close() })
 	return Config{
 		Experiment:  spec.Experiment,
 		Keys:        keys,
 		Spec:        rawSpec,
 		TTL:         2 * time.Second,
 		MaxAttempts: 3,
-		Journal:     journal,
+		Journal:     ck,
 		Validate:    func(_ string, value []byte) error { return experiments.ValidateCellValue(value) },
 		Logf:        t.Logf,
 	}
@@ -191,10 +193,10 @@ func TestDistributedSweepMatchesSerialBytes(t *testing.T) {
 
 // TestCoordinatorRestartMidSweepMatchesSerialBytes: the coordinator is
 // abandoned mid-sweep (its only durable state is the journal — exactly
-// what a SIGKILL leaves behind; the journal file's own crash-atomicity
-// is the checkpoint's proven contract) and a fresh incarnation resumes
-// from the journal. Completed cells are not re-run, and the final
-// tables are byte-identical to the serial golden run.
+// what a SIGKILL leaves behind; the journal file's own torn-tail
+// recovery is the checkpoint's proven contract) and a fresh incarnation
+// resumes from the journal. Completed cells are not re-run, and the
+// final tables are byte-identical to the serial golden run.
 func TestCoordinatorRestartMidSweepMatchesSerialBytes(t *testing.T) {
 	o := microOptions()
 	golden := goldenFig6Single(t, o)
@@ -208,18 +210,28 @@ func TestCoordinatorRestartMidSweepMatchesSerialBytes(t *testing.T) {
 
 	// Incarnation 1: crash after five delivered cells.
 	ctx1, kill := context.WithCancel(context.Background())
+	defer kill()
 	c1, err := NewCoordinator(sweepConfig(t, spec, journalPath))
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv1, err := Serve(ctx1, c1, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w1 := newTestClient(t, srv1, "w1")
+	if _, err := w1.Join(ctx1); err != nil {
+		t.Fatal(err)
+	}
 	var delivered atomic.Int32
-	err = RunLocal(ctx1, c1, 2, func(ctx context.Context, key string) ([]byte, error) {
+	_, err = w1.Run(ctx1, func(ctx context.Context, key string) ([]byte, error) {
 		if delivered.Add(1) > 5 {
 			kill()
 			return nil, ctx.Err()
 		}
 		return runner.Execute(ctx, key)
 	})
+	srv1.Close()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("incarnation 1 ended with %v, want context.Canceled", err)
 	}
@@ -235,16 +247,34 @@ func TestCoordinatorRestartMidSweepMatchesSerialBytes(t *testing.T) {
 	if snap.Done == 0 || snap.Done >= snap.Total {
 		t.Fatalf("restart snapshot = %+v, want a partially complete sweep", snap)
 	}
-	var recomputed int32
-	var recompute atomic.Int32
-	if err := RunLocal(ctx2, c2, 2, func(ctx context.Context, key string) ([]byte, error) {
-		recompute.Add(1)
-		return runner.Execute(ctx, key)
-	}); err != nil {
+	srv2, err := Serve(ctx2, c2, "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	recomputed = recompute.Load()
-	if int(recomputed) != snap.Total-snap.Done {
+	defer srv2.Close()
+	var recompute atomic.Int32
+	exec := func(ctx context.Context, key string) ([]byte, error) {
+		recompute.Add(1)
+		return runner.Execute(ctx, key)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w := newTestClient(t, srv2, "w2a")
+		if _, err := w.Join(ctx2); err != nil {
+			t.Errorf("w2a: join: %v", err)
+			return
+		}
+		if _, err := w.Run(ctx2, exec); err != nil {
+			t.Errorf("w2a: run: %v", err)
+		}
+	}()
+	joinAndRun(t, ctx2, newTestClient(t, srv2, "w2b"), exec)
+	<-done
+	if err := c2.Wait(ctx2); err != nil {
+		t.Fatal(err)
+	}
+	if recomputed := recompute.Load(); int(recomputed) != snap.Total-snap.Done {
 		t.Fatalf("incarnation 2 executed %d cells, want exactly the %d unfinished ones", recomputed, snap.Total-snap.Done)
 	}
 

@@ -12,14 +12,15 @@
 //   - Cells are idempotent checkpoint units, so replays are harmless:
 //     the coordinator deduplicates results by cell key, refuses late
 //     deliveries from expired leases, and journals accepted values
-//     durably (a resilience.Checkpoint in the exact -checkpoint format)
-//     BEFORE acknowledging them — killing and restarting the
-//     coordinator mid-sweep resumes from the journal.
+//     durably (a journal.Checkpoint, the exact -checkpoint file) BEFORE
+//     acknowledging them — killing and restarting the coordinator
+//     mid-sweep resumes from the journal.
 //   - Reduction stays bit-identical to a serial run: the journal feeds
 //     the unchanged in-process reduction, which folds cells in
 //     canonical order regardless of delivery order.
-//   - With zero workers joined, the driver degrades to the in-process
-//     parallel path through the same lease state machine (RunLocal).
+//   - With zero workers joined, the coordinator steps aside and the
+//     caller's ordinary in-process sweep runs the missing cells into
+//     the same journal.
 //
 // The package is generic over the work: cells are opaque keys executed
 // by a caller-supplied function returning opaque JSON values. The

@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/grid"
+	"repro/internal/journal"
 	"repro/internal/ldp"
 	"repro/internal/nn"
 	"repro/internal/parallel"
@@ -66,7 +67,7 @@ type Options struct {
 	// result bit for bit — at any worker count, since cell values don't
 	// depend on Workers. A file is bound to the options that produced its
 	// cells (BindCheckpoint). nil disables checkpointing.
-	Checkpoint *resilience.Checkpoint
+	Checkpoint *journal.Checkpoint
 	// Retry governs baseline-release retries on retryable failures; the
 	// zero value keeps the historical fail-fast behaviour. (STPT runs
 	// carry their own policy inside core.Config.)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/datasets"
+	"repro/internal/journal"
 	"repro/internal/resilience"
 )
 
@@ -52,7 +53,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "sweep.json")
-	ck, err := resilience.OpenCheckpoint(path)
+	ck, err := journal.OpenCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 	}
 
 	// Restart: reopen the file as a fresh process would.
-	ck2, err := resilience.OpenCheckpoint(path)
+	ck2, err := journal.OpenCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestSweepCancellation(t *testing.T) {
 func TestCheckpointCrashBeforeWrite(t *testing.T) {
 	o := micro()
 	path := filepath.Join(t.TempDir(), "sweep.json")
-	ck, err := resilience.OpenCheckpoint(path)
+	ck, err := journal.OpenCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestCheckpointCrashBeforeWrite(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want power loss", err)
 	}
-	ck2, err := resilience.OpenCheckpoint(path)
+	ck2, err := journal.OpenCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/datasets"
+	"repro/internal/journal"
 	"repro/internal/resilience"
 )
 
@@ -98,7 +99,7 @@ func TestParallelSweepCheckpointInterchangeable(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "sweep.json")
-	ck, err := resilience.OpenCheckpoint(path)
+	ck, err := journal.OpenCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestParallelSweepCheckpointInterchangeable(t *testing.T) {
 	sameResults(t, got, want)
 
 	// Resume the parallel run's file serially: every cell must be cached.
-	ck2, err := resilience.OpenCheckpoint(path)
+	ck2, err := journal.OpenCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/datasets"
-	"repro/internal/resilience"
+	"repro/internal/journal"
 )
 
 // This file is the distributed-execution surface of the experiment
@@ -102,7 +102,7 @@ const optionsKey = "experiments:options"
 // options is refused, and so is a non-empty one with no record, whose
 // cells cannot be matched to any options. It returns the number of
 // completed cells, not counting reserved entries.
-func BindCheckpoint(ck *resilience.Checkpoint, o Options) (int, error) {
+func BindCheckpoint(ck *journal.Checkpoint, o Options) (int, error) {
 	want := NewSweepSpec("", "", "", o)
 	want.Reps = 0
 	show := func(s SweepSpec) string {

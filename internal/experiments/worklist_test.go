@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/datasets"
+	"repro/internal/journal"
 	"repro/internal/query"
 	"repro/internal/resilience"
 )
@@ -113,7 +114,7 @@ func TestExecuteMatchesSerialCheckpointCells(t *testing.T) {
 
 			// Serial golden run with a real checkpoint file.
 			path := filepath.Join(t.TempDir(), "serial.json")
-			ck, err := resilience.OpenCheckpoint(path)
+			ck, err := journal.OpenCheckpoint(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +139,7 @@ func TestExecuteMatchesSerialCheckpointCells(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			journal := resilience.NewMemoryCheckpoint()
+			assembled := journal.NewMemoryCheckpoint()
 			for _, key := range keys {
 				raw, err := runner.Execute(context.Background(), key)
 				if err != nil {
@@ -158,14 +159,14 @@ func TestExecuteMatchesSerialCheckpointCells(t *testing.T) {
 				if !bytes.Equal(raw, serialRaw) {
 					t.Fatalf("%s: Execute value %s != serial checkpoint cell %s", key, raw, serialRaw)
 				}
-				if err := journal.Record(key, json.RawMessage(raw)); err != nil {
+				if err := assembled.Record(key, json.RawMessage(raw)); err != nil {
 					t.Fatal(err)
 				}
 			}
 
 			// Reduction from the assembled journal reproduces the serial tables.
 			reduced := o
-			reduced.Checkpoint = journal
+			reduced.Checkpoint = assembled
 			got, err := run(reduced)
 			if err != nil {
 				t.Fatal(err)
@@ -188,7 +189,7 @@ func TestExecuteMatchesSerialCheckpointCells(t *testing.T) {
 func TestBindCheckpoint(t *testing.T) {
 	o := micro()
 	path := filepath.Join(t.TempDir(), "sweep.json")
-	ck, err := resilience.OpenCheckpoint(path)
+	ck, err := journal.OpenCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestBindCheckpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ck, err = resilience.OpenCheckpoint(path)
+	ck, err = journal.OpenCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +239,7 @@ func TestBindCheckpoint(t *testing.T) {
 		}
 	}
 
-	legacy := resilience.NewMemoryCheckpoint()
+	legacy := journal.NewMemoryCheckpoint()
 	if err := legacy.Record("fig6/CA/uniform/stpt/rep0", cell); err != nil {
 		t.Fatal(err)
 	}

@@ -408,7 +408,7 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("/readyz", g.handleReadyz)
 	mux.Handle("/metrics", g.met.reg.Handler())
 	mux.HandleFunc("/", g.proxy)
-	return reqid.Middleware(g.instrument(mux))
+	return reqid.Middleware(metrics.Instrument(mux, g.met.requests, g.met.latency))
 }
 
 // Run starts the health probers and serves the gateway on ln until ctx
@@ -474,38 +474,4 @@ func newGateMetrics(g *Gateway) *gateMetrics {
 		return float64(len(g.replicas))
 	})
 	return m
-}
-
-// instrument counts and times every client request at the gateway.
-func (g *Gateway) instrument(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w}
-		next.ServeHTTP(rec, r)
-		code := rec.status
-		if code == 0 {
-			code = http.StatusOK
-		}
-		g.met.requests.With(strconv.Itoa(code)).Inc()
-		g.met.latency.Observe(time.Since(start).Seconds())
-	})
-}
-
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	if r.status == 0 {
-		r.status = code
-	}
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(p []byte) (int, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
-	}
-	return r.ResponseWriter.Write(p)
 }

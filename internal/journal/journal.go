@@ -1,9 +1,11 @@
 // Package journal owns the one crash-safe, append-only file discipline
 // that the privacy ledger (dp.Ledger), the window manifest
-// (pipeline.Manifest) and the ingest WAL share, so a fix to any rule
-// lands in every journal at once.
+// (pipeline.Manifest), the ingest WAL and the sweep checkpoint
+// (Checkpoint) share, so a fix to any rule lands in every journal at
+// once.
 //
-// Line format, used by the ledger and the manifest: one record per line,
+// Line format, used by the ledger, the manifest and the checkpoint: one
+// record per line,
 //
 //	<crc32-hex> <json>\n
 //

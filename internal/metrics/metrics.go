@@ -5,7 +5,8 @@
 // exposition format the daemons need — `# HELP`/`# TYPE` lines, one
 // sample per series, histograms as cumulative `_bucket`/`_sum`/`_count`
 // — so stpt-serve and stpt-gate can expose /metrics without importing a
-// client library the container doesn't have.
+// client library the container doesn't have. Instrument is the
+// request-counting middleware both daemons wrap their handlers in.
 package metrics
 
 import (
@@ -13,9 +14,11 @@ import (
 	"math"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Registry holds a fixed set of instruments and renders them in
@@ -256,4 +259,42 @@ func (h *Histogram) write(b *strings.Builder) {
 	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n", h.name, cum)
 	fmt.Fprintf(b, "%s_sum %s\n", h.name, formatValue(math.Float64frombits(h.sumBits.Load())))
 	fmt.Fprintf(b, "%s_count %d\n", h.name, h.count.Load())
+}
+
+// Instrument counts every request next answers in requests, labelled by
+// status code, and observes its latency. A handler that never calls
+// WriteHeader answered the implicit 200. A panic unwinding through next
+// is neither counted nor timed, so panic recovery belongs inside.
+func Instrument(next http.Handler, requests *CounterVec, latency *Histogram) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
+		rec := &statusRecorder{ResponseWriter: w}
+		next.ServeHTTP(rec, r)
+		code := rec.status
+		if code == 0 {
+			code = http.StatusOK
+		}
+		requests.With(strconv.Itoa(code)).Inc()
+		latency.Observe(time.Since(start).Seconds())
+	})
+}
+
+// statusRecorder captures the first status code a handler wrote.
+type statusRecorder struct {
+	http.ResponseWriter
+	status int
+}
+
+func (r *statusRecorder) WriteHeader(code int) {
+	if r.status == 0 {
+		r.status = code
+	}
+	r.ResponseWriter.WriteHeader(code)
+}
+
+func (r *statusRecorder) Write(p []byte) (int, error) {
+	if r.status == 0 {
+		r.status = http.StatusOK
+	}
+	return r.ResponseWriter.Write(p)
 }

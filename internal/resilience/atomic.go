@@ -12,9 +12,8 @@ import (
 // either the previous content or the complete new content at path —
 // never a torn file. The write callback streams the content into a temp
 // file in the same directory; the file is fsynced, closed, and renamed
-// over path. This is the durability pattern Checkpoint uses, factored
-// out so every artifact the pipeline publishes (checkpoints, release
-// CSVs, ingest snapshots) commits the same way.
+// over path. Every file written whole (release CSVs, ingest snapshots,
+// a compacted ledger) commits this way.
 //
 // ctx is consulted only for fault injection (FaultAtomicRename fires
 // between the fsync and the rename so tests can kill a writer in the

@@ -1,8 +1,7 @@
 // Package resilience is the fault-handling layer of the pipeline: error
 // classification (retryable vs fatal), a retry policy with deterministic
-// seed jitter and graceful degradation, JSON checkpoints for resumable
-// experiment sweeps, and an injectable fault hook used by tests to prove
-// each recovery path actually recovers.
+// seed jitter and graceful degradation, and an injectable fault hook used
+// by tests to prove each recovery path actually recovers.
 //
 // The package sits below every other internal package (it imports only
 // the standard library), so core, nn, baselines and experiments can all

@@ -4,9 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 )
@@ -201,130 +198,6 @@ func TestInjectorHookMutatesPayload(t *testing.T) {
 	v := 1.0
 	if err := Fire(ctx, FaultTrainStep, &v); err != nil || v != -1 {
 		t.Fatalf("err=%v v=%v", err, v)
-	}
-}
-
-type cell struct {
-	MAE  float64 `json:"mae"`
-	RMSE float64 `json:"rmse"`
-}
-
-func TestCheckpointRoundTripAcrossReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.ckpt")
-	c, err := OpenCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Lookup("fig6/CER/uniform/stpt/rep0", nil) {
-		t.Fatal("fresh checkpoint has cells")
-	}
-	if err := c.Record("fig6/CER/uniform/stpt/rep0", cell{MAE: 1.5, RMSE: 2.25}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Record("fig6/CER/uniform/identity/rep0", cell{MAE: 9}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Simulate a kill + restart: reopen from disk.
-	c2, err := OpenCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.Len() != 2 {
-		t.Fatalf("Len = %d", c2.Len())
-	}
-	var got cell
-	if !c2.Lookup("fig6/CER/uniform/stpt/rep0", &got) || got.MAE != 1.5 || got.RMSE != 2.25 {
-		t.Fatalf("lookup = %+v", got)
-	}
-	if c2.Lookup("fig6/CER/uniform/fast/rep0", &got) {
-		t.Fatal("phantom cell")
-	}
-}
-
-func TestCheckpointRejectsCorruptFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.ckpt")
-	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenCheckpoint(path); err == nil {
-		t.Fatal("corrupt checkpoint accepted")
-	}
-	if err := os.WriteFile(path, []byte(`{"version":99,"cells":{}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenCheckpoint(path); err == nil {
-		t.Fatal("future version accepted")
-	}
-}
-
-func TestNilCheckpointIsInert(t *testing.T) {
-	var c *Checkpoint
-	if c.Lookup("k", nil) {
-		t.Fatal("nil lookup hit")
-	}
-	if err := c.Record("k", 1); err != nil {
-		t.Fatalf("nil record: %v", err)
-	}
-	if c.Len() != 0 || c.Keys() != nil {
-		t.Fatal("nil checkpoint not empty")
-	}
-}
-
-func TestCheckpointConcurrentRecord(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "conc.ckpt")
-	c, err := OpenCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			key := fmt.Sprintf("cell/%d", i)
-			if err := c.Record(key, cell{MAE: float64(i)}); err != nil {
-				t.Errorf("record %d: %v", i, err)
-			}
-			var got cell
-			if !c.Lookup(key, &got) {
-				t.Errorf("lookup %d missed", i)
-			}
-		}(i)
-	}
-	wg.Wait()
-	c2, err := OpenCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.Len() != 16 {
-		t.Fatalf("persisted %d cells", c2.Len())
-	}
-}
-
-func TestCheckpointAtomicFileNeverTorn(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "atomic.ckpt")
-	c, err := OpenCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := c.Record(fmt.Sprintf("k%d", i), i); err != nil {
-			t.Fatal(err)
-		}
-		// After every Record the on-disk file must parse completely.
-		if _, err := OpenCheckpoint(path); err != nil {
-			t.Fatalf("torn state after record %d: %v", i, err)
-		}
-	}
-	// No temp litter left behind.
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 1 {
-		t.Fatalf("dir has %d entries", len(ents))
 	}
 }
 

@@ -146,7 +146,7 @@ func Fsck(ctx context.Context, cfg FsckConfig) (*Report, error) {
 		fsckLedger(cfg, recs, rep)
 	}
 	if cfg.WAL != "" {
-		fsckWAL(cfg, recs, rep)
+		fsckWAL(cfg, rep)
 	}
 	if cfg.Peer != "" && cfg.DataDir != "" {
 		if err := fsckPeer(ctx, cfg, rep); err != nil {
@@ -303,9 +303,10 @@ func fsckLedger(cfg FsckConfig, recs []pipeline.Record, rep *Report) {
 	}
 }
 
-// fsckWAL proves snapshot + sealed segments + active file cover one
-// gapless history reaching at least the manifest's high-water.
-func fsckWAL(cfg FsckConfig, recs []pipeline.Record, rep *Report) {
+// fsckWAL checks the log's structure: the snapshot decodes, sealed
+// segments are contiguous and whole, and only the active segment may be
+// torn.
+func fsckWAL(cfg FsckConfig, rep *Report) {
 	rep.Checked++
 	cov, err := ingest.WALCoverage(cfg.WAL)
 	if err != nil {
@@ -323,7 +324,6 @@ func fsckWAL(cfg FsckConfig, recs []pipeline.Record, rep *Report) {
 		rep.add(Finding{Code: "wal-covered-residue", Severity: SeverityWarn, Artifact: cfg.WAL,
 			Detail: fmt.Sprintf("%d sealed segment(s) already folded into the snapshot remain on disk (a compaction crashed mid-delete; recovery sweeps them)", len(cov.Covered))})
 	}
-	_ = recs
 }
 
 // fsckPeer fetches the peer's catalog and verifies every advertised

@@ -49,6 +49,30 @@ func TestPanicYields500AndServerSurvives(t *testing.T) {
 	}
 }
 
+// TestPanicCountedInMetrics: a recovered panic's 500 is counted and
+// timed in /metrics like any other answer.
+func TestPanicCountedInMetrics(t *testing.T) {
+	ctx, err := injectorCtx("panic=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, ctx, Config{})
+	q := grid.Query{X1: 1, Y1: 1, T1: 1}
+	for i := 0; i < 4; i++ {
+		get(t, queryURL(ts.URL, q, ""))
+	}
+	_, body := get(t, ts.URL+"/metrics")
+	for _, want := range []string{
+		`stpt_serve_requests_total{code="200"} 2`,
+		`stpt_serve_requests_total{code="500"} 2`,
+		`stpt_serve_request_seconds_count 4`,
+	} {
+		if !strings.Contains(string(body), want+"\n") {
+			t.Errorf("/metrics lacks %q:\n%s", want, body)
+		}
+	}
+}
+
 // TestInjectedErrorYields500: a fault hook returning an error (downstream
 // failure) maps to 500 with the fault surfaced, and recovery is
 // immediate.

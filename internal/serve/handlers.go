@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/grid"
+	"repro/internal/metrics"
 	"repro/internal/query"
 	"repro/internal/reqid"
 	"repro/internal/resilience"
@@ -54,13 +55,14 @@ type datasetInfo struct {
 
 // Handler assembles the full middleware stack:
 //
-//	reqid → staleness → recoverPanics → instrument → mux
+//	reqid → staleness → metrics.Instrument → recoverPanics → mux
 //	  (/query: withDeadline → withAdmission → handleQuery)
 //
 // Health endpoints bypass deadline and admission on purpose: a saturated
 // server must still answer its balancer's probes instantly. Request-id
 // and staleness stamping sit outermost so even a shed or panicking
-// request carries both headers.
+// request carries both headers, and instrumentation sits outside panic
+// recovery so a recovered panic's 500 is counted and timed.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealthz)
@@ -71,7 +73,7 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("/metrics", s.met.reg.Handler())
 	mux.HandleFunc("/-/reload", s.handleReload)
 	mux.Handle("/query", s.withDeadline(s.withAdmission(http.HandlerFunc(s.handleQuery))))
-	return reqid.Middleware(s.withStaleness(s.recoverPanics(s.instrument(mux))))
+	return reqid.Middleware(s.withStaleness(metrics.Instrument(s.recoverPanics(mux), s.met.requests, s.met.latency)))
 }
 
 // handleHealthz is liveness: the process is up and the handler stack

@@ -8,11 +8,11 @@ import (
 	"repro/internal/metrics"
 )
 
-// serveMetrics is the daemon's /metrics instrument set. Counters and the
-// latency histogram are updated inline by the instrumentation
-// middleware; the generation and replication gauges are callbacks read
-// at scrape time, so they are always current without any bookkeeping on
-// the serving path.
+// serveMetrics is the daemon's /metrics instrument set. Request counts
+// and the latency histogram are updated by metrics.Instrument, the shed
+// count by the admission middleware; the generation and replication
+// gauges are callbacks read at scrape time, so they are always current
+// without any bookkeeping on the serving path.
 type serveMetrics struct {
 	reg      *metrics.Registry
 	requests *metrics.CounterVec // by status code
@@ -87,47 +87,6 @@ func newServeMetrics(s *Server) *serveMetrics {
 			return 0
 		})
 	return m
-}
-
-// statusRecorder captures the status code a handler wrote so the
-// instrumentation middleware can label its counters. An untouched
-// WriteHeader means the implicit 200.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	if r.status == 0 {
-		r.status = code
-	}
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(p []byte) (int, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
-	}
-	return r.ResponseWriter.Write(p)
-}
-
-// instrument counts and times every request. It sits just inside panic
-// recovery so even a 500 from a recovered panic is counted.
-func (s *Server) instrument(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w}
-		next.ServeHTTP(rec, r)
-		code := rec.status
-		if code == 0 {
-			code = http.StatusOK
-		}
-		s.met.requests.With(strconv.Itoa(code)).Inc()
-		if code == http.StatusTooManyRequests {
-			s.met.shed.Inc()
-		}
-		s.met.latency.Observe(time.Since(start).Seconds())
-	})
 }
 
 // withStaleness stamps every response from a follower replica with an

@@ -84,6 +84,7 @@ func (s *Server) withAdmission(next http.Handler) http.Handler {
 		release, err := s.gate.acquire(r.Context())
 		if err != nil {
 			if errors.Is(err, errShed) {
+				s.met.shed.Inc()
 				w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
 				writeError(w, http.StatusTooManyRequests, "server at capacity; retry later")
 				return

@@ -28,7 +28,7 @@ func TestSoakCapacityOneOnlyCleanStatuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts := newTestServer(t, ctx, Config{
+	s, ts := newTestServer(t, ctx, Config{
 		Capacity:       1,
 		Queue:          1,
 		DefaultTimeout: 20 * time.Millisecond,
@@ -87,6 +87,9 @@ func TestSoakCapacityOneOnlyCleanStatuses(t *testing.T) {
 	}
 	if counts[http.StatusTooManyRequests].Load() == 0 {
 		t.Error("soak produced no 429s — the gate never shed under 16x oversubscription")
+	}
+	if shed, want := s.met.shed.Value(), counts[http.StatusTooManyRequests].Load(); shed != uint64(want) {
+		t.Errorf("stpt_serve_shed_total = %d, want the %d 429s clients saw", shed, want)
 	}
 }
 

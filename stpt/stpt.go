@@ -25,6 +25,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datasets"
 	"repro/internal/grid"
+	"repro/internal/journal"
 	"repro/internal/ldp"
 	"repro/internal/query"
 	"repro/internal/resilience"
@@ -63,7 +64,7 @@ type (
 	// whether it degraded to a fallback model (Result.Recovery).
 	RecoveryReport = resilience.Report
 	// Checkpoint persists completed sweep cells for crash-safe resume.
-	Checkpoint = resilience.Checkpoint
+	Checkpoint = journal.Checkpoint
 )
 
 // Model kinds for Config.Model (Figure 8(i)).
@@ -118,7 +119,7 @@ func DefaultRetryPolicy() RetryPolicy { return resilience.DefaultPolicy() }
 
 // OpenCheckpoint opens (or creates) a sweep checkpoint file for use with
 // the experiment runners' Options.Checkpoint.
-func OpenCheckpoint(path string) (*Checkpoint, error) { return resilience.OpenCheckpoint(path) }
+func OpenCheckpoint(path string) (*Checkpoint, error) { return journal.OpenCheckpoint(path) }
 
 // GenerateDataset synthesises a dataset calibrated to the spec's published
 // statistics, with households placed under the layout.
