@@ -6,6 +6,9 @@
 // the manifest tip, WAL coverage is gapless up to the snapshot
 // high-water, and (given a peer) every catalog file's local bytes match
 // the peer's catalog — then prints the findings as a typed repair plan.
+// The per-file checks are the ones the daemons' background scrubbers
+// run (scrub.PipelineTargets, one release target per catalog file);
+// the doctor adds the relational checks on top.
 //
 //	stpt-doctor -out data/out -ledger data/ledger -wal data/feed.wal \
 //	            -dataset stream -eps-node 0.5            # read-only audit

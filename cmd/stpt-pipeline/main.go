@@ -45,6 +45,7 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/dp"
@@ -119,7 +120,7 @@ func main() {
 		manifestPath = *outDir + "/manifest"
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	icfg := ingest.Config{

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -115,6 +116,118 @@ func TestOneShotPublishesEveryWindow(t *testing.T) {
 	}
 }
 
+// daemon is one stpt-pipeline process in daemon mode over the 2×2×12
+// stream, with its combined output.
+type daemon struct {
+	t    *testing.T
+	cmd  *exec.Cmd
+	base string
+	log  bytes.Buffer
+	done chan error
+}
+
+// startDaemon launches the binary in daemon mode on a free port (extra
+// flags appended) and waits until it answers /healthz.
+func startDaemon(t *testing.T, bin, dir string, extra ...string) *daemon {
+	t.Helper()
+	// Grab a free port; the tiny reuse window is fine for a smoke test.
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+
+	d := &daemon{t: t, base: "http://" + addr, done: make(chan error, 1)}
+	d.cmd = exec.Command(bin, append([]string{
+		"-wal", filepath.Join(dir, "feed.wal"), "-grid", "2", "-t", "12",
+		"-window", "3", "-listen", addr, "-token", "s3cret",
+		"-out", filepath.Join(dir, "out"),
+		"-ledger", filepath.Join(dir, "budget.ledger"),
+		"-eps-node", "0.5", "-budget", "4", "-seed", "42",
+		"-interval", "50ms",
+	}, extra...)...)
+	d.cmd.Stdout, d.cmd.Stderr = &d.log, &d.log
+	if err := d.cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	go func() { d.done <- d.cmd.Wait() }()
+	t.Cleanup(func() { d.cmd.Process.Kill() })
+	d.waitFor("daemon to listen", func() bool {
+		resp, err := http.Get(d.base + "/healthz")
+		if err != nil {
+			return false
+		}
+		resp.Body.Close()
+		return resp.StatusCode == http.StatusOK
+	})
+	return d
+}
+
+// waitFor polls ok for up to 20s, failing fast if the daemon exits.
+func (d *daemon) waitFor(desc string, ok func() bool) {
+	d.t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for !ok() {
+		select {
+		case err := <-d.done:
+			d.t.Fatalf("daemon exited waiting for %s (%v)\n%s", desc, err, d.log.String())
+		default:
+		}
+		if time.Now().After(deadline) {
+			d.t.Fatalf("timed out waiting for %s\n%s", desc, d.log.String())
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// ingestFeed POSTs the whole 12-interval feed and waits for all four
+// windows to publish.
+func (d *daemon) ingestFeed() {
+	d.t.Helper()
+	req, _ := http.NewRequest(http.MethodPost, d.base+"/ingest", strings.NewReader(cliFeed(12)))
+	req.Header.Set("Authorization", "Bearer s3cret")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		d.t.Fatalf("POST /ingest: %d", resp.StatusCode)
+	}
+	d.waitFor("all four windows to publish", func() bool {
+		resp, err := http.Get(d.base + "/status")
+		if err != nil {
+			return false
+		}
+		defer resp.Body.Close()
+		var st struct {
+			Published int `json:"published"`
+		}
+		json.NewDecoder(resp.Body).Decode(&st)
+		return st.Published == 4
+	})
+}
+
+// stop sends sig and requires a clean exit that logged the drain.
+func (d *daemon) stop(sig os.Signal) {
+	d.t.Helper()
+	if err := d.cmd.Process.Signal(sig); err != nil {
+		d.t.Fatal(err)
+	}
+	select {
+	case err := <-d.done:
+		if err != nil {
+			d.t.Fatalf("daemon exit after %v: %v\n%s", sig, err, d.log.String())
+		}
+	case <-time.After(15 * time.Second):
+		d.t.Fatalf("daemon never drained after %v\n%s", sig, d.log.String())
+	}
+	if !strings.Contains(d.log.String(), "drained") {
+		d.t.Fatalf("daemon log: %s", d.log.String())
+	}
+}
+
 // TestDaemonIngestToPublish runs the binary as the long-lived daemon:
 // readings arrive over HTTP, windows publish as their spans complete,
 // the reload notifier rings once per window, and SIGINT drains cleanly.
@@ -136,83 +249,11 @@ func TestDaemonIngestToPublish(t *testing.T) {
 	}))
 	defer notify.Close()
 
-	// Grab a free port; the tiny reuse window is fine for a smoke test.
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := l.Addr().String()
-	l.Close()
+	d := startDaemon(t, bin, dir, "-reload-url", notify.URL, "-reload-token", "sesame")
+	d.ingestFeed()
+	d.waitFor("four reload notifications", func() bool { return reloads.Load() == 4 })
 
-	cmd := exec.Command(bin,
-		"-wal", filepath.Join(dir, "feed.wal"), "-grid", "2", "-t", "12",
-		"-window", "3", "-listen", addr, "-token", "s3cret",
-		"-out", filepath.Join(dir, "out"),
-		"-ledger", filepath.Join(dir, "budget.ledger"),
-		"-eps-node", "0.5", "-budget", "4", "-seed", "42",
-		"-interval", "50ms",
-		"-reload-url", notify.URL, "-reload-token", "sesame")
-	var buf bytes.Buffer
-	cmd.Stdout, cmd.Stderr = &buf, &buf
-	if err := cmd.Start(); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-	defer cmd.Process.Kill()
-
-	base := "http://" + addr
-	waitFor := func(desc string, ok func() bool) {
-		t.Helper()
-		deadline := time.Now().Add(20 * time.Second)
-		for !ok() {
-			select {
-			case err := <-done:
-				t.Fatalf("daemon exited waiting for %s (%v)\n%s", desc, err, buf.String())
-			default:
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("timed out waiting for %s\n%s", desc, buf.String())
-			}
-			time.Sleep(20 * time.Millisecond)
-		}
-	}
-	waitFor("daemon to listen", func() bool {
-		resp, err := http.Get(base + "/healthz")
-		if err != nil {
-			return false
-		}
-		resp.Body.Close()
-		return resp.StatusCode == http.StatusOK
-	})
-
-	req, _ := http.NewRequest(http.MethodPost, base+"/ingest", strings.NewReader(cliFeed(12)))
-	req.Header.Set("Authorization", "Bearer s3cret")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /ingest: %d", resp.StatusCode)
-	}
-
-	published := func() int {
-		resp, err := http.Get(base + "/status")
-		if err != nil {
-			return -1
-		}
-		defer resp.Body.Close()
-		var st struct {
-			Published int `json:"published"`
-		}
-		json.NewDecoder(resp.Body).Decode(&st)
-		return st.Published
-	}
-	waitFor("all four windows to publish", func() bool { return published() == 4 })
-	waitFor("four reload notifications", func() bool { return reloads.Load() == 4 })
-
-	resp, err = http.Get(base + "/readyz")
+	resp, err := http.Get(d.base + "/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,25 +263,26 @@ func TestDaemonIngestToPublish(t *testing.T) {
 	}
 
 	// SIGINT drains: clean exit, windows on disk.
-	if err := cmd.Process.Signal(os.Interrupt); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("daemon exit after SIGINT: %v\n%s", err, buf.String())
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatalf("daemon never drained\n%s", buf.String())
-	}
-	if !strings.Contains(buf.String(), "drained") {
-		t.Fatalf("daemon log: %s", buf.String())
-	}
+	d.stop(os.Interrupt)
 	for w := 1; w <= 4; w++ {
 		if _, err := os.Stat(filepath.Join(dir, "out", fmt.Sprintf("window-%06d.csv", w))); err != nil {
 			t.Fatalf("window %d missing after drain: %v", w, err)
 		}
 	}
+}
+
+// TestDaemonDrainsOnSIGTERM: SIGTERM — what init systems and container
+// runtimes send — drains exactly like SIGINT: the HTTP server shuts
+// down gracefully and the process exits 0, rather than dying with the
+// signal's default disposition mid-request.
+func TestDaemonDrainsOnSIGTERM(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the binary")
+	}
+	dir := t.TempDir()
+	d := startDaemon(t, buildPipelineBin(t, dir), dir)
+	d.ingestFeed()
+	d.stop(syscall.SIGTERM)
 }
 
 // TestOneShotBudgetExhaustionExitsTwo: a budget too small for the whole

@@ -16,8 +16,13 @@
 // /catalog and /catalog/file (the replication control plane), and —
 // with -reload-token — authenticated POST /-/reload for zero-downtime
 // dataset swaps. SIGHUP triggers the same reload: all -load files are
-// re-sniffed and swapped in atomically while in-flight queries finish
-// on the old snapshot; a failed reload keeps the old data serving.
+// re-read and swapped in atomically while in-flight queries finish on
+// the old snapshot; a failed reload keeps the old data serving.
+//
+// Only releases are served: -load accepts the x,y,t,value cell list
+// stpt-run and stpt-pipeline publish, never a stpt-datagen household
+// file — its readings were never noised, and exact sums over them would
+// leak the data the mechanism protects.
 //
 // Replica mode: -follow <peer-url> -data-dir <dir> turns the daemon
 // into a follower that anti-entropy-syncs the peer's release catalog
@@ -52,7 +57,6 @@ func main() {
 	var loads []string
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
-		gridSide   = flag.Int("grid", 0, "grid side for household-CSV inputs (0 = infer power-of-two)")
 		capacity   = flag.Int("capacity", 0, "max concurrent queries (0 = GOMAXPROCS)")
 		queue      = flag.Int("queue", 0, "admission queue depth beyond capacity (0 = 2x capacity)")
 		timeout    = flag.Duration("timeout", 2*time.Second, "default per-request deadline")
@@ -68,7 +72,7 @@ func main() {
 		scrubEvery = flag.Duration("scrub-interval", time.Minute, "period between at-rest integrity scrub passes (0 = scrubbing disabled)")
 		scrubRate  = flag.Int64("scrub-rate", 0, "scrub read throttle in bytes/sec (0 = unthrottled)")
 	)
-	flag.Func("load", "release to serve as name=path (repeatable); path is a stpt-run cell CSV or a stpt-datagen household CSV", func(v string) error {
+	flag.Func("load", "release to serve as name=path (repeatable); path is a release in the x,y,t,value format stpt-run and stpt-pipeline write (raw household CSVs are refused)", func(v string) error {
 		loads = append(loads, v)
 		return nil
 	})
@@ -87,7 +91,7 @@ func main() {
 
 	specs := make([]serve.LoadSpec, 0, len(loads))
 	for _, l := range loads {
-		sp, err := serve.ParseLoadSpec(l, *gridSide, *gridSide)
+		sp, err := serve.ParseLoadSpec(l)
 		if err != nil {
 			fatalf("-load %v", err)
 		}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -49,13 +50,16 @@ func SaveMatrixCSVFile(ctx context.Context, path string, m *grid.Matrix) error {
 }
 
 // LoadMatrixCSV reads the SaveMatrixCSV cell-list format back into a
-// matrix. Dimensions are inferred as max coordinate + 1 per axis; cells
-// absent from the file stay zero. A duplicate (x,y,t) cell is an error
-// naming both rows: SaveMatrixCSV writes each cell exactly once, so a
-// repeat means the file was corrupted or concatenated, and silently
-// accumulating it would double the cell. Values may be negative (DP
-// noise produces negative cells) but must be finite, and coordinates
-// are bounded so a corrupt file cannot demand an absurd allocation.
+// matrix. The header must be exactly x,y,t,value: a file that merely
+// has four columns (a stpt-datagen household file over two intervals,
+// say) is not a release. Dimensions are inferred as max coordinate + 1
+// per axis; cells absent from the file stay zero. A duplicate (x,y,t)
+// cell is an error naming both rows: SaveMatrixCSV writes each cell
+// exactly once, so a repeat means the file was corrupted or
+// concatenated, and silently accumulating it would double the cell.
+// Values may be negative (DP noise produces negative cells) but must be
+// finite, and coordinates are bounded so a corrupt file cannot demand
+// an absurd allocation.
 func LoadMatrixCSV(r io.Reader) (*grid.Matrix, error) {
 	cr := csv.NewReader(r)
 	records, err := cr.ReadAll()
@@ -65,8 +69,8 @@ func LoadMatrixCSV(r io.Reader) (*grid.Matrix, error) {
 	if len(records) < 2 {
 		return nil, fmt.Errorf("datasets: matrix CSV needs a header and at least one cell")
 	}
-	if len(records[0]) != 4 {
-		return nil, fmt.Errorf("datasets: matrix CSV header has %d fields, want 4 (x,y,t,value)", len(records[0]))
+	if !slices.Equal(records[0], matrixHeader) {
+		return nil, fmt.Errorf("datasets: matrix CSV header %q, want %q", strings.Join(records[0], ","), strings.Join(matrixHeader, ","))
 	}
 	type cell struct {
 		x, y, t int
@@ -124,18 +128,4 @@ func LoadMatrixCSV(r io.Reader) (*grid.Matrix, error) {
 		m.AddAt(c.x, c.y, c.t, c.v)
 	}
 	return m, nil
-}
-
-// SniffCSV distinguishes the two on-disk CSV shapes this repo produces by
-// their header row: "matrix" for the x,y,t,value cell list (stpt-run
-// output) and "dataset" for the x,y,v0,v1,... household format
-// (stpt-datagen output). Unknown headers report an error naming both.
-func SniffCSV(header []string) (string, error) {
-	if len(header) == 4 && header[0] == "x" && header[1] == "y" && header[2] == "t" && header[3] == "value" {
-		return "matrix", nil
-	}
-	if len(header) >= 3 && header[0] == "x" && header[1] == "y" && strings.HasPrefix(header[2], "v") {
-		return "dataset", nil
-	}
-	return "", fmt.Errorf("datasets: unrecognised CSV header %q: want x,y,t,value (matrix) or x,y,v0,... (dataset)", strings.Join(header, ","))
 }

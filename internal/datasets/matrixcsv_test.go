@@ -42,6 +42,8 @@ func TestLoadMatrixCSVRejects(t *testing.T) {
 		"empty":           "",
 		"header-only":     "x,y,t,value\n",
 		"wrong-header":    "a,b,c\n0,0,1\n",
+		"household":       "x,y,v0,v1\n0,0,1,2\n",
+		"renamed-column":  "x,y,t,v\n0,0,0,1\n",
 		"short-row":       "x,y,t,value\n0,0,1\n",
 		"long-row":        "x,y,t,value\n0,0,1,2,3\n",
 		"bad-x":           "x,y,t,value\nleft,0,0,1\n",
@@ -120,27 +122,5 @@ func TestSaveMatrixCSVFileAtomic(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("directory holds %d entries, want just the release", len(entries))
-	}
-}
-
-// TestSniffCSV distinguishes the two header shapes and refuses others.
-func TestSniffCSV(t *testing.T) {
-	cases := []struct {
-		header []string
-		want   string
-		ok     bool
-	}{
-		{[]string{"x", "y", "t", "value"}, "matrix", true},
-		{[]string{"x", "y", "v0", "v1"}, "dataset", true},
-		{[]string{"x", "y", "v0"}, "dataset", true},
-		{[]string{"x", "y"}, "", false},
-		{[]string{"a", "b", "c", "d"}, "", false},
-		{nil, "", false},
-	}
-	for _, c := range cases {
-		got, err := SniffCSV(c.header)
-		if (err == nil) != c.ok || got != c.want {
-			t.Errorf("SniffCSV(%v) = %q, %v; want %q, ok=%v", c.header, got, err, c.want, c.ok)
-		}
 	}
 }

@@ -3,7 +3,6 @@ package dp
 import (
 	"errors"
 	"fmt"
-	"os"
 
 	"repro/internal/journal"
 )
@@ -93,16 +92,4 @@ func ScanLedger(path string, raw []byte) (*LedgerScan, error) {
 	sc.Durable = durable
 	sc.Torn = durable < int64(len(raw))
 	return sc, nil
-}
-
-// VerifyLedgerFile reads and scans the ledger at path without opening it
-// for writing — safe to run against a live daemon's ledger, whose only
-// concurrent mutation is an append (at worst observed as a tolerated
-// torn tail).
-func VerifyLedgerFile(path string) (*LedgerScan, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("dp: reading ledger: %w", err)
-	}
-	return ScanLedger(path, raw)
 }

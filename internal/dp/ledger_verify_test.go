@@ -8,6 +8,16 @@ import (
 	"testing"
 )
 
+// scanLedgerFile reads the ledger at path and scans the bytes read-only.
+func scanLedgerFile(t *testing.T, path string) (*LedgerScan, error) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ScanLedger(path, raw)
+}
+
 // The read-only scan of a freshly written ledger is clean and reproduces
 // exactly the state the live handle holds.
 func TestLedgerVerifyClean(t *testing.T) {
@@ -18,7 +28,7 @@ func TestLedgerVerifyClean(t *testing.T) {
 	}
 	defer l.Close()
 	chargeN(t, l, "v", 5)
-	sc, err := VerifyLedgerFile(path)
+	sc, err := scanLedgerFile(t, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +75,7 @@ func TestLedgerVerifyTornTail(t *testing.T) {
 		t.Fatalf("reopen over a torn tail: %v", err)
 	}
 	defer l2.Close()
-	healed, err := VerifyLedgerFile(path)
+	healed, err := scanLedgerFile(t, path)
 	if err != nil {
 		t.Fatalf("verify after heal: %v", err)
 	}
@@ -134,7 +144,7 @@ func TestLedgerVerifyCheckpointAndTail(t *testing.T) {
 	}
 	chargeN(t, l, "v", 2)
 
-	sc, err := VerifyLedgerFile(path)
+	sc, err := scanLedgerFile(t, path)
 	if err != nil {
 		t.Fatalf("verify over checkpoint+tail: %v", err)
 	}

@@ -6,160 +6,59 @@ import (
 	"os"
 )
 
-// SegmentCoverage describes one WAL segment's replayable contents as a
-// read-only observer sees them.
-type SegmentCoverage struct {
-	// Seq is the sealed segment's sequence number; for the active file it
-	// is the sequence the file will receive when sealed.
-	Seq  uint64
-	Path string
-	// Records is the number of complete, checksummed batches.
-	Records int
-	// Bytes is the offset after the last complete record.
-	Bytes int64
-	// First and Last are the 1-based global batch ordinals this segment
-	// covers, counting from the start of the log including everything the
-	// snapshot folded; both 0 for an empty segment.
-	First, Last uint64
-	// Sealed distinguishes immutable segments from the active file.
-	Sealed bool
-	// TornTail reports trailing bytes past the last complete record —
-	// legal only on the active segment (a crash mid-append).
-	TornTail bool
-}
-
-// Coverage is the gapless-replay proof for one WAL: the snapshot's
-// high-water plus every segment's batch span, in replay order. Fsck uses
-// it to show that snapshot + sealed tail + active file reconstruct one
-// contiguous history with nothing missing in between.
-type Coverage struct {
-	// SnapshotPath is walPath + ".snap"; empty when no snapshot exists.
-	SnapshotPath string
-	// SnapshotUpto is the newest sealed segment folded into the snapshot
-	// (0 without one): replay starts at segment SnapshotUpto+1.
-	SnapshotUpto uint64
-	// SnapshotBatches is the total batches the snapshot folded.
-	SnapshotBatches uint64
-	// Covered lists sealed segments <= SnapshotUpto still on disk — the
-	// leftovers of a compaction that crashed between the snapshot commit
-	// and the segment deletes. Harmless: recovery deletes them.
-	Covered []uint64
-	// Segments holds the replayed-beyond-snapshot segments ascending,
-	// sealed first, the active file last.
-	Segments []SegmentCoverage
-}
-
-// Batches returns the total batch count the log replays to: snapshot
-// fold plus every complete record beyond it.
-func (c *Coverage) Batches() uint64 {
-	n := c.SnapshotBatches
-	for _, s := range c.Segments {
-		n += uint64(s.Records)
-	}
-	return n
-}
-
-// WALCoverage walks the log at path strictly read-only — no truncation,
-// no handle kept — and proves (or refuses) gapless coverage: the
-// snapshot decodes, sealed segments are contiguous from the snapshot
-// high-water with every byte parsing, and only the active file may carry
-// a torn tail. Any gap or interior damage is an error wrapping
-// ErrWALCorrupt (or ErrSnapshotCorrupt); a missing active file is
-// tolerated (the log may have just rotated). It is safe to run against a
-// live ingester: the only concurrent mutation of the active file is an
-// append, observed at worst as a tolerated torn tail.
-func WALCoverage(path string) (*Coverage, error) {
-	cov := &Coverage{}
-	snapPath := path + ".snap"
-	snap, err := LoadSnapshot(snapPath)
+// CheckWAL walks the log at path strictly read-only — no truncation, no
+// handle kept, no covered segment deleted — and proves (or refuses)
+// gapless coverage under exactly the rules recovery applies: the
+// snapshot decodes, the sealed segments run contiguously from its
+// high-water (the split and gap rule OpenWALAfter uses) and parse to
+// their last byte, and only the active file may carry a torn tail. Any
+// gap or damage is an error wrapping ErrWALCorrupt (or
+// ErrSnapshotCorrupt) that names the file refused; a missing active
+// file is tolerated (the log may have just rotated).
+//
+// covered counts the sealed segments the snapshot already folds that
+// are still on disk — the leftovers of a compaction that crashed
+// between the snapshot commit and the segment deletes, which the next
+// open sweeps. It is safe to run against a live ingester: the only
+// concurrent mutation of the active file is an append, observed at
+// worst as a tolerated torn tail.
+func CheckWAL(path string) (covered int, err error) {
+	snap, err := LoadSnapshot(path + ".snap")
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
+	var base uint64
 	if snap != nil {
-		cov.SnapshotPath = snapPath
-		cov.SnapshotUpto = snap.Upto
-		cov.SnapshotBatches = snap.Batches
+		base = snap.Upto
 	}
-	seqs, err := listSegments(path)
+	folded, tail, err := walSegments(path, base)
 	if err != nil {
-		return nil, fmt.Errorf("ingest: listing WAL segments: %w", err)
+		return 0, err
 	}
-	next := cov.SnapshotUpto + 1
-	ordinal := cov.SnapshotBatches
-	for _, seq := range seqs {
-		if seq <= cov.SnapshotUpto {
-			cov.Covered = append(cov.Covered, seq)
-			continue
-		}
-		if seq != next {
-			return nil, fmt.Errorf("%w: sealed segment %d present but %d missing — replay has a gap", ErrWALCorrupt, seq, next)
-		}
-		sc, err := scanSegmentFile(segName(path, seq), true)
+	for _, seq := range tail {
+		name := segName(path, seq)
+		raw, err := os.ReadFile(name)
 		if err != nil {
-			return nil, err
+			return 0, fmt.Errorf("ingest: reading sealed segment: %w", err)
 		}
-		sc.Seq = seq
-		numberSegment(&sc, &ordinal)
-		cov.Segments = append(cov.Segments, sc)
-		next = seq + 1
-	}
-	active, err := scanSegmentFile(path, false)
-	if err != nil {
-		if os.IsNotExist(err) {
-			if snap == nil && len(cov.Segments) == 0 {
-				return nil, fmt.Errorf("ingest: no WAL at %s (no active file, sealed segments, or snapshot)", path)
-			}
-			return cov, nil
+		if err := VerifySegmentBytes(raw, name, true); err != nil {
+			return 0, err
 		}
-		return nil, err
 	}
-	active.Seq = next
-	numberSegment(&active, &ordinal)
-	cov.Segments = append(cov.Segments, active)
-	return cov, nil
-}
-
-// numberSegment assigns the segment's global batch ordinals, advancing
-// the running count.
-func numberSegment(sc *SegmentCoverage, ordinal *uint64) {
-	if sc.Records > 0 {
-		sc.First = *ordinal + 1
-		*ordinal += uint64(sc.Records)
-		sc.Last = *ordinal
-	}
-}
-
-// scanSegmentFile reads one segment into memory and validates it with
-// the same record scanner recovery uses. Sealed segments tolerate no
-// torn tail; the active file's torn tail is reported, not refused.
-func scanSegmentFile(path string, sealed bool) (SegmentCoverage, error) {
 	raw, err := os.ReadFile(path)
-	if err != nil {
-		return SegmentCoverage{}, err
-	}
-	sc := SegmentCoverage{Path: path, Sealed: sealed}
-	if !sealed && int64(len(raw)) < walHeaderLen {
-		// A crash during active-file creation: no record was ever durable.
-		// Recovery rewrites the header; coverage tolerates any prefix of
-		// the magic and refuses anything else as someone else's file.
-		if string(raw) != string(walMagic[:len(raw)]) {
-			return SegmentCoverage{}, fmt.Errorf("%w: %s is not a WAL (bad magic)", ErrWALCorrupt, path)
+	if os.IsNotExist(err) {
+		if snap == nil && len(tail) == 0 {
+			return 0, fmt.Errorf("ingest: no WAL at %s (no active file, sealed segments, or snapshot)", path)
 		}
-		return sc, nil
+		return len(folded), nil
 	}
-	off, n, err := scanRecords(bytes.NewReader(raw), int64(len(raw)), path, nil)
 	if err != nil {
-		return SegmentCoverage{}, err
+		return 0, fmt.Errorf("ingest: reading WAL: %w", err)
 	}
-	if off < int64(len(raw)) {
-		if sealed {
-			return SegmentCoverage{}, fmt.Errorf("%w: sealed segment %s has a torn tail at offset %d", ErrWALCorrupt, path, off)
-		}
-		sc.TornTail = true
+	if err := VerifySegmentBytes(raw, path, false); err != nil {
+		return 0, err
 	}
-	sc.Records = n
-	sc.Bytes = off
-	return sc, nil
+	return len(folded), nil
 }
 
 // SealedSegmentPaths lists the sealed segment files next to path,
@@ -177,17 +76,22 @@ func SealedSegmentPaths(path string) ([]string, error) {
 	return out, nil
 }
 
-// VerifySegmentBytes validates one segment image: magic, record
-// checksums, batch decode. sealed refuses a torn tail; otherwise a torn
-// tail is tolerated as the active file's crash signature. It is the
-// byte-level check the scrubber runs against segments at rest.
+// VerifySegmentBytes validates one segment image with the record
+// scanner recovery uses: magic, record checksums, batch decode. sealed
+// refuses a torn tail; otherwise a torn tail — including a header cut
+// short by a crash during the active file's creation — is tolerated as
+// the active file's crash signature. It is the byte-level check the
+// scrubber runs against sealed segments at rest.
 func VerifySegmentBytes(raw []byte, path string, sealed bool) error {
-	off, _, err := scanRecords(bytes.NewReader(raw), int64(len(raw)), path, nil)
-	if err != nil {
-		return err
+	if !sealed && len(raw) < walHeaderLen {
+		// No record was ever durable; recovery rewrites the header. Any
+		// prefix of the magic is fine, anything else is someone else's
+		// file.
+		if string(raw) != string(walMagic[:len(raw)]) {
+			return fmt.Errorf("%w: %s is not a WAL (bad magic)", ErrWALCorrupt, path)
+		}
+		return nil
 	}
-	if sealed && off < int64(len(raw)) {
-		return fmt.Errorf("%w: sealed segment %s has a torn tail at offset %d", ErrWALCorrupt, path, off)
-	}
-	return nil
+	_, _, err := scanSegment(bytes.NewReader(raw), int64(len(raw)), path, sealed, nil)
+	return err
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // A rotated and compacted WAL — snapshot plus sealed segments plus an
-// active file — proves gapless coverage, with global batch ordinals
-// numbering straight through the snapshot fold.
+// active file — proves gapless coverage, and a covered segment a crashed
+// compaction left behind is counted, not refused.
 func TestWALCoverageRotatedCompacted(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -50,40 +50,28 @@ func TestWALCoverageRotatedCompacted(t *testing.T) {
 	if _, _, err := in.Ingest(ctx, strings.NewReader(feed(8, 10))); err != nil {
 		t.Fatal(err)
 	}
-	batches := uint64(in.Stats().Batches)
 	if err := in.Close(); err != nil {
 		t.Fatal(err)
 	}
+	snap, err := LoadSnapshot(path + ".snap")
+	if err != nil || snap == nil || snap.Upto == 0 {
+		t.Fatalf("snapshot not written: %+v, %v", snap, err)
+	}
+	if segs, err := SealedSegmentPaths(path); err != nil || len(segs) != 1 {
+		t.Fatalf("sealed segments beyond the snapshot: %v, %v", segs, err)
+	}
 
-	cov, err := WALCoverage(path)
-	if err != nil {
+	covered, err := CheckWAL(path)
+	if err != nil || covered != 0 {
+		t.Fatalf("CheckWAL = %d, %v; want 0, nil", covered, err)
+	}
+	// A compaction that crashed mid-delete leaves a folded segment
+	// behind: harmless residue that CheckWAL counts and never scans.
+	if err := os.WriteFile(segName(path, snap.Upto), []byte("folded away"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if cov.SnapshotPath != path+".snap" || cov.SnapshotUpto == 0 {
-		t.Fatalf("snapshot not observed: %+v", cov)
-	}
-	if got := cov.Batches(); got != batches {
-		t.Fatalf("coverage proves %d batches, ingester committed %d", got, batches)
-	}
-	// Ordinals must be contiguous from the snapshot fold onward.
-	next := cov.SnapshotBatches + 1
-	for _, sc := range cov.Segments {
-		if sc.Records == 0 {
-			continue
-		}
-		if sc.First != next {
-			t.Fatalf("segment %s covers [%d,%d], want to start at %d", sc.Path, sc.First, sc.Last, next)
-		}
-		next = sc.Last + 1
-		if sc.TornTail {
-			t.Fatalf("segment %s reports a torn tail on a clean log", sc.Path)
-		}
-	}
-	// The last segment is the active file; everything before is sealed.
-	for i, sc := range cov.Segments {
-		if want := i < len(cov.Segments)-1; sc.Sealed != want {
-			t.Fatalf("segment %d (%s): sealed=%v, want %v", i, sc.Path, sc.Sealed, want)
-		}
+	if covered, err := CheckWAL(path); err != nil || covered != 1 {
+		t.Fatalf("CheckWAL with residue = %d, %v; want 1, nil", covered, err)
 	}
 }
 
@@ -107,15 +95,23 @@ func TestWALCoverageRefusesGap(t *testing.T) {
 	}
 	w.Close()
 
-	if _, err := WALCoverage(path); err != nil {
+	if _, err := CheckWAL(path); err != nil {
 		t.Fatalf("intact log: %v", err)
 	}
 	if err := os.Remove(segName(path, 2)); err != nil {
 		t.Fatal(err)
 	}
-	_, err = WALCoverage(path)
+	_, err = CheckWAL(path)
 	if !errors.Is(err, ErrWALCorrupt) || !strings.Contains(err.Error(), "2 missing") {
 		t.Fatalf("gap: %v, want ErrWALCorrupt naming segment 2", err)
+	}
+	// Recovery walks the same split: it refuses the gap before deleting
+	// the segment a snapshot at base 1 would cover.
+	if _, err := OpenWALAfter(path, 1, nil); !errors.Is(err, ErrWALCorrupt) || !strings.Contains(err.Error(), "2 missing") {
+		t.Fatalf("recovery over the gap: %v, want ErrWALCorrupt naming segment 2", err)
+	}
+	if _, err := os.Stat(segName(path, 1)); err != nil {
+		t.Fatalf("a refused recovery deleted a covered segment: %v", err)
 	}
 }
 
@@ -152,18 +148,18 @@ func TestWALCoverageTornTails(t *testing.T) {
 	}
 
 	appendBytes(path, []byte{0xde, 0xad})
-	cov, err := WALCoverage(path)
-	if err != nil {
+	if _, err := CheckWAL(path); err != nil {
 		t.Fatalf("torn active: %v", err)
 	}
-	active := cov.Segments[len(cov.Segments)-1]
-	if !active.TornTail || active.Records != 1 {
-		t.Fatalf("active: torn=%v records=%d, want true, 1", active.TornTail, active.Records)
-	}
 
-	appendBytes(segName(path, 1), []byte{0xbe, 0xef})
-	if _, err := WALCoverage(path); !errors.Is(err, ErrWALCorrupt) {
-		t.Fatalf("torn sealed segment: %v, want ErrWALCorrupt", err)
+	sealed := segName(path, 1)
+	clean, err := os.ReadFile(sealed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendBytes(sealed, []byte{0xbe, 0xef})
+	if _, err := CheckWAL(path); !errors.Is(err, ErrWALCorrupt) || !strings.Contains(err.Error(), sealed) {
+		t.Fatalf("torn sealed segment: %v, want ErrWALCorrupt naming %s", err, sealed)
 	}
 	// VerifySegmentBytes mirrors the same rule for the scrubber.
 	raw, _ := os.ReadFile(segName(path, 1))
@@ -172,5 +168,15 @@ func TestWALCoverageTornTails(t *testing.T) {
 	}
 	if err := VerifySegmentBytes(raw, segName(path, 1), false); err != nil {
 		t.Fatalf("VerifySegmentBytes unsealed tolerates a torn tail: %v", err)
+	}
+
+	// A flipped payload byte is a checksum failure, refused naming the
+	// segment it sits in.
+	clean[len(clean)-1] ^= 0x01
+	if err := os.WriteFile(sealed, clean, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CheckWAL(path); !errors.Is(err, ErrWALCorrupt) || !strings.Contains(err.Error(), sealed) {
+		t.Fatalf("flipped sealed segment: %v, want ErrWALCorrupt naming %s", err, sealed)
 	}
 }

@@ -13,6 +13,12 @@
 // periodically seals the active segment, writes a checksummed snapshot
 // of the accumulated matrix, and deletes every sealed segment the
 // snapshot covers. Recovery is then snapshot + tail replay.
+//
+// Recovery (OpenWALAfter) and the read-only audit stpt-doctor runs
+// (CheckWAL) walk the log the same way: one helper lists the sealed
+// segments, splits them at the snapshot high-water and refuses a gap,
+// and one record scanner validates every segment, so the audit refuses
+// exactly the layouts a restart would.
 package ingest
 
 import (
@@ -128,6 +134,34 @@ func listSegments(path string) ([]uint64, error) {
 	return seqs, nil
 }
 
+// walSegments lists the sealed segments next to path and splits them at
+// the snapshot high-water base: folded are the segments <= base that a
+// snapshot already covers (leftovers of a compaction that crashed
+// mid-delete), tail the ones recovery must replay. The tail must run
+// contiguously from base+1; a gap means a segment no snapshot covers was
+// lost, and the log cannot replay faithfully. Recovery (OpenWALAfter)
+// and the read-only audit (CheckWAL) both walk the log through here, so
+// they refuse exactly the same layouts.
+func walSegments(path string, base uint64) (folded, tail []uint64, err error) {
+	seqs, err := listSegments(path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("ingest: listing WAL segments: %w", err)
+	}
+	next := base + 1
+	for _, seq := range seqs {
+		if seq <= base {
+			folded = append(folded, seq)
+			continue
+		}
+		if seq != next {
+			return nil, nil, fmt.Errorf("%w: sealed segment %d present but %d missing — replay has a gap", ErrWALCorrupt, seq, next)
+		}
+		tail = append(tail, seq)
+		next++
+	}
+	return folded, tail, nil
+}
+
 // OpenWALAfter opens (or creates) the log at path, validates every
 // existing record, and hands each decoded batch to replay in append
 // order. A short tail on the active segment — the signature of a torn
@@ -137,28 +171,23 @@ func listSegments(path string) ([]uint64, error) {
 //
 // Sealed segments with sequence <= base are skipped — those are folded
 // into a snapshot the caller has already loaded (base 0 means no
-// snapshot). Covered segments still on disk (a crash landed between the
-// snapshot commit and the segment deletes) are deleted here, finishing
-// the interrupted compaction. The sealed segments that remain must be
-// contiguous from base+1; a gap means a covered-by-nothing segment was
-// lost and the log cannot replay faithfully.
+// snapshot). The sealed segments that remain must be contiguous from
+// base+1 (see walSegments); a gap is refused before anything is
+// touched. Covered segments still on disk (a crash landed between the
+// snapshot commit and the segment deletes) are then deleted, finishing
+// the interrupted compaction.
 func OpenWALAfter(path string, base uint64, replay func(batch []Reading) error) (*WAL, error) {
-	seqs, err := listSegments(path)
+	folded, tail, err := walSegments(path, base)
 	if err != nil {
-		return nil, fmt.Errorf("ingest: listing WAL segments: %w", err)
+		return nil, err
+	}
+	for _, seq := range folded {
+		if err := os.Remove(segName(path, seq)); err != nil && !os.IsNotExist(err) {
+			return nil, fmt.Errorf("ingest: dropping snapshot-covered segment %d: %w", seq, err)
+		}
 	}
 	w := &WAL{path: path, seq: base + 1}
-	for _, seq := range seqs {
-		if seq <= base {
-			// Completing a crashed compaction: the snapshot covers this.
-			if err := os.Remove(segName(path, seq)); err != nil && !os.IsNotExist(err) {
-				return nil, fmt.Errorf("ingest: dropping snapshot-covered segment %d: %w", seq, err)
-			}
-			continue
-		}
-		if seq != w.seq {
-			return nil, fmt.Errorf("%w: sealed segment %d present but %d missing", ErrWALCorrupt, seq, w.seq)
-		}
+	for _, seq := range tail {
 		if err := w.replaySealed(segName(path, seq), replay); err != nil {
 			return nil, err
 		}
@@ -189,12 +218,9 @@ func (w *WAL) replaySealed(path string, replay func(batch []Reading) error) erro
 	if err != nil {
 		return fmt.Errorf("ingest: sealed segment stat: %w", err)
 	}
-	off, n, err := scanRecords(f, info.Size(), path, replay)
+	_, n, err := scanSegment(f, info.Size(), path, true, replay)
 	if err != nil {
 		return err
-	}
-	if off < info.Size() {
-		return fmt.Errorf("%w: sealed segment %s has a torn tail at offset %d", ErrWALCorrupt, path, off)
 	}
 	w.records += n
 	return nil
@@ -238,13 +264,24 @@ func (w *WAL) recoverActive(f *os.File, replay func(batch []Reading) error) (*jo
 	return journal.Attach(f, size, off, ErrWALPoisoned)
 }
 
+// scanSegment runs scanRecords over one segment image and applies the
+// torn-tail rule: a sealed segment was fully fsynced before its rename,
+// so unlike the active file it must parse to its last byte.
+func scanSegment(f io.ReaderAt, size int64, path string, sealed bool, replay func(batch []Reading) error) (int64, int, error) {
+	off, n, err := scanRecords(f, size, path, replay)
+	if err == nil && sealed && off < size {
+		err = fmt.Errorf("%w: sealed segment %s has a torn tail at offset %d", ErrWALCorrupt, path, off)
+	}
+	return off, n, err
+}
+
 // scanRecords validates records from the start of one segment image,
 // delivering each complete batch, and returns the offset after the last
 // complete record plus the record count. An offset short of the size
 // means a torn tail; the caller decides whether that is recoverable
 // (active segment) or corruption (sealed segment). Taking an io.ReaderAt
-// lets the read-only coverage walk (WALCoverage) reuse exactly the
-// scanner recovery trusts.
+// lets the read-only audit (CheckWAL, the scrubber) reuse exactly the
+// scanner recovery trusts. Every refusal names path.
 func scanRecords(f io.ReaderAt, size int64, path string, replay func(batch []Reading) error) (int64, int, error) {
 	if size < walHeaderLen {
 		return 0, 0, fmt.Errorf("%w: segment %s shorter than its header", ErrWALCorrupt, path)
@@ -271,7 +308,7 @@ func scanRecords(f io.ReaderAt, size int64, path string, replay func(batch []Rea
 		if rlen == 0 || rlen > maxRecordWire {
 			// A complete length field with a nonsense value cannot come
 			// from a torn single-write append.
-			return 0, 0, fmt.Errorf("%w: record at offset %d claims %d bytes", ErrWALCorrupt, off, rlen)
+			return 0, 0, fmt.Errorf("%w: %s: record at offset %d claims %d bytes", ErrWALCorrupt, path, off, rlen)
 		}
 		if size-off-recHeaderLen < rlen {
 			break // torn tail: partial payload
@@ -281,11 +318,11 @@ func scanRecords(f io.ReaderAt, size int64, path string, replay func(batch []Rea
 			return 0, 0, fmt.Errorf("ingest: reading WAL record at %d: %w", off, err)
 		}
 		if crc32.ChecksumIEEE(payload) != sum {
-			return 0, 0, fmt.Errorf("%w: checksum mismatch on complete record at offset %d", ErrWALCorrupt, off)
+			return 0, 0, fmt.Errorf("%w: %s: checksum mismatch on complete record at offset %d", ErrWALCorrupt, path, off)
 		}
 		batch, err := DecodeBatch(payload)
 		if err != nil {
-			return 0, 0, fmt.Errorf("%w: record at offset %d: %v", ErrWALCorrupt, off, err)
+			return 0, 0, fmt.Errorf("%w: %s: record at offset %d: %v", ErrWALCorrupt, path, off, err)
 		}
 		if replay != nil {
 			if err := replay(batch); err != nil {

@@ -3,7 +3,6 @@ package scrub
 import (
 	"context"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/http"
 	"os"
@@ -126,31 +125,88 @@ func (r *Report) Errors() int {
 
 func (r *Report) add(f Finding) { r.Findings = append(r.Findings, f) }
 
+// findingCodes names, per target kind, the finding Fsck reports when
+// the artifact cannot be read and when it fails its Check.
+var findingCodes = map[string]struct{ unreadable, corrupt string }{
+	"manifest": {"manifest-unreadable", "manifest-corrupt"},
+	"ledger":   {"ledger-corrupt", "ledger-corrupt"},
+	"window":   {"window-missing", "window-crc-mismatch"},
+	"latest":   {"latest-missing", "latest-crc-mismatch"},
+	"release":  {"replica-file-missing", "replica-crc-mismatch"},
+}
+
 // Fsck audits every invariant the configuration covers, strictly
 // read-only, and returns the report with its typed repair plan. It only
 // errors when the audit itself cannot run (no checks configured, ctx
 // cancelled); broken invariants are findings, not errors.
+//
+// The per-artifact checks are the scrubber's: Fsck reads each target of
+// the inventory the pipeline daemon scrubs (PipelineTargets — its WAL
+// group aside, which CheckWAL below covers) plus one release target per
+// file a peer's catalog advertises, once, and runs its Check; a failure
+// becomes a finding carrying the target's Repair. On top of that it
+// adds only what no single file can show: ledger spend against the
+// manifest, WAL gaplessness, torn-tail warnings for the two journals,
+// and quarantine residue.
 func Fsck(ctx context.Context, cfg FsckConfig) (*Report, error) {
 	if cfg.Manifest == "" && cfg.Ledger == "" && cfg.WAL == "" && cfg.OutDir == "" && cfg.Peer == "" {
 		return nil, fmt.Errorf("scrub: fsck has nothing to check — configure at least one artifact group")
 	}
+	targets := PipelineTargets(cfg.OutDir, cfg.Manifest, cfg.Ledger, "")()
+	if cfg.Peer != "" && cfg.DataDir != "" {
+		cat, err := serve.FetchCatalog(ctx, cfg.HTTP, cfg.Peer, cfg.Retry)
+		if err != nil {
+			return nil, fmt.Errorf("scrub: fsck peer %s: %w", cfg.Peer, err)
+		}
+		targets = append(targets, catalogTargets(cat, cfg.Peer, cfg.DataDir)...)
+	}
 	rep := &Report{}
+	journals := map[string][]byte{} // manifest and ledger bytes that passed their Check
+	for _, t := range targets {
+		rep.Checked++
+		raw, err := os.ReadFile(t.Path)
+		code := findingCodes[t.Kind].unreadable
+		if err == nil {
+			code, err = findingCodes[t.Kind].corrupt, t.Check(raw)
+		}
+		if err == nil {
+			if t.Path == cfg.Manifest || t.Path == cfg.Ledger {
+				journals[t.Path] = raw
+			}
+			continue
+		}
+		f := Finding{Code: code, Severity: SeverityError, Artifact: t.Path, Detail: err.Error(), Repair: t.Repair}
+		if t.Kind == "window" && t.Repair == nil {
+			f.Detail += " — unrepairable: the frozen cut is gone (staging was swept when the window completed); restore from a replica"
+		}
+		rep.add(f)
+	}
+	// The relational checks re-scan bytes whose Check just passed, so
+	// the scans cannot fail.
 	var recs []pipeline.Record
-	if cfg.Manifest != "" {
-		recs = fsckManifest(cfg, rep)
+	if raw, ok := journals[cfg.Manifest]; ok {
+		var durable int64
+		recs, durable, _ = pipeline.ScanManifest(cfg.Manifest, raw)
+		rep.tornTail("manifest-torn-tail", cfg.Manifest, durable, len(raw))
 	}
-	if cfg.OutDir != "" && recs != nil {
-		fsckWindows(cfg, recs, rep)
-	}
-	if cfg.Ledger != "" {
-		fsckLedger(cfg, recs, rep)
+	if raw, ok := journals[cfg.Ledger]; ok {
+		sc, _ := dp.ScanLedger(cfg.Ledger, raw)
+		rep.tornTail("ledger-torn-tail", cfg.Ledger, sc.Durable, len(raw))
+		if cfg.Dataset != "" && cfg.EpsNode > 0 && recs != nil {
+			fsckSpend(cfg, recs, sc.Spent[cfg.Dataset], rep)
+		}
 	}
 	if cfg.WAL != "" {
-		fsckWAL(cfg, rep)
-	}
-	if cfg.Peer != "" && cfg.DataDir != "" {
-		if err := fsckPeer(ctx, cfg, rep); err != nil {
-			return nil, err
+		// Gaplessness under recovery's own rules: the snapshot decodes,
+		// sealed segments run contiguously from its high-water and parse
+		// whole, and only the active file may be torn.
+		rep.Checked++
+		if covered, err := ingest.CheckWAL(cfg.WAL); err != nil {
+			rep.add(Finding{Code: "wal-coverage-broken", Severity: SeverityError,
+				Artifact: cfg.WAL, Detail: err.Error()})
+		} else if covered > 0 {
+			rep.add(Finding{Code: "wal-covered-residue", Severity: SeverityWarn, Artifact: cfg.WAL,
+				Detail: fmt.Sprintf("%d sealed segment(s) already folded into the snapshot remain on disk (a compaction crashed mid-delete; recovery sweeps them)", covered)})
 		}
 	}
 	fsckQuarantineResidue(cfg, rep)
@@ -160,127 +216,19 @@ func Fsck(ctx context.Context, cfg FsckConfig) (*Report, error) {
 	return rep, nil
 }
 
-// fsckManifest scans the journal read-only; interior damage is terminal
-// for the window checks (nil return) since nothing downstream can be
-// trusted without it.
-func fsckManifest(cfg FsckConfig, rep *Report) []pipeline.Record {
-	rep.Checked++
-	raw, err := os.ReadFile(cfg.Manifest)
-	if err != nil {
-		rep.add(Finding{Code: "manifest-unreadable", Severity: SeverityError,
-			Artifact: cfg.Manifest, Detail: err.Error()})
-		return nil
-	}
-	recs, durable, err := pipeline.ScanManifest(cfg.Manifest, raw)
-	if err != nil {
-		rep.add(Finding{Code: "manifest-corrupt", Severity: SeverityError,
-			Artifact: cfg.Manifest, Detail: err.Error()})
-		return nil
-	}
-	if durable < int64(len(raw)) {
-		rep.add(Finding{Code: "manifest-torn-tail", Severity: SeverityWarn, Artifact: cfg.Manifest,
+// tornTail warns about bytes past a journal's durable offset.
+func (r *Report) tornTail(code, path string, durable int64, size int) {
+	if durable < int64(size) {
+		r.add(Finding{Code: code, Severity: SeverityWarn, Artifact: path,
 			Detail: fmt.Sprintf("%d trailing bytes past durable offset %d (a crash mid-append; recovery truncates this)",
-				int64(len(raw))-durable, durable)})
-	}
-	return recs
-}
-
-// fsckWindows proves every published window's on-disk bytes match the
-// journalled release checksum, and latest.csv mirrors the newest
-// published window.
-func fsckWindows(cfg FsckConfig, recs []pipeline.Record, rep *Report) {
-	released := map[int]pipeline.Record{}
-	cuts := map[int]pipeline.Record{}
-	newest := 0
-	for _, rec := range recs {
-		switch rec.State {
-		case pipeline.StateCut:
-			cuts[rec.Window] = rec
-		case pipeline.StateReleased:
-			released[rec.Window] = rec
-		case pipeline.StatePublished:
-			rep.Checked++
-			relRec, ok := released[rec.Window]
-			if !ok {
-				rep.add(Finding{Code: "window-no-released-record", Severity: SeverityError,
-					Artifact: cfg.Manifest, Detail: fmt.Sprintf("window %d published without a released record", rec.Window)})
-				continue
-			}
-			path := pipeline.WindowPath(cfg.OutDir, rec.Window)
-			checkWindowFile(cfg, rec.Window, path, relRec.Checksum, cuts[rec.Window], rep)
-			if rec.Window > newest {
-				newest = rec.Window
-			}
-		}
-	}
-	if newest == 0 {
-		return
-	}
-	rep.Checked++
-	latest := pipeline.LatestPath(cfg.OutDir)
-	want := released[newest].Checksum
-	raw, err := os.ReadFile(latest)
-	switch {
-	case err != nil:
-		rep.add(Finding{Code: "latest-missing", Severity: SeverityError, Artifact: latest,
-			Detail: err.Error(),
-			Repair: &Repair{Kind: RepairRewriteLatest, Path: latest,
-				Source: pipeline.WindowPath(cfg.OutDir, newest), Window: newest, CRC: want}})
-	case crc32.ChecksumIEEE(raw) != want:
-		rep.add(Finding{Code: "latest-crc-mismatch", Severity: SeverityError, Artifact: latest,
-			Detail: fmt.Sprintf("crc %08x, window %d journalled %08x", crc32.ChecksumIEEE(raw), newest, want),
-			Repair: &Repair{Kind: RepairRewriteLatest, Path: latest,
-				Source: pipeline.WindowPath(cfg.OutDir, newest), Window: newest, CRC: want}})
+				int64(size)-durable, durable)})
 	}
 }
 
-// checkWindowFile verifies one published window file and plans its
-// repair: rebuild-from-cut when the frozen cut survives, unrepairable
-// otherwise (the noise seed is useless without the raw cut).
-func checkWindowFile(cfg FsckConfig, w int, path string, want uint32, cutRec pipeline.Record, rep *Report) {
-	raw, err := os.ReadFile(path)
-	if err == nil && crc32.ChecksumIEEE(raw) == want {
-		return
-	}
-	code, detail := "window-crc-mismatch", ""
-	if err != nil {
-		code, detail = "window-missing", err.Error()
-	} else {
-		detail = fmt.Sprintf("crc %08x, journal says %08x", crc32.ChecksumIEEE(raw), want)
-	}
-	f := Finding{Code: code, Severity: SeverityError, Artifact: path, Detail: detail}
-	cutPath := pipeline.CutPath(cfg.OutDir, w)
-	if cutRec.State == pipeline.StateCut {
-		if _, serr := os.Stat(cutPath); serr == nil {
-			f.Repair = &Repair{Kind: RepairRebuildFromCut, Path: path, Source: cutPath, Window: w, CRC: want}
-		} else {
-			f.Detail += " — unrepairable: the frozen cut is gone (staging was swept when the window completed); restore from a replica"
-		}
-	} else {
-		f.Detail += " — unrepairable: no cut record in the manifest"
-	}
-	rep.add(f)
-}
-
-// fsckLedger scans the ε ledger read-only and, when the manifest and
-// composer parameters are configured, proves the durable spend equals
-// ExpectedSpend for the number of charged windows — the paper's budget
+// fsckSpend proves the ledger's durable spend equals ExpectedSpend for
+// the number of windows the manifest charged — the paper's budget
 // accounting, checked with == because both sides fold identically.
-func fsckLedger(cfg FsckConfig, recs []pipeline.Record, rep *Report) {
-	rep.Checked++
-	sc, err := dp.VerifyLedgerFile(cfg.Ledger)
-	if err != nil {
-		rep.add(Finding{Code: "ledger-corrupt", Severity: SeverityError,
-			Artifact: cfg.Ledger, Detail: err.Error()})
-		return
-	}
-	if sc.Torn {
-		rep.add(Finding{Code: "ledger-torn-tail", Severity: SeverityWarn, Artifact: cfg.Ledger,
-			Detail: fmt.Sprintf("trailing bytes past durable offset %d (a crash mid-append; recovery truncates this)", sc.Durable)})
-	}
-	if cfg.Dataset == "" || cfg.EpsNode <= 0 || recs == nil {
-		return
-	}
+func fsckSpend(cfg FsckConfig, recs []pipeline.Record, got float64, rep *Report) {
 	rep.Checked++
 	charged := 0
 	for _, rec := range recs {
@@ -294,65 +242,11 @@ func fsckLedger(cfg FsckConfig, recs []pipeline.Record, rep *Report) {
 			Artifact: cfg.Ledger, Detail: err.Error()})
 		return
 	}
-	want := tree.ExpectedSpend(charged)
-	got := sc.Spent[cfg.Dataset]
-	if got != want {
+	if want := tree.ExpectedSpend(charged); got != want {
 		rep.add(Finding{Code: "ledger-spend-divergence", Severity: SeverityError, Artifact: cfg.Ledger,
 			Detail: fmt.Sprintf("dataset %q spent ε=%v, tree composition expects ε=%v after %d charged windows — the ledger and manifest disagree about history",
 				cfg.Dataset, got, want, charged)})
 	}
-}
-
-// fsckWAL checks the log's structure: the snapshot decodes, sealed
-// segments are contiguous and whole, and only the active segment may be
-// torn.
-func fsckWAL(cfg FsckConfig, rep *Report) {
-	rep.Checked++
-	cov, err := ingest.WALCoverage(cfg.WAL)
-	if err != nil {
-		rep.add(Finding{Code: "wal-coverage-broken", Severity: SeverityError,
-			Artifact: cfg.WAL, Detail: err.Error()})
-		return
-	}
-	for _, seg := range cov.Segments {
-		if seg.TornTail && seg.Sealed {
-			rep.add(Finding{Code: "wal-sealed-torn", Severity: SeverityError,
-				Artifact: seg.Path, Detail: "sealed segment carries a torn tail"})
-		}
-	}
-	if len(cov.Covered) > 0 {
-		rep.add(Finding{Code: "wal-covered-residue", Severity: SeverityWarn, Artifact: cfg.WAL,
-			Detail: fmt.Sprintf("%d sealed segment(s) already folded into the snapshot remain on disk (a compaction crashed mid-delete; recovery sweeps them)", len(cov.Covered))})
-	}
-}
-
-// fsckPeer fetches the peer's catalog and verifies every advertised
-// file against local bytes — the repair source a damaged replica heals
-// from.
-func fsckPeer(ctx context.Context, cfg FsckConfig, rep *Report) error {
-	cat, err := fetchPeerCatalog(ctx, cfg)
-	if err != nil {
-		return fmt.Errorf("scrub: fsck peer %s: %w", cfg.Peer, err)
-	}
-	for _, cf := range cat.Files {
-		rep.Checked++
-		path := filepath.Join(cfg.DataDir, cf.File)
-		raw, err := os.ReadFile(path)
-		switch {
-		case err != nil:
-			rep.add(Finding{Code: "replica-file-missing", Severity: SeverityError, Artifact: path,
-				Detail: err.Error(),
-				Repair: &Repair{Kind: RepairRefetchFromPeer, Path: path, Source: cfg.Peer,
-					Name: cf.Name, Size: cf.Size, CRC: cf.CRC}})
-		case int64(len(raw)) != cf.Size || crc32.Checksum(raw, castagnoli) != cf.CRC:
-			rep.add(Finding{Code: "replica-crc-mismatch", Severity: SeverityError, Artifact: path,
-				Detail: fmt.Sprintf("size %d crc32c %08x, peer catalog says size %d crc32c %08x",
-					len(raw), crc32.Checksum(raw, castagnoli), cf.Size, cf.CRC),
-				Repair: &Repair{Kind: RepairRefetchFromPeer, Path: path, Source: cfg.Peer,
-					Name: cf.Name, Size: cf.Size, CRC: cf.CRC}})
-		}
-	}
-	return nil
 }
 
 // fsckQuarantineResidue warns about .corrupt files the scrubber or a
@@ -375,36 +269,6 @@ func fsckQuarantineResidue(cfg FsckConfig, rep *Report) {
 				Detail:   "quarantined artifact awaiting operator triage; delete once investigated"})
 		}
 	}
-}
-
-func fetchPeerCatalog(ctx context.Context, cfg FsckConfig) (serve.Catalog, error) {
-	policy := cfg.Retry
-	if policy.MaxAttempts == 0 {
-		policy = serve.FollowerRetryPolicy()
-	}
-	client := cfg.HTTP
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := resilience.RetryHTTP(ctx, client, policy, "fsck catalog",
-		func(ctx context.Context) (*http.Request, error) {
-			return http.NewRequestWithContext(ctx, http.MethodGet, cfg.Peer+"/catalog", nil)
-		},
-		func(resp *http.Response) error {
-			if resp.StatusCode != http.StatusOK {
-				return resilience.StatusError(resp, "fsck catalog")
-			}
-			return nil
-		})
-	if err != nil {
-		return serve.Catalog{}, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil {
-		return serve.Catalog{}, err
-	}
-	return serve.DecodeCatalog(raw)
 }
 
 // Apply executes the report's repair plan, re-verifying every repaired
@@ -444,8 +308,8 @@ func applyRewriteLatest(ctx context.Context, r *Repair) error {
 	if err != nil {
 		return err
 	}
-	if got := crc32.ChecksumIEEE(raw); got != r.CRC {
-		return fmt.Errorf("source %s has crc %08x, journal says %08x — repair the window file first", r.Source, got, r.CRC)
+	if err := journalled(r.CRC)(raw); err != nil {
+		return fmt.Errorf("source %s: %v — repair the window file first", r.Source, err)
 	}
 	return resilience.AtomicWriteFile(ctx, r.Path, func(w io.Writer) error {
 		_, werr := w.Write(raw)
@@ -484,11 +348,11 @@ func applyRebuildFromCut(ctx context.Context, cfg FsckConfig, r *Repair) error {
 	if err != nil {
 		return err
 	}
-	if got := crc32.ChecksumIEEE(rel); got != r.CRC {
-		return fmt.Errorf("rebuilt release crc %08x != journalled %08x — wrong ε/sensitivity parameters, or the cut itself is damaged", got, r.CRC)
+	if err := journalled(r.CRC)(rel); err != nil {
+		return fmt.Errorf("rebuilt release: %v — wrong ε/sensitivity parameters, or the cut itself is damaged", err)
 	}
-	// Sweep any quarantined leftover of the rename-based scrubber first:
-	// Apply's own write is atomic and the evidence stays preserved.
+	// A quarantined copy the scrubber renamed aside stays as evidence;
+	// the atomic write replaces only the artifact's own path.
 	return resilience.AtomicWriteFile(ctx, r.Path, func(w io.Writer) error {
 		_, werr := w.Write(rel)
 		return werr
@@ -500,11 +364,9 @@ func applyRebuildFromCut(ctx context.Context, cfg FsckConfig, r *Repair) error {
 // resume, CRC check, atomic rename) — one implementation of "download a
 // catalog file correctly", not two.
 func applyRefetchFromPeer(ctx context.Context, cfg FsckConfig, r *Repair) error {
-	if raw, err := os.ReadFile(r.Path); err == nil {
-		if int64(len(raw)) != r.Size || crc32.Checksum(raw, castagnoli) != r.CRC {
-			if _, err := resilience.Quarantine(r.Path); err != nil {
-				return fmt.Errorf("quarantining damaged bytes: %w", err)
-			}
+	if raw, err := os.ReadFile(r.Path); err == nil && serve.CheckCRC32C(raw, r.Size, r.CRC) != nil {
+		if _, err := resilience.Quarantine(r.Path); err != nil {
+			return fmt.Errorf("quarantining damaged bytes: %w", err)
 		}
 	}
 	fl, err := serve.NewFollower(serve.NewStore(), serve.FollowerConfig{

@@ -2,6 +2,7 @@ package scrub
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/dp"
 	"repro/internal/ingest"
 	"repro/internal/pipeline"
+	"repro/internal/resilience"
 )
 
 const (
@@ -349,5 +351,79 @@ func TestFsckQuarantineResidueWarns(t *testing.T) {
 	f := findingByCode(rep, "quarantine-residue")
 	if f == nil || f.Severity != SeverityWarn || f.Artifact != ev {
 		t.Fatalf("finding: %+v", f)
+	}
+}
+
+// TestScrubPipelineTargetsAgreeWithFsck: the pipeline daemon's scrub
+// list and stpt-doctor audit one inventory. For every artifact kind
+// PipelineTargets lists, one damaged file is latched — alone — by a
+// single scrub pass, and every error finding Fsck reports names that
+// same file: as its artifact, or for the WAL kinds in the
+// wal-coverage-broken detail.
+func TestScrubPipelineTargetsAgreeWithFsck(t *testing.T) {
+	for _, kind := range []string{"window", "latest", "manifest", "ledger", "snapshot", "wal-segment"} {
+		t.Run(kind, func(t *testing.T) {
+			ctx := context.Background()
+			h := newFsckHarness(t, 2)
+			// Leave a sealed segment past the snapshot: a compaction whose
+			// rotation fails has sealed the active file but written no
+			// snapshot. Zero readings change no cell.
+			inj := resilience.NewInjector()
+			inj.On(resilience.FaultWALRotate, func(context.Context, any) error { return errors.New("injected: rotation") })
+			feed := strings.Repeat(fmt.Sprintf("0,0,%d,0\n", fsCt-1), 16)
+			if _, _, err := h.in.Ingest(resilience.WithInjector(ctx, inj), strings.NewReader(feed)); err != nil {
+				t.Fatal(err)
+			}
+
+			targets := PipelineTargets(h.cfg.OutDir, h.cfg.Manifest, h.cfg.Ledger, h.cfg.WAL)
+			listed := map[string]string{}
+			for _, tg := range targets() {
+				if _, ok := listed[tg.Kind]; !ok {
+					listed[tg.Kind] = tg.Path
+				}
+			}
+			if len(listed) != 6 {
+				t.Fatalf("PipelineTargets lists kinds %v, want all six", listed)
+			}
+			victim := listed[kind]
+			raw, err := os.ReadFile(victim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// An interior byte: a journal's torn final line is tolerated.
+			raw[len(raw)/3] ^= 0x01
+			if err := os.WriteFile(victim, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			sc, err := New(Config{Targets: targets})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sc.RunPass(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if got := sc.CorruptArtifacts(); len(got) != 1 || got[0] != victim {
+				t.Fatalf("scrubber latched %v, want [%s]", got, victim)
+			}
+
+			rep, err := Fsck(ctx, h.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Errors() == 0 {
+				t.Fatalf("fsck found nothing wrong with %s: %+v", victim, rep.Findings)
+			}
+			for _, f := range rep.Findings {
+				if f.Severity != SeverityError {
+					continue
+				}
+				names := f.Artifact == victim ||
+					f.Code == "wal-coverage-broken" && strings.Contains(f.Detail, victim)
+				if !names {
+					t.Fatalf("fsck error finding does not name %s: %+v", victim, f)
+				}
+			}
+		})
 	}
 }

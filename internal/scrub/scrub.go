@@ -5,6 +5,14 @@
 // it; plus a cross-artifact fsck (stpt-doctor) auditing the global
 // invariants no single artifact can witness alone.
 //
+// Both halves share one inventory. PipelineTargets and StoreTargets list
+// each artifact with its one read-only Check (and, for fsck, its repair
+// plan); the daemons scrub those lists, and Fsck audits the same list —
+// plus one release target per file a peer's catalog advertises — adding
+// only the relational checks: ledger spend against the manifest, WAL
+// gaplessness (ingest.CheckWAL, the walk recovery uses), torn tails and
+// quarantine residue.
+//
 // The threat model is silent corruption below the crash model the rest
 // of the repo defends against: bit rot, torn sectors, fsync lies, an
 // operator's stray write. Every artifact already carries a checksum
@@ -59,6 +67,11 @@ type Target struct {
 	// Check validates the full file image. It must be read-only and
 	// side-effect free: a pass may run it twice on one artifact.
 	Check func(data []byte) error
+	// Repair is the plan Fsck reports, and Apply executes, when this
+	// target fails; nil when no deterministic source for the true bytes
+	// exists. The background scrubber ignores it: a daemon repairs only
+	// through Config.Repair.
+	Repair *Repair
 }
 
 // Config parameterises a Scrubber.

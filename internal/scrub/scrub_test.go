@@ -14,6 +14,9 @@ import (
 	"repro/internal/resilience"
 )
 
+// castagnoli hashes test artifacts the way the serve catalog does.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
 func writeFile(t *testing.T, path, content string) uint32 {
 	t.Helper()
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 
 	"repro/internal/dp"
 	"repro/internal/ingest"
@@ -11,36 +12,28 @@ import (
 	"repro/internal/serve"
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // CRC32C returns a Check verifying a file image against the serve
-// catalog's checksum regime (CRC-32C plus exact size; size < 0 skips
-// the size check).
+// catalog's checksum regime: exact size plus CRC-32C, through the one
+// check followers install by (serve.CheckCRC32C).
 func CRC32C(size int64, sum uint32) func([]byte) error {
+	return func(data []byte) error { return serve.CheckCRC32C(data, size, sum) }
+}
+
+// journalled returns a Check verifying a file image against the CRC-32
+// (IEEE) a manifest released record journalled for it.
+func journalled(sum uint32) func([]byte) error {
 	return func(data []byte) error {
-		if size >= 0 && int64(len(data)) != size {
-			return fmt.Errorf("scrub: size %d, catalog says %d", len(data), size)
-		}
-		if got := crc32.Checksum(data, castagnoli); got != sum {
-			return fmt.Errorf("scrub: crc32c %08x, catalog says %08x", got, sum)
+		if got := crc32.ChecksumIEEE(data); got != sum {
+			return fmt.Errorf("crc %08x, journal says %08x", got, sum)
 		}
 		return nil
 	}
 }
 
-// ChecksumIEEE returns a Check verifying a file image against a
-// journalled CRC-32 (IEEE) checksum — the regime the pipeline manifest
-// records for releases. size < 0 skips the size check.
-func ChecksumIEEE(size int64, sum uint32) func([]byte) error {
-	return func(data []byte) error {
-		if size >= 0 && int64(len(data)) != size {
-			return fmt.Errorf("scrub: size %d, journal says %d", len(data), size)
-		}
-		if got := crc32.ChecksumIEEE(data); got != sum {
-			return fmt.Errorf("scrub: crc32 %08x, journal says %08x", got, sum)
-		}
-		return nil
-	}
+// releaseTarget is one release file at rest, verified against the size
+// and CRC-32C a catalog vouches for.
+func releaseTarget(path string, size int64, sum uint32) Target {
+	return Target{Kind: "release", Path: path, Check: CRC32C(size, sum)}
 }
 
 // StoreTargets enumerates a serve store's loaded releases: every file
@@ -52,30 +45,44 @@ func StoreTargets(store *serve.Store) func() []Target {
 		rels, _ := store.Snapshot()
 		var out []Target
 		for _, rel := range rels {
-			src := rel.Source
-			if src == nil || src.Path == "" {
-				continue
+			if src := rel.Source; src != nil && src.Path != "" {
+				out = append(out, releaseTarget(src.Path, src.Size, src.CRC))
 			}
-			out = append(out, Target{
-				Kind:  "release",
-				Path:  src.Path,
-				Check: CRC32C(src.Size, src.CRC),
-			})
 		}
 		return out
 	}
+}
+
+// catalogTargets enumerates the local copies of every file a peer's
+// catalog advertises — the shape StoreTargets builds from a local store,
+// with each target planned as a refetch from that peer.
+func catalogTargets(cat serve.Catalog, peer, dataDir string) []Target {
+	out := make([]Target, 0, len(cat.Files))
+	for _, cf := range cat.Files {
+		t := releaseTarget(filepath.Join(dataDir, cf.File), cf.Size, cf.CRC)
+		t.Repair = &Repair{Kind: RepairRefetchFromPeer, Path: t.Path, Source: peer,
+			Name: cf.Name, Size: cf.Size, CRC: cf.CRC}
+		out = append(out, t)
+	}
+	return out
 }
 
 // PipelineTargets enumerates a continual-release pipeline's at-rest
 // artifacts: the window manifest and ε ledger (full read-only journal
 // scans), the WAL snapshot and sealed segments, every published window
 // file against its journalled release checksum, and latest.csv against
-// the newest published window. Journals and WAL files are Live — a
-// running daemon holds them open, so they quarantine by copy. The
+// the newest published window. It is the one inventory of the pipeline
+// tier: the daemon's scrubber re-verifies it in the background and
+// stpt-doctor's Fsck audits it offline. Journals and WAL files are Live
+// — a running daemon holds them open, so they quarantine by copy. The
 // active WAL segment is deliberately not scrubbed: its torn tail is a
 // legal crash signature and its bytes change under every append, so
-// verification belongs to recovery, not the scrubber. Empty arguments
-// disable their artifact group.
+// verification belongs to recovery (and ingest.CheckWAL), not the
+// scrubber. Empty arguments disable their artifact group.
+//
+// Window and latest.csv targets carry the Repair Fsck plans for them:
+// rebuild-from-cut while the window's frozen cut is still staged, and
+// rewrite-latest from the newest window.
 func PipelineTargets(outDir, manifestPath, ledgerPath, walPath string) func() []Target {
 	return func() []Target {
 		var out []Target
@@ -142,6 +149,9 @@ func windowTargets(outDir, manifestPath string) []Target {
 		// audited without a trustworthy journal.
 		return nil
 	}
+	// ScanManifest enforces the lifecycle order, so every published
+	// record follows its window's cut and released records, and windows
+	// publish in ascending order.
 	released := map[int]uint32{}
 	var out []Target
 	newest := 0
@@ -150,25 +160,23 @@ func windowTargets(outDir, manifestPath string) []Target {
 		case pipeline.StateReleased:
 			released[rec.Window] = rec.Checksum
 		case pipeline.StatePublished:
-			sum, ok := released[rec.Window]
-			if !ok {
-				continue
+			w, sum := rec.Window, released[rec.Window]
+			t := Target{Kind: "window", Path: pipeline.WindowPath(outDir, w), Check: journalled(sum)}
+			cut := pipeline.CutPath(outDir, w)
+			if _, err := os.Stat(cut); err == nil {
+				t.Repair = &Repair{Kind: RepairRebuildFromCut, Path: t.Path, Source: cut, Window: w, CRC: sum}
 			}
-			out = append(out, Target{
-				Kind:  "window",
-				Path:  pipeline.WindowPath(outDir, rec.Window),
-				Check: ChecksumIEEE(-1, sum),
-			})
-			if rec.Window > newest {
-				newest = rec.Window
-			}
+			out = append(out, t)
+			newest = w
 		}
 	}
 	if newest > 0 {
+		latest := pipeline.LatestPath(outDir)
+		sum := released[newest]
 		out = append(out, Target{
-			Kind:  "latest",
-			Path:  pipeline.LatestPath(outDir),
-			Check: ChecksumIEEE(-1, released[newest]),
+			Kind: "latest", Path: latest, Check: journalled(sum),
+			Repair: &Repair{Kind: RepairRewriteLatest, Path: latest,
+				Source: pipeline.WindowPath(outDir, newest), Window: newest, CRC: sum},
 		})
 	}
 	return out

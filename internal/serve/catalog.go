@@ -33,9 +33,6 @@ type CatalogFile struct {
 	// leader loaded it; a fetched file is installed only when both match.
 	Size int64  `json:"size"`
 	CRC  uint32 `json:"crc32c"`
-	// Cx/Cy are the load-spec grid hints for household-format files.
-	Cx int `json:"cx,omitempty"`
-	Cy int `json:"cy,omitempty"`
 }
 
 // Catalog is the /catalog wire document.
@@ -78,9 +75,6 @@ func DecodeCatalog(raw []byte) (Catalog, error) {
 		if f.Size < 0 {
 			return Catalog{}, fmt.Errorf("serve: catalog: release %q: negative size %d", f.Name, f.Size)
 		}
-		if f.Cx < 0 || f.Cy < 0 {
-			return Catalog{}, fmt.Errorf("serve: catalog: release %q: negative grid hint", f.Name)
-		}
 		if names[f.Name] {
 			return Catalog{}, fmt.Errorf("serve: catalog: duplicate release name %q", f.Name)
 		}
@@ -119,8 +113,6 @@ func BuildCatalog(store *Store) Catalog {
 			File: filepath.Base(rel.Source.Path),
 			Size: rel.Source.Size,
 			CRC:  rel.Source.CRC,
-			Cx:   rel.Source.Cx,
-			Cy:   rel.Source.Cy,
 		})
 	}
 	return cat

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/http"
 	"net/url"
@@ -28,6 +27,11 @@ import (
 // verification) keeps serving its last good generation and reports how
 // far behind it is; the moment a sync round succeeds it latches healthy
 // again.
+//
+// The follower sees its peer through FetchCatalog and vouches for bytes
+// through CheckCRC32C — the same fetch and the same check stpt-doctor's
+// replica audit and the release scrubber use, so a file the follower
+// would install is exactly a file the audit calls clean.
 type Follower struct {
 	store *Store
 	cfg   FollowerConfig
@@ -133,6 +137,9 @@ func NewFollower(store *Store, cfg FollowerConfig) (*Follower, error) {
 	if cfg.Retry.MaxAttempts == 0 {
 		cfg.Retry = FollowerRetryPolicy()
 	}
+	if cfg.HTTP == nil {
+		cfg.HTTP = http.DefaultClient
+	}
 	if err := os.MkdirAll(filepath.Join(cfg.Dir, ".partial"), 0o755); err != nil {
 		return nil, fmt.Errorf("serve: follower: %w", err)
 	}
@@ -150,13 +157,6 @@ func (f *Follower) logf(format string, args ...any) {
 	if f.cfg.Logf != nil {
 		f.cfg.Logf(format, args...)
 	}
-}
-
-func (f *Follower) client() *http.Client {
-	if f.cfg.HTTP != nil {
-		return f.cfg.HTTP
-	}
-	return http.DefaultClient
 }
 
 // Run syncs once immediately, then every Interval until ctx ends. Sync
@@ -187,7 +187,7 @@ func (f *Follower) SyncOnce(ctx context.Context) error {
 	f.st.LastAttempt = now
 	f.mu.Unlock()
 
-	cat, err := f.fetchCatalog(ctx)
+	cat, err := FetchCatalog(ctx, f.cfg.HTTP, f.cfg.Peer, f.cfg.Retry)
 	if err != nil {
 		return f.markFailed(err)
 	}
@@ -224,7 +224,7 @@ func (f *Follower) SyncOnce(ctx context.Context) error {
 				return f.markFailed(err)
 			}
 		}
-		specs = append(specs, LoadSpec{Name: cf.Name, Path: dest, Cx: cf.Cx, Cy: cf.Cy})
+		specs = append(specs, LoadSpec{Name: cf.Name, Path: dest})
 	}
 
 	// The installed files parse back through the same all-or-nothing
@@ -260,13 +260,24 @@ func (f *Follower) markSynced(gen uint64) {
 	f.mu.Unlock()
 }
 
-// fetchCatalog GETs and validates the peer's catalog.
-func (f *Follower) fetchCatalog(ctx context.Context) (Catalog, error) {
-	op := "serve: follower: catalog from " + f.cfg.Peer
+// FetchCatalog GETs and validates peer's /catalog (a base URL such as
+// "http://host:8080") under policy, reading at most 16 MiB. It is the
+// one catalog fetch: a follower's sync round and file repair, and
+// stpt-doctor's replica audit, all see the peer through it. A nil
+// client means http.DefaultClient; a zero policy means
+// FollowerRetryPolicy.
+func FetchCatalog(ctx context.Context, client *http.Client, peer string, policy resilience.Policy) (Catalog, error) {
+	if client == nil {
+		client = http.DefaultClient
+	}
+	if policy.MaxAttempts == 0 {
+		policy = FollowerRetryPolicy()
+	}
+	op := "serve: catalog from " + peer
 	var raw []byte
-	_, err := resilience.RetryHTTP(ctx, f.client(), f.cfg.Retry, op,
+	_, err := resilience.RetryHTTP(ctx, client, policy, op,
 		func(ctx context.Context) (*http.Request, error) {
-			return http.NewRequestWithContext(ctx, http.MethodGet, f.cfg.Peer+"/catalog", nil)
+			return http.NewRequestWithContext(ctx, http.MethodGet, peer+"/catalog", nil)
 		},
 		func(resp *http.Response) error {
 			if resp.StatusCode != http.StatusOK {
@@ -294,7 +305,7 @@ func (f *Follower) fetchCatalog(ctx context.Context) (Catalog, error) {
 func (f *Follower) fetchFile(ctx context.Context, cf CatalogFile, dest string) error {
 	partial := filepath.Join(f.cfg.Dir, ".partial", cf.File+".partial")
 	op := fmt.Sprintf("serve: follower: fetching %s from %s", cf.Name, f.cfg.Peer)
-	resp, err := resilience.RetryHTTP(ctx, f.client(), f.cfg.Retry, op,
+	resp, err := resilience.RetryHTTP(ctx, f.cfg.HTTP, f.cfg.Retry, op,
 		func(ctx context.Context) (*http.Request, error) {
 			req, err := http.NewRequestWithContext(ctx, http.MethodGet,
 				f.cfg.Peer+"/catalog/file?d="+url.QueryEscape(cf.Name), nil)
@@ -415,7 +426,7 @@ func (f *Follower) RepairFile(ctx context.Context, path string) error {
 	if err := resilience.Fire(ctx, resilience.FaultRepairFetch, path); err != nil {
 		return fmt.Errorf("serve: follower: repairing %s: %w", path, err)
 	}
-	cat, err := f.fetchCatalog(ctx)
+	cat, err := FetchCatalog(ctx, f.cfg.HTTP, f.cfg.Peer, f.cfg.Retry)
 	if err != nil {
 		return fmt.Errorf("serve: follower: repairing %s: %w", path, err)
 	}
@@ -443,33 +454,16 @@ func partialSize(path string) int64 {
 	return st.Size()
 }
 
-// fileMatches re-reads path and reports whether its bytes have exactly
-// the expected size and CRC-32C. A missing file is simply no match; any
-// other read error is surfaced.
+// fileMatches re-reads path and reports whether its bytes pass
+// CheckCRC32C. A missing file is simply no match; any other read error
+// is surfaced.
 func fileMatches(path string, size int64, crc uint32) (bool, error) {
-	g, err := os.Open(path)
+	raw, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return false, nil
+	}
 	if err != nil {
-		if os.IsNotExist(err) {
-			return false, nil
-		}
 		return false, err
 	}
-	defer g.Close()
-	var n int64
-	var sum uint32
-	buf := make([]byte, 64<<10)
-	for {
-		k, rerr := g.Read(buf)
-		if k > 0 {
-			sum = crc32.Update(sum, castagnoli, buf[:k])
-			n += int64(k)
-		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			return false, rerr
-		}
-	}
-	return n == size && sum == crc, nil
+	return CheckCRC32C(raw, size, crc) == nil, nil
 }

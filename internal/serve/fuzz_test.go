@@ -14,7 +14,7 @@ import (
 func FuzzCatalogDecode(f *testing.F) {
 	f.Add([]byte(`{"generation":1,"files":[{"name":"a","file":"a.csv","size":10,"crc32c":123}]}`))
 	f.Add([]byte(`{"generation":0,"files":[]}`))
-	f.Add([]byte(`{"generation":18446744073709551615,"files":[{"name":"x","file":"x","size":0,"crc32c":0,"cx":1,"cy":1}]}`))
+	f.Add([]byte(`{"generation":18446744073709551615,"files":[{"name":"x","file":"x","size":0,"crc32c":0}]}`))
 	f.Add([]byte(`{"generation":1,"files":[{"name":"a","file":"../evil","size":1,"crc32c":1}]}`))
 	f.Add([]byte(`nonsense`))
 	f.Add([]byte(``))
@@ -34,8 +34,8 @@ func FuzzCatalogDecode(f *testing.F) {
 			if !validCatalogFileName(cf.File) {
 				t.Fatalf("accepted unsafe file name %q from %q", cf.File, raw)
 			}
-			if cf.Size < 0 || cf.Cx < 0 || cf.Cy < 0 {
-				t.Fatalf("accepted negative size/hints %+v from %q", cf, raw)
+			if cf.Size < 0 {
+				t.Fatalf("accepted negative size %+v from %q", cf, raw)
 			}
 			if names[cf.Name] || files[cf.File] {
 				t.Fatalf("accepted duplicate entry %+v from %q", cf, raw)

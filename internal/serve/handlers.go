@@ -170,7 +170,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 //
 //	POST /-/reload   with Authorization: Bearer <Config.ReloadToken>
 //
-// It re-sniffs every configured dataset and atomically swaps the new
+// It re-reads every configured release and atomically swaps the new
 // set in; in-flight queries finish on the old snapshot. Disabled (404)
 // when no token is configured, 401 with a typed JSON body on a missing
 // or wrong token (the comparison is constant-time, so the response

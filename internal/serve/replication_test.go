@@ -195,7 +195,9 @@ func TestDecodeCatalogRejects(t *testing.T) {
 		"dot dir":        `{"generation":1,"files":[{"name":"a","file":"..","size":1,"crc32c":1}]}`,
 		"separator":      `{"generation":1,"files":[{"name":"a","file":"x/y.csv","size":1,"crc32c":1}]}`,
 		"negative size":  `{"generation":1,"files":[{"name":"a","file":"a.csv","size":-1,"crc32c":1}]}`,
-		"negative hint":  `{"generation":1,"files":[{"name":"a","file":"a.csv","size":1,"crc32c":1,"cx":-2}]}`,
+		// Grid hints only parameterise raw household loads, which no
+		// replica serves; a catalog carrying them is refused.
+		"grid hint":      `{"generation":1,"files":[{"name":"a","file":"a.csv","size":1,"crc32c":1,"cx":4,"cy":2}]}`,
 		"duplicate name": `{"generation":1,"files":[{"name":"a","file":"a.csv","size":1,"crc32c":1},{"name":"a","file":"b.csv","size":1,"crc32c":1}]}`,
 		"duplicate file": `{"generation":1,"files":[{"name":"a","file":"a.csv","size":1,"crc32c":1},{"name":"b","file":"a.csv","size":1,"crc32c":1}]}`,
 	}
@@ -204,12 +206,12 @@ func TestDecodeCatalogRejects(t *testing.T) {
 			t.Errorf("%s: decoded without error", label)
 		}
 	}
-	good := `{"generation":7,"files":[{"name":"a","file":"a.csv","size":10,"crc32c":123,"cx":4,"cy":2}]}`
+	good := `{"generation":7,"files":[{"name":"a","file":"a.csv","size":10,"crc32c":123}]}`
 	cat, err := DecodeCatalog([]byte(good))
 	if err != nil {
 		t.Fatalf("valid catalog refused: %v", err)
 	}
-	if cat.Generation != 7 || len(cat.Files) != 1 || cat.Files[0].Cx != 4 {
+	if cat.Generation != 7 || len(cat.Files) != 1 || cat.Files[0].Size != 10 || cat.Files[0].CRC != 123 {
 		t.Fatalf("valid catalog mangled: %+v", cat)
 	}
 }

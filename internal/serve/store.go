@@ -1,9 +1,6 @@
 package serve
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/csv"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -44,8 +41,6 @@ type ReleaseSource struct {
 	Path string
 	Size int64
 	CRC  uint32 // CRC-32C (Castagnoli) over the file bytes as loaded
-	Cx   int    // grid hints for household-format files, as in LoadSpec
-	Cy   int
 }
 
 // releaseSet is one immutable generation of loaded releases. Readers
@@ -166,18 +161,17 @@ func (s *Store) Snapshot() ([]*Release, uint64) {
 	return rels, set.gen
 }
 
-// LoadSpec names one release and where to (re)load it from. Cx/Cy only
-// matter for household-format files (0 infers a power-of-two grid, as
-// in datasets.LoadCSV).
+// LoadSpec names one release and where to (re)load it from. The file
+// must be in the x,y,t,value release format (datasets.LoadMatrixCSV):
+// the store serves published releases, never raw readings.
 type LoadSpec struct {
-	Name   string
-	Path   string
-	Cx, Cy int
+	Name string
+	Path string
 }
 
 // ParseLoadSpec parses a -load argument: "name=path", or a bare path
 // whose file stem becomes the release name.
-func ParseLoadSpec(arg string, cx, cy int) (LoadSpec, error) {
+func ParseLoadSpec(arg string) (LoadSpec, error) {
 	name, path, ok := strings.Cut(arg, "=")
 	if !ok {
 		path = arg
@@ -186,11 +180,11 @@ func ParseLoadSpec(arg string, cx, cy int) (LoadSpec, error) {
 	if name == "" || path == "" {
 		return LoadSpec{}, fmt.Errorf("serve: load spec %q: want name=path", arg)
 	}
-	return LoadSpec{Name: name, Path: path, Cx: cx, Cy: cy}, nil
+	return LoadSpec{Name: name, Path: path}, nil
 }
 
 // LoadAll configures the store's spec set and loads it. The load is
-// all-or-nothing: every file is read, sniffed, and indexed into a
+// all-or-nothing: every file is read, parsed, and indexed into a
 // complete new generation before one atomic swap publishes it, so a
 // failure — even on the last file — leaves the current releases exactly
 // as they were. The specs are remembered either way, so a failed
@@ -229,9 +223,22 @@ func (s *Store) Reload() error {
 	return nil
 }
 
-// castagnoli is the CRC-32C table shared by catalog hashing and
-// follower verification — the same polynomial the ingest WAL uses.
+// castagnoli is the one CRC-32C table: the store hashes every loaded
+// release with it, and CheckCRC32C verifies file images against it.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// CheckCRC32C verifies a file image against a catalog entry's exact
+// size and CRC-32C. It is the one check release bytes pass wherever
+// they are re-read: a follower installing a download or reconciling
+// its data directory, the scrubber re-verifying a release at rest, and
+// stpt-doctor auditing a replica against its peer.
+func CheckCRC32C(data []byte, size int64, sum uint32) error {
+	got := crc32.Checksum(data, castagnoli)
+	if int64(len(data)) != size || got != sum {
+		return fmt.Errorf("size %d crc32c %08x, catalog says size %d crc32c %08x", len(data), got, size, sum)
+	}
+	return nil
+}
 
 // crcCounter hashes and counts everything that flows through it.
 type crcCounter struct {
@@ -245,7 +252,7 @@ func (c *crcCounter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// loadSpecFile opens, sniffs, and parses one spec's file, hashing the
+// loadSpecFile opens and parses one spec's release file, hashing the
 // bytes as they stream through so the returned ReleaseSource describes
 // exactly what was parsed — not what a later reader might find at the
 // same path.
@@ -256,49 +263,15 @@ func loadSpecFile(sp LoadSpec) (*grid.Matrix, *ReleaseSource, error) {
 	}
 	defer f.Close()
 	cc := &crcCounter{}
-	// 64 KiB of lookahead comfortably covers the widest header row a
-	// household file produces, so sniffing never truncates mid-line.
-	br := bufio.NewReaderSize(io.TeeReader(f, cc), 1<<16)
-	m, err := loadMatrix(br, sp.Path, sp.Cx, sp.Cy)
+	r := io.TeeReader(f, cc)
+	m, err := datasets.LoadMatrixCSV(r)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("serve: %s: %w", sp.Path, err)
 	}
 	// The CSV parser stops at EOF, but make the tail explicit: whatever
 	// it somehow left unread still belongs to the advertised checksum.
-	if _, err := io.Copy(io.Discard, br); err != nil {
+	if _, err := io.Copy(io.Discard, r); err != nil {
 		return nil, nil, fmt.Errorf("serve: hashing %s: %w", sp.Path, err)
 	}
-	src := &ReleaseSource{Path: sp.Path, Size: cc.n, CRC: cc.crc, Cx: sp.Cx, Cy: sp.Cy}
-	return m, src, nil
-}
-
-// loadMatrix sniffs and parses either CSV shape from r.
-func loadMatrix(r *bufio.Reader, path string, cx, cy int) (*grid.Matrix, error) {
-	head, err := r.Peek(r.Size())
-	if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, bufio.ErrBufferFull) {
-		return nil, fmt.Errorf("serve: reading %s: %w", path, err)
-	}
-	hr := csv.NewReader(bytes.NewReader(head))
-	header, err := hr.Read()
-	if err != nil {
-		return nil, fmt.Errorf("serve: %s: cannot read CSV header: %w", path, err)
-	}
-	kind, err := datasets.SniffCSV(header)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %s: %w", path, err)
-	}
-	switch kind {
-	case "matrix":
-		m, err := datasets.LoadMatrixCSV(r)
-		if err != nil {
-			return nil, fmt.Errorf("serve: %s: %w", path, err)
-		}
-		return m, nil
-	default: // "dataset"
-		d, err := datasets.LoadCSV(r, path, cx, cy)
-		if err != nil {
-			return nil, fmt.Errorf("serve: %s: %w", path, err)
-		}
-		return grid.FromDataset(d), nil
-	}
+	return m, &ReleaseSource{Path: sp.Path, Size: cc.n, CRC: cc.crc}, nil
 }

@@ -50,24 +50,30 @@ func TestLoadFileSniffsMatrixCSV(t *testing.T) {
 	}
 }
 
-// TestLoadFileSniffsHouseholdCSV: a stpt-datagen household file is
-// aggregated into its consumption matrix.
-func TestLoadFileSniffsHouseholdCSV(t *testing.T) {
-	path := writeFile(t, "households.csv", "x,y,v0,v1\n0,0,1.5,2\n1,1,0.5,3\n0,0,1,1\n")
-	s := NewStore()
-	if err := s.LoadAll([]LoadSpec{{Name: "hh", Path: path, Cx: 2, Cy: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	rel, err := s.Get("hh")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel.Matrix.Cx != 2 || rel.Matrix.Cy != 2 || rel.Matrix.Ct != 2 {
-		t.Fatalf("dimensions %dx%dx%d, want 2x2x2", rel.Matrix.Cx, rel.Matrix.Cy, rel.Matrix.Ct)
-	}
-	// Two households at (0,0): 1.5+1 at t0.
-	if got := rel.Matrix.At(0, 0, 0); got != 2.5 {
-		t.Fatalf("cell (0,0,0) = %g, want 2.5", got)
+// TestLoadFileRefusesHouseholdCSV: a stpt-datagen household file holds
+// raw, un-noised readings. Serving exact sums over it — and replicating
+// it to followers as if it were a release — would publish the data the
+// mechanism exists to protect, so the store refuses it whatever its
+// column count, and nothing is registered.
+func TestLoadFileRefusesHouseholdCSV(t *testing.T) {
+	for name, content := range map[string]string{
+		// Two intervals: the same four columns as x,y,t,value.
+		"four-field": "x,y,v0,v1\n0,0,1.5,2\n1,1,0.5,3\n",
+		"five-field": "x,y,v0,v1,v2\n0,0,1.5,2,1\n1,1,0.5,3,1\n",
+	} {
+		path := writeFile(t, name+".csv", content)
+		s := NewStore()
+		err := s.LoadAll([]LoadSpec{{Name: "hh", Path: path}})
+		if err == nil {
+			t.Errorf("%s: household file loaded as a release", name)
+			continue
+		}
+		if !strings.Contains(err.Error(), path) {
+			t.Errorf("%s: error %q does not name the file", name, err)
+		}
+		if s.Len() != 0 {
+			t.Errorf("%s: refused load registered %d releases", name, s.Len())
+		}
 	}
 }
 
