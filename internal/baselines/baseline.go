@@ -38,13 +38,7 @@ func (in Input) Truth() *grid.Matrix {
 	if horizon <= 0 {
 		panic(fmt.Sprintf("baselines: no horizon (T=%d, TTrain=%d)", d.T(), in.TTrain))
 	}
-	m := grid.NewMatrix(d.Cx, d.Cy, horizon)
-	for _, s := range d.Series {
-		for t := in.TTrain; t < d.T(); t++ {
-			m.AddAt(s.Location.X, s.Location.Y, t-in.TTrain, s.Values[t])
-		}
-	}
-	return m
+	return grid.FromDataset(d, in.TTrain, d.T())
 }
 
 // Algorithm is one DP release mechanism.

@@ -138,7 +138,7 @@ func (g *LGANDP) Release(ctx context.Context, in Input, epsilon float64, seed in
 			for i := 0; i < g.Window && i < len(p); i++ {
 				seed[i] = p[i]/maxVal + lap.Sample(seedScale)
 			}
-			vals := nn.Rollout(gen, seed, nil, T)
+			vals := nn.Rollout(gen, seed, nil, T, nil)
 			for t := range vals {
 				// The generator works in [0, 1]-normalised space; clamp so
 				// an unstable GAN cannot release unbounded values.

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"testing"
+
+	"repro/internal/grid"
 )
 
 // QuantizeModeWorkers must reproduce the serial partitioning exactly —
@@ -10,7 +12,7 @@ import (
 // for every worker count.
 func TestQuantizeWorkersBitIdentical(t *testing.T) {
 	d := testDataset(8, 8, 60, 24, 9)
-	pattern := horizonMatrix(d, 12)
+	pattern := grid.FromDataset(d, 12, d.T())
 	for _, mode := range []QuantMode{QuantLog, QuantLinear} {
 		serial := QuantizeModeWorkers(pattern, 6, mode, 1)
 		for _, workers := range []int{2, 3, 8, 100} {

@@ -271,18 +271,17 @@ func rolloutLeveled(model nn.Model, seed []float64, ctx []float64, horizon int) 
 	for j, v := range seed[len(seed)-ws:] {
 		shape[j] = v / level
 	}
-	out := make([]float64, horizon)
-	for i := 0; i < horizon; i++ {
-		p := nn.Predict(model, shape, ctx)
-		// Training targets are shape-normalised values, overwhelmingly in
-		// [0, 3]; clamping keeps a mis-extrapolating model from compounding.
-		p = math.Max(0, math.Min(p, 3))
-		out[i] = p * level
-		copy(shape, shape[1:])
-		shape[ws-1] = p
+	out := nn.Rollout(model, shape, ctx, horizon, clampShape)
+	for i := range out {
+		out[i] *= level
 	}
 	return out
 }
+
+// clampShape bounds a predicted shape value before it is fed back.
+// Training targets are shape-normalised values, overwhelmingly in [0, 3];
+// clamping keeps a mis-extrapolating model from compounding.
+func clampShape(p float64) float64 { return math.Max(0, math.Min(p, 3)) }
 
 // buildModel constructs the configured predictor.
 func buildModel(cfg Config, rng *rand.Rand) (nn.Model, error) {
@@ -330,12 +329,7 @@ func pathEstimates(tree *quadtree.Tree, cx, cy, tTrain int) *grid.Matrix {
 // cell's total normalised consumption, sensitivity 1 per timestamp) is
 // perturbed with budget EpsPattern/TTrain per timestamp.
 func flatSanitizedTraining(norm *timeseries.Dataset, cfg Config, lap *dp.Laplace, acct dp.Scope) *grid.Matrix {
-	m := grid.NewMatrix(norm.Cx, norm.Cy, cfg.TTrain)
-	for _, s := range norm.Series {
-		for t := 0; t < cfg.TTrain; t++ {
-			m.AddAt(s.Location.X, s.Location.Y, t, s.Values[t])
-		}
-	}
+	m := grid.FromDataset(norm, 0, cfg.TTrain)
 	perStep := cfg.EpsPattern / float64(cfg.TTrain)
 	scale := dp.Scale(1, perStep)
 	for y := 0; y < norm.Cy; y++ {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/dp"
+	"repro/internal/grid"
 	"repro/internal/nn"
 	"repro/internal/quadtree"
 	"repro/internal/timeseries"
@@ -111,7 +112,7 @@ func TestSanitizePerCellPreservesMassWithHugeBudget(t *testing.T) {
 	cfg.EpsSanitize = 1e6
 	lap := dp.NewLaplace(rand.New(rand.NewSource(3)))
 	acct := dp.NewAccountant("t", dp.Sequential)
-	truth := horizonMatrix(d, cfg.TTrain)
+	truth := grid.FromDataset(d, cfg.TTrain, d.T())
 	rel := sanitizePerCell(truth, cfg, 1, lap, acct.Root())
 	for i, v := range rel.Data() {
 		if math.Abs(v-truth.Data()[i]) > 0.01 {
@@ -127,7 +128,7 @@ func TestSanitizeStepMassAndClamping(t *testing.T) {
 	d := testDataset(8, 8, 60, 20, 10)
 	cfg := tinyConfig()
 	cfg.EpsSanitize = 1e6
-	truth := horizonMatrix(d, cfg.TTrain)
+	truth := grid.FromDataset(d, cfg.TTrain, d.T())
 	pattern := truth.Clone() // oracle pattern
 	parts := QuantizeModeWorkers(pattern, 16, QuantLog, 1)
 	lap := dp.NewLaplace(rand.New(rand.NewSource(4)))

@@ -125,8 +125,7 @@ func runOnce(ctx context.Context, d *timeseries.Dataset, cfg Config) (*Result, e
 	}
 
 	// Phase 2: sanitisation of the released horizon (ε_sanitize).
-	horizon := d.T() - cfg.TTrain
-	truth := horizonMatrix(work, cfg.TTrain)
+	truth := grid.FromDataset(work, cfg.TTrain, work.T())
 	cellSens := norm.Max // one user's clipped reading bounds a cell's change
 	if cellSens <= 0 {
 		cellSens = 1
@@ -151,31 +150,14 @@ func runOnce(ctx context.Context, d *timeseries.Dataset, cfg Config) (*Result, e
 		Partitions: parts,
 		Accountant: acct,
 	}
-	res.PatternMAE, res.PatternRMSE = patternError(normData, cfg.TTrain, pat.Pattern, horizon)
+	res.PatternMAE, res.PatternRMSE = patternError(normData, cfg.TTrain, pat.Pattern)
 	return res, nil
-}
-
-// horizonMatrix builds the true consumption matrix over [tTrain, T).
-func horizonMatrix(d *timeseries.Dataset, tTrain int) *grid.Matrix {
-	horizon := d.T() - tTrain
-	m := grid.NewMatrix(d.Cx, d.Cy, horizon)
-	for _, s := range d.Series {
-		for t := tTrain; t < d.T(); t++ {
-			m.AddAt(s.Location.X, s.Location.Y, t-tTrain, s.Values[t])
-		}
-	}
-	return m
 }
 
 // patternError evaluates C_pattern against the true normalised cell
 // totals over the horizon — the quantity the pattern estimates (C_norm's
 // cell sums), per the Theorem-6 representative semantics.
-func patternError(norm *timeseries.Dataset, tTrain int, pattern *grid.Matrix, horizon int) (mae, rmse float64) {
-	sums := grid.NewMatrix(norm.Cx, norm.Cy, horizon)
-	for _, s := range norm.Series {
-		for t := tTrain; t < norm.T(); t++ {
-			sums.AddAt(s.Location.X, s.Location.Y, t-tTrain, s.Values[t])
-		}
-	}
+func patternError(norm *timeseries.Dataset, tTrain int, pattern *grid.Matrix) (mae, rmse float64) {
+	sums := grid.FromDataset(norm, tTrain, norm.T())
 	return timeseries.MAE(sums.Data(), pattern.Data()), timeseries.RMSE(sums.Data(), pattern.Data())
 }

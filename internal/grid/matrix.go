@@ -24,16 +24,23 @@ func NewMatrix(cx, cy, ct int) *Matrix {
 	return &Matrix{Cx: cx, Cy: cy, Ct: ct, data: make([]float64, cx*cy*ct)}
 }
 
-// FromDataset accumulates every household's readings into its grid cell,
-// producing the consumption matrix C_cons of the dataset.
-func FromDataset(d *timeseries.Dataset) *Matrix {
+// FromDataset accumulates every household's readings over the intervals
+// [t0, t1) into its grid cell: element (x, y, t) of the Cx x Cy x (t1-t0)
+// result is cell (x, y)'s total at interval t0+t. Readings are added
+// series by series, then in increasing time, so every cell's sum has one
+// fixed order. This is the one place the repository turns readings into
+// cell totals.
+func FromDataset(d *timeseries.Dataset, t0, t1 int) *Matrix {
 	if err := d.Validate(); err != nil {
 		panic("grid: " + err.Error())
 	}
-	m := NewMatrix(d.Cx, d.Cy, d.T())
+	if t0 < 0 || t1 > d.T() || t0 >= t1 {
+		panic(fmt.Sprintf("grid: interval range [%d, %d) outside [0, %d)", t0, t1, d.T()))
+	}
+	m := NewMatrix(d.Cx, d.Cy, t1-t0)
 	for _, s := range d.Series {
-		for t, v := range s.Values {
-			m.AddAt(s.Location.X, s.Location.Y, t, v)
+		for t := t0; t < t1; t++ {
+			m.AddAt(s.Location.X, s.Location.Y, t-t0, s.Values[t])
 		}
 	}
 	return m

@@ -74,7 +74,7 @@ func TestFromDataset(t *testing.T) {
 			{Location: timeseries.Location{X: 1, Y: 1}, Values: []float64{5, 6}},
 		},
 	}
-	m := FromDataset(d)
+	m := FromDataset(d, 0, 2)
 	if m.At(0, 0, 0) != 4 || m.At(0, 0, 1) != 6 {
 		t.Fatalf("aggregation wrong: %v %v", m.At(0, 0, 0), m.At(0, 0, 1))
 	}
@@ -83,6 +83,21 @@ func TestFromDataset(t *testing.T) {
 	}
 	if m.At(1, 0, 0) != 0 {
 		t.Fatal("empty cell should be 0")
+	}
+	// A sub-range starts its time axis at t0.
+	tail := FromDataset(d, 1, 2)
+	if tail.Ct != 1 || tail.At(0, 0, 0) != 6 || tail.At(1, 1, 0) != 6 {
+		t.Fatalf("range [1, 2) wrong: Ct %d, %v %v", tail.Ct, tail.At(0, 0, 0), tail.At(1, 1, 0))
+	}
+	for _, r := range [][2]int{{-1, 2}, {0, 3}, {1, 1}, {2, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("range %v: expected panic", r)
+				}
+			}()
+			FromDataset(d, r[0], r[1])
+		}()
 	}
 }
 
@@ -233,7 +248,7 @@ func TestFromDatasetPreservesMassProperty(t *testing.T) {
 				Values:   vals,
 			})
 		}
-		m := FromDataset(d)
+		m := FromDataset(d, 0, T)
 		return math.Abs(m.Total()-want) < 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

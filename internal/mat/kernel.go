@@ -221,10 +221,47 @@ func mulBTRows(out, a, b []float64, k, n, r0, r1 int) {
 
 // mulATRows computes rows [r0, r1) of out = aᵀ·b (a: k x m, b: k x n,
 // out: m x n) without materialising the transpose: the k loop is innermost
-// with strided reads of a's column i, and each output element accumulates
-// in increasing k order, matching Mul(a.T(), b) bit-for-bit.
+// with strided reads of a's columns, and each output element accumulates
+// in increasing k order, matching Mul(a.T(), b) bit-for-bit. Outputs run
+// as 2-row x 4-column register tiles, so eight independent sums share
+// each load of a and b.
 func mulATRows(out, a, b []float64, k, m, n, r0, r1 int) {
-	for i := r0; i < r1; i++ {
+	i := r0
+	for ; i+2 <= r1; i += 2 {
+		o0 := out[i*n : i*n+n]
+		o1 := out[(i+1)*n : (i+1)*n+n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			var c00, c01, c02, c03 float64
+			var c10, c11, c12, c13 float64
+			for kk := 0; kk < k; kk++ {
+				ar := a[kk*m+i : kk*m+i+2]
+				br := b[kk*n+j : kk*n+j+4]
+				av0, av1 := ar[0], ar[1]
+				b0, b1, b2, b3 := br[0], br[1], br[2], br[3]
+				c00 += av0 * b0
+				c01 += av0 * b1
+				c02 += av0 * b2
+				c03 += av0 * b3
+				c10 += av1 * b0
+				c11 += av1 * b1
+				c12 += av1 * b2
+				c13 += av1 * b3
+			}
+			o0[j], o0[j+1], o0[j+2], o0[j+3] = c00, c01, c02, c03
+			o1[j], o1[j+1], o1[j+2], o1[j+3] = c10, c11, c12, c13
+		}
+		for ; j < n; j++ {
+			var c0, c1 float64
+			for kk := 0; kk < k; kk++ {
+				bv := b[kk*n+j]
+				c0 += a[kk*m+i] * bv
+				c1 += a[kk*m+i+1] * bv
+			}
+			o0[j], o1[j] = c0, c1
+		}
+	}
+	for ; i < r1; i++ {
 		o := out[i*n : i*n+n]
 		j := 0
 		for ; j+4 <= n; j += 4 {

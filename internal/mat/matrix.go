@@ -133,8 +133,9 @@ func (m *Matrix) T() *Matrix {
 // Add stores a+b into m (which may alias a or b) and returns m.
 func (m *Matrix) Add(a, b *Matrix) *Matrix {
 	sameShape3(m, a, b)
+	ad, bd := a.Data[:len(m.Data)], b.Data[:len(m.Data)]
 	for i := range m.Data {
-		m.Data[i] = a.Data[i] + b.Data[i]
+		m.Data[i] = ad[i] + bd[i]
 	}
 	return m
 }
@@ -193,14 +194,38 @@ func (m *Matrix) MulVecTo(dst, x []float64) []float64 {
 	if len(dst) != m.Rows {
 		panic(fmt.Sprintf("mat: MulVecTo dst length %d, want %d", len(dst), m.Rows))
 	}
-	// Slicing each row to exactly len(x) lets the compiler drop the x[j]
-	// bounds check; accumulation stays sequential in j, so values are
-	// unchanged.
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : i*m.Cols+len(x)]
+	// Four rows run at a time with four independent accumulators, so the
+	// adds of one row no longer wait on each other's latency. Every output
+	// still sums its terms alone, from 0 and in increasing j, so values are
+	// unchanged. Rows are resliced to exactly len(x), which lets the
+	// compiler drop the bounds checks of the inner loop.
+	n := len(x)
+	i := 0
+	for ; i+4 <= m.Rows; i += 4 {
+		r0 := m.Data[i*n:]
+		r0 = r0[:len(x)]
+		r1 := m.Data[(i+1)*n:]
+		r1 = r1[:len(x)]
+		r2 := m.Data[(i+2)*n:]
+		r2 = r2[:len(x)]
+		r3 := m.Data[(i+3)*n:]
+		r3 = r3[:len(x)]
+		var s0, s1, s2, s3 float64
+		for j, xv := range x {
+			s0 += r0[j] * xv
+			s1 += r1[j] * xv
+			s2 += r2[j] * xv
+			s3 += r3[j] * xv
+		}
+		d := dst[i : i+4]
+		d[0], d[1], d[2], d[3] = s0, s1, s2, s3
+	}
+	for ; i < m.Rows; i++ {
+		row := m.Data[i*n:]
+		row = row[:len(x)]
 		var s float64
-		for j, v := range row {
-			s += v * x[j]
+		for j, xv := range x {
+			s += row[j] * xv
 		}
 		dst[i] = s
 	}
@@ -219,7 +244,7 @@ func KahanSum(v []float64) float64 {
 	return sum
 }
 
-// Sum returns the plain sum of all elements of m.
+// Sum returns the compensated (Kahan) sum of all elements of m.
 func (m *Matrix) Sum() float64 { return KahanSum(m.Data) }
 
 // MaxAbs returns the largest absolute element of m (0 for empty).

@@ -10,6 +10,7 @@ import (
 // AddVec stores a+b into dst (which may alias either input).
 func AddVec(dst, a, b []float64) {
 	checkLen(len(dst), len(a), len(b))
+	a, b = a[:len(dst)], b[:len(dst)] // lets the compiler drop bounds checks
 	for i := range dst {
 		dst[i] = a[i] + b[i]
 	}
@@ -26,6 +27,7 @@ func ScaleVec(dst []float64, s float64, a []float64) {
 // AxpyVec performs dst += s*a.
 func AxpyVec(dst []float64, s float64, a []float64) {
 	checkLen(len(dst), len(a), len(a))
+	a = a[:len(dst)]
 	for i := range dst {
 		dst[i] += s * a[i]
 	}
@@ -34,6 +36,7 @@ func AxpyVec(dst []float64, s float64, a []float64) {
 // HadamardVec stores a*b element-wise into dst.
 func HadamardVec(dst, a, b []float64) {
 	checkLen(len(dst), len(a), len(b))
+	a, b = a[:len(dst)], b[:len(dst)]
 	for i := range dst {
 		dst[i] = a[i] * b[i]
 	}
@@ -128,21 +131,59 @@ func (m *Matrix) GlorotUniform(rng *rand.Rand, fanIn, fanOut int) *Matrix {
 	return m.RandUniform(rng, scale)
 }
 
-// AddOuter performs m += a*bᵀ in place.
+// AddOuter performs m += a*bᵀ in place. Rows whose a value is exactly
+// zero are skipped, as sparse backward signals are common.
+//
+// Rows run four at a time, so each b value loaded serves four rows. Every
+// element still receives its one product, so values are unchanged. A
+// group that holds an exact zero a falls back to the one-row loop, so the
+// skip stays per row.
 func (m *Matrix) AddOuter(a, b []float64) *Matrix {
 	if m.Rows != len(a) || m.Cols != len(b) {
 		panic("mat: AddOuter shape mismatch")
 	}
-	for i, av := range a {
+	n := len(b)
+	i := 0
+	for ; i+4 <= len(a); i += 4 {
+		a0, a1, a2, a3 := a[i], a[i+1], a[i+2], a[i+3]
+		if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
+			m.addOuterRows(a, b, i, i+4)
+			continue
+		}
+		r0 := m.Data[i*n:]
+		r0 = r0[:len(b)]
+		r1 := m.Data[(i+1)*n:]
+		r1 = r1[:len(b)]
+		r2 := m.Data[(i+2)*n:]
+		r2 = r2[:len(b)]
+		r3 := m.Data[(i+3)*n:]
+		r3 = r3[:len(b)]
+		for j, bv := range b {
+			r0[j] += a0 * bv
+			r1[j] += a1 * bv
+			r2[j] += a2 * bv
+			r3[j] += a3 * bv
+		}
+	}
+	m.addOuterRows(a, b, i, len(a))
+	return m
+}
+
+// addOuterRows adds a[i]*bᵀ into rows [i0, i1) of m one row at a time,
+// skipping rows whose a value is exactly zero.
+func (m *Matrix) addOuterRows(a, b []float64, i0, i1 int) {
+	n := len(b)
+	for i := i0; i < i1; i++ {
+		av := a[i]
 		if av == 0 {
 			continue
 		}
-		row := m.Row(i)
+		row := m.Data[i*n:]
+		row = row[:len(b)]
 		for j, bv := range b {
 			row[j] += av * bv
 		}
 	}
-	return m
 }
 
 // TMulVec computes y = aᵀ*x for a vector x of length a.Rows, without
@@ -153,8 +194,13 @@ func (m *Matrix) TMulVec(x []float64) []float64 {
 
 // TMulVecTo computes dst = aᵀ*x into a caller-provided buffer and returns
 // dst. dst must not alias x; it is zeroed first, so results match TMulVec
-// bit-for-bit (including the xv == 0 row skip, which keeps sparse backward
-// signals cheap).
+// bit-for-bit. A row whose x value is exactly zero is skipped, which keeps
+// sparse backward signals cheap.
+//
+// Rows run four at a time: dst[j] stays in a register while rows i..i+3
+// add into it in increasing i, which is the order the one-row loop adds
+// them in, so every output keeps its bits. A group that holds an exact
+// zero x falls back to the one-row loop, so the skip stays per row.
 func (m *Matrix) TMulVecTo(dst, x []float64) []float64 {
 	if len(x) != m.Rows {
 		panic("mat: TMulVec length mismatch")
@@ -162,17 +208,48 @@ func (m *Matrix) TMulVecTo(dst, x []float64) []float64 {
 	if len(dst) != m.Cols {
 		panic("mat: TMulVecTo dst length mismatch")
 	}
-	for j := range dst {
-		dst[j] = 0
+	clear(dst)
+	n := len(dst)
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
+		if x0 == 0 || x1 == 0 || x2 == 0 || x3 == 0 {
+			m.tmulRows(dst, x, i, i+4)
+			continue
+		}
+		r0 := m.Data[i*n:]
+		r0 = r0[:len(dst)]
+		r1 := m.Data[(i+1)*n:]
+		r1 = r1[:len(dst)]
+		r2 := m.Data[(i+2)*n:]
+		r2 = r2[:len(dst)]
+		r3 := m.Data[(i+3)*n:]
+		r3 = r3[:len(dst)]
+		for j, d := range dst {
+			d += x0 * r0[j]
+			d += x1 * r1[j]
+			d += x2 * r2[j]
+			d += x3 * r3[j]
+			dst[j] = d
+		}
 	}
-	for i, xv := range x {
+	m.tmulRows(dst, x, i, len(x))
+	return dst
+}
+
+// tmulRows adds rows [i0, i1) of m, scaled by x, into dst one row at a
+// time, skipping rows whose x value is exactly zero.
+func (m *Matrix) tmulRows(dst, x []float64, i0, i1 int) {
+	n := len(dst)
+	for i := i0; i < i1; i++ {
+		xv := x[i]
 		if xv == 0 {
 			continue
 		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		row := m.Data[i*n:]
+		row = row[:len(dst)]
 		for j, v := range row {
 			dst[j] += xv * v
 		}
 	}
-	return dst
 }

@@ -46,37 +46,61 @@ func (a *SelfAttention) Forward(x *mat.Matrix) (*mat.Matrix, *attnCache) {
 		panic("nn: attention input dim mismatch")
 	}
 	n := x.Rows
-	// Q = X·Wqᵀ etc. via the transpose-free BT kernel: bit-identical to
-	// MulAutoTo(out, x, W.T()) without materialising any transpose.
-	q := mat.MulAutoBTTo(arenaMatrix(a.ar, n, a.Dim), x, a.Wq.W)
-	k := mat.MulAutoBTTo(arenaMatrix(a.ar, n, a.Dim), x, a.Wk.W)
-	v := mat.MulAutoBTTo(arenaMatrix(a.ar, n, a.Dim), x, a.Wv.W)
-	scores := mat.MulAutoBTTo(arenaMatrix(a.ar, n, n), q, k)
-	scale := 1 / math.Sqrt(float64(a.Dim))
-	attn := arenaMatrix(a.ar, n, n)
-	for i := 0; i < n; i++ {
-		row := scores.Row(i)
-		for j := range row {
-			row[j] *= scale
-		}
-		mat.Softmax(attn.Row(i), row)
-	}
-	y := mat.MulAutoTo(arenaMatrix(a.ar, n, a.Dim), attn, v)
 	var c *attnCache
 	if a.ar != nil {
 		c = &a.cache
 	} else {
 		c = &attnCache{}
 	}
-	c.x, c.q, c.k, c.v, c.attn = x, q, k, v, attn
+	c.x = x
+	c.q, c.k, c.v = arenaMatrix(a.ar, n, a.Dim), arenaMatrix(a.ar, n, a.Dim), arenaMatrix(a.ar, n, a.Dim)
+	c.attn = arenaMatrix(a.ar, n, n)
+	y := arenaMatrix(a.ar, n, a.Dim)
+	a.attend(c, arenaMatrix(a.ar, n, n), y)
 	return y, c
+}
+
+// attend is the layer's arithmetic: it fills c.q, c.k, c.v and c.attn from
+// c.x and writes Y into y, using scores (n x n) as scratch.
+func (a *SelfAttention) attend(c *attnCache, scores, y *mat.Matrix) {
+	for t := 0; t < c.x.Rows; t++ {
+		a.project(c.q.Row(t), c.k.Row(t), c.v.Row(t), c.x.Row(t))
+	}
+	mat.MulAutoBTTo(scores, c.q, c.k)
+	scale := a.scale()
+	for i := range scores.Data {
+		scores.Data[i] *= scale
+	}
+	mix(c.attn, y, scores, c.v)
+}
+
+// project writes one row of Q, K and V for the input row x. Each element
+// is W's row i dotted with x in increasing k, which is bit for bit the
+// (t, i) element of X·Wᵀ (a*b commutes exactly), and it depends on that
+// one input row alone.
+func (a *SelfAttention) project(q, k, v, x []float64) {
+	a.Wq.W.MulVecTo(q, x)
+	a.Wk.W.MulVecTo(k, x)
+	a.Wv.W.MulVecTo(v, x)
+}
+
+// scale is the 1/√d factor applied to every raw score.
+func (a *SelfAttention) scale() float64 { return 1 / math.Sqrt(float64(a.Dim)) }
+
+// mix turns each row of the scaled scores into softmax weights in attn and
+// returns y = attn·V.
+func mix(attn, y, scores, v *mat.Matrix) {
+	for i := 0; i < scores.Rows; i++ {
+		mat.Softmax(attn.Row(i), scores.Row(i))
+	}
+	mat.MulAutoTo(y, attn, v)
 }
 
 // Backward accumulates parameter gradients given dL/dY and returns dL/dX.
 func (a *SelfAttention) Backward(c *attnCache, dy *mat.Matrix) *mat.Matrix {
 	n := c.x.Rows
 	d := a.Dim
-	scale := 1 / math.Sqrt(float64(d))
+	scale := a.scale()
 
 	// Y = A·V: dA = dY·Vᵀ, dV = Aᵀ·dY.
 	dA := mat.MulAutoBTTo(arenaMatrix(a.ar, n, n), dy, c.v)

@@ -129,9 +129,10 @@ type GRUCell struct {
 	Wc, Uc, Bc             *Param
 	pre, tmp               []float64 // pre-activation scratch, dead after each Step
 
-	ar     *arena // per-pass storage when owned by a model; nil standalone
-	caches []gruCache
-	ci     int
+	ar      *arena // per-pass storage when owned by a model; nil standalone
+	caches  []gruCache
+	ci      int
+	scratch gruCache // stepInfer's reused gate vectors
 }
 
 func (c *GRUCell) setArena(a *arena) { c.ar = a }
@@ -165,17 +166,53 @@ type gruCache struct {
 
 // Step advances the cell one timestep.
 func (c *GRUCell) Step(x, state []float64) ([]float64, any) {
-	h := state
 	n := c.hidden
-	if c.pre == nil {
-		c.pre = make([]float64, n)
-		c.tmp = make([]float64, n)
-	}
 	// The per-step vectors z, r, rh, cand, hNew outlive this call via the
 	// cache (BPTT keeps every timestep), so they come from one slab; only
 	// the gate pre-activations are reusable scratch.
 	slab := arenaAlloc(c.ar, 5*n)
-	z, r, rh, cand, hNew := slab[0:n:n], slab[n:2*n:2*n], slab[2*n:3*n:3*n], slab[3*n:4*n:4*n], slab[4*n:]
+	var cc *gruCache
+	if c.ar != nil {
+		if c.ci == len(c.caches) {
+			c.caches = append(c.caches, gruCache{})
+		}
+		cc = &c.caches[c.ci]
+		c.ci++
+	} else {
+		cc = &gruCache{}
+	}
+	cc.x, cc.hPrev = x, state
+	cc.z, cc.r, cc.rh, cc.cand = slab[0:n:n], slab[n:2*n:2*n], slab[2*n:3*n:3*n], slab[3*n:4*n:4*n]
+	hNew := slab[4*n:]
+	c.step(cc, hNew)
+	return hNew, cc
+}
+
+// stepInfer is Step without the cache: it writes the new state into dst
+// (len StateSize, aliasing neither x nor state) through gate vectors the
+// cell reuses, for inference passes that never run backward.
+func (c *GRUCell) stepInfer(x, state, dst []float64) {
+	s := &c.scratch
+	if s.z == nil {
+		n := c.hidden
+		slab := make([]float64, 4*n)
+		s.z, s.r, s.rh, s.cand = slab[0:n:n], slab[n:2*n:2*n], slab[2*n:3*n:3*n], slab[3*n:]
+	}
+	s.x, s.hPrev = x, state
+	c.step(s, dst)
+}
+
+// step is the cell's arithmetic for one timestep: it reads cc.x and
+// cc.hPrev, fills cc's gate vectors and writes the new state into hNew.
+// Step runs it on a cache it keeps for StepBackward, stepInfer on one
+// scratch cache it reuses.
+func (c *GRUCell) step(cc *gruCache, hNew []float64) {
+	x, h := cc.x, cc.hPrev
+	z, r, rh, cand := cc.z, cc.r, cc.rh, cc.cand
+	if c.pre == nil {
+		c.pre = make([]float64, c.hidden)
+		c.tmp = make([]float64, c.hidden)
+	}
 
 	c.Wz.W.MulVecTo(c.pre, x)
 	c.Uz.W.MulVecTo(c.tmp, h)
@@ -199,18 +236,6 @@ func (c *GRUCell) Step(x, state []float64) ([]float64, any) {
 	for i := range hNew {
 		hNew[i] = (1-z[i])*h[i] + z[i]*cand[i]
 	}
-	var cc *gruCache
-	if c.ar != nil {
-		if c.ci == len(c.caches) {
-			c.caches = append(c.caches, gruCache{})
-		}
-		cc = &c.caches[c.ci]
-		c.ci++
-	} else {
-		cc = &gruCache{}
-	}
-	cc.x, cc.hPrev, cc.z, cc.r, cc.cand, cc.rh = x, h, z, r, cand, rh
-	return hNew, cc
 }
 
 // shadow returns a clone sharing weights with c but owning fresh gradient

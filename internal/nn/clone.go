@@ -30,7 +30,7 @@ func (m *RecurrentModel) ShadowClone() Model {
 		cell:  m.cell.shadow(),
 		head:  m.head.shadow(),
 	}
-	c.wire(c.embed, c.cell, c.head)
+	c.wire(c.ctx, c.embed, c.cell, c.head)
 	return c
 }
 
@@ -45,7 +45,7 @@ func (m *AttentiveGRUModel) ShadowClone() Model {
 		cell:  m.cell.shadow().(*GRUCell),
 		head:  m.head.shadow(),
 	}
-	c.wire(c.embed, c.attn, c.cell, c.head)
+	c.wire(c.ctx, c.embed, c.attn, c.cell, c.head)
 	return c
 }
 
@@ -65,6 +65,6 @@ func (m *TransformerModel) ShadowClone() Model {
 		ln2:   m.ln2.shadow(),
 		head:  m.head.shadow(),
 	}
-	c.wire(c.embed, c.attn, c.ln1, c.ffn1, c.ffn2, c.ln2, c.head)
+	c.wire(c.ctx, c.embed, c.attn, c.ln1, c.ffn1, c.ffn2, c.ln2, c.head)
 	return c
 }

@@ -95,24 +95,40 @@ func (d *Dense) Forward(x []float64) ([]float64, *denseCache) {
 	// their derivative from y alone, so z can live in reusable scratch.
 	var z, y []float64
 	if d.Act == ReLU {
-		var slab []float64
-		if d.ar != nil {
-			slab = d.ar.alloc(2 * d.Out)
-		} else {
-			slab = make([]float64, 2*d.Out)
-		}
+		slab := arenaAlloc(d.ar, 2*d.Out)
 		z, y = slab[:d.Out], slab[d.Out:]
 	} else {
-		if d.z == nil {
-			d.z = make([]float64, d.Out)
-		}
-		z = d.z
-		if d.ar != nil {
-			y = d.ar.alloc(d.Out)
-		} else {
-			y = make([]float64, d.Out)
-		}
+		z = d.scratchZ()
+		y = arenaAlloc(d.ar, d.Out)
 	}
+	d.apply(z, y, x)
+	c := d.nextCache()
+	c.x, c.y, c.z = x, y, nil
+	if d.Act == ReLU {
+		c.z = z
+	}
+	return y, c
+}
+
+// infer computes the layer output into y and records nothing: the
+// inference-only counterpart of Forward.
+func (d *Dense) infer(y, x []float64) {
+	if len(x) != d.In {
+		panic("nn: Dense input size mismatch")
+	}
+	d.apply(d.scratchZ(), y, x)
+}
+
+func (d *Dense) scratchZ() []float64 {
+	if d.z == nil {
+		d.z = make([]float64, d.Out)
+	}
+	return d.z
+}
+
+// apply is the layer's arithmetic: z = W·x + b, y = act(z). Forward and
+// infer differ only in where z and y live and in what Forward records.
+func (d *Dense) apply(z, y, x []float64) {
 	d.W.W.MulVecTo(z, x)
 	mat.AddVec(z, z, d.B.W.Data)
 	switch d.Act {
@@ -127,12 +143,6 @@ func (d *Dense) Forward(x []float64) ([]float64, *denseCache) {
 			y[i] = relu(v)
 		}
 	}
-	c := d.nextCache()
-	c.x, c.y, c.z = x, y, nil
-	if d.Act == ReLU {
-		c.z = z
-	}
-	return y, c
 }
 
 // Backward accumulates parameter gradients given dL/dy and returns dL/dx.

@@ -22,15 +22,23 @@ type Model interface {
 	Backward(cache any, dPred float64)
 }
 
-// Predict is a convenience wrapper discarding the cache.
+// Predict returns the model's prediction for one window. The attentive GRU
+// runs its inference-only forward pass, the first step of its incremental
+// roll (see attnRoll), which records no cache for Backward; other models
+// run Forward. On one model instance, Predict reuses the storage of the
+// previous Forward, Predict or Rollout, like Forward itself.
 func Predict(m Model, window, ctx []float64) float64 {
+	if am, ok := m.(*AttentiveGRUModel); ok {
+		return am.roller().start(window, ctx)
+	}
 	p, _ := m.Forward(window, ctx)
 	return p
 }
 
-// checkInputs validates window/ctx shapes and returns a zero ctx (from the
-// pass arena) when the model expects one but none was given.
-func checkInputs(m Model, ar *arena, window, ctx []float64) []float64 {
+// checkInputs validates window/ctx shapes and returns the context the
+// model reads: nil for a context-free model, and zeros when the model
+// expects a context but none was given.
+func checkInputs(m Model, zeros, window, ctx []float64) []float64 {
 	if len(window) != m.WindowSize() {
 		panic(fmt.Sprintf("nn: window length %d, want %d", len(window), m.WindowSize()))
 	}
@@ -38,7 +46,7 @@ func checkInputs(m Model, ar *arena, window, ctx []float64) []float64 {
 		return nil
 	}
 	if ctx == nil {
-		return arenaAlloc(ar, m.CtxSize())
+		return zeros
 	}
 	if len(ctx) != m.CtxSize() {
 		panic(fmt.Sprintf("nn: ctx length %d, want %d", len(ctx), m.CtxSize()))
@@ -63,12 +71,15 @@ type modelArena struct {
 	ar    *arena
 	users []arenaUser
 	dPred [1]float64 // head-gradient scratch, avoids a []float64{dPred} per Backward
+	zeros []float64  // the context read when a caller passes none; never written
 }
 
-// wire attaches a fresh arena to every layer that supports one.
-func (m *modelArena) wire(layers ...any) {
+// wire attaches a fresh arena to every layer that supports one and sizes
+// the zero context.
+func (m *modelArena) wire(ctxDim int, layers ...any) {
 	m.ar = &arena{}
 	m.users = nil
+	m.zeros = make([]float64, ctxDim)
 	for _, l := range layers {
 		if u, ok := l.(arenaUser); ok {
 			u.setArena(m.ar)
@@ -116,7 +127,7 @@ func NewRecurrentModel(name string, ws, ctxDim, embedDim int, cell RecurrentCell
 		cell:  cell,
 		head:  NewDense(name+".head", cell.OutputSize(), 1, Linear, rng),
 	}
-	m.wire(m.embed, m.cell, m.head)
+	m.wire(ctxDim, m.embed, m.cell, m.head)
 	return m
 }
 
@@ -147,7 +158,7 @@ type recurrentCache struct {
 // Forward on this instance.
 func (m *RecurrentModel) Forward(window, ctx []float64) (float64, any) {
 	m.beginPass()
-	ctx = checkInputs(m, m.ar, window, ctx)
+	ctx = checkInputs(m, m.zeros, window, ctx)
 	c := &m.cache
 	c.embedCaches = c.embedCaches[:0]
 	c.cellCaches = c.cellCaches[:0]
@@ -195,6 +206,7 @@ type AttentiveGRUModel struct {
 
 	modelArena
 	cache attentiveCache
+	roll  *attnRoll // inference state, allocated on first use
 }
 
 // NewAttentiveGRUModel builds the attention+GRU regressor.
@@ -208,7 +220,7 @@ func NewAttentiveGRUModel(name string, ws, ctxDim, embedDim, hidden int, rng *ra
 		cell:  NewGRUCell(name+".gru", embedDim, hidden, rng),
 		head:  NewDense(name+".head", hidden, 1, Linear, rng),
 	}
-	m.wire(m.embed, m.attn, m.cell, m.head)
+	m.wire(ctxDim, m.embed, m.attn, m.cell, m.head)
 	return m
 }
 
@@ -240,7 +252,7 @@ type attentiveCache struct {
 // returned cache is valid until the next Forward on this instance.
 func (m *AttentiveGRUModel) Forward(window, ctx []float64) (float64, any) {
 	m.beginPass()
-	ctx = checkInputs(m, m.ar, window, ctx)
+	ctx = checkInputs(m, m.zeros, window, ctx)
 	c := &m.cache
 	c.embedCaches = c.embedCaches[:0]
 	c.cellCaches = c.cellCaches[:0]
@@ -328,7 +340,7 @@ func NewTransformerModel(name string, ws, ctxDim, dim, ffnDim int, rng *rand.Ran
 			}
 		}
 	}
-	m.wire(m.embed, m.attn, m.ln1, m.ffn1, m.ffn2, m.ln2, m.head)
+	m.wire(ctxDim, m.embed, m.attn, m.ln1, m.ffn1, m.ffn2, m.ln2, m.head)
 	return m
 }
 
@@ -366,7 +378,7 @@ type transformerCache struct {
 // valid until the next Forward on this instance.
 func (m *TransformerModel) Forward(window, ctx []float64) (float64, any) {
 	m.beginPass()
-	ctx = checkInputs(m, m.ar, window, ctx)
+	ctx = checkInputs(m, m.zeros, window, ctx)
 	dim := m.embed.Out
 	c := &m.cache
 	c.embedCaches = c.embedCaches[:0]

@@ -145,36 +145,3 @@ func (tr *Trainer) parallelBatch(clones []Model, samples []timeseries.Window, ba
 	}
 	return loss
 }
-
-// Evaluate returns the MAE and RMSE of the model over the samples.
-func Evaluate(m Model, samples []timeseries.Window) (mae, rmse float64) {
-	if len(samples) == 0 {
-		return 0, 0
-	}
-	truth := make([]float64, len(samples))
-	pred := make([]float64, len(samples))
-	for i, s := range samples {
-		truth[i] = s.Target
-		pred[i] = Predict(m, s.Input, s.Ctx)
-	}
-	return timeseries.MAE(truth, pred), timeseries.RMSE(truth, pred)
-}
-
-// Rollout autoregressively extends a seed window by horizon steps under a
-// fixed context vector, returning the predicted continuation.
-func Rollout(m Model, seed, ctx []float64, horizon int) []float64 {
-	ws := m.WindowSize()
-	if len(seed) < ws {
-		panic(fmt.Sprintf("nn: rollout seed %d shorter than window %d", len(seed), ws))
-	}
-	window := make([]float64, ws)
-	copy(window, seed[len(seed)-ws:])
-	out := make([]float64, horizon)
-	for i := 0; i < horizon; i++ {
-		p := Predict(m, window, ctx)
-		out[i] = p
-		copy(window, window[1:])
-		window[ws-1] = p
-	}
-	return out
-}

@@ -38,7 +38,13 @@ func TestRNNLearnsSine(t *testing.T) {
 	if last > first/4 {
 		t.Fatalf("RNN did not learn: first %v last %v", first, last)
 	}
-	mae, rmse := Evaluate(m, samples)
+	truth := make([]float64, len(samples))
+	pred := make([]float64, len(samples))
+	for i, s := range samples {
+		truth[i] = s.Target
+		pred[i] = Predict(m, s.Input, s.Ctx)
+	}
+	mae, rmse := timeseries.MAE(truth, pred), timeseries.RMSE(truth, pred)
 	if mae > 0.08 || rmse > 0.1 {
 		t.Fatalf("RNN fit too poor: MAE %v RMSE %v", mae, rmse)
 	}
@@ -106,8 +112,8 @@ func TestRolloutLengthAndDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	m := NewRecurrentModel("m", 4, 0, 4, NewRNNCell("c", 4, 4, rng), rng)
 	seed := []float64{0.1, 0.2, 0.3, 0.4, 0.5}
-	a := Rollout(m, seed, nil, 7)
-	b := Rollout(m, seed, nil, 7)
+	a := Rollout(m, seed, nil, 7, nil)
+	b := Rollout(m, seed, nil, 7, nil)
 	if len(a) != 7 {
 		t.Fatalf("rollout length %d", len(a))
 	}
@@ -126,14 +132,5 @@ func TestRolloutPanicsOnShortSeed(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Rollout(m, []float64{1, 2}, nil, 3)
-}
-
-func TestEvaluateEmpty(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	m := NewRecurrentModel("m", 4, 0, 4, NewRNNCell("c", 4, 4, rng), rng)
-	mae, rmse := Evaluate(m, nil)
-	if mae != 0 || rmse != 0 {
-		t.Fatal("empty evaluate should be 0")
-	}
+	Rollout(m, []float64{1, 2}, nil, 3, nil)
 }

@@ -81,10 +81,11 @@ func Sync(ctx context.Context, f *os.File) error {
 	return f.Sync()
 }
 
-// SyncDir fsyncs the directory containing path, making a just-completed
-// rename or remove durable against power loss. Failures are returned
-// but are advisory for most callers: the rename itself was atomic, and
-// recovery handles either ordering.
+// SyncDir opens and fsyncs the directory path itself (callers pass the
+// filepath.Dir of the file they renamed or removed), making a
+// just-completed rename or remove in it durable against power loss.
+// Failures are returned but are advisory for most callers: the rename
+// itself was atomic, and recovery handles either ordering.
 func SyncDir(path string) error {
 	d, err := os.Open(path)
 	if err != nil {
