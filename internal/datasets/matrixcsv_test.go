@@ -1,7 +1,11 @@
 package datasets
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -54,10 +58,19 @@ func TestLoadMatrixCSVRejects(t *testing.T) {
 		"huge-coord":      "x,y,t,value\n9999999,0,0,1\n",
 		"cell-product":    "x,y,t,value\n1000000,0,0,1\n0,1000000,0,1\n0,0,1000000,1\n",
 		"value-not-float": "x,y,t,value\n0,0,0,lots\n",
+		"escaped-quote":   "x,y,t,value\n0,0,0,\"1\"\"5\"\n",
+		"after-quote":     "x,y,t,value\n0,0,0,\"1\"5\n",
+		"open-quote":      "x,y,t,value\n0,0,0,\"1\n5\"\n",
+		"bare-quote":      "x,y,t,value\n0,0,0,1\"5\n",
+		"inner-cr":        "x,y,t,value\n0,0,0,1\r\r\n",
+		"space":           "x,y,t,value\n0, 0,0,1\n",
 	}
 	for name, c := range cases {
 		if _, err := LoadMatrixCSV(strings.NewReader(c)); err == nil {
 			t.Errorf("%s: accepted %q", name, c)
+		}
+		if _, err := loadMatrixCSVOracle(strings.NewReader(c)); err == nil {
+			t.Errorf("%s: encoding/csv decoder accepted %q", name, c)
 		}
 	}
 }
@@ -122,5 +135,144 @@ func TestSaveMatrixCSVFileAtomic(t *testing.T) {
 	}
 	if len(entries) != 1 {
 		t.Fatalf("directory holds %d entries, want just the release", len(entries))
+	}
+}
+
+// TestSaveMatrixCSVMatchesFmt: the strconv encoder writes exactly the
+// bytes of the fmt "%d,%d,%d,%g\n" rows it replaced — published window
+// checksums depend on it — across signed zeros, subnormals, the points
+// where %g switches to an exponent, the extremes and random finite bit
+// patterns, over enough cells to cross the write buffer several times.
+func TestSaveMatrixCSVMatchesFmt(t *testing.T) {
+	special := []float64{
+		0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		0x1p-1022, 0x1.fffffffffffffp-1023, 1e-5, 1e-4, 9.9999e-5, 1.5e-5, -1e-4,
+		123456, 1234567, 999999, 1e6, 1e20, 1e21, -1e21, 123456789012345678,
+		math.MaxFloat64, -math.MaxFloat64, 0.1, 1.0 / 3, -2.5, 1, -1,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	m := grid.NewMatrix(41, 13, 20) // 10,660 cells, about 325 KB
+	rng := rand.New(rand.NewSource(23))
+	for i := range m.Data() {
+		if i < len(special) {
+			m.Data()[i] = special[i]
+			continue
+		}
+		v := math.Float64frombits(rng.Uint64())
+		for math.IsNaN(v) || math.IsInf(v, 0) {
+			v = math.Float64frombits(rng.Uint64())
+		}
+		m.Data()[i] = v
+	}
+	var want bytes.Buffer
+	want.WriteString("x,y,t,value\n")
+	for t := 0; t < m.Ct; t++ {
+		for y := 0; y < m.Cy; y++ {
+			for x := 0; x < m.Cx; x++ {
+				want.WriteString(fmt.Sprintf("%d,%d,%d,%g\n", x, y, t, m.At(x, y, t)))
+			}
+		}
+	}
+	var got bytes.Buffer
+	if err := SaveMatrixCSV(m, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		g, w := strings.Split(got.String(), "\n"), strings.Split(want.String(), "\n")
+		for i := range min(len(g), len(w)) {
+			if g[i] != w[i] {
+				t.Fatalf("line %d: %q, fmt writes %q", i+1, g[i], w[i])
+			}
+		}
+		t.Fatalf("%d lines, fmt writes %d", len(g), len(w))
+	}
+}
+
+// TestLoadMatrixCSVSyntax: the forms encoding/csv reads — quoted fields,
+// CRLF and a CR before EOF, blank lines, signed and zero-padded
+// coordinates, hex floats, a line longer than the read buffer — load
+// as that decoder loaded them, and -0 loads as +0 (the zeroed cell plus
+// -0, as accumulation gave).
+func TestLoadMatrixCSVSyntax(t *testing.T) {
+	long := "1." + strings.Repeat("0", 70_000) + "1"
+	in := "\r\n\"x\",y,\"t\",value\r\n\n\"1\",+0,007,\"-0\"\r\n0,0,0,0x1p-2\n\n0,1,0," + long + "\n1,1,0,2.5\r"
+	m, err := LoadMatrixCSV(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Cx != 2 || m.Cy != 2 || m.Ct != 8 {
+		t.Fatalf("dimensions %dx%dx%d, want 2x2x8", m.Cx, m.Cy, m.Ct)
+	}
+	if got := m.At(1, 0, 7); math.Float64bits(got) != 0 {
+		t.Fatalf("-0 cell loaded with bits %#x, want +0", math.Float64bits(got))
+	}
+	if m.At(0, 0, 0) != 0.25 || m.At(0, 1, 0) != 1 || m.At(1, 1, 0) != 2.5 {
+		t.Fatalf("cells %v, %v, %v; want 0.25, 1, 2.5", m.At(0, 0, 0), m.At(0, 1, 0), m.At(1, 1, 0))
+	}
+	want, err := loadMatrixCSVOracle(strings.NewReader(in))
+	if err != nil {
+		t.Fatalf("encoding/csv decoder refused the input: %v", err)
+	}
+	for i, v := range want.Data() {
+		if math.Float64bits(v) != math.Float64bits(m.Data()[i]) {
+			t.Fatalf("cell %d = %v, encoding/csv decoder %v", i, m.Data()[i], v)
+		}
+	}
+}
+
+// matrixCSVBenchSizes are one stream window and one served release.
+var matrixCSVBenchSizes = []struct {
+	name string
+	ct   int
+}{{"32x32x12", 12}, {"32x32x120", 120}}
+
+// benchMatrix fills a 32×32×ct matrix with noised values, full-precision
+// doubles around zero as a Laplace release has them.
+func benchMatrix(ct int) *grid.Matrix {
+	m := grid.NewMatrix(32, 32, ct)
+	rng := rand.New(rand.NewSource(1))
+	for i := range m.Data() {
+		m.Data()[i] = 40 + 30*rng.NormFloat64()
+	}
+	return m
+}
+
+func BenchmarkSaveMatrixCSV(b *testing.B) {
+	for _, size := range matrixCSVBenchSizes {
+		b.Run(size.name, func(b *testing.B) {
+			m := benchMatrix(size.ct)
+			var buf bytes.Buffer
+			if err := SaveMatrixCSV(m, &buf); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(buf.Len()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := SaveMatrixCSV(m, &buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkLoadMatrixCSV(b *testing.B) {
+	for _, size := range matrixCSVBenchSizes {
+		b.Run(size.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			if err := SaveMatrixCSV(benchMatrix(size.ct), &buf); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(buf.Len()))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := LoadMatrixCSV(bytes.NewReader(buf.Bytes())); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

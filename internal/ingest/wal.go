@@ -402,7 +402,7 @@ func (w *WAL) Rotate(ctx context.Context) (uint64, error) {
 	// Rename durability is advisory: if the dir entry update is lost to a
 	// power cut, recovery sees the pre-rotation layout, which replays to
 	// the same matrix.
-	_ = resilience.SyncDir(filepath.Dir(w.path))
+	_ = resilience.SyncDir(ctx, filepath.Dir(w.path))
 	// Crash window: no active file exists at path.
 	ferr := resilience.Fire(ctx, resilience.FaultWALRotate, sealed)
 	if err := w.h.Reopen(walMagic[:]); err != nil {
@@ -441,7 +441,7 @@ func (w *WAL) DropThrough(ctx context.Context, seq uint64) error {
 		}
 	}
 	w.sealed = append([]uint64(nil), kept...)
-	_ = resilience.SyncDir(filepath.Dir(w.path))
+	_ = resilience.SyncDir(ctx, filepath.Dir(w.path))
 	return failed
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // recoverTaskPanic runs f and returns the *TaskPanic it panics with.
@@ -35,6 +36,13 @@ func TestForEachPanicAnnotatedAndCancelled(t *testing.T) {
 		ForEach(4, n, func(i int) {
 			if i == 3 {
 				panic("boom")
+			}
+			// Each task but 3 holds its worker for a fixed 10µs. The
+			// worker that claims task 3 may lose its CPU before it can
+			// stop the pool; with empty tasks the other three drained the
+			// whole range in a millisecond or two of that, while here
+			// passing n/2 keeps them busy for over 0.15 s.
+			for start := time.Now(); time.Since(start) < 10*time.Microsecond; {
 			}
 			ran.Add(1)
 		})

@@ -56,7 +56,8 @@ const (
 	// cleanly with nothing persisted.
 	FaultWriteENOSPC Fault = "fs/write-enospc"
 	// FaultSyncEIO fires inside resilience.Sync before the real fsync,
-	// with the file name as payload. A failing hook simulates the
+	// with the file name as payload, and inside resilience.SyncDir with
+	// the directory path as payload. A failing hook simulates the
 	// fsync-failure case where dirty pages may be silently dropped: the
 	// writer must reopen or refuse, never assume the data landed.
 	FaultSyncEIO Fault = "fs/sync-eio"

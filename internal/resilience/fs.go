@@ -81,13 +81,18 @@ func Sync(ctx context.Context, f *os.File) error {
 	return f.Sync()
 }
 
-// SyncDir opens and fsyncs the directory path itself (callers pass the
-// filepath.Dir of the file they renamed or removed), making a
-// just-completed rename or remove in it durable against power loss.
-// Failures are returned but are advisory for most callers: the rename
-// itself was atomic, and recovery handles either ordering.
-func SyncDir(path string) error {
-	d, err := os.Open(path)
+// SyncDir fsyncs the directory dir through the fault seam
+// (FaultSyncEIO, payload: the directory path), making a just-completed
+// rename or remove in it durable against power loss. AtomicWriteFile
+// fails on its error; the WAL's rotation and segment drops and
+// Quarantine ignore it, because recovery accepts either outcome there.
+func SyncDir(ctx context.Context, dir string) error {
+	if in := InjectorFrom(ctx); in != nil {
+		if err := in.fire(ctx, FaultSyncEIO, dir); err != nil {
+			return err
+		}
+	}
+	d, err := os.Open(dir)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package resilience
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -31,7 +32,7 @@ func Quarantine(path string) (string, error) {
 	if err := os.Rename(path, dst); err != nil {
 		return "", fmt.Errorf("resilience: quarantining %s: %w", path, err)
 	}
-	_ = SyncDir(filepath.Dir(path))
+	_ = SyncDir(context.TODO(), filepath.Dir(path))
 	return dst, nil
 }
 

@@ -1,10 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -240,38 +240,18 @@ func CheckCRC32C(data []byte, size int64, sum uint32) error {
 	return nil
 }
 
-// crcCounter hashes and counts everything that flows through it.
-type crcCounter struct {
-	n   int64
-	crc uint32
-}
-
-func (c *crcCounter) Write(p []byte) (int, error) {
-	c.crc = crc32.Update(c.crc, castagnoli, p)
-	c.n += int64(len(p))
-	return len(p), nil
-}
-
-// loadSpecFile opens and parses one spec's release file, hashing the
-// bytes as they stream through so the returned ReleaseSource describes
+// loadSpecFile reads one spec's release file once, then hashes and
+// parses those same bytes, so the returned ReleaseSource describes
 // exactly what was parsed — not what a later reader might find at the
 // same path.
 func loadSpecFile(sp LoadSpec) (*grid.Matrix, *ReleaseSource, error) {
-	f, err := os.Open(sp.Path)
+	data, err := os.ReadFile(sp.Path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: %w", err)
 	}
-	defer f.Close()
-	cc := &crcCounter{}
-	r := io.TeeReader(f, cc)
-	m, err := datasets.LoadMatrixCSV(r)
+	m, err := datasets.LoadMatrixCSV(bytes.NewReader(data))
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: %s: %w", sp.Path, err)
 	}
-	// The CSV parser stops at EOF, but make the tail explicit: whatever
-	// it somehow left unread still belongs to the advertised checksum.
-	if _, err := io.Copy(io.Discard, r); err != nil {
-		return nil, nil, fmt.Errorf("serve: hashing %s: %w", sp.Path, err)
-	}
-	return m, &ReleaseSource{Path: sp.Path, Size: cc.n, CRC: cc.crc}, nil
+	return m, &ReleaseSource{Path: sp.Path, Size: int64(len(data)), CRC: crc32.Checksum(data, castagnoli)}, nil
 }
