@@ -77,11 +77,12 @@ type LedgerEntry struct {
 // Eps returns the entry's total privacy loss, ε_pattern + ε_sanitize.
 func (e LedgerEntry) Eps() float64 { return e.EpsPattern + e.EpsSanitize }
 
-// ErrLedgerPoisoned marks a ledger whose last fsync (or post-checkpoint
-// reopen) failed: the durable state is unknowable through the live
-// handle, so every further charge is refused until a restart re-reads
-// the file. No ε is ever counted as spent unless its fsync returned
-// success — the poisoned state is what prevents silent spending.
+// ErrLedgerPoisoned marks a ledger whose last fsync (or checkpoint
+// directory fsync, or post-checkpoint reopen) failed: the durable state
+// is unknowable through the live handle, so every further charge is
+// refused until a restart re-reads the file. No ε is ever counted as
+// spent unless its fsync returned success — the poisoned state is what
+// prevents silent spending.
 var ErrLedgerPoisoned = errors.New("dp: ledger poisoned by a failed fsync")
 
 // ErrBudgetExhausted is the sentinel every budget refusal wraps;
@@ -233,7 +234,10 @@ func (l *Ledger) Charge(ctx context.Context, e LedgerEntry, budget float64) erro
 // preserved exactly: the checkpoint records the same left-to-right fold
 // Spent reports, so no budget decision changes across a compaction. A
 // crash at any instant leaves either the old multi-line file or the
-// complete checkpointed one — both recover to identical spending.
+// complete checkpointed one — both recover to identical spending. A
+// checkpoint whose rename is not durable poisons the ledger
+// (ErrLedgerPoisoned): no charge may land until a restart re-reads the
+// file.
 func (l *Ledger) Compact(ctx context.Context) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -254,7 +258,14 @@ func (l *Ledger) Compact(ctx context.Context) error {
 		_, werr := w.Write(line)
 		return werr
 	}); err != nil {
-		return fmt.Errorf("dp: writing ledger checkpoint: %w", err)
+		err = fmt.Errorf("dp: writing ledger checkpoint: %w", err)
+		if errors.Is(err, resilience.ErrRenameNotDurable) {
+			// The checkpoint replaced the file but a power cut may undo
+			// that, and the handle still appends to the unlinked old
+			// file: a charge written to either could vanish.
+			return l.h.Poison(err)
+		}
+		return err
 	}
 	// The rename is durable; a handle that cannot follow it poisons so no
 	// charge is silently lost.

@@ -146,6 +146,51 @@ func TestLedgerCompactCrashSafe(t *testing.T) {
 	}
 }
 
+// TestLedgerCompactDirSyncEIOPoisons: a checkpoint whose rename landed
+// but whose directory fsync failed leaves the live handle on the
+// unlinked pre-checkpoint file. Charges appended there would be gone
+// after a restart, which reads only the checkpoint, so the ledger must
+// refuse them; the reopened ledger keeps every committed spend.
+func TestLedgerCompactDirSyncEIOPoisons(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ledger")
+	l, err := OpenLedger(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chargeN(t, l, "d", 3)
+	want := l.Spent("d")
+
+	inj := resilience.NewInjector()
+	inj.On(resilience.FaultSyncEIO, func(ctx context.Context, payload any) error {
+		if payload.(string) == dir {
+			return errors.New("EIO: injected")
+		}
+		return nil
+	})
+	err = l.Compact(resilience.WithInjector(context.Background(), inj))
+	if !errors.Is(err, ErrLedgerPoisoned) || !errors.Is(err, resilience.ErrRenameNotDurable) {
+		t.Fatalf("compaction with a failed directory fsync: %v, want ErrLedgerPoisoned and ErrRenameNotDurable", err)
+	}
+	err = l.Charge(context.Background(), LedgerEntry{Dataset: "d", EpsSanitize: 0.5}, 0)
+	if !errors.Is(err, ErrLedgerPoisoned) {
+		t.Fatalf("charge after a non-durable checkpoint: %v, want ErrLedgerPoisoned", err)
+	}
+	if got := l.Spent("d"); got != want {
+		t.Fatalf("in-process Spent = %v, want %v", got, want)
+	}
+	l.Close()
+
+	re, err := OpenLedger(path)
+	if err != nil {
+		t.Fatalf("reopen after a non-durable checkpoint: %v", err)
+	}
+	defer re.Close()
+	if got := re.Spent("d"); got != want {
+		t.Fatalf("reopened Spent = %v, want exactly %v", got, want)
+	}
+}
+
 // TestLedgerChargeFsyncPoisoningSeam: an fsync failing through the
 // filesystem seam must never count the entry as spent in-process, and
 // must poison the ledger so no later charge can sneak past an unknowable

@@ -261,5 +261,13 @@ func (a *Appender) Reopen(init []byte) error {
 	return nil
 }
 
+// Poison breaks the handle for a failure its owner found outside it —
+// the file replaced by a rename that may not survive a power cut, say —
+// and returns err wrapped in the poison sentinel.
+func (a *Appender) Poison(err error) error {
+	a.broken = true
+	return fmt.Errorf("%w: %w", a.poison, err)
+}
+
 // Close releases the file; every committed record is already durable.
 func (a *Appender) Close() error { return a.f.Close() }
