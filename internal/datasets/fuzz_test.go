@@ -60,53 +60,56 @@ func FuzzLoadCSV(f *testing.F) {
 	})
 }
 
-// FuzzLoadMatrixCSV is differential: LoadMatrixCSV must accept exactly
-// what the encoding/csv decoder it replaced (loadMatrixCSVOracle)
-// accepts, with the same dimensions and the same bits in every cell,
-// and refuse whatever that decoder refused. Accepted matrices must also
-// have bounded dimensions and finite cells, and duplicate (x,y,t) rows
-// must be refused, never accumulated. The oracle is not run on inputs
-// whose rows span more than 2^22 but at most 2^28 cells: either decoder
-// may accept one, allocating up to 2 GiB, so only LoadMatrixCSV and the
-// containment checks run there, as before the oracle existed.
+// FuzzLoadMatrixCSV is differential: on an input that lists every cell
+// of its box, LoadMatrixCSV must accept exactly what the encoding/csv
+// decoder it replaced (loadMatrixCSVOracle) accepts, with the same
+// dimensions and the same bits in every cell, and refuse whatever that
+// decoder refused. Every other input it must refuse — the oracle, which
+// read absent cells as zero, is not run there, so a few bytes naming
+// far corners cannot make the target allocate a huge box. Accepted
+// matrices must also have bounded dimensions and finite cells.
 func FuzzLoadMatrixCSV(f *testing.F) {
-	f.Add([]byte("x,y,t,value\n0,0,0,1.5\n1,1,1,-2\n"))                       // valid, incl. negative cell
-	f.Add([]byte("x,y,t,value\n1,1,1,2.5\n1,1,1,1.5\n"))                      // duplicate cell
+	f.Add([]byte("x,y,t,value\n0,0,0,1.5\n1,0,0,-2\n"))                       // valid, incl. negative cell
+	f.Add([]byte("x,y,t,value\n0,0,0,1\n1,0,0,2.5\n1,0,0,1.5\n"))             // duplicate cell
+	f.Add([]byte("x,y,t,value\n1,1,1,2.5\n"))                                 // 1 of 8 cells
+	f.Add([]byte("x,y,t,value\n255,0,0,1\n0,255,0,1\n0,0,255,1\n"))           // 3 of 2^24 cells
 	f.Add([]byte("x,y,t,value\n0,0,0,NaN\n"))                                 // non-finite
 	f.Add([]byte("x,y,t,value\n9999999,0,0,1\n"))                             // out-of-range coordinate
 	f.Add([]byte("x,y,t,value\n0,0,1\n"))                                     // short row
 	f.Add([]byte("x,y,t,value\n"))                                            // header only
 	f.Add([]byte(""))                                                         // empty
-	f.Add([]byte("\"x\",\"y\",\"t\",\"value\"\n\"0\",0,\"1\",\"2.5\"\n"))     // quoted fields
+	f.Add([]byte("\"x\",\"y\",\"t\",\"value\"\n\"0\",0,\"0\",\"2.5\"\n"))     // quoted fields
 	f.Add([]byte("x,y,t,value\n0,0,0,\"1\"\"5\"\n"))                          // escaped quote
 	f.Add([]byte("x,y,t,value\n0,0,0,\"1\n5\"\n"))                            // quoted line break
 	f.Add([]byte("x,y,t,value\r\n0,0,0,1\r\n1,0,0,2\r"))                      // CRLF, CR before EOF
 	f.Add([]byte("\nx,y,t,value\n\n\r\n0,0,0,1\n\n"))                         // blank lines
 	f.Add([]byte("x,y,t,value\n0,0,0,-0\n1,0,0,0\n"))                         // -0 loads as +0
-	f.Add([]byte("x,y,t,value\n0,0,0,0x1p-2\n+1,007,0,-0x1.8p1\n"))           // hex floats, signed and padded coordinates
+	f.Add([]byte("x,y,t,value\n0,0,0,0x1p-2\n+1,000,0,-0x1.8p1\n"))           // hex floats, signed and padded coordinates
 	f.Add([]byte("x,y,t,value\n1023,0,0,1\n0,1023,0,1\n0,0,256,1\n"))         // 1024x1024x257 > 2^28 cells
 	f.Add([]byte("x,y,t,value\n0,0,0,1e309\n"))                               // float overflow
-	f.Add([]byte("x,y,t,value\n1,1,1,2.5\n0,0,0,1\n1,1,1,1.5\n0,0,0,lots\n")) // duplicate before a bad value
+	f.Add([]byte("x,y,t,value\n1,0,0,2.5\n0,0,0,1\n1,0,0,1.5\n0,0,0,lots\n")) // duplicate before a bad value
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := LoadMatrixCSV(bytes.NewReader(data))
-		if n := cellBound(data); n <= 1<<22 || n > 1<<28 {
-			want, werr := loadMatrixCSVOracle(bytes.NewReader(data))
-			if (err != nil) != (werr != nil) {
-				t.Fatalf("LoadMatrixCSV error %v, encoding/csv decoder error %v", err, werr)
-			}
+		if !listsEveryCell(data) {
 			if err == nil {
-				if m.Cx != want.Cx || m.Cy != want.Cy || m.Ct != want.Ct {
-					t.Fatalf("dimensions %dx%dx%d, encoding/csv decoder %dx%dx%d", m.Cx, m.Cy, m.Ct, want.Cx, want.Cy, want.Ct)
-				}
-				for i, v := range m.Data() {
-					if math.Float64bits(v) != math.Float64bits(want.Data()[i]) {
-						t.Fatalf("cell %d = %v, encoding/csv decoder %v", i, v, want.Data()[i])
-					}
-				}
+				t.Fatalf("accepted a %dx%dx%d matrix from a file that does not list every cell", m.Cx, m.Cy, m.Ct)
 			}
+			return
+		}
+		want, werr := loadMatrixCSVOracle(bytes.NewReader(data))
+		if (err != nil) != (werr != nil) {
+			t.Fatalf("LoadMatrixCSV error %v, encoding/csv decoder error %v", err, werr)
 		}
 		if err != nil {
 			return
+		}
+		if m.Cx != want.Cx || m.Cy != want.Cy || m.Ct != want.Ct {
+			t.Fatalf("dimensions %dx%dx%d, encoding/csv decoder %dx%dx%d", m.Cx, m.Cy, m.Ct, want.Cx, want.Cy, want.Ct)
+		}
+		for i, v := range m.Data() {
+			if math.Float64bits(v) != math.Float64bits(want.Data()[i]) {
+				t.Fatalf("cell %d = %v, encoding/csv decoder %v", i, v, want.Data()[i])
+			}
 		}
 		if m.Cx <= 0 || m.Cy <= 0 || m.Ct <= 0 ||
 			m.Cx > MaxGridSide || m.Cy > MaxGridSide || m.Ct > MaxGridSide {
@@ -120,22 +123,25 @@ func FuzzLoadMatrixCSV(f *testing.F) {
 	})
 }
 
-// cellBound returns the product of (largest coordinate + 1) over the
-// first three comma-separated fields of every line, quotes and carriage
-// returns removed, each axis capped at MaxGridSide. For an input either
-// decoder accepts it is the accepted matrix's size.
-func cellBound(data []byte) int64 {
-	dims := [3]int64{1, 1, 1}
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		fields := bytes.SplitN(line, []byte(","), 4)
-		for j := 0; j < len(fields) && j < 3; j++ {
-			field := bytes.ReplaceAll(bytes.ReplaceAll(fields[j], []byte(`"`), nil), []byte("\r"), nil)
-			if k, err := strconv.Atoi(string(field)); err == nil && k >= 0 {
-				dims[j] = max(dims[j], min(int64(k), MaxGridSide-1)+1)
+// listsEveryCell reports whether data, read as encoding/csv records,
+// has at least as many cell rows as the box its in-range coordinates
+// span has cells. Only then can the oracle accept it without reading an
+// absent cell as zero, and what the oracle allocates is bounded by the
+// input's length.
+func listsEveryCell(data []byte) bool {
+	records, err := csv.NewReader(bytes.NewReader(data)).ReadAll()
+	if err != nil || len(records) < 2 {
+		return false
+	}
+	var dims [3]int64
+	for _, rec := range records[1:] {
+		for j := 0; j < len(rec) && j < 3; j++ {
+			if k, err := strconv.Atoi(rec[j]); err == nil && k >= 0 && k < MaxGridSide {
+				dims[j] = max(dims[j], int64(k)+1)
 			}
 		}
 	}
-	return dims[0] * dims[1] * dims[2]
+	return int64(len(records)-1) >= dims[0]*dims[1]*dims[2]
 }
 
 // loadMatrixCSVOracle is LoadMatrixCSV as it was before the one-pass

@@ -72,20 +72,22 @@ func SaveMatrixCSVFile(ctx context.Context, path string, m *grid.Matrix) error {
 // matrix. The header must be exactly x,y,t,value: a file that merely
 // has four columns (a stpt-datagen household file over two intervals,
 // say) is not a release. Dimensions are inferred as max coordinate + 1
-// per axis; cells absent from the file stay zero. A duplicate (x,y,t)
-// cell is an error naming both rows: SaveMatrixCSV writes each cell
-// exactly once, so a repeat means the file was corrupted or
-// concatenated, and silently accumulating it would double the cell.
-// Values may be negative (DP noise produces negative cells) but must be
-// finite, and coordinates are bounded so a corrupt file cannot demand
-// an absurd allocation.
+// per axis, and every cell of that box must be listed exactly once, as
+// SaveMatrixCSV writes it: a missing cell or a repeated one means the
+// file was truncated, corrupted or concatenated. A duplicate (x,y,t) is
+// an error naming both rows, since silently accumulating it would
+// double the cell. Values may be negative (DP noise produces negative
+// cells) but must be finite, and coordinates are bounded so a corrupt
+// file cannot demand an absurd allocation.
 //
 // The syntax accepted is encoding/csv's: double-quoted fields, CRLF line
 // ends, a CR before EOF and blank lines all read as that decoder reads
 // them, and a coordinate is whatever strconv.Atoi takes (+1, 007). The
-// file is parsed in one pass over its lines; duplicates are found with
-// one seen bit per cell once the dimensions are known, so a corrupt
-// file is refused before the matrix itself is allocated.
+// file is parsed in one pass over its lines. A file with fewer cell
+// rows than its box has cells is refused before anything the size of
+// the box is allocated, so what the decoder allocates is bounded by the
+// file's own length; duplicates are then found with one seen bit per
+// cell, before the matrix itself is allocated.
 func LoadMatrixCSV(r io.Reader) (*grid.Matrix, error) {
 	var (
 		br    = bufio.NewReaderSize(r, codecBufSize)
@@ -152,6 +154,10 @@ func LoadMatrixCSV(r io.Reader) (*grid.Matrix, error) {
 	cx, cy, ct := dims[0], dims[1], dims[2]
 	if int64(cx)*int64(cy)*int64(ct) > maxCells {
 		return nil, fmt.Errorf("datasets: matrix dimensions %dx%dx%d exceed %d cells", cx, cy, ct, maxCells)
+	}
+	if len(cells) < cx*cy*ct {
+		return nil, fmt.Errorf("datasets: matrix CSV lists %d of the %d cells of its %dx%dx%d box; every cell must be listed",
+			len(cells), cx*cy*ct, cx, cy, ct)
 	}
 	index := func(c matrixCell) uint { return uint((int(c.xyt[2])*cy+int(c.xyt[1]))*cx + int(c.xyt[0])) }
 	seen := make([]uint64, (cx*cy*ct+63)/64)

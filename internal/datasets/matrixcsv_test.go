@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -77,28 +78,48 @@ func TestLoadMatrixCSVRejects(t *testing.T) {
 
 // TestLoadMatrixCSVRejectsDuplicates: SaveMatrixCSV writes each cell
 // once, so a repeated (x,y,t) marks a corrupt or concatenated release;
-// the error names both rows. Absent cells still load as zero.
+// the error names both rows. A cell absent from the file is refused
+// too: it marks a truncated or hand-edited one.
 func TestLoadMatrixCSVRejectsDuplicates(t *testing.T) {
-	in := "x,y,t,value\n0,0,0,1\n1,1,1,2.5\n1,1,1,1.5\n"
+	in := "x,y,t,value\n0,0,0,1\n1,0,0,2.5\n1,0,0,1.5\n"
 	_, err := LoadMatrixCSV(strings.NewReader(in))
 	if err == nil {
 		t.Fatal("duplicate cell accepted")
 	}
-	for _, frag := range []string{"duplicate", "(1,1,1)", "row 4", "row 3"} {
+	for _, frag := range []string{"duplicate", "(1,0,0)", "row 4", "row 3"} {
 		if !strings.Contains(err.Error(), frag) {
 			t.Errorf("error %q does not mention %q", err, frag)
 		}
 	}
 
-	m, err := LoadMatrixCSV(strings.NewReader("x,y,t,value\n1,1,1,2.5\n"))
-	if err != nil {
-		t.Fatal(err)
+	_, err = LoadMatrixCSV(strings.NewReader("x,y,t,value\n1,1,1,2.5\n"))
+	if err == nil {
+		t.Fatal("a file listing 1 of 8 cells was accepted")
 	}
-	if m.Cx != 2 || m.Cy != 2 || m.Ct != 2 {
-		t.Fatalf("dimensions %dx%dx%d, want 2x2x2", m.Cx, m.Cy, m.Ct)
+	for _, frag := range []string{"1 of the 8 cells", "2x2x2"} {
+		if !strings.Contains(err.Error(), frag) {
+			t.Errorf("error %q does not mention %q", err, frag)
+		}
 	}
-	if got := m.At(0, 0, 0); got != 0 {
-		t.Fatalf("absent cell = %g, want 0", got)
+}
+
+// TestLoadMatrixCSVRejectsSparse: 42 bytes naming three far corners of a
+// 256×256×256 box are refused before the decoder allocates anything
+// the size of the box (the matrix would be 128 MiB).
+func TestLoadMatrixCSVRejectsSparse(t *testing.T) {
+	in := "x,y,t,value\n255,0,0,1\n0,255,0,1\n0,0,255,1\n"
+	if len(in) != 42 {
+		t.Fatalf("input is %d bytes, want 42", len(in))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := LoadMatrixCSV(strings.NewReader(in))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a file listing 3 of 2^24 cells was accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("refusing the file allocated %d bytes, want under 1 MiB", got)
 	}
 }
 
@@ -192,10 +213,17 @@ func TestSaveMatrixCSVMatchesFmt(t *testing.T) {
 // CRLF and a CR before EOF, blank lines, signed and zero-padded
 // coordinates, hex floats, a line longer than the read buffer — load
 // as that decoder loaded them, and -0 loads as +0 (the zeroed cell plus
-// -0, as accumulation gave).
+// -0, as accumulation gave). Plain rows fill the rest of the 2×2×8 box.
 func TestLoadMatrixCSVSyntax(t *testing.T) {
 	long := "1." + strings.Repeat("0", 70_000) + "1"
-	in := "\r\n\"x\",y,\"t\",value\r\n\n\"1\",+0,007,\"-0\"\r\n0,0,0,0x1p-2\n\n0,1,0," + long + "\n1,1,0,2.5\r"
+	var fill strings.Builder
+	for c := 4; c < 32; c++ {
+		if c != 29 { // (1,0,7) is the -0 row below
+			fmt.Fprintf(&fill, "%d,%d,%d,3\n", c%2, c/2%2, c/4)
+		}
+	}
+	in := "\r\n\"x\",y,\"t\",value\r\n\n" + fill.String() +
+		"\"1\",+0,007,\"-0\"\r\n0,0,0,0x1p-2\n\n0,1,0," + long + "\n1,0,0,3\n1,1,0,2.5\r"
 	m, err := LoadMatrixCSV(strings.NewReader(in))
 	if err != nil {
 		t.Fatal(err)
@@ -206,8 +234,8 @@ func TestLoadMatrixCSVSyntax(t *testing.T) {
 	if got := m.At(1, 0, 7); math.Float64bits(got) != 0 {
 		t.Fatalf("-0 cell loaded with bits %#x, want +0", math.Float64bits(got))
 	}
-	if m.At(0, 0, 0) != 0.25 || m.At(0, 1, 0) != 1 || m.At(1, 1, 0) != 2.5 {
-		t.Fatalf("cells %v, %v, %v; want 0.25, 1, 2.5", m.At(0, 0, 0), m.At(0, 1, 0), m.At(1, 1, 0))
+	if m.At(0, 0, 0) != 0.25 || m.At(0, 1, 0) != 1 || m.At(1, 1, 0) != 2.5 || m.At(1, 1, 7) != 3 {
+		t.Fatalf("cells %v, %v, %v, %v; want 0.25, 1, 2.5, 3", m.At(0, 0, 0), m.At(0, 1, 0), m.At(1, 1, 0), m.At(1, 1, 7))
 	}
 	want, err := loadMatrixCSVOracle(strings.NewReader(in))
 	if err != nil {

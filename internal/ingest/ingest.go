@@ -121,6 +121,9 @@ type Ingester struct {
 	dirty    int   // batches committed since the last durable snapshot
 	maxT     int   // newest interval with an accepted reading; -1 before any
 	lastErr  error // last durable-write failure; nil once a write succeeds
+	// scanBuf is Ingest's line buffer, kept across calls; Ingest holds mu
+	// throughout, so one buffer serves every call.
+	scanBuf []byte
 }
 
 // New opens (or creates) the log at walPath, loads the snapshot at
@@ -235,10 +238,13 @@ func (in *Ingester) Ingest(ctx context.Context, r io.Reader) (accepted, quaranti
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	startAcc, startQuar := in.stats.Accepted, in.stats.Quarantined
+	if in.scanBuf == nil {
+		in.scanBuf = make([]byte, 64*1024)
+	}
 	sc := bufio.NewScanner(r)
 	// One reading is tens of bytes; a megabyte line is garbage input, but
 	// refuse it gracefully rather than truncating it into a fake record.
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
+	sc.Buffer(in.scanBuf, 1<<20)
 	lineNo := 0
 	for sc.Scan() {
 		if err := ctx.Err(); err != nil {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -274,5 +275,33 @@ func TestHighWaterAndCutWindow(t *testing.T) {
 	}
 	if !matricesEqual(cut2, matrixOf([]Reading{{0, 0, 0, 1.5}, {1, 0, 1, 4}, {0, 0, 1, 9}}, cx, cy, 2)) {
 		t.Fatal("CutWindow after snapshot restore lost readings")
+	}
+}
+
+// TestIngestBatchAllocations: a 256-line Ingest reuses the ingester's
+// line buffer rather than allocating a fresh 64 KB one per call, so a
+// batch allocates only its lines, their parse and its WAL record.
+func TestIngestBatchAllocations(t *testing.T) {
+	in, err := New(Config{Cx: 8, Cy: 8, Ct: 4}, filepath.Join(t.TempDir(), "feed.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	batch := readingsCSV(genReadings(256, 8, 8, 4, 7))
+	ingest := func() {
+		if acc, _, err := in.Ingest(context.Background(), strings.NewReader(batch)); err != nil || acc != 256 {
+			t.Fatalf("ingest accepted %d of 256: %v", acc, err)
+		}
+	}
+	ingest() // the first call allocates the buffer
+	const calls = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		ingest()
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / calls; got >= 32<<10 {
+		t.Fatalf("a 256-line batch allocates %d bytes, want under 32 KB", got)
 	}
 }

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -122,15 +123,6 @@ func TestPipelineCrashChild(t *testing.T) {
 	case "mid-cut":
 		// Window 2's sub-matrix is cut, nothing staged or journalled yet.
 		inj.On(resilience.FaultWindowCut, stallAtWindow2)
-	case "mid-release-write":
-		// The sanitised release is in its commit window: temp file durable,
-		// rename to staging pending.
-		inj.On(resilience.FaultAtomicRename, func(_ context.Context, payload any) error {
-			if strings.Contains(payload.(string), "window-000002.rel") {
-				return stall()
-			}
-			return nil
-		})
 	case "mid-charge":
 		// Window 2's tree charge (level 1 → ledger seq 2) is written but
 		// not yet fsynced: the classic double-charge window.
@@ -242,6 +234,22 @@ func captureArtifacts(t *testing.T, dir string) goldenArtifacts {
 	return g
 }
 
+// requireSame fails t unless the finished pipeline in dir reproduces g
+// byte for byte; after names what the run went through.
+func (g goldenArtifacts) requireSame(t *testing.T, dir, after string) {
+	t.Helper()
+	got := captureArtifacts(t, dir)
+	if got.spent != g.spent {
+		t.Fatalf("spend bits %x != golden %x after %s — the budget was double- or under-charged",
+			got.spent, g.spent, after)
+	}
+	for name, want := range g.files {
+		if !bytes.Equal(got.files[name], want) {
+			t.Errorf("%s differs from the golden run after %s", name, after)
+		}
+	}
+}
+
 // runGolden runs the crash-stack stream once, clean and uninterrupted,
 // and captures its artifacts.
 func runGolden(t *testing.T) goldenArtifacts {
@@ -275,7 +283,7 @@ func TestPipelineKillRecover(t *testing.T) {
 
 	modes := []string{
 		"mid-cut", "before-cut-record",
-		"mid-release-write", "before-released-record",
+		"before-released-record",
 		"mid-charge", "before-charged-record",
 		"mid-publish", "before-published-record",
 		"mid-reload", "before-reloaded-record",
@@ -300,16 +308,7 @@ func TestPipelineKillRecover(t *testing.T) {
 				t.Fatalf("recovered status: %+v", st)
 			}
 
-			got := captureArtifacts(t, dir)
-			if got.spent != golden.spent {
-				t.Fatalf("recovered spend bits %x != golden %x — the budget was double- or under-charged",
-					got.spent, golden.spent)
-			}
-			for name, want := range golden.files {
-				if !bytes.Equal(got.files[name], want) {
-					t.Errorf("%s differs from the golden run after crash recovery", name)
-				}
-			}
+			golden.requireSame(t, dir, "crash recovery")
 			// Staging swept: every window completed.
 			ents, err := os.ReadDir(filepath.Join(dir, "out", "staging"))
 			if err != nil {
@@ -324,6 +323,39 @@ func TestPipelineKillRecover(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPipelineReleaseRetryMatchesGolden: window 2's released record
+// fails to append once, with a retryable error, after its held cut was
+// noised in place. The stage's retry must rebuild the release from the
+// staged cut rather than noise the held matrix a second time, and the
+// finished run must equal the golden run byte for byte.
+func TestPipelineReleaseRetryMatchesGolden(t *testing.T) {
+	golden := runGolden(t)
+	dir := t.TempDir()
+	failed := false
+	inj := resilience.NewInjector().On(resilience.FaultManifestAppend, func(_ context.Context, payload any) error {
+		if rec := payload.(*Record); rec.Window == 2 && rec.State == StateReleased && !failed {
+			failed = true
+			return resilience.MarkRetryable(errors.New("injected manifest append failure"))
+		}
+		return nil
+	})
+	ctx := resilience.WithInjector(context.Background(), inj)
+	s, cleanup, err := buildCrashStack(ctx, dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.cfg.Policy = resilience.Policy{MaxAttempts: 2}
+	err = s.RunOnce(ctx)
+	cleanup()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !failed {
+		t.Fatal("the released record's append never failed")
+	}
+	golden.requireSame(t, dir, "a retried release")
 }
 
 // TestPipelineCompactedStreamMatchesGolden: WAL compaction changes no
@@ -379,13 +411,5 @@ func TestPipelineCompactedStreamMatchesGolden(t *testing.T) {
 		t.Fatalf("rest of the feed never compacted: %+v", st)
 	}
 
-	got := captureArtifacts(t, dir)
-	if got.spent != golden.spent {
-		t.Fatalf("compacted spend bits %x != golden %x", got.spent, golden.spent)
-	}
-	for name, want := range golden.files {
-		if !bytes.Equal(got.files[name], want) {
-			t.Errorf("%s differs from the uncompacted golden run", name)
-		}
-	}
+	golden.requireSame(t, dir, "WAL compaction")
 }

@@ -38,7 +38,7 @@ type State string
 // the state's side effect is durable:
 //
 //	StateCut       the window's raw sub-matrix is frozen in staging
-//	StateReleased  the sanitised (noised) release is staged + checksummed
+//	StateReleased  the sanitised (noised) release's checksum is journalled
 //	StateCharged   the tree-composed ε charge is fsynced in the ledger
 //	StatePublished the release is atomically visible in the output dir
 //	StateReloaded  the query daemon was told (or nothing listens)
@@ -85,8 +85,8 @@ type Record struct {
 	// Seed (cut records): the deterministic noise seed frozen at cut
 	// time, so a release redone after a crash is bit-identical.
 	Seed int64 `json:"seed,omitempty"`
-	// Checksum (released records): CRC-32 of the staged release bytes,
-	// letting publish verify it ships exactly what was sanitised.
+	// Checksum (released records): CRC-32 of the release bytes, letting
+	// publish verify it ships exactly what was sanitised.
 	Checksum uint32 `json:"crc,omitempty"`
 	// Eps and Levels (charged records): the audit trail of the tree
 	// charge — ε added and which tree levels were opened.

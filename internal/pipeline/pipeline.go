@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"os"
@@ -16,6 +17,7 @@ import (
 
 	"repro/internal/datasets"
 	"repro/internal/dp"
+	"repro/internal/grid"
 	"repro/internal/ingest"
 	"repro/internal/resilience"
 )
@@ -67,8 +69,8 @@ type Config struct {
 	// pipeline owns it exclusively.
 	Dataset string
 	// OutDir receives the published releases: window-%06d.csv per
-	// window plus latest.csv, with a staging/ subdirectory for frozen
-	// cuts and not-yet-published releases.
+	// window plus latest.csv, with a staging/ subdirectory for the frozen
+	// cuts of windows not yet settled.
 	OutDir string
 	// Window is the number of time intervals per published window.
 	Window int
@@ -114,10 +116,36 @@ type Supervisor struct {
 	man  *Manifest
 	tree *dp.TreeComposer
 
+	// held carries the window in flight from one Step to the next, so
+	// the release stage noises the cut without decoding the file just
+	// written and publish writes the bytes just computed. Only the
+	// stages touch it, and Step runs them one at a time.
+	held heldWindow
+
 	mu        sync.Mutex
 	budget    float64
 	exhausted bool
 	lastErr   string
+}
+
+// heldWindow is what the supervisor keeps in memory of window w: the cut
+// once its cut record is durable, then the release bytes once their
+// released record is. The stage that uses an item takes it first, so a
+// retry or a restart finds nothing held and rebuilds from the staged cut.
+type heldWindow struct {
+	w   int
+	cut *grid.Matrix
+	rel []byte
+}
+
+// take returns what is held of window w and forgets everything held.
+func (s *Supervisor) take(w int) heldWindow {
+	h := s.held
+	s.held = heldWindow{}
+	if h.w != w {
+		return heldWindow{}
+	}
+	return h
 }
 
 // New validates cfg, prepares the output and staging directories, and
@@ -147,7 +175,7 @@ func New(cfg Config, in *ingest.Ingester, led *dp.Ledger, man *Manifest) (*Super
 	return &Supervisor{cfg: cfg, in: in, led: led, man: man, tree: tree, budget: cfg.Budget}, nil
 }
 
-// WindowPath, LatestPath, CutPath and RelPath name the pipeline's
+// WindowPath, LatestPath and CutPath name the pipeline's
 // on-disk artifacts under an output directory. They are the single
 // source of truth for the layout — the supervisor writes through them
 // and the integrity tooling (scrubber, stpt-doctor) audits through
@@ -164,15 +192,9 @@ func CutPath(outDir string, w int) string {
 	return filepath.Join(outDir, "staging", fmt.Sprintf("window-%06d.cut.csv", w))
 }
 
-// RelPath names window w's staged (not yet published) release.
-func RelPath(outDir string, w int) string {
-	return filepath.Join(outDir, "staging", fmt.Sprintf("window-%06d.rel.csv", w))
-}
-
 func (s *Supervisor) windowPath(w int) string { return WindowPath(s.cfg.OutDir, w) }
 func (s *Supervisor) latestPath() string      { return LatestPath(s.cfg.OutDir) }
 func (s *Supervisor) cutPath(w int) string    { return CutPath(s.cfg.OutDir, w) }
-func (s *Supervisor) relPath(w int) string    { return RelPath(s.cfg.OutDir, w) }
 
 // windowSeed derives window w's noise seed from the configured base.
 // The multiplier is an arbitrary prime spreading consecutive windows
@@ -276,7 +298,8 @@ func (s *Supervisor) windowReady(w int) bool {
 // journals the cut. Until the record is durable the cut is not
 // authoritative — a crash before the append re-cuts, legitimately
 // including any readings that arrived in between. After it, the staged
-// file is the window's data, and late arrivals are excluded by design.
+// file is the window's data, and late arrivals are excluded by design;
+// the supervisor also holds the same matrix for the release stage.
 func (s *Supervisor) doCut(ctx context.Context, w int) error {
 	t0, t1 := (w-1)*s.cfg.Window, w*s.cfg.Window
 	cut, err := s.in.CutWindow(t0, t1)
@@ -291,17 +314,13 @@ func (s *Supervisor) doCut(ctx context.Context, w int) error {
 	}); err != nil {
 		return err
 	}
-	return s.man.Append(ctx, Record{
+	if err := s.man.Append(ctx, Record{
 		Window: w, State: StateCut, T0: t0, T1: t1, Seed: windowSeed(s.cfg.Seed, w),
-	})
-}
-
-// sanitise loads window w's frozen cut and applies the Laplace
-// mechanism cell-by-cell with the cut record's seed, returning the
-// encoded release bytes. Fully deterministic given the cut file and the
-// record, which is what makes every later stage redoable.
-func (s *Supervisor) sanitise(w int, cutRec Record) ([]byte, error) {
-	return RebuildRelease(s.cfg.OutDir, cutRec, s.cfg.EpsNode, s.cfg.Sensitivity)
+	}); err != nil {
+		return err
+	}
+	s.held = heldWindow{w: w, cut: cut}
+	return nil
 }
 
 // RebuildRelease re-derives window cutRec.Window's release bytes from
@@ -321,13 +340,26 @@ func RebuildRelease(outDir string, cutRec Record, epsNode, sensitivity float64) 
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: window %d cut: %w", w, err)
 	}
+	return noiseCut(m, cutRec, epsNode, sensitivity)
+}
+
+// noiseCut applies the Laplace mechanism to the cut in place, cell by
+// cell with the cut record's seed, and returns the encoded release. It
+// refuses what the cut's file would fail to decode as — a non-finite
+// cell — and a cut whose interval count differs from the record, so the
+// held cut and its staged file yield the same bytes or the same refusal.
+func noiseCut(m *grid.Matrix, cutRec Record, epsNode, sensitivity float64) ([]byte, error) {
+	w := cutRec.Window
 	if want := cutRec.T1 - cutRec.T0; m.Ct != want {
 		return nil, fmt.Errorf("pipeline: window %d cut spans %d intervals, journal says %d", w, m.Ct, want)
 	}
 	lap := dp.NewLaplace(rand.New(rand.NewSource(cutRec.Seed)))
 	data := m.Data()
-	for i := range data {
-		data[i] = lap.Perturb(data[i], sensitivity, epsNode)
+	for i, v := range data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("pipeline: window %d cut: non-finite value %v in cell %d", w, v, i)
+		}
+		data[i] = lap.Perturb(v, sensitivity, epsNode)
 	}
 	var buf bytes.Buffer
 	if err := datasets.SaveMatrixCSV(m, &buf); err != nil {
@@ -336,26 +368,32 @@ func RebuildRelease(outDir string, cutRec Record, epsNode, sensitivity float64) 
 	return buf.Bytes(), nil
 }
 
-// doRelease sanitises the frozen cut into a staged release and journals
-// its checksum.
+// doRelease noises window w's cut — the held one, else the staged file —
+// journals the release's checksum and holds the bytes for publish. The
+// held cut is taken before it is noised in place, so a stage that fails
+// after that point retries from the file rather than noise twice.
 func (s *Supervisor) doRelease(ctx context.Context, w int) error {
 	cutRec, ok := s.man.Get(w, StateCut)
 	if !ok {
 		return fmt.Errorf("%w: window %d has no cut record", ErrManifestCorrupt, w)
 	}
-	rel, err := s.sanitise(w, cutRec)
+	var rel []byte
+	var err error
+	if cut := s.take(w).cut; cut != nil {
+		rel, err = noiseCut(cut, cutRec, s.cfg.EpsNode, s.cfg.Sensitivity)
+	} else {
+		rel, err = RebuildRelease(s.cfg.OutDir, cutRec, s.cfg.EpsNode, s.cfg.Sensitivity)
+	}
 	if err != nil {
 		return err
 	}
-	if err := resilience.AtomicWriteFile(ctx, s.relPath(w), func(wr io.Writer) error {
-		_, werr := wr.Write(rel)
-		return werr
+	if err := s.man.Append(ctx, Record{
+		Window: w, State: StateReleased, Checksum: crc32.ChecksumIEEE(rel),
 	}); err != nil {
 		return err
 	}
-	return s.man.Append(ctx, Record{
-		Window: w, State: StateReleased, Checksum: crc32.ChecksumIEEE(rel),
-	})
+	s.held = heldWindow{w: w, rel: rel}
+	return nil
 }
 
 // doCharge spends the window's tree-composed ε against the ledger. The
@@ -375,24 +413,25 @@ func (s *Supervisor) doCharge(ctx context.Context, w int) error {
 	})
 }
 
-// doPublish makes the staged release visible: window-NNNNNN.csv plus
-// latest.csv, both atomic renames. The staged bytes are verified
-// against the journalled checksum first; a missing or damaged staging
-// file is rebuilt deterministically from the cut, and if even the
-// rebuild disagrees with the journal the pipeline refuses — publishing
-// unverified bytes is worse than stopping.
+// doPublish makes the release visible: window-NNNNNN.csv plus
+// latest.csv, both atomic renames. The bytes — held from the release
+// stage, else rebuilt deterministically from the cut — are verified
+// against the journalled checksum first; if even the rebuild disagrees
+// with the journal the pipeline refuses, because publishing unverified
+// bytes is worse than stopping.
 func (s *Supervisor) doPublish(ctx context.Context, w int) error {
 	relRec, ok := s.man.Get(w, StateReleased)
 	if !ok {
 		return fmt.Errorf("%w: window %d has no released record", ErrManifestCorrupt, w)
 	}
-	rel, err := os.ReadFile(s.relPath(w))
-	if err != nil || crc32.ChecksumIEEE(rel) != relRec.Checksum {
+	rel := s.take(w).rel
+	if rel == nil || crc32.ChecksumIEEE(rel) != relRec.Checksum {
 		cutRec, ok := s.man.Get(w, StateCut)
 		if !ok {
 			return fmt.Errorf("%w: window %d has no cut record", ErrManifestCorrupt, w)
 		}
-		if rel, err = s.sanitise(w, cutRec); err != nil {
+		var err error
+		if rel, err = RebuildRelease(s.cfg.OutDir, cutRec, s.cfg.EpsNode, s.cfg.Sensitivity); err != nil {
 			return err
 		}
 		if got := crc32.ChecksumIEEE(rel); got != relRec.Checksum {
@@ -415,7 +454,7 @@ func (s *Supervisor) doPublish(ctx context.Context, w int) error {
 }
 
 // doReload rings the serving tier's bell, journals completion, and
-// sweeps the window's staging files. Re-notifying after a crash is
+// sweeps the window's staged cut. Re-notifying after a crash is
 // harmless — stpt-serve's reload is idempotent — so the record lands
 // only after a successful notify.
 func (s *Supervisor) doReload(ctx context.Context, w int) error {
@@ -430,9 +469,8 @@ func (s *Supervisor) doReload(ctx context.Context, w int) error {
 	if err := s.man.Append(ctx, Record{Window: w, State: StateReloaded}); err != nil {
 		return err
 	}
-	// Best-effort: the window is fully settled, its staging is garbage.
+	// Best-effort: the window is fully settled, its cut is garbage.
 	os.Remove(s.cutPath(w))
-	os.Remove(s.relPath(w))
 	return nil
 }
 

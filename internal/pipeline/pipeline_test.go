@@ -196,6 +196,32 @@ func TestPipelineWaitsForWindowData(t *testing.T) {
 	}
 }
 
+// TestPipelineRefusesOverflowingCell: two readings of 1e308 for one
+// cell are each valid, but their sum makes window 1's cut cell +Inf.
+// The release stage must refuse that window, as decoding its staged cut
+// would, before anything is charged or published.
+func TestPipelineRefusesOverflowingCell(t *testing.T) {
+	s, in := newPipeline(t, t.TempDir(), Config{})
+	ingestCSV(t, in, feedCSV(tpCt)+"0,0,1,1e308\n0,0,1,1e308\n")
+	err := s.RunOnce(context.Background())
+	if err == nil {
+		t.Fatal("a window with a +Inf cell was released")
+	}
+	for _, frag := range []string{"window 1", "stage released", "non-finite"} {
+		if !strings.Contains(err.Error(), frag) {
+			t.Errorf("error %q does not mention %q", err, frag)
+		}
+	}
+	if st := s.Status(); st.Spent != 0 || st.Published != 0 || st.LastWindow != 1 || st.State != StateCut {
+		t.Fatalf("status after the refusal: %+v, want window 1 cut and nothing charged", st)
+	}
+	for _, path := range []string{s.windowPath(1), s.latestPath()} {
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s written for a refused window (%v)", path, err)
+		}
+	}
+}
+
 // TestPipelineBudgetExhaustionDegradesAndResumes is the graceful-
 // degradation acceptance: an exhausted budget stops new publications
 // (typed error, /readyz 503) while everything already published stays;
