@@ -7,7 +7,7 @@
 //	stpt-bench -exp all -scale bench -workers 8
 //	stpt-bench -exp fig6-single -dataset CER -layout uniform
 //	stpt-bench -exp all -scale quick -json BENCH_PR2.json
-//	stpt-bench -exp fig6 -scale paper -checkpoint sweep.json -coordinator 127.0.0.1:7070
+//	stpt-bench -exp fig6 -scale paper -shard 0/4 -checkpoint part-0
 //
 // Scales: quick (seconds, small grid), bench (paper grid, reduced nets),
 // paper (full Appendix C testbed; hours on CPU).
@@ -17,11 +17,11 @@
 // writes a benchmark-regression record (per-experiment wall-clock ns and
 // headline metrics) for CI to diff across commits.
 //
-// -coordinator distributes the sweep's cells to stpt-sweep worker
-// processes as time-bounded leases (see internal/dist); the -checkpoint
-// file doubles as the coordinator's journal, so killing and restarting
-// the coordinator resumes where it left off, and the printed tables are
-// bit-identical to a serial run.
+// -shard i/n computes only shard i of n of a comparison sweep's cells
+// into its own -checkpoint file and prints no table; a shard that dies
+// resumes from its file. Run the n shards anywhere, then reduce with
+// `cat part-* > all` and the same command without -shard and with
+// -checkpoint all: the tables are bit-identical to a serial run.
 package main
 
 import (
@@ -34,6 +34,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"repro/internal/datasets"
@@ -79,11 +80,7 @@ func main() {
 		maxRegress = flag.Float64("max-regress", 1.10, "with -compare: fail when any experiment's ns ratio exceeds this (<= 0 disables the ns gate)")
 		metricTol  = flag.Float64("metric-tol", 0, "with -compare: allowed relative drift per metric (0 = bit-identical)")
 		noiseFloor = flag.Duration("noise-floor", 200*time.Millisecond, "with -compare: experiments faster than this on both sides are never ns-gated")
-
-		coordinator  = flag.String("coordinator", "", "run as sweep coordinator bound to this address (e.g. 127.0.0.1:7070); requires -checkpoint and a distributable -exp")
-		leaseTTL     = flag.Duration("lease-ttl", 30*time.Second, "with -coordinator: lease TTL; a worker silent this long loses its cell")
-		cellAttempts = flag.Int("cell-attempts", 3, "with -coordinator: lease grants per cell before dead-letter quarantine")
-		localAfter   = flag.Duration("local-after", 10*time.Second, "with -coordinator: fall back to in-process execution when no worker joins within this window (0 = immediately)")
+		shard      = flag.String("shard", "", "i/n: compute only shard i of n of a comparison sweep's cells into -checkpoint, printing no table; reduce with cat and a run without -shard")
 	)
 	flag.Parse()
 
@@ -127,6 +124,20 @@ func main() {
 	}
 	opts.Workers = parallel.Workers(*workers)
 	opts.Retry = resilience.DefaultPolicy()
+	var sh experiments.Shard
+	if *shard != "" {
+		var err error
+		sh, err = experiments.ParseShard(*shard)
+		if err == nil {
+			_, err = experiments.NewSweepSpec(*exp, *dataset, *layout, opts).WorkList()
+		}
+		if err != nil {
+			fatalf("-shard: %v", err)
+		}
+		if *checkpoint == "" || *jsonOut != "" {
+			fatalf("-shard writes its cells to -checkpoint (required) and prints no table, so it takes no -json")
+		}
+	}
 	if *checkpoint != "" {
 		// One writer per checkpoint file: two appenders would each write
 		// at their own end offset and overwrite each other's lines.
@@ -158,39 +169,8 @@ func main() {
 		defer cancel()
 	}
 
-	// Coordinator mode: farm the sweep's cells out to stpt-sweep workers,
-	// filling the checkpoint; the normal run path below then runs any
-	// cell still missing (all of them when no worker joined) and reduces
-	// the tables bit-identically to a serial run.
-	if *coordinator != "" {
-		err := runCoordinator(ctx, opts, coordinatorConfig{
-			Addr:        *coordinator,
-			Experiment:  *exp,
-			Dataset:     *dataset,
-			Layout:      *layout,
-			TTL:         *leaseTTL,
-			MaxAttempts: *cellAttempts,
-			LocalAfter:  *localAfter,
-			Checkpoint:  *checkpoint,
-		})
-		if err != nil {
-			fatalf("coordinator: %v%s", err, resumeHint(*checkpoint))
-		}
-	}
-
-	w := os.Stdout
 	start := time.Now()
-	records := map[string]benchRecord{}
-	run := func(name string, fn func() (map[string]float64, error)) {
-		if *exp != "all" && *exp != name {
-			return
-		}
-		expStart := time.Now()
-		metrics, err := fn()
-		if err == nil {
-			records[name] = benchRecord{Ns: time.Since(expStart).Nanoseconds(), Metrics: metrics}
-			return
-		}
+	fail := func(name string, err error) {
 		if errors.Is(err, context.DeadlineExceeded) {
 			fatalf("%s: exceeded -timeout %s%s", name, *timeout, resumeHint(*checkpoint))
 		}
@@ -198,6 +178,31 @@ func main() {
 			fatalf("%s: interrupted%s", name, resumeHint(*checkpoint))
 		}
 		fatalf("%s: %v", name, err)
+	}
+	if *shard != "" {
+		n, err := experiments.RunShard(ctx, opts, *exp, *dataset, *layout, sh)
+		if err != nil {
+			fail(*exp+" shard "+*shard, err)
+		}
+		fmt.Fprintf(os.Stderr, "stpt-bench: shard %s of %s: %d cells computed into %s in %s\n",
+			*shard, *exp, n, *checkpoint, time.Since(start).Round(time.Millisecond))
+		return
+	}
+
+	w := os.Stdout
+	records := map[string]benchRecord{}
+	var names []string
+	run := func(name string, fn func() (map[string]float64, error)) {
+		names = append(names, name)
+		if *exp != "all" && *exp != name {
+			return
+		}
+		expStart := time.Now()
+		metrics, err := fn()
+		if err != nil {
+			fail(name, err)
+		}
+		records[name] = benchRecord{Ns: time.Since(expStart).Nanoseconds(), Metrics: metrics}
 	}
 
 	// The comparison tables share one runner, printer and headline metric.
@@ -321,6 +326,9 @@ func main() {
 		return m, nil
 	})
 
+	if *exp != "all" && len(records) == 0 {
+		fatalf("unknown -exp %q (valid: all, %s)", *exp, strings.Join(names, ", "))
+	}
 	fmt.Fprintf(w, "done in %s (scale %s, exp %s, %d workers)\n",
 		time.Since(start).Round(time.Millisecond), *scale, *exp, opts.Workers)
 

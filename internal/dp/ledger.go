@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"maps"
 	"math"
 	"sync"
 
@@ -28,15 +26,15 @@ import (
 // release lost — over-counts spending, which is the conservative
 // direction for a privacy budget.
 //
-// Compaction (Compact) folds settled entries into a single checkpoint
-// line so the file does not grow without bound across process
-// lifetimes. The checkpoint records, per dataset, the exact running
-// spend — the same left-to-right fold Spent reports — so
-// post-compaction budget arithmetic is bit-identical to summing the
-// original entries. A checkpoint is only legal as the first line.
+// Ledgers written by earlier builds may start with a checkpoint line,
+// which their compaction wrote to fold settled entries. It records, per
+// dataset, the exact running spend — the same left-to-right fold Spent
+// reports — so budget arithmetic over it is bit-identical to summing
+// the original entries. A checkpoint is only legal as the first line.
+// Nothing writes one any more, but OpenLedger and ScanLedger still read
+// it, so such ledgers keep opening.
 type Ledger struct {
 	mu      sync.Mutex
-	path    string
 	h       *journal.Appender
 	base    int // entries folded into the checkpoint line
 	entries []LedgerEntry
@@ -77,10 +75,9 @@ type LedgerEntry struct {
 // Eps returns the entry's total privacy loss, ε_pattern + ε_sanitize.
 func (e LedgerEntry) Eps() float64 { return e.EpsPattern + e.EpsSanitize }
 
-// ErrLedgerPoisoned marks a ledger whose last fsync (or checkpoint
-// directory fsync, or post-checkpoint reopen) failed: the durable state
-// is unknowable through the live handle, so every further charge is
-// refused until a restart re-reads the file. No ε is ever counted as
+// ErrLedgerPoisoned marks a ledger whose last fsync failed: the durable
+// state is unknowable through the live handle, so every further charge
+// is refused until a restart re-reads the file. No ε is ever counted as
 // spent unless its fsync returned success — the poisoned state is what
 // prevents silent spending.
 var ErrLedgerPoisoned = errors.New("dp: ledger poisoned by a failed fsync")
@@ -110,7 +107,7 @@ func (e *BudgetError) Is(target error) bool { return target == ErrBudgetExhauste
 // entry's checksum and sequence. A torn final line is dropped; any
 // other damage is a *LedgerFault naming the line.
 func OpenLedger(path string) (*Ledger, error) {
-	l := &Ledger{path: path}
+	l := &Ledger{}
 	h, err := journal.Open(path, ErrLedgerPoisoned, func(raw []byte) (int64, error) {
 		sc, err := ScanLedger(path, raw)
 		if err != nil {
@@ -161,8 +158,8 @@ func (l *Ledger) Spent(dataset string) float64 {
 	return l.spent[dataset]
 }
 
-// Entries returns a copy of the ledger's live (uncompacted) entries in
-// append order. Entries folded into a checkpoint are gone as
+// Entries returns a copy of the ledger's entries after any checkpoint
+// line, in append order. Entries folded into a checkpoint are gone as
 // individual records; their spending survives in Spent.
 func (l *Ledger) Entries() []LedgerEntry {
 	l.mu.Lock()
@@ -178,13 +175,6 @@ func (l *Ledger) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.base + len(l.entries)
-}
-
-// Compacted returns how many entries are folded into the checkpoint.
-func (l *Ledger) Compacted() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.base
 }
 
 // Charge durably records e's spend against its dataset, refusing with a
@@ -225,54 +215,6 @@ func (l *Ledger) Charge(ctx context.Context, e LedgerEntry, budget float64) erro
 	}
 	l.entries = append(l.entries, e)
 	l.spent[e.Dataset] += e.Eps()
-	return nil
-}
-
-// Compact folds every committed entry into a single checkpoint line,
-// rewriting the ledger atomically (temp file, fsync, rename) and
-// reopening the handle on the new file. Per-dataset spending is
-// preserved exactly: the checkpoint records the same left-to-right fold
-// Spent reports, so no budget decision changes across a compaction. A
-// crash at any instant leaves either the old multi-line file or the
-// complete checkpointed one — both recover to identical spending. A
-// checkpoint whose rename is not durable poisons the ledger
-// (ErrLedgerPoisoned): no charge may land until a restart re-reads the
-// file.
-func (l *Ledger) Compact(ctx context.Context) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if err := l.h.Err(); err != nil {
-		return err
-	}
-	if len(l.entries) == 0 {
-		return nil // nothing settled since the last checkpoint
-	}
-	ck := ledgerCheckpoint{Seq: l.base + len(l.entries), Spent: maps.Clone(l.spent)}
-	line, err := journal.Encode(struct {
-		Checkpoint *ledgerCheckpoint `json:"checkpoint"`
-	}{&ck})
-	if err != nil {
-		return fmt.Errorf("dp: encoding ledger checkpoint: %w", err)
-	}
-	if err := resilience.AtomicWriteFile(ctx, l.path, func(w io.Writer) error {
-		_, werr := w.Write(line)
-		return werr
-	}); err != nil {
-		err = fmt.Errorf("dp: writing ledger checkpoint: %w", err)
-		if errors.Is(err, resilience.ErrRenameNotDurable) {
-			// The checkpoint replaced the file but a power cut may undo
-			// that, and the handle still appends to the unlinked old
-			// file: a charge written to either could vanish.
-			return l.h.Poison(err)
-		}
-		return err
-	}
-	// The rename is durable; a handle that cannot follow it poisons so no
-	// charge is silently lost.
-	if err := l.h.Reopen(nil); err != nil {
-		return fmt.Errorf("dp: after writing the ledger checkpoint: %w", err)
-	}
-	l.base, l.entries, l.spent = ck.Seq, nil, ck.Spent
 	return nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 
 	"repro/internal/resilience"
@@ -341,5 +342,107 @@ func TestLedgerUnlimitedBudget(t *testing.T) {
 	}
 	if l.Spent("d") != 500 {
 		t.Fatalf("spent = %g", l.Spent("d"))
+	}
+}
+
+// TestLedgerChargeFsyncPoisoningSeam: an fsync failing through the
+// filesystem seam must never count the entry as spent in-process, and
+// must poison the ledger so no later charge can sneak past an unknowable
+// disk state. On reopen the entry may legitimately reappear (the bytes
+// were written; only durability was unconfirmed) — over-counting is the
+// conservative direction for a privacy budget.
+func TestLedgerChargeFsyncPoisoningSeam(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ledger")
+	l, err := OpenLedger(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chargeN(t, l, "d", 2)
+	before := l.Spent("d")
+
+	inj := resilience.NewInjector()
+	inj.On(resilience.FaultSyncEIO, func(ctx context.Context, payload any) error {
+		return errors.New("EIO: injected")
+	})
+	err = l.Charge(resilience.WithInjector(context.Background(), inj),
+		LedgerEntry{Dataset: "d", EpsSanitize: 1}, 0)
+	if !errors.Is(err, ErrLedgerPoisoned) {
+		t.Fatalf("charge with failing fsync: %v, want ErrLedgerPoisoned", err)
+	}
+	if got := l.Spent("d"); got != before {
+		t.Fatalf("failed charge changed in-process spend: %v -> %v", before, got)
+	}
+	// Every further charge is refused: no silent spending through a
+	// handle whose durability is unknowable.
+	err = l.Charge(context.Background(), LedgerEntry{Dataset: "d", EpsSanitize: 0.01}, 0)
+	if !errors.Is(err, ErrLedgerPoisoned) {
+		t.Fatalf("charge on a poisoned ledger: %v", err)
+	}
+	l.Close()
+
+	re, err := OpenLedger(path)
+	if err != nil {
+		t.Fatalf("reopen after poisoning: %v", err)
+	}
+	defer re.Close()
+	if got := re.Spent("d"); got < before {
+		t.Fatalf("reopened spend %v lost committed charges (%v)", got, before)
+	}
+}
+
+// TestLedgerChargeENOSPCSelfHeals: a failed plain write (disk full) is
+// not poisoning — the torn line is truncated away, the charge simply
+// did not happen, and once space returns the same charge lands cleanly
+// with no gap or duplicate in the sequence.
+func TestLedgerChargeENOSPCSelfHeals(t *testing.T) {
+	for _, fault := range []resilience.Fault{resilience.FaultWriteENOSPC, resilience.FaultShortWrite} {
+		t.Run(string(fault), func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "ledger")
+			l, err := OpenLedger(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chargeN(t, l, "d", 2)
+			before := l.Spent("d")
+
+			inj := resilience.NewInjector()
+			inj.On(fault, func(ctx context.Context, payload any) error {
+				return fmt.Errorf("injected: %w", syscall.ENOSPC)
+			})
+			err = l.Charge(resilience.WithInjector(context.Background(), inj),
+				LedgerEntry{Dataset: "d", EpsSanitize: 1}, 0)
+			if err == nil || !resilience.IsDiskFull(err) {
+				t.Fatalf("charge with a full disk: %v, want disk-full", err)
+			}
+			if errors.Is(err, ErrLedgerPoisoned) {
+				t.Fatal("a healed ENOSPC must not poison the ledger")
+			}
+			if got := l.Spent("d"); got != before {
+				t.Fatalf("failed charge changed spend: %v -> %v", before, got)
+			}
+
+			// Space returns: the charge lands; the file has no torn line.
+			if err := l.Charge(context.Background(), LedgerEntry{Dataset: "d", EpsSanitize: 0.5}, 0); err != nil {
+				t.Fatalf("charge after space returned: %v", err)
+			}
+			l.Close()
+			re, err := OpenLedger(path)
+			if err != nil {
+				t.Fatalf("reopen after heal: %v", err)
+			}
+			defer re.Close()
+			if re.Len() != 3 {
+				t.Fatalf("reopened Len = %d, want 3", re.Len())
+			}
+			if got := re.Spent("d"); got != before+0.5 {
+				t.Fatalf("reopened spend = %v, want %v", got, before+0.5)
+			}
+			raw, _ := os.ReadFile(path)
+			if n := strings.Count(string(raw), "\n"); n != 3 {
+				t.Fatalf("ledger has %d lines, want 3 (torn tail must be healed away)", n)
+			}
+		})
 	}
 }

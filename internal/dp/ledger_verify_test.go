@@ -3,10 +3,79 @@ package dp
 import (
 	"context"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/journal"
 )
+
+// chargeN appends n entries for dataset with awkward decimal epsilons —
+// values whose float sums expose any change in accumulation order.
+func chargeN(t *testing.T, l *Ledger, dataset string, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		e := LedgerEntry{Dataset: dataset, EpsPattern: 0.1, EpsSanitize: 0.03}
+		if err := l.Charge(context.Background(), e, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// writeLedgerCheckpoint replaces the ledger at path with one checkpoint
+// line folding seq entries into spent, in the format earlier builds'
+// compaction wrote, so the reader of such ledgers stays tested.
+func writeLedgerCheckpoint(t *testing.T, path string, seq int, spent map[string]float64) {
+	t.Helper()
+	line, err := journal.Encode(struct {
+		Checkpoint *ledgerCheckpoint `json:"checkpoint"`
+	}{&ledgerCheckpoint{Seq: seq, Spent: spent}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, line, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLedgerOpensCompactedCheckpoint: a ledger that an earlier build
+// compacted — these exact bytes, a checkpoint folding 7 charges of
+// 0.1+0.03 to "v" and one of 1/3+0.2 to "w" — opens with the spend the
+// original entries folded to, bit for bit, and continues its sequence.
+func TestLedgerOpensCompactedCheckpoint(t *testing.T) {
+	const compacted = "876c2479 {\"checkpoint\":{\"seq\":8,\"spent\":{\"v\":0.91,\"w\":0.5333333333333333}}}\n"
+	path := filepath.Join(t.TempDir(), "ledger")
+	if err := os.WriteFile(path, []byte(compacted), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var v float64
+	for i := 0; i < 7; i++ {
+		v += 0.1 + 0.03 // the fold Charge ran before the compaction
+	}
+	w := 1.0/3 + 0.2
+
+	l := openTestLedger(t, path)
+	if got := l.Spent("v"); math.Float64bits(got) != math.Float64bits(v) {
+		t.Fatalf("Spent(v) = %.17g, the original entries folded to %.17g", got, v)
+	}
+	if got := l.Spent("w"); math.Float64bits(got) != math.Float64bits(w) {
+		t.Fatalf("Spent(w) = %.17g, the original entry was %.17g", got, w)
+	}
+	if l.Len() != 8 || len(l.Entries()) != 0 {
+		t.Fatalf("len=%d live=%d, want 8 and 0", l.Len(), len(l.Entries()))
+	}
+	chargeN(t, l, "v", 1)
+	if e := l.Entries(); len(e) != 1 || e[0].Seq != 9 {
+		t.Fatalf("the next charge got %+v, want seq 9", e)
+	}
+
+	// The test helper writes the same bytes.
+	writeLedgerCheckpoint(t, path, 8, map[string]float64{"v": v, "w": w})
+	if raw, _ := os.ReadFile(path); string(raw) != compacted {
+		t.Fatalf("writeLedgerCheckpoint wrote %q, earlier builds %q", raw, compacted)
+	}
+}
 
 // scanLedgerFile reads the ledger at path and scans the bytes read-only.
 func scanLedgerFile(t *testing.T, path string) (*LedgerScan, error) {
@@ -137,11 +206,14 @@ func TestLedgerVerifyCheckpointAndTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
 	chargeN(t, l, "v", 4)
-	if err := l.Compact(context.Background()); err != nil {
+	folded := l.Spent("v")
+	l.Close()
+	writeLedgerCheckpoint(t, path, 4, map[string]float64{"v": folded})
+	if l, err = OpenLedger(path); err != nil {
 		t.Fatal(err)
 	}
+	defer l.Close()
 	chargeN(t, l, "v", 2)
 
 	sc, err := scanLedgerFile(t, path)

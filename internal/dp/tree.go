@@ -89,9 +89,9 @@ func (tc *TreeComposer) PathEps(n int) float64 {
 // been charged, computed by the same left-to-right fold the ledger's
 // Spent performs over the same entries (one per opened level, in window
 // order). The float result is therefore bit-identical to Spent — before
-// and after crash/replay and before and after ledger compaction (whose
-// checkpoint preserves the fold exactly) — which is what lets recovery
-// compare them with == rather than a tolerance.
+// and after crash/replay, and over a ledger that starts with a
+// checkpoint line (which preserves the fold exactly) — which is what
+// lets recovery compare them with == rather than a tolerance.
 func (tc *TreeComposer) ExpectedSpend(n int) float64 {
 	total := 0.0
 	for i := 0; i < TreeLevels(n); i++ {

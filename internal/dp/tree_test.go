@@ -79,9 +79,10 @@ func TestTreeComposerLogarithmicSpend(t *testing.T) {
 }
 
 // TestTreeComposerCrashReplayBitIdentical reopens the ledger mid-stream
-// (a crash/replay) and compacts it (a checkpoint fold), asserting the
-// spend every continuation observes is bit-identical to an uninterrupted
-// run — the equality recovery relies on.
+// (a crash/replay) and folds it into a checkpoint line as earlier builds'
+// compaction did, asserting the spend every continuation observes is
+// bit-identical to an uninterrupted run — the equality recovery relies
+// on.
 func TestTreeComposerCrashReplayBitIdentical(t *testing.T) {
 	const n, epsNode = 100, 1.0 / 3.0
 	ctx := context.Background()
@@ -106,8 +107,11 @@ func TestTreeComposerCrashReplayBitIdentical(t *testing.T) {
 				}
 			}
 			if compactAt == w {
-				if err := led.Compact(ctx); err != nil {
-					t.Fatalf("compact at window %d: %v", w, err)
+				seq, spent := led.Len(), led.Spent("stream")
+				led.Close()
+				writeLedgerCheckpoint(t, path, seq, map[string]float64{"stream": spent})
+				if led, err = OpenLedger(path); err != nil {
+					t.Fatalf("reopen of the checkpoint at window %d: %v", w, err)
 				}
 			}
 		}

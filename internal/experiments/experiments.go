@@ -212,16 +212,16 @@ func (o Options) lookupRep(key string) map[query.Class]float64 {
 	return m
 }
 
-// recordRep persists one rep's MRE, after giving the FaultCheckpoint
+// recordRep persists one rep's cell, after giving the FaultCheckpoint
 // injection point a chance to simulate a crash-before-write.
-func (o Options) recordRep(ctx context.Context, key string, m map[query.Class]float64) error {
+func (o Options) recordRep(ctx context.Context, key string, cell any) error {
 	if key == "" || o.Checkpoint == nil {
 		return nil
 	}
 	if err := resilience.Fire(ctx, resilience.FaultCheckpoint, key); err != nil {
 		return err
 	}
-	return o.Checkpoint.Record(key, encodeMRE(m))
+	return o.Checkpoint.Record(key, cell)
 }
 
 // algCells is one result slot of a sweep: an algorithm's display name,
@@ -265,7 +265,7 @@ func (o Options) runCells(ctx context.Context, algs []algCells) ([]AlgResult, er
 		secs[i] = time.Since(start).Seconds()
 		fresh[i] = true
 		vals[i] = ev
-		return o.recordRep(ctx, key, ev)
+		return o.recordRep(ctx, key, encodeMRE(ev))
 	})
 	if err != nil {
 		return nil, err

@@ -4,38 +4,39 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"strconv"
 	"strings"
 	"sync"
 
 	"repro/internal/datasets"
 	"repro/internal/journal"
+	"repro/internal/parallel"
 )
 
-// This file is the distributed-execution surface of the experiment
-// sweeps: it exposes the same (dataset, algorithm, rep) cells that
-// checkpointing introduced — keyed identically, e.g.
-// "fig6/CER/uniform/stpt/rep3" — as a portable work list, so a
-// coordinator can shard them across worker processes and fold the
-// results back through the unchanged in-process reduction. Three
-// properties make that sound:
+// This file splits a comparison sweep into the (dataset, algorithm,
+// rep) cells that checkpointing introduced — keyed identically, e.g.
+// "fig6/CER/uniform/stpt/rep3" — so static shards (stpt-bench -shard
+// i/n) can compute disjoint parts of one sweep, on any hosts, each into
+// its own checkpoint file. Concatenated, the files are one checkpoint
+// that the unchanged in-process reduction folds into the serial tables.
+// Three properties make that sound:
 //
 //  1. Cells are deterministic: a cell's value depends only on the sweep
 //     spec and the cell key, never on which process computes it or when.
 //  2. Cells are idempotent checkpoint units: a cell computed twice
-//     yields byte-identical JSON, so replays after lease expiry are
-//     harmless and dedup-by-key is exact.
-//  3. The cell value encoding IS the checkpoint cell encoding, so a
-//     journal of delivered results is a valid -checkpoint file and the
+//     yields byte-identical JSON, so a rerun shard or a key present in
+//     two files is harmless.
+//  3. The cell value encoding IS the checkpoint cell encoding, so the
+//     concatenated shard files are a valid -checkpoint file and the
 //     final tables come out of the existing resume path bit for bit.
 
-// SweepSpec is the wire description of a distributable sweep: the
-// experiment's identity plus every scalar knob of Options. It
-// deliberately carries no process-local state (no checkpoint handle, no
-// worker count, no retry policy) — those belong to whichever process
-// interprets the spec. A valid spec sets Experiment and Reps; they are
-// omitted when zero only so a checkpoint's options record
-// (BindCheckpoint) holds just the knobs it binds.
+// SweepSpec describes one comparison sweep: the experiment's identity
+// plus every output-affecting knob of Options. It carries no
+// process-local state (no checkpoint handle, no worker count, no retry
+// policy). A valid spec sets Experiment and Reps; they are omitted when
+// zero only so a checkpoint's options record (BindCheckpoint) holds
+// just the knobs it binds.
 type SweepSpec struct {
 	Experiment string `json:"experiment,omitempty"`
 	// Dataset and Layout select the single row of fig6-single; other
@@ -61,11 +62,10 @@ type SweepSpec struct {
 	Households  int     `json:"households,omitempty"`
 }
 
-// DistributableExperiments names the sweeps that shard into independent
-// (dataset, algorithm, rep) cells: every comparison table and its
-// single-row variant. The fig8 panels, the ablations, table2 and fig9
-// stay in-process.
-func DistributableExperiments() []string {
+// shardable names the sweeps that split into independent (dataset,
+// algorithm, rep) cells: every comparison table and its single-row
+// variant. The fig8 panels, the ablations, table2 and fig9 run whole.
+func shardable() []string {
 	var names []string
 	for _, c := range comparisons() {
 		names = append(names, c.name)
@@ -76,7 +76,7 @@ func DistributableExperiments() []string {
 	return names
 }
 
-// NewSweepSpec freezes an Options into a portable spec for the given
+// NewSweepSpec freezes an Options into a spec for the given
 // experiment. dataset and layout are consulted only by fig6-single.
 func NewSweepSpec(experiment, dataset, layout string, o Options) SweepSpec {
 	return SweepSpec{
@@ -90,8 +90,7 @@ func NewSweepSpec(experiment, dataset, layout string, o Options) SweepSpec {
 }
 
 // optionsKey is the checkpoint entry that records the options a file's
-// cells were computed under. Like dist's "dist:attempts" it contains a
-// ':', which no cell key does.
+// cells were computed under. It contains a ':', which no cell key does.
 const optionsKey = "experiments:options"
 
 // BindCheckpoint ties ck to the options that produce its cells, so a
@@ -100,8 +99,12 @@ const optionsKey = "experiments:options"
 // except the experiment, its row and Reps, since cells are shared across
 // those (as across Workers and Retry). A checkpoint recorded under other
 // options is refused, and so is a non-empty one with no record, whose
-// cells cannot be matched to any options. It returns the number of
-// completed cells, not counting reserved entries.
+// cells cannot be matched to any options, and one whose lines record
+// two different options — shards run under different options and then
+// concatenated, whose cells no single run would compute. Every shard
+// records the same line, so a concatenation of agreeing shards binds.
+// It returns the number of completed cells, not counting reserved
+// entries.
 func BindCheckpoint(ck *journal.Checkpoint, o Options) (int, error) {
 	want := NewSweepSpec("", "", "", o)
 	want.Reps = 0
@@ -112,6 +115,9 @@ func BindCheckpoint(ck *journal.Checkpoint, o Options) (int, error) {
 	var got SweepSpec
 	switch {
 	case ck.Lookup(optionsKey, &got):
+		if earlier, ok := ck.Replaced(optionsKey); ok {
+			return 0, fmt.Errorf("experiments: checkpoint mixes cells computed under options %s and %s; concatenate only shards run under the same options", earlier, show(got))
+		}
 		if got != want {
 			return 0, fmt.Errorf("experiments: checkpoint cells were computed under options %s, not this run's %s", show(got), show(want))
 		}
@@ -131,21 +137,8 @@ func BindCheckpoint(ck *journal.Checkpoint, o Options) (int, error) {
 	return cells, nil
 }
 
-// Options reconstructs the experiment options a worker must run with.
-// Workers, Checkpoint and Retry stay zero: a remote cell runs exactly
-// one serial pipeline, and durability lives at the coordinator.
-func (s SweepSpec) Options() Options {
-	return Options{
-		Cx: s.Cx, Cy: s.Cy, TTrain: s.TTrain, Horizon: s.Horizon,
-		Depth: s.Depth, WindowSize: s.WindowSize, QuantLevels: s.QuantLevels,
-		EmbedDim: s.EmbedDim, Hidden: s.Hidden, Epochs: s.Epochs,
-		EpsPattern: s.EpsPattern, EpsSanitize: s.EpsSanitize,
-		Queries: s.Queries, Reps: s.Reps, Seed: s.Seed, Households: s.Households,
-	}
-}
-
-// Validate rejects specs that could not have come from a well-formed
-// coordinator before any expensive work starts.
+// Validate rejects a spec no sweep could run before any expensive work
+// starts.
 func (s SweepSpec) Validate() error {
 	if _, _, err := s.table(); err != nil {
 		return err
@@ -160,18 +153,6 @@ func (s SweepSpec) Validate() error {
 		return fmt.Errorf("experiments: spec has queries=%d, want >= 1", s.Queries)
 	}
 	return nil
-}
-
-// DecodeSweepSpec parses and validates a wire spec.
-func DecodeSweepSpec(raw []byte) (SweepSpec, error) {
-	var s SweepSpec
-	if err := json.Unmarshal(raw, &s); err != nil {
-		return SweepSpec{}, fmt.Errorf("experiments: decoding sweep spec: %w", err)
-	}
-	if err := s.Validate(); err != nil {
-		return SweepSpec{}, err
-	}
-	return s, nil
 }
 
 // table resolves the spec to its comparison declaration and the rows it
@@ -194,14 +175,14 @@ func (s SweepSpec) table() (comparison, []tableRow, error) {
 			return c, []tableRow{{spec, layout}}, nil
 		}
 	}
-	return comparison{}, nil, fmt.Errorf("experiments: %q is not distributable (distributable: %s)",
-		s.Experiment, strings.Join(DistributableExperiments(), ", "))
+	return comparison{}, nil, fmt.Errorf("experiments: %q is not a comparison sweep, so it has no cells to shard (sweeps: %s)",
+		s.Experiment, strings.Join(shardable(), ", "))
 }
 
 // WorkList enumerates every cell key of the sweep in canonical order:
 // row-major, then column, then rep — the same order the in-process
-// reduction consumes them. Enumeration is cheap (no dataset is
-// generated), so a coordinator can build its lease table instantly.
+// reduction consumes them. Enumeration is cheap: no dataset is
+// generated.
 func (s SweepSpec) WorkList() ([]string, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -221,7 +202,7 @@ func (s SweepSpec) WorkList() ([]string, error) {
 
 // CellRunner executes individual sweep cells by checkpoint key. Row
 // inputs (generated dataset, truth matrix, shared queries) are built
-// once per row and cached, so a worker streaming through a row's cells
+// once per row and cached, so a shard streaming through a row's cells
 // pays the generation cost once. Execute is safe for concurrent use.
 type CellRunner struct {
 	opts  Options
@@ -237,14 +218,15 @@ type rowState struct {
 	cells []algCells
 }
 
-// NewCellRunner validates the spec and prepares (but does not build)
-// its rows.
-func NewCellRunner(spec SweepSpec) (*CellRunner, error) {
+// newCellRunner validates the spec and prepares (but does not build)
+// its rows. Cells run under o, which must hold the options spec froze
+// plus any process-local knobs.
+func newCellRunner(spec SweepSpec, o Options) (*CellRunner, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	c, rows, _ := spec.table() // Validate resolved it
-	r := &CellRunner{opts: spec.Options(), table: c, rows: make(map[string]*rowState, len(rows))}
+	r := &CellRunner{opts: o, table: c, rows: make(map[string]*rowState, len(rows))}
 	for _, row := range rows {
 		r.rows[c.prefix(row)] = &rowState{row: row}
 	}
@@ -299,21 +281,61 @@ func (r *CellRunner) Execute(ctx context.Context, key string) ([]byte, error) {
 	return nil, fmt.Errorf("experiments: cell %q names no algorithm slot of row %q", key, prefix)
 }
 
-// ValidateCellValue checks that an uploaded cell value is a well-formed
-// checkpoint cell this build can fold into tables: valid JSON, known
-// query classes, at least one class. The coordinator runs this before
-// journaling, so a corrupt upload is refused instead of surfacing hours
-// later as a silent cache miss during reduction.
-func ValidateCellValue(raw []byte) error {
-	var cell mreCell
-	if err := json.Unmarshal(raw, &cell); err != nil {
-		return fmt.Errorf("experiments: cell value is not valid JSON: %w", err)
+// Shard is one of N static slices of a comparison sweep's work list
+// (stpt-bench -shard I/N). A cell belongs to the shard its key's FNV-1a
+// hash picks rather than to one picked by its place in the list, since
+// the rep count is not bound to a checkpoint and changing it would move
+// every later cell to another shard.
+type Shard struct{ I, N int }
+
+// ParseShard parses "i/n", 0 <= i < n.
+func ParseShard(s string) (Shard, error) {
+	is, ns, ok := strings.Cut(s, "/")
+	i, ierr := strconv.Atoi(is)
+	n, nerr := strconv.Atoi(ns)
+	if !ok || ierr != nil || nerr != nil || n < 1 || i < 0 || i >= n {
+		return Shard{}, fmt.Errorf("experiments: shard %q is not i/n with 0 <= i < n", s)
 	}
-	if len(cell.MRE) == 0 {
-		return fmt.Errorf("experiments: cell value has no MRE classes")
+	return Shard{I: i, N: n}, nil
+}
+
+// Owns reports whether the cell key falls in the shard.
+func (s Shard) Owns(key string) bool {
+	h := fnv.New32a()
+	h.Write([]byte(key))
+	return h.Sum32()%uint32(s.N) == uint32(s.I)
+}
+
+// RunShard computes the cells of the named comparison sweep that shard
+// owns into o.Checkpoint, on o.Workers and under o.Retry as a serial
+// sweep runs them; dataset and layout select fig6-single's row. Cells
+// the checkpoint already holds are skipped, so a shard that died
+// resumes from its own file. It returns the number of cells computed.
+func RunShard(ctx context.Context, o Options, experiment, dataset, layout string, shard Shard) (int, error) {
+	spec := NewSweepSpec(experiment, dataset, layout, o)
+	keys, err := spec.WorkList()
+	if err != nil {
+		return 0, err
 	}
-	if _, ok := cell.decode(); !ok {
-		return fmt.Errorf("experiments: cell value names unknown query classes")
+	runner, err := newCellRunner(spec, o)
+	if err != nil {
+		return 0, err
 	}
-	return nil
+	var todo []string
+	for _, key := range keys {
+		if shard.Owns(key) && o.lookupRep(key) == nil {
+			todo = append(todo, key)
+		}
+	}
+	err = parallel.Do(ctx, o.Workers, len(todo), func(i int) error {
+		raw, err := runner.Execute(ctx, todo[i])
+		if err != nil {
+			return err
+		}
+		return o.recordRep(ctx, todo[i], json.RawMessage(raw))
+	})
+	if err != nil {
+		return 0, err
+	}
+	return len(todo), nil
 }

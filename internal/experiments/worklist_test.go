@@ -22,6 +22,24 @@ func microSpec(exp, dataset, layout string) SweepSpec {
 	return NewSweepSpec(exp, dataset, layout, micro())
 }
 
+// Options reconstructs the experiment options the spec froze. Workers,
+// Checkpoint and Retry stay zero.
+func (s SweepSpec) Options() Options {
+	return Options{
+		Cx: s.Cx, Cy: s.Cy, TTrain: s.TTrain, Horizon: s.Horizon,
+		Depth: s.Depth, WindowSize: s.WindowSize, QuantLevels: s.QuantLevels,
+		EmbedDim: s.EmbedDim, Hidden: s.Hidden, Epochs: s.Epochs,
+		EpsPattern: s.EpsPattern, EpsSanitize: s.EpsSanitize,
+		Queries: s.Queries, Reps: s.Reps, Seed: s.Seed, Households: s.Households,
+	}
+}
+
+// NewCellRunner runs the spec's cells under spec.Options() alone: one
+// serial pipeline per cell, no retry.
+func NewCellRunner(spec SweepSpec) (*CellRunner, error) {
+	return newCellRunner(spec, spec.Options())
+}
+
 func TestWorkListCanonicalOrderAndShape(t *testing.T) {
 	o := micro()
 	o.Reps = 2
@@ -197,10 +215,8 @@ func TestBindCheckpoint(t *testing.T) {
 		t.Fatalf("fresh checkpoint: n = %d, err = %v", n, err)
 	}
 	cell := encodeMRE(map[query.Class]float64{query.Random: 1})
-	for _, key := range []string{"fig6/CA/uniform/stpt/rep0", "dist:attempts"} {
-		if err := ck.Record(key, cell); err != nil {
-			t.Fatal(err)
-		}
+	if err := ck.Record("fig6/CA/uniform/stpt/rep0", cell); err != nil {
+		t.Fatal(err)
 	}
 	ck, err = journal.OpenCheckpoint(path)
 	if err != nil {
@@ -267,6 +283,23 @@ func TestExecuteRejectsForeignAndMalformedKeys(t *testing.T) {
 			t.Fatalf("%q executed", bad)
 		}
 	}
+}
+
+// ValidateCellValue checks that a cell value is a well-formed checkpoint
+// cell the reduction can fold into tables: valid JSON, known query
+// classes, at least one class.
+func ValidateCellValue(raw []byte) error {
+	var cell mreCell
+	if err := json.Unmarshal(raw, &cell); err != nil {
+		return fmt.Errorf("experiments: cell value is not valid JSON: %w", err)
+	}
+	if len(cell.MRE) == 0 {
+		return fmt.Errorf("experiments: cell value has no MRE classes")
+	}
+	if _, ok := cell.decode(); !ok {
+		return fmt.Errorf("experiments: cell value names unknown query classes")
+	}
+	return nil
 }
 
 func TestValidateCellValue(t *testing.T) {

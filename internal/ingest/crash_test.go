@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/datasets"
-	"repro/internal/dp"
 	"repro/internal/resilience"
 )
 
@@ -82,33 +81,11 @@ func TestIngestCrashChild(t *testing.T) {
 		// the snapshot and the covered segments exist, and recovery must
 		// not apply the segments twice.
 		inj.On(resilience.FaultCompactDelete, stall)
-	case "mid-ledger-compact":
-		// Freeze inside the ledger checkpoint's commit window: the old
-		// multi-entry file must still be intact afterwards.
-		inj.On(resilience.FaultAtomicRename, stall)
 	default:
 		fmt.Fprintln(os.Stderr, "unknown crash mode", mode)
 		os.Exit(3)
 	}
 	ctx := resilience.WithInjector(context.Background(), inj)
-
-	if mode == "mid-ledger-compact" {
-		led, err := dp.OpenLedger(filepath.Join(dir, "ledger"))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "child ledger:", err)
-			os.Exit(3)
-		}
-		for i := 0; i < 4; i++ {
-			if err := led.Charge(context.Background(),
-				dp.LedgerEntry{Dataset: "crash", EpsPattern: 0.1, EpsSanitize: 0.03}, 0); err != nil {
-				fmt.Fprintln(os.Stderr, "child charge:", err)
-				os.Exit(3)
-			}
-		}
-		err = led.Compact(ctx)
-		fmt.Fprintln(os.Stderr, "child ledger compact returned:", err)
-		os.Exit(3) // the stall should have frozen us inside Compact
-	}
 
 	in, err := New(Config{Cx: crashCx, Cy: crashCy, Ct: crashCt, BatchSize: crashBatch},
 		filepath.Join(dir, "crash.wal"))
@@ -136,7 +113,7 @@ func TestIngestKillReplay(t *testing.T) {
 	}
 	for _, mode := range []string{
 		"mid-batch", "mid-sync",
-		"mid-rotate", "mid-snapshot", "mid-compact-delete", "mid-ledger-compact",
+		"mid-rotate", "mid-snapshot", "mid-compact-delete",
 	} {
 		t.Run(mode, func(t *testing.T) { runKillReplay(t, mode) })
 	}
@@ -181,47 +158,8 @@ func killAtFaultPoint(t *testing.T, dir, mode string) {
 	<-done
 }
 
-// runLedgerCompactCrash: SIGKILL inside the ledger checkpoint's commit
-// window must leave the original entry-per-line file intact, recovering
-// to the exact per-dataset spending; a post-recovery compaction then
-// succeeds and preserves it bit-for-bit.
-func runLedgerCompactCrash(t *testing.T, dir string) {
-	killAtFaultPoint(t, dir, "mid-ledger-compact")
-	led, err := dp.OpenLedger(filepath.Join(dir, "ledger"))
-	if err != nil {
-		t.Fatalf("ledger recovery: %v", err)
-	}
-	defer led.Close()
-	want := 0.0
-	for i := 0; i < 4; i++ {
-		want += 0.1 + 0.03 // the exact fold order Charge used
-	}
-	if got := led.Spent("crash"); got != want || led.Len() != 4 {
-		t.Fatalf("recovered spent=%v len=%d, want exactly %v and 4", got, led.Len(), want)
-	}
-	if err := led.Compact(context.Background()); err != nil {
-		t.Fatalf("compaction after crash recovery: %v", err)
-	}
-	if got := led.Spent("crash"); got != want {
-		t.Fatalf("post-recovery compaction changed spending: %v != %v", got, want)
-	}
-	led.Close()
-	re, err := dp.OpenLedger(filepath.Join(dir, "ledger"))
-	if err != nil {
-		t.Fatalf("reopen of checkpointed ledger: %v", err)
-	}
-	defer re.Close()
-	if got := re.Spent("crash"); got != want || re.Len() != 4 {
-		t.Fatalf("checkpointed ledger spent=%v len=%d, want %v and 4", got, re.Len(), want)
-	}
-}
-
 func runKillReplay(t *testing.T, mode string) {
 	dir := t.TempDir()
-	if mode == "mid-ledger-compact" {
-		runLedgerCompactCrash(t, dir)
-		return
-	}
 	killAtFaultPoint(t, dir, mode)
 
 	walPath := filepath.Join(dir, "crash.wal")

@@ -26,7 +26,7 @@ func DefaultSourcePolicy() resilience.Policy {
 // committed, and re-streaming from offset zero would double-count them.
 // The caller's WAL-acknowledged prefix is durable either way; only the
 // unacknowledged tail needs a resend. The bounded retry loop itself is
-// resilience.RetryHTTP, shared with the sweep workers and replica sync.
+// resilience.RetryHTTP, shared with replica sync.
 func FetchHTTP(ctx context.Context, client *http.Client, url string, p resilience.Policy) (io.ReadCloser, error) {
 	if client == nil {
 		client = http.DefaultClient

@@ -84,7 +84,7 @@ func TestFetchHTTPBoundedAttempts(t *testing.T) {
 }
 
 // TestParseRetryAfter covers the seconds form and the refusals. The
-// parser now lives in resilience (shared with dist and replica sync);
+// parser now lives in resilience (shared with replica sync);
 // this pins the ingest-visible contract.
 func TestParseRetryAfter(t *testing.T) {
 	for h, want := range map[string]time.Duration{"0": 0, "7": 7 * time.Second} {

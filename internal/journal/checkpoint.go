@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -20,11 +21,11 @@ type checkpointLine struct {
 }
 
 // Checkpoint is a keyed store of completed sweep cells: the stpt-bench
-// -checkpoint file and the internal/dist coordinator's journal. Each
-// Record appends one line, {"key":…,"val":…}, and fsyncs it; a later
-// line for a key replaces an earlier one. A kill mid-append leaves a
-// torn tail, which the next open truncates, so the cell it held is
-// simply recomputed. A nil *Checkpoint is valid and disables
+// -checkpoint file. Each Record appends one line, {"key":…,"val":…},
+// and fsyncs it; a later line for a key replaces an earlier one, so
+// the files of sweep shards merge by concatenation. A kill mid-append
+// leaves a torn tail, which the next open truncates, so the cell it
+// held is simply recomputed. A nil *Checkpoint is valid and disables
 // checkpointing (Lookup misses, Record no-ops), which keeps call sites
 // free of nil checks.
 //
@@ -34,6 +35,9 @@ type Checkpoint struct {
 	mu   sync.Mutex
 	h    *Appender // nil = memory-only (tests)
 	done map[string]json.RawMessage
+	// replaced holds, per key, a value that a later line of the loaded
+	// file replaced with a different one.
+	replaced map[string]json.RawMessage
 }
 
 // OpenCheckpoint loads the checkpoint at path, or starts an empty one if
@@ -53,6 +57,9 @@ func OpenCheckpoint(path string) (*Checkpoint, error) {
 			var rec checkpointLine
 			return rec, Decode(line, &rec)
 		}, func(_ int, rec checkpointLine) error {
+			if old, ok := c.done[rec.Key]; ok && !bytes.Equal(old, rec.Val) {
+				c.replaced[rec.Key] = old
+			}
 			c.done[rec.Key] = rec.Val
 			return nil
 		})
@@ -70,7 +77,7 @@ func OpenCheckpoint(path string) (*Checkpoint, error) {
 
 // NewMemoryCheckpoint returns a checkpoint that never touches disk.
 func NewMemoryCheckpoint() *Checkpoint {
-	return &Checkpoint{done: make(map[string]json.RawMessage)}
+	return &Checkpoint{done: make(map[string]json.RawMessage), replaced: make(map[string]json.RawMessage)}
 }
 
 // Lookup unmarshals the cell stored under key into out and reports
@@ -91,6 +98,20 @@ func (c *Checkpoint) Lookup(key string, out any) bool {
 	// A cell that no longer unmarshals counts as missing: recomputing is
 	// always safe, serving a half-decoded cell is not.
 	return json.Unmarshal(raw, out) == nil
+}
+
+// Replaced returns a value that a later line of the loaded file
+// replaced under key with a different one, as when checkpoints written
+// under different options are concatenated. ok is false when every line
+// for key agreed. Records made since the open are not noted.
+func (c *Checkpoint) Replaced(key string) (earlier json.RawMessage, ok bool) {
+	if c == nil {
+		return nil, false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	earlier, ok = c.replaced[key]
+	return earlier, ok
 }
 
 // Record durably appends val under key; the cell counts only once its

@@ -36,8 +36,8 @@ func TestCheckpointRoundTripAcrossReopen(t *testing.T) {
 	if err := c.Record("fig6/CER/uniform/identity/rep0", cell{MAE: 9}); err != nil {
 		t.Fatal(err)
 	}
-	// A later line for a key replaces the earlier one, as the
-	// coordinator's re-recorded attempt counts rely on.
+	// A later line for a key replaces the earlier one, as concatenated
+	// shard files rely on.
 	if err := c.Record("fig6/CER/uniform/stpt/rep0", cell{MAE: 1.5, RMSE: 2.25}); err != nil {
 		t.Fatal(err)
 	}
@@ -53,6 +53,42 @@ func TestCheckpointRoundTripAcrossReopen(t *testing.T) {
 	}
 	if c2.Lookup("fig6/CER/uniform/fast/rep0", &got) {
 		t.Fatal("phantom cell")
+	}
+}
+
+// TestCheckpointNotesReplacedValues: loading notes a key whose value a
+// later line changed, with the value it replaced, so a caller can refuse
+// a concatenation of files that disagree; a repeated identical line is
+// not a change.
+func TestCheckpointNotesReplacedValues(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.ckpt")
+	c := openCheckpoint(t, path)
+	for _, rec := range []struct {
+		key string
+		val cell
+	}{
+		{"same", cell{MAE: 1}}, {"changed", cell{MAE: 2}}, {"same", cell{MAE: 1}},
+		{"changed", cell{MAE: 3}}, {"changed", cell{MAE: 2}},
+	} {
+		if err := c.Record(rec.key, rec.val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := c.Replaced("changed"); ok {
+		t.Fatal("a record made after the open was noted")
+	}
+
+	c2 := openCheckpoint(t, path)
+	if old, ok := c2.Replaced("same"); ok {
+		t.Fatalf("identical lines noted as a change from %s", old)
+	}
+	old, ok := c2.Replaced("changed")
+	if !ok || string(old) != `{"mae":3,"rmse":0}` {
+		t.Fatalf("Replaced(changed) = %s, %v; want the value the last line replaced", old, ok)
+	}
+	var cur cell
+	if !c2.Lookup("changed", &cur) || cur.MAE != 2 {
+		t.Fatalf("later line did not win: %+v", cur)
 	}
 }
 

@@ -228,45 +228,26 @@ func (a *Appender) heal() error {
 	return a.f.Sync()
 }
 
-// Reopen swaps the handle to the file now at its path, positioned at its
-// end, and closes the old descriptor. With init nil the file was
-// atomically replaced (ledger compaction) and is durable as it stands;
-// otherwise the old file was renamed away (WAL rotation) and a fresh one
-// holding init is created and fsynced first. A failure poisons the
-// handle.
+// Reopen follows the file being renamed away from its path (WAL
+// rotation): it creates a fresh file holding init at the path, fsyncs
+// it, and closes the old descriptor. A failure poisons the handle.
 func (a *Appender) Reopen(init []byte) error {
-	flag := os.O_RDWR
-	if init != nil {
-		flag |= os.O_CREATE | os.O_TRUNC
-	}
-	f, err := os.OpenFile(a.f.Name(), flag, 0o644)
-	if err == nil && init != nil {
+	f, err := os.OpenFile(a.f.Name(), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err == nil {
 		if _, err = f.Write(init); err == nil {
 			err = f.Sync()
 		}
-	}
-	var end int64
-	if err == nil {
-		end, err = f.Seek(0, io.SeekEnd)
-	}
-	if err != nil {
-		if f != nil {
+		if err != nil {
 			f.Close()
 		}
+	}
+	if err != nil {
 		a.broken = true
 		return fmt.Errorf("%w: reopening %s: %w", a.poison, a.f.Name(), err)
 	}
 	a.f.Close()
-	a.f, a.end = f, end
+	a.f, a.end = f, int64(len(init))
 	return nil
-}
-
-// Poison breaks the handle for a failure its owner found outside it —
-// the file replaced by a rename that may not survive a power cut, say —
-// and returns err wrapped in the poison sentinel.
-func (a *Appender) Poison(err error) error {
-	a.broken = true
-	return fmt.Errorf("%w: %w", a.poison, err)
 }
 
 // Close releases the file; every committed record is already durable.

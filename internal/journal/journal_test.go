@@ -229,24 +229,8 @@ func TestAppendPoisons(t *testing.T) {
 
 func TestReopen(t *testing.T) {
 	a, path := openTest(t, manifestCut+"\n")
-	// Atomic replacement: the handle follows the new file at its end.
-	if err := os.WriteFile(path+".tmp", []byte(ledgerCheckpoint+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(path+".tmp", path); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Reopen(nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Append(context.Background(), []byte(ledgerEntry+"\n"), "", nil); err != nil {
-		t.Fatal(err)
-	}
-	if got := readFile(t, path); got != ledgerCheckpoint+"\n"+ledgerEntry+"\n" || a.End() != int64(len(got)) {
-		t.Fatalf("after replace + append: %q, End = %d", got, a.End())
-	}
-
-	// Rename-away: a fresh file holding init replaces it.
+	// Rename-away: a fresh file holding init replaces it, and appends
+	// land after init.
 	if err := os.Rename(path, path+".1"); err != nil {
 		t.Fatal(err)
 	}
@@ -256,12 +240,18 @@ func TestReopen(t *testing.T) {
 	if got := readFile(t, path); got != "HDR" || a.End() != 3 {
 		t.Fatalf("fresh file holds %q, End = %d", got, a.End())
 	}
-
-	// A replacement that vanished poisons.
-	if err := os.Remove(path); err != nil {
+	if err := a.Append(context.Background(), []byte(ledgerEntry+"\n"), "", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Reopen(nil); !errors.Is(err, errPoisoned) || !errors.Is(a.Err(), errPoisoned) {
-		t.Fatalf("Reopen of a missing file = %v", err)
+	if got := readFile(t, path); got != "HDR"+ledgerEntry+"\n" || a.End() != int64(len(got)) {
+		t.Fatalf("after reopen + append: %q, End = %d", got, a.End())
+	}
+
+	// A fresh file that cannot be created poisons.
+	if err := os.RemoveAll(filepath.Dir(path)); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Reopen([]byte("HDR")); !errors.Is(err, errPoisoned) || !errors.Is(a.Err(), errPoisoned) {
+		t.Fatalf("Reopen in a missing directory = %v", err)
 	}
 }

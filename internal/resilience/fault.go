@@ -98,18 +98,6 @@ const (
 	// supervisor between a stage's durable action and the manifest line
 	// that acknowledges it — the transition recovery must re-derive.
 	FaultManifestAppend Fault = "pipeline/manifest-append"
-	// FaultDistLease fires in the sweep coordinator's lease handler
-	// before a cell is granted, with the requesting worker id as payload.
-	// A failing hook makes lease requests error (503 to the worker),
-	// exercising the worker's lease-retry path; a stalled hook holds the
-	// grant open so a kill lands between request and assignment.
-	FaultDistLease Fault = "dist/lease"
-	// FaultDistResult fires in the coordinator's result handler after
-	// decoding but before the result is journaled, with the cell key as
-	// payload. A failing hook drops the upload pre-durability, so the
-	// worker must retry and the journal must still record the cell
-	// exactly once.
-	FaultDistResult Fault = "dist/result"
 	// FaultCatalogServe fires in the serving daemon's catalog handlers
 	// before a catalog listing or file body is served, with the requested
 	// release name (or "catalog" for the listing) as payload. A failing
@@ -124,11 +112,6 @@ const (
 	// resumable download must survive), or stall so a SIGKILL lands
 	// mid-sync with a partial file on disk.
 	FaultReplicaFetch Fault = "serve/replica-fetch"
-	// FaultDistHeartbeat fires in the coordinator's heartbeat handler,
-	// with the heartbeating worker id as payload. A persistently failing
-	// hook simulates a network partition: the worker's leases expire and
-	// its cells are reassigned while it still believes it holds them.
-	FaultDistHeartbeat Fault = "dist/heartbeat"
 	// FaultScrubRead fires in the integrity scrubber for every chunk it
 	// reads off disk, with a *scrub.Chunk as payload. Hooks can flip bytes
 	// in the chunk (the scrubber must report the artifact corrupt without

@@ -17,8 +17,8 @@ type Doer interface {
 
 // RetryHTTP issues an HTTP request under p's deterministic backoff. It
 // is the one bounded, Retry-After-honouring HTTP retry loop in the
-// codebase — ingest sources, sweep workers, and replica sync all run
-// through it rather than growing their own slightly-different copies.
+// codebase — ingest sources and replica sync both run through it
+// rather than growing their own slightly-different copies.
 //
 // newReq builds a FRESH request each attempt: request bodies are
 // single-use, and per-attempt construction also lets callers recompute

@@ -10,10 +10,10 @@ import (
 )
 
 // AcquireFileLock takes an exclusive advisory lock guarding path (a
-// sweep checkpoint, a coordinator journal) against concurrent writers
-// from other processes: two stpt-bench invocations pointed at the same
-// -checkpoint must fail fast, because two appenders would each write at
-// their own end offset and overwrite each other's lines.
+// sweep checkpoint) against concurrent writers from other processes:
+// two stpt-bench invocations pointed at the same -checkpoint must fail
+// fast, because two appenders would each write at their own end offset
+// and overwrite each other's lines.
 //
 // The lock is a sibling file, path+".lock", created with
 // O_CREATE|O_EXCL and holding the owner's pid. Acquisition fails while
