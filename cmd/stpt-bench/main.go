@@ -34,6 +34,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -138,29 +139,6 @@ func main() {
 			fatalf("-shard writes its cells to -checkpoint (required) and prints no table, so it takes no -json")
 		}
 	}
-	if *checkpoint != "" {
-		// One writer per checkpoint file: two appenders would each write
-		// at their own end offset and overwrite each other's lines.
-		release, err := resilience.AcquireFileLock(*checkpoint)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer release() //nolint:errcheck // beyond releasing there is nothing to do
-		ck, err := journal.OpenCheckpoint(*checkpoint)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		defer ck.Close() //nolint:errcheck // every recorded cell is already durable
-		n, err := experiments.BindCheckpoint(ck, opts)
-		if err != nil {
-			fatalf("%s: %v (use a fresh -checkpoint file)", *checkpoint, err)
-		}
-		if n > 0 {
-			fmt.Fprintf(os.Stderr, "stpt-bench: resuming from %s (%d completed cells)\n", *checkpoint, n)
-		}
-		opts.Checkpoint = ck
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	if *timeout > 0 {
@@ -169,40 +147,15 @@ func main() {
 		defer cancel()
 	}
 
-	start := time.Now()
-	fail := func(name string, err error) {
-		if errors.Is(err, context.DeadlineExceeded) {
-			fatalf("%s: exceeded -timeout %s%s", name, *timeout, resumeHint(*checkpoint))
-		}
-		if errors.Is(err, context.Canceled) {
-			fatalf("%s: interrupted%s", name, resumeHint(*checkpoint))
-		}
-		fatalf("%s: %v", name, err)
-	}
-	if *shard != "" {
-		n, err := experiments.RunShard(ctx, opts, *exp, *dataset, *layout, sh)
-		if err != nil {
-			fail(*exp+" shard "+*shard, err)
-		}
-		fmt.Fprintf(os.Stderr, "stpt-bench: shard %s of %s: %d cells computed into %s in %s\n",
-			*shard, *exp, n, *checkpoint, time.Since(start).Round(time.Millisecond))
-		return
-	}
-
+	// The run list is declared before the checkpoint is bound, so an
+	// unknown -exp is refused without creating the -checkpoint file. Each
+	// experiment reads opts when it runs, after the binding.
 	w := os.Stdout
-	records := map[string]benchRecord{}
 	var names []string
+	var fns []func() (map[string]float64, error)
 	run := func(name string, fn func() (map[string]float64, error)) {
 		names = append(names, name)
-		if *exp != "all" && *exp != name {
-			return
-		}
-		expStart := time.Now()
-		metrics, err := fn()
-		if err != nil {
-			fail(name, err)
-		}
-		records[name] = benchRecord{Ns: time.Since(expStart).Nanoseconds(), Metrics: metrics}
+		fns = append(fns, fn)
 	}
 
 	// The comparison tables share one runner, printer and headline metric.
@@ -326,8 +279,56 @@ func main() {
 		return m, nil
 	})
 
-	if *exp != "all" && len(records) == 0 {
+	if *exp != "all" && !slices.Contains(names, *exp) {
 		fatalf("unknown -exp %q (valid: all, %s)", *exp, strings.Join(names, ", "))
+	}
+	if *checkpoint != "" {
+		ck, err := journal.OpenCheckpoint(*checkpoint)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		defer ck.Close() //nolint:errcheck // every recorded cell is already durable
+		n, err := experiments.BindCheckpoint(ck, opts)
+		if err != nil {
+			fatalf("%s: %v (use a fresh -checkpoint file)", *checkpoint, err)
+		}
+		if n > 0 {
+			fmt.Fprintf(os.Stderr, "stpt-bench: resuming from %s (%d completed cells)\n", *checkpoint, n)
+		}
+		opts.Checkpoint = ck
+	}
+
+	start := time.Now()
+	fail := func(name string, err error) {
+		if errors.Is(err, context.DeadlineExceeded) {
+			fatalf("%s: exceeded -timeout %s%s", name, *timeout, resumeHint(*checkpoint))
+		}
+		if errors.Is(err, context.Canceled) {
+			fatalf("%s: interrupted%s", name, resumeHint(*checkpoint))
+		}
+		fatalf("%s: %v", name, err)
+	}
+	if *shard != "" {
+		n, err := experiments.RunShard(ctx, opts, *exp, *dataset, *layout, sh)
+		if err != nil {
+			fail(*exp+" shard "+*shard, err)
+		}
+		fmt.Fprintf(os.Stderr, "stpt-bench: shard %s of %s: %d cells computed into %s in %s\n",
+			*shard, *exp, n, *checkpoint, time.Since(start).Round(time.Millisecond))
+		return
+	}
+
+	records := map[string]benchRecord{}
+	for i, name := range names {
+		if *exp != "all" && *exp != name {
+			continue
+		}
+		expStart := time.Now()
+		metrics, err := fns[i]()
+		if err != nil {
+			fail(name, err)
+		}
+		records[name] = benchRecord{Ns: time.Since(expStart).Nanoseconds(), Metrics: metrics}
 	}
 	fmt.Fprintf(w, "done in %s (scale %s, exp %s, %d workers)\n",
 		time.Since(start).Round(time.Millisecond), *scale, *exp, opts.Workers)

@@ -81,6 +81,31 @@ func TestRefusesWhatWouldRunNothing(t *testing.T) {
 	}
 }
 
+// TestUnknownExpLeavesNoCheckpoint: an -exp that names no experiment is
+// refused before the -checkpoint file is opened, so the refusal leaves
+// no file behind.
+func TestUnknownExpLeavesNoCheckpoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the binary")
+	}
+	dir := t.TempDir()
+	bin := buildBench(t, dir)
+	ck := filepath.Join(dir, "ck")
+	_, stderr, code := runBench(t, bin, "-exp", "fig6x", "-scale", "quick", "-checkpoint", ck)
+	if code != 1 || !strings.Contains(stderr, `unknown -exp "fig6x"`) {
+		t.Fatalf("-exp fig6x: exit %d, stderr %q; want exit 1 naming the experiment", code, stderr)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if e.Name() != filepath.Base(bin) {
+			t.Errorf("the refused run left %s behind", e.Name())
+		}
+	}
+}
+
 // TestShardsReduceToSerialTable drives the shard workflow end to end:
 // two shards into their own files, concatenated in reverse order and
 // reduced, print the serial table; shards run under different seeds

@@ -65,9 +65,6 @@ func main() {
 		BreakerThreshold: *brThresh,
 		BreakerCooldown:  *brCool,
 		RetryAfter:       *retryAfter,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
 	})
 	if err != nil {
 		fatalf("%v", err)

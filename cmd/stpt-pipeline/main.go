@@ -82,7 +82,7 @@ func main() {
 		inPath      = flag.String("in", "", "one-shot mode: ingest this CSV ('-' = stdin, http(s):// = fetched with bounded retries), publish, exit")
 		deadPath    = flag.String("dead-letter", "", "quarantine file for malformed readings (JSONL; default: no file, counted only)")
 		listen      = flag.String("listen", "", "daemon mode: serve ingestion + supervision on this address")
-		token       = flag.String("token", "", "bearer token for mutating HTTP endpoints")
+		token       = flag.String("token", "", "bearer token for mutating HTTP endpoints; required with -listen")
 		reloadURL   = flag.String("reload-url", "", "POST this URL after each publication (stpt-serve /-/reload)")
 		reloadToken = flag.String("reload-token", "", "bearer token for -reload-url")
 		interval    = flag.Duration("interval", time.Second, "daemon poll interval between idle checks")
@@ -109,6 +109,8 @@ func main() {
 		fatalf("missing -eps-node (per-node privacy budget)")
 	case *inPath == "" && *listen == "":
 		fatalf("nothing to do: give -in for one-shot mode or -listen for the daemon")
+	case *listen != "" && *token == "":
+		fatalf("-listen needs -token: the daemon refuses every mutating request without one")
 	}
 	if a, err := profiling.Serve(*pprofAddr); err != nil {
 		fatalf("%v", err)
@@ -189,9 +191,6 @@ func main() {
 				Interval:    *scrubEvery,
 				BytesPerSec: *scrubRate,
 				Targets:     scrub.PipelineTargets(*outDir, manifestPath, *ledgerPath, *walPath),
-				Logf: func(format string, args ...any) {
-					fmt.Fprintf(os.Stderr, format+"\n", args...)
-				},
 			})
 			if err != nil {
 				fatalf("%v", err)

@@ -271,6 +271,32 @@ func TestDaemonIngestToPublish(t *testing.T) {
 	}
 }
 
+// TestDaemonRefusesToListenWithoutToken: -listen without -token exits 1
+// before it opens the WAL or the ledger, since such a daemon would
+// refuse every ingest and budget request.
+func TestDaemonRefusesToListenWithoutToken(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the binary")
+	}
+	dir := t.TempDir()
+	cmd := exec.Command(buildPipelineBin(t, dir),
+		"-wal", filepath.Join(dir, "feed.wal"), "-grid", "2", "-t", "12",
+		"-window", "3", "-listen", "127.0.0.1:0", "-out", filepath.Join(dir, "out"),
+		"-ledger", filepath.Join(dir, "budget.ledger"), "-eps-node", "0.5")
+	var buf bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &buf, &buf
+	err := cmd.Run()
+	var exitErr *exec.ExitError
+	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 || !strings.Contains(buf.String(), "-listen needs -token") {
+		t.Fatalf("-listen without -token: %v, want exit 1 naming -token\n%s", err, buf.String())
+	}
+	for _, name := range []string{"feed.wal", "budget.ledger"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("the refused start created %s (stat: %v)", name, err)
+		}
+	}
+}
+
 // TestDaemonDrainsOnSIGTERM: SIGTERM — what init systems and container
 // runtimes send — drains exactly like SIGINT: the HTTP server shuts
 // down gracefully and the process exits 0, rather than dying with the

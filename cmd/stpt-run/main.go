@@ -11,6 +11,8 @@
 // With -ledger, every release durably charges its ε to a crash-safe
 // budget ledger first, and -budget sets the lifetime ε per dataset
 // beyond which stpt-run refuses to release (non-zero exit, no output).
+// A ledger has one writer: while another process (a stpt-pipeline
+// daemon, say) holds the file, the release is refused the same way.
 package main
 
 import (

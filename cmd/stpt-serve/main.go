@@ -146,9 +146,6 @@ func main() {
 			Peer:     *follow,
 			Dir:      *dataDir,
 			Interval: *syncEvery,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			},
 		})
 		if err != nil {
 			fatalf("%v", err)
@@ -164,9 +161,6 @@ func main() {
 			Interval:    *scrubEvery,
 			BytesPerSec: *scrubRate,
 			Targets:     scrub.StoreTargets(store),
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			},
 		}
 		if fl != nil {
 			// A follower self-heals: a quarantined release is re-fetched

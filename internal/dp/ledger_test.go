@@ -11,6 +11,7 @@ import (
 	"syscall"
 	"testing"
 
+	"repro/internal/journal"
 	"repro/internal/resilience"
 )
 
@@ -444,5 +445,62 @@ func TestLedgerChargeENOSPCSelfHeals(t *testing.T) {
 				t.Fatalf("ledger has %d lines, want 3 (torn tail must be healed away)", n)
 			}
 		})
+	}
+}
+
+// TestLedgerOneWriter replays a continual-release daemon and a one-shot
+// release sharing one ledger file. Two handles would each append at
+// their own offset, so the daemon's next charge overwrites the release's
+// line and the file forgets the ε=30 spent on "ca". The second open is
+// refused instead, naming the file and changing no byte; once the
+// daemon's handle is closed, the budget holds across releases.
+func TestLedgerOneWriter(t *testing.T) {
+	ctx := context.Background()
+	path := filepath.Join(t.TempDir(), "budget.ledger")
+	stream := LedgerEntry{Dataset: "stream", Algorithm: "tree", EpsSanitize: 0.5}
+	ca := LedgerEntry{Dataset: "ca", Algorithm: "identity", EpsSanitize: 30}
+
+	daemon := openTestLedger(t, path)
+	if err := daemon.Charge(ctx, stream, 0); err != nil {
+		t.Fatal(err)
+	}
+	held, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := OpenLedger(path)
+	if err == nil {
+		cerr := run.Charge(ctx, ca, 30)
+		run.Close()
+		derr := daemon.Charge(ctx, stream, 0)
+		raw, _ := os.ReadFile(path)
+		sc, serr := ScanLedger(path, raw)
+		if serr != nil {
+			t.Fatalf("a second handle opened the held ledger (charges: %v, %v); the file no longer scans: %v", cerr, derr, serr)
+		}
+		t.Fatalf("a second handle opened the held ledger (charges: %v, %v); the file now reports Spent(ca) = %g after ε=30 was charged",
+			cerr, derr, sc.Spent["ca"])
+	}
+	if !errors.Is(err, journal.ErrLocked) || !strings.Contains(err.Error(), path) {
+		t.Fatalf("second open of a held ledger: %v, want journal.ErrLocked naming %s", err, path)
+	}
+	if raw, err := os.ReadFile(path); err != nil || string(raw) != string(held) {
+		t.Fatalf("the refused open changed the ledger (%v):\n%s", err, raw)
+	}
+	if err := daemon.Charge(ctx, stream, 0); err != nil {
+		t.Fatal(err)
+	}
+	daemon.Close()
+
+	for i, want := range []error{nil, ErrBudgetExhausted} {
+		run, err := OpenLedger(path)
+		if err != nil {
+			t.Fatalf("release %d: open after the daemon closed: %v", i+1, err)
+		}
+		err = run.Charge(ctx, ca, 30)
+		run.Close()
+		if !errors.Is(err, want) {
+			t.Fatalf("release %d of ε=30 against a budget of 30: %v, want %v", i+1, err, want)
+		}
 	}
 }

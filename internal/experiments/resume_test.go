@@ -76,7 +76,9 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 		t.Fatal("no cells checkpointed before the crash")
 	}
 
-	// Restart: reopen the file as a fresh process would.
+	// Restart: the crashed process's file is closed, and the file is
+	// reopened as a fresh process would.
+	ck.Close()
 	ck2, err := journal.OpenCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)
@@ -157,6 +159,7 @@ func TestCheckpointCrashBeforeWrite(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want power loss", err)
 	}
+	ck.Close()
 	ck2, err := journal.OpenCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)

@@ -113,6 +113,7 @@ func TestParallelSweepCheckpointInterchangeable(t *testing.T) {
 	sameResults(t, got, want)
 
 	// Resume the parallel run's file serially: every cell must be cached.
+	ck.Close()
 	ck2, err := journal.OpenCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)

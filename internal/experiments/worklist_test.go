@@ -218,6 +218,7 @@ func TestBindCheckpoint(t *testing.T) {
 	if err := ck.Record("fig6/CA/uniform/stpt/rep0", cell); err != nil {
 		t.Fatal(err)
 	}
+	ck.Close()
 	ck, err = journal.OpenCheckpoint(path)
 	if err != nil {
 		t.Fatal(err)

@@ -17,6 +17,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"os"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -59,9 +60,6 @@ type Config struct {
 	RetryAfter time.Duration
 	// HTTP is the transport; nil means http.DefaultClient.
 	HTTP *http.Client
-	// Logf, when non-nil, receives one structured line per failover
-	// event (replica down/up, breaker transitions, hedges).
-	Logf func(format string, args ...any)
 }
 
 func (c Config) withDefaults() Config {
@@ -130,12 +128,6 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g.met = newGateMetrics(g)
 	return g, nil
-}
-
-func (g *Gateway) logf(format string, args ...any) {
-	if g.cfg.Logf != nil {
-		g.cfg.Logf(format, args...)
-	}
 }
 
 func (g *Gateway) client() *http.Client {
@@ -291,7 +283,7 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request) {
 			}
 			failures = append(failures, res)
 			g.met.failovers.Inc()
-			g.logf("gate: event=attempt outcome=failed replica=%s id=%s error=%q status=%d",
+			fmt.Fprintf(os.Stderr, "gate: event=attempt outcome=failed replica=%s id=%s error=%q status=%d\n",
 				res.rep.url, reqid.FromContext(r.Context()), errString(res.err), res.status)
 			if launch() {
 				inflight++
@@ -306,7 +298,7 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request) {
 			if launch() {
 				inflight++
 				g.met.hedges.Inc()
-				g.logf("gate: event=hedge id=%s after=%s", reqid.FromContext(r.Context()), g.cfg.HedgeAfter)
+				fmt.Fprintf(os.Stderr, "gate: event=hedge id=%s after=%s\n", reqid.FromContext(r.Context()), g.cfg.HedgeAfter)
 			}
 		case <-r.Context().Done():
 			writeJSONError(w, http.StatusGatewayTimeout, "client request cancelled or timed out", "")

@@ -2,8 +2,10 @@ package gate
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net/http"
+	"os"
 	"time"
 )
 
@@ -55,6 +57,6 @@ func (g *Gateway) probeOnce(ctx context.Context, rep *replica) {
 		if !ok {
 			outcome = "down"
 		}
-		g.logf("gate: event=probe replica=%s outcome=%s", rep.url, outcome)
+		fmt.Fprintf(os.Stderr, "gate: event=probe replica=%s outcome=%s\n", rep.url, outcome)
 	}
 }

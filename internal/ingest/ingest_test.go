@@ -136,7 +136,9 @@ func TestIngestCrashReplayIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := in.Snapshot()
-	// Simulated crash: the ingester is abandoned without Close.
+	// Simulated crash: the ingester is abandoned. The kernel closes a
+	// killed process's file; Close does only that (it flushes nothing).
+	in.Close()
 
 	re, err := New(Config{Cx: cx, Cy: cy, Ct: ct, BatchSize: 32}, wal)
 	if err != nil {

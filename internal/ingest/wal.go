@@ -169,14 +169,27 @@ func walSegments(path string, base uint64) (folded, tail []uint64, err error) {
 // any other damage is an ErrWALCorrupt. replay may be nil to skip
 // delivery (still validates).
 //
+// The active file is locked first (journal.OpenLocked): while another
+// handle holds the log, the open is refused with journal.ErrLocked
+// before any segment is read, deleted or truncated.
+//
 // Sealed segments with sequence <= base are skipped — those are folded
 // into a snapshot the caller has already loaded (base 0 means no
 // snapshot). The sealed segments that remain must be contiguous from
-// base+1 (see walSegments); a gap is refused before anything is
+// base+1 (see walSegments); a gap is refused before any segment is
 // touched. Covered segments still on disk (a crash landed between the
 // snapshot commit and the segment deletes) are then deleted, finishing
 // the interrupted compaction.
-func OpenWALAfter(path string, base uint64, replay func(batch []Reading) error) (*WAL, error) {
+func OpenWALAfter(path string, base uint64, replay func(batch []Reading) error) (_ *WAL, err error) {
+	f, err := journal.OpenLocked(path)
+	if err != nil {
+		return nil, fmt.Errorf("ingest: opening WAL: %w", err)
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
 	folded, tail, err := walSegments(path, base)
 	if err != nil {
 		return nil, err
@@ -194,12 +207,7 @@ func OpenWALAfter(path string, base uint64, replay func(batch []Reading) error) 
 		w.sealed = append(w.sealed, seq)
 		w.seq = seq + 1
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("ingest: opening WAL: %w", err)
-	}
 	if w.h, err = w.recoverActive(f, replay); err != nil {
-		f.Close()
 		return nil, err
 	}
 	return w, nil

@@ -42,7 +42,9 @@ func TestCheckpointRoundTripAcrossReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Simulate a kill + restart: reopen from disk.
+	// Simulate a kill + restart: the kernel closes a killed process's
+	// file, then the restart reopens it from disk.
+	c.Close()
 	c2 := openCheckpoint(t, path)
 	if c2.Len() != 2 {
 		t.Fatalf("Len = %d", c2.Len())
@@ -78,6 +80,7 @@ func TestCheckpointNotesReplacedValues(t *testing.T) {
 		t.Fatal("a record made after the open was noted")
 	}
 
+	c.Close()
 	c2 := openCheckpoint(t, path)
 	if old, ok := c2.Replaced("same"); ok {
 		t.Fatalf("identical lines noted as a change from %s", old)
@@ -104,6 +107,7 @@ func TestCheckpointTornTailCostsOneCell(t *testing.T) {
 		}
 	}
 	whole := readFile(t, path)
+	c.Close()
 	if err := os.Truncate(path, int64(len(whole)-20)); err != nil {
 		t.Fatal(err)
 	}
@@ -199,6 +203,7 @@ func TestCheckpointConcurrentRecord(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
+	c.Close()
 	c2 := openCheckpoint(t, path)
 	if c2.Len() != 16 {
 		t.Fatalf("persisted %d cells", c2.Len())

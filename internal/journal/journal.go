@@ -24,6 +24,12 @@
 // the last durable offset and the handle stays usable. A failed fsync
 // poisons the handle: the kernel may have dropped the dirty pages, so the
 // durable state is unknowable until a reopen re-reads the file.
+//
+// One writer (OpenLocked): every writer gets its file through one call
+// that takes an exclusive flock before anything is read, truncated or
+// deleted. Two appenders on one file would each write at their own end
+// offset and overwrite each other's records; the second is refused
+// instead. Read-only auditors read without the lock.
 package journal
 
 import (
@@ -35,9 +41,36 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"syscall"
 
 	"repro/internal/resilience"
 )
+
+// ErrLocked is wrapped by the refusal to open a journal for writing
+// while another handle, in this process or any other, holds it.
+var ErrLocked = errors.New("another writer holds the journal")
+
+// OpenLocked opens (or creates) the journal file at path for writing and
+// takes an exclusive, non-blocking flock on it, so its caller is the
+// file's one writer before it reads, truncates or deletes anything. A
+// held file is refused with an error wrapping ErrLocked that names path.
+// The kernel drops the lock when the holder closes the file, exits or is
+// killed, so a crash leaves nothing to clean up. The lock costs one
+// syscall per open and none per append.
+func OpenLocked(path string) (*os.File, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("journal: opening %s: %w", path, err)
+	}
+	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		f.Close()
+		if errors.Is(err, syscall.EWOULDBLOCK) {
+			return nil, fmt.Errorf("journal: %s: %w", path, ErrLocked)
+		}
+		return nil, fmt.Errorf("journal: locking %s: %w", path, err)
+	}
+	return f, nil
+}
 
 // Encode marshals v to JSON and frames it as one checksummed line,
 // newline included.
@@ -123,16 +156,16 @@ type Appender struct {
 	broken bool
 }
 
-// Open opens (or creates) the line journal at path, hands its bytes to
-// scan — which returns the durable offset or refuses — and attaches an
-// Appender positioned there. poison is the sentinel that errors from a
-// poisoned handle wrap.
+// Open opens (or creates) the line journal at path through OpenLocked,
+// hands its bytes to scan — which returns the durable offset or refuses —
+// and attaches an Appender positioned there. poison is the sentinel that
+// errors from a poisoned handle wrap.
 func Open(path string, poison error, scan func(raw []byte) (int64, error)) (*Appender, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	f, err := OpenLocked(path)
 	if err != nil {
-		return nil, fmt.Errorf("journal: opening %s: %w", path, err)
+		return nil, err
 	}
-	raw, err := os.ReadFile(path)
+	raw, err := io.ReadAll(f)
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("journal: reading %s: %w", path, err)
@@ -148,9 +181,10 @@ func Open(path string, poison error, scan func(raw []byte) (int64, error)) (*App
 	return nil, err
 }
 
-// Attach returns an Appender on f, whose first durable bytes survived
-// recovery. The torn tail past durable (size > durable) is truncated
-// away, durably, so the next append starts on a record boundary.
+// Attach returns an Appender on f, a file from OpenLocked whose first
+// durable bytes survived recovery. The torn tail past durable (size >
+// durable) is truncated away, durably, so the next append starts on a
+// record boundary.
 func Attach(f *os.File, size, durable int64, poison error) (*Appender, error) {
 	if durable < size {
 		if err := f.Truncate(durable); err != nil {
@@ -229,13 +263,17 @@ func (a *Appender) heal() error {
 }
 
 // Reopen follows the file being renamed away from its path (WAL
-// rotation): it creates a fresh file holding init at the path, fsyncs
-// it, and closes the old descriptor. A failure poisons the handle.
+// rotation): it locks a fresh file at the path through OpenLocked, only
+// then truncates it to hold init, fsyncs it, and closes the old
+// descriptor. A failure, a file another writer holds included, poisons
+// the handle.
 func (a *Appender) Reopen(init []byte) error {
-	f, err := os.OpenFile(a.f.Name(), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := OpenLocked(a.f.Name())
 	if err == nil {
-		if _, err = f.Write(init); err == nil {
-			err = f.Sync()
+		if err = f.Truncate(0); err == nil {
+			if _, err = f.Write(init); err == nil {
+				err = f.Sync()
+			}
 		}
 		if err != nil {
 			f.Close()
@@ -250,5 +288,6 @@ func (a *Appender) Reopen(init []byte) error {
 	return nil
 }
 
-// Close releases the file; every committed record is already durable.
+// Close releases the file and with it the writer's lock; every
+// committed record is already durable.
 func (a *Appender) Close() error { return a.f.Close() }

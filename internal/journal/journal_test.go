@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 
@@ -253,5 +254,67 @@ func TestReopen(t *testing.T) {
 	}
 	if err := a.Reopen([]byte("HDR")); !errors.Is(err, errPoisoned) || !errors.Is(a.Err(), errPoisoned) {
 		t.Fatalf("Reopen in a missing directory = %v", err)
+	}
+}
+
+// scanRaw is the scan callback of a journal with no record rules.
+func scanRaw(raw []byte) (int64, error) {
+	return Scan(raw, decodeRaw, func(int, json.RawMessage) error { return nil })
+}
+
+// TestOneWriter: a second open of a journal while its holder is part
+// way through writing a record — bytes a second open would take for a
+// torn tail and truncate — is refused with ErrLocked, names the path and
+// changes no byte. Closing the holder frees the file.
+func TestOneWriter(t *testing.T) {
+	a, path := openTest(t, manifestCut+"\n")
+	if _, err := a.f.Write([]byte(manifestCharged[:30])); err != nil {
+		t.Fatal(err)
+	}
+	held := readFile(t, path)
+	b, err := Open(path, errPoisoned, scanRaw)
+	if err == nil {
+		b.Close()
+		t.Fatalf("a second handle opened the held journal; the file now holds %q", readFile(t, path))
+	}
+	if !errors.Is(err, ErrLocked) || !strings.Contains(err.Error(), path) {
+		t.Fatalf("second open of a held journal: %v, want ErrLocked naming %s", err, path)
+	}
+	if got := readFile(t, path); got != held {
+		t.Fatalf("the refused open changed the file from %q to %q", held, got)
+	}
+
+	a.Close()
+	b, err = Open(path, errPoisoned, scanRaw)
+	if err != nil {
+		t.Fatalf("open after the holder closed: %v", err)
+	}
+	b.Close()
+	if got := readFile(t, path); got != manifestCut+"\n" {
+		t.Fatalf("open after the holder closed left %q", got)
+	}
+}
+
+// TestReopenLocksBeforeTruncating: a writer that took the path in the
+// rotation window keeps its bytes; the rotating handle is refused with
+// ErrLocked and poisoned.
+func TestReopenLocksBeforeTruncating(t *testing.T) {
+	a, path := openTest(t, manifestCut+"\n")
+	if err := os.Rename(path, path+".1"); err != nil {
+		t.Fatal(err)
+	}
+	b, err := Open(path, errPoisoned, scanRaw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := b.Append(context.Background(), []byte(ledgerEntry+"\n"), "", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Reopen([]byte("HDR")); !errors.Is(err, ErrLocked) || !errors.Is(a.Err(), errPoisoned) {
+		t.Fatalf("Reopen onto a held path = %v (handle err %v), want ErrLocked and poisoned", err, a.Err())
+	}
+	if got := readFile(t, path); got != ledgerEntry+"\n" {
+		t.Fatalf("the other writer's file holds %q after the refused Reopen", got)
 	}
 }

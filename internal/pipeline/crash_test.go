@@ -170,6 +170,14 @@ func TestPipelineCrashChild(t *testing.T) {
 // stall marker, and SIGKILLs it.
 func killAtTransition(t *testing.T, dir, mode string) {
 	t.Helper()
+	stallChild(t, dir, mode)()
+}
+
+// stallChild re-execs the child in the given mode and waits for the
+// stall marker. The child holds its stack until the returned kill
+// SIGKILLs it and waits for it to exit.
+func stallChild(t *testing.T, dir, mode string) (kill func()) {
+	t.Helper()
 	cmd := exec.Command(os.Args[0], "-test.run", "^TestPipelineCrashChild$")
 	cmd.Env = append(os.Environ(), pipeCrashChildEnv+"="+mode, pipeCrashDirEnv+"="+dir)
 	var childLog bytes.Buffer
@@ -177,6 +185,7 @@ func killAtTransition(t *testing.T, dir, mode string) {
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { cmd.Process.Kill() })
 	done := make(chan error, 1)
 	go func() { done <- cmd.Wait() }()
 
@@ -197,10 +206,13 @@ func killAtTransition(t *testing.T, dir, mode string) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if err := cmd.Process.Kill(); err != nil {
-		t.Fatal(err)
+	return func() {
+		t.Helper()
+		if err := cmd.Process.Kill(); err != nil {
+			t.Fatal(err)
+		}
+		<-done
 	}
-	<-done
 }
 
 // goldenArtifacts captures everything exactly-once recovery must
@@ -225,12 +237,11 @@ func captureArtifacts(t *testing.T, dir string) goldenArtifacts {
 		}
 		g.files[name] = b
 	}
-	led, err := dp.OpenLedger(filepath.Join(dir, "ledger"))
+	sc, err := dp.ScanLedger(filepath.Join(dir, "ledger"), g.files["ledger"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.spent = math.Float64bits(led.Spent("stream"))
-	led.Close()
+	g.spent = math.Float64bits(sc.Spent["stream"])
 	return g
 }
 

@@ -13,8 +13,8 @@ import (
 
 // HandlerConfig wires a Supervisor into an HTTP surface.
 type HandlerConfig struct {
-	// Token guards the mutating endpoints (bearer auth); empty disables
-	// auth, which is only sane on localhost.
+	// Token guards the mutating endpoints (bearer auth). Empty refuses
+	// every mutation: an open POST /-/budget could lift the budget.
 	Token string
 	// Integrity, when non-nil, feeds the at-rest scrubber's latched
 	// corrupt set into /readyz: a daemon sitting on damaged journals or
@@ -163,18 +163,15 @@ func writeIngestError(w http.ResponseWriter, err error, body map[string]any) {
 
 // authorised enforces method and bearer-token auth for state-changing
 // endpoints, writing the refusal itself and reporting whether to
-// proceed.
+// proceed. With no token configured nothing is authorised.
 func authorised(w http.ResponseWriter, r *http.Request, token string) bool {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		writeJSON(w, http.StatusMethodNotAllowed, map[string]any{"error": "POST required"})
 		return false
 	}
-	if token == "" {
-		return true
-	}
 	got := strings.TrimPrefix(r.Header.Get("Authorization"), "Bearer ")
-	if subtle.ConstantTimeCompare([]byte(got), []byte(token)) != 1 {
+	if token == "" || subtle.ConstantTimeCompare([]byte(got), []byte(token)) != 1 {
 		writeJSON(w, http.StatusForbidden, map[string]any{"error": "missing or invalid bearer token"})
 		return false
 	}

@@ -26,6 +26,19 @@ func withInjector(h http.Handler, inj *resilience.Injector) http.Handler {
 	})
 }
 
+// drillToken is the bearer token the drills' handlers require.
+const drillToken = "drill"
+
+// postAuthed POSTs body to url with the drills' bearer token.
+func postAuthed(url, body string) (*http.Response, error) {
+	req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Authorization", "Bearer "+drillToken)
+	return http.DefaultClient.Do(req)
+}
+
 // getReadyz fetches /readyz and decodes its body.
 func getReadyz(t *testing.T, base string) (*http.Response, map[string]any) {
 	t.Helper()
@@ -56,14 +69,14 @@ func TestHTTPDiskFull503Resume(t *testing.T) {
 		}
 		return nil
 	})
-	ts := httptest.NewServer(withInjector(Handler(s, HandlerConfig{}), inj))
+	ts := httptest.NewServer(withInjector(Handler(s, HandlerConfig{Token: drillToken}), inj))
 	defer ts.Close()
 
 	feed := feedCSV(tpCt)
 	firstHalf := feedCSV(tpCt / 2)
 	secondHalf := strings.TrimPrefix(feed, firstHalf)
 	post := func(body string) *http.Response {
-		resp, err := http.Post(ts.URL+"/ingest", "text/csv", strings.NewReader(body))
+		resp, err := postAuthed(ts.URL+"/ingest", body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +122,7 @@ func TestHTTPDiskFull503Resume(t *testing.T) {
 	}
 
 	// /-/compact works over HTTP and folds the log.
-	cresp, err := http.Post(ts.URL+"/-/compact", "", nil)
+	cresp, err := postAuthed(ts.URL+"/-/compact", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,10 +144,10 @@ func TestHTTPPoisonedWALReadyz(t *testing.T) {
 	inj.On(resilience.FaultSyncEIO, func(context.Context, any) error {
 		return errors.New("EIO: injected")
 	})
-	ts := httptest.NewServer(withInjector(Handler(s, HandlerConfig{}), inj))
+	ts := httptest.NewServer(withInjector(Handler(s, HandlerConfig{Token: drillToken}), inj))
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+"/ingest", "text/csv", strings.NewReader(feedCSV(1)))
+	resp, err := postAuthed(ts.URL+"/ingest", feedCSV(1))
 	if err != nil {
 		t.Fatal(err)
 	}

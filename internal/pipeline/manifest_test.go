@@ -214,6 +214,7 @@ func TestManifestPoisonedOnFailedSync(t *testing.T) {
 	}
 	// A reopen recovers: the unsynced line is dropped or, if it made it
 	// to disk, is a valid first record — either way the journal opens.
+	m.Close()
 	re, err := OpenManifest(path)
 	if err != nil {
 		t.Fatalf("reopen after poisoning: %v", err)

@@ -292,6 +292,35 @@ func TestPipelineBudgetExhaustionDegradesAndResumes(t *testing.T) {
 	}
 }
 
+// TestPipelineMutationsNeedAToken: a handler configured with no token
+// refuses every mutation with the 403 a wrong token gets, so an
+// unauthenticated {"budget": 0} cannot lift the budget.
+func TestPipelineMutationsNeedAToken(t *testing.T) {
+	s, _ := newPipeline(t, t.TempDir(), Config{Budget: 1.5})
+	ts := httptest.NewServer(Handler(s, HandlerConfig{}))
+	defer ts.Close()
+
+	for _, auth := range []string{"", "Bearer ", "Bearer sesame"} {
+		for _, path := range []string{"/-/budget", "/ingest", "/-/compact"} {
+			req, _ := http.NewRequest(http.MethodPost, ts.URL+path, strings.NewReader(`{"budget": 0}`))
+			if auth != "" {
+				req.Header.Set("Authorization", auth)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusForbidden {
+				t.Errorf("POST %s with Authorization %q and no configured token: %d, want 403", path, auth, resp.StatusCode)
+			}
+		}
+	}
+	if got := s.Status().Budget; got != 1.5 {
+		t.Fatalf("budget after unauthenticated POSTs = %g, want 1.5", got)
+	}
+}
+
 // TestPipelineBudgetEndpointAuth: /-/budget refuses unauthenticated and
 // non-POST callers outright.
 func TestPipelineBudgetEndpointAuth(t *testing.T) {

@@ -98,13 +98,6 @@ const (
 	// supervisor between a stage's durable action and the manifest line
 	// that acknowledges it — the transition recovery must re-derive.
 	FaultManifestAppend Fault = "pipeline/manifest-append"
-	// FaultCatalogServe fires in the serving daemon's catalog handlers
-	// before a catalog listing or file body is served, with the requested
-	// release name (or "catalog" for the listing) as payload. A failing
-	// hook turns replica sync fetches into 500s, exercising the
-	// follower's bounded retry; a stalled hook holds a transfer open so
-	// a kill lands mid-download.
-	FaultCatalogServe Fault = "serve/catalog"
 	// FaultReplicaFetch fires in a follower for every chunk of a release
 	// file it downloads, with a *serve.FetchChunk as payload. Hooks can
 	// flip bytes in the chunk (the checksum verify must refuse the

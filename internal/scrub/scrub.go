@@ -91,8 +91,6 @@ type Config struct {
 	// leader's catalog. A nil Repair (or a failing one) leaves the
 	// corruption latched for readiness to surface.
 	Repair func(ctx context.Context, t Target) error
-	// Logf receives one line per noteworthy event (nil: silent).
-	Logf func(format string, args ...any)
 }
 
 // Scrubber re-verifies artifacts in a loop. All methods are safe for
@@ -266,13 +264,13 @@ func (s *Scrubber) quarantine(t Target, raw []byte) {
 		dst, err = resilience.Quarantine(t.Path)
 	}
 	if err != nil {
-		s.logf("scrub: quarantining %s %s failed: %v", t.Kind, t.Path, err)
+		fmt.Fprintf(os.Stderr, "scrub: quarantining %s %s failed: %v\n", t.Kind, t.Path, err)
 		return
 	}
 	s.mu.Lock()
 	s.quarantined++
 	s.mu.Unlock()
-	s.logf("scrub: event=quarantined kind=%s path=%s dest=%s", t.Kind, t.Path, dst)
+	fmt.Fprintf(os.Stderr, "scrub: event=quarantined kind=%s path=%s dest=%s\n", t.Kind, t.Path, dst)
 }
 
 // repair invokes the configured repair hook and re-verifies its work;
@@ -282,23 +280,23 @@ func (s *Scrubber) repair(ctx context.Context, t Target) {
 		return
 	}
 	if err := s.cfg.Repair(ctx, t); err != nil {
-		s.logf("scrub: event=repair_failed kind=%s path=%s err=%q", t.Kind, t.Path, err)
+		fmt.Fprintf(os.Stderr, "scrub: event=repair_failed kind=%s path=%s err=%q\n", t.Kind, t.Path, err)
 		return
 	}
 	raw, err := os.ReadFile(t.Path)
 	if err != nil {
-		s.logf("scrub: event=repair_unverified kind=%s path=%s err=%q", t.Kind, t.Path, err)
+		fmt.Fprintf(os.Stderr, "scrub: event=repair_unverified kind=%s path=%s err=%q\n", t.Kind, t.Path, err)
 		return
 	}
 	if err := t.Check(raw); err != nil {
-		s.logf("scrub: event=repair_bad_bytes kind=%s path=%s err=%q", t.Kind, t.Path, err)
+		fmt.Fprintf(os.Stderr, "scrub: event=repair_bad_bytes kind=%s path=%s err=%q\n", t.Kind, t.Path, err)
 		return
 	}
 	s.mu.Lock()
 	s.repaired++
 	delete(s.corrupt, t.Path)
 	s.mu.Unlock()
-	s.logf("scrub: event=repaired kind=%s path=%s", t.Kind, t.Path)
+	fmt.Fprintf(os.Stderr, "scrub: event=repaired kind=%s path=%s\n", t.Kind, t.Path)
 }
 
 // throttle sleeps long enough to keep the pass under BytesPerSec.
@@ -323,19 +321,13 @@ func (s *Scrubber) noteCorrupt(path string, verr error) {
 	}
 	s.corrupt[path] = verr.Error()
 	s.mu.Unlock()
-	s.logf("scrub: event=corrupt path=%s err=%q", path, verr)
+	fmt.Fprintf(os.Stderr, "scrub: event=corrupt path=%s err=%q\n", path, verr)
 }
 
 func (s *Scrubber) clearLatch(path string) {
 	s.mu.Lock()
 	delete(s.corrupt, path)
 	s.mu.Unlock()
-}
-
-func (s *Scrubber) logf(format string, args ...any) {
-	if s.cfg.Logf != nil {
-		s.cfg.Logf(format, args...)
-	}
 }
 
 // CorruptArtifacts returns the latched corrupt paths, sorted — the set

@@ -9,8 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-
-	"repro/internal/resilience"
 )
 
 // The release catalog is the replication protocol's entire control
@@ -122,10 +120,6 @@ func BuildCatalog(store *Store) Catalog {
 // manifest. The snapshot is taken once, so the generation id and file
 // list always agree even mid-reload.
 func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
-	if err := resilience.Fire(r.Context(), resilience.FaultCatalogServe, "catalog"); err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Sprintf("injected fault: %v", err))
-		return
-	}
 	writeJSON(w, http.StatusOK, BuildCatalog(s.store))
 }
 
@@ -139,10 +133,6 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 // catalog describes what is serving, not what is on disk.
 func (s *Server) handleCatalogFile(w http.ResponseWriter, r *http.Request) {
 	name := r.URL.Query().Get("d")
-	if err := resilience.Fire(r.Context(), resilience.FaultCatalogServe, name); err != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Sprintf("injected fault: %v", err))
-		return
-	}
 	rel, err := s.store.Get(name)
 	if err != nil {
 		writeError(w, http.StatusNotFound, err.Error())

@@ -58,8 +58,6 @@ type FollowerConfig struct {
 	Retry resilience.Policy
 	// HTTP is the transport; nil means http.DefaultClient.
 	HTTP *http.Client
-	// Logf, when non-nil, receives one line per sync-round outcome.
-	Logf func(format string, args ...any)
 }
 
 // SyncStatus is a follower's replication state, surfaced on /readyz and
@@ -153,12 +151,6 @@ func (f *Follower) Status() SyncStatus {
 	return f.st
 }
 
-func (f *Follower) logf(format string, args ...any) {
-	if f.cfg.Logf != nil {
-		f.cfg.Logf(format, args...)
-	}
-}
-
 // Run syncs once immediately, then every Interval until ctx ends. Sync
 // failures are logged and reflected in Status but never stop the loop —
 // anti-entropy means the next tick always tries again.
@@ -167,7 +159,7 @@ func (f *Follower) Run(ctx context.Context) error {
 	defer tick.Stop()
 	for {
 		if err := f.SyncOnce(ctx); err != nil && ctx.Err() == nil {
-			f.logf("serve: event=sync outcome=failed peer=%s error=%q", f.cfg.Peer, err.Error())
+			fmt.Fprintf(os.Stderr, "serve: event=sync outcome=failed peer=%s error=%q\n", f.cfg.Peer, err.Error())
 		}
 		select {
 		case <-ctx.Done():
@@ -234,7 +226,7 @@ func (f *Follower) SyncOnce(ctx context.Context) error {
 		return f.markFailed(fmt.Errorf("serve: follower: installing generation %d: %w", cat.Generation, err))
 	}
 	f.markSynced(cat.Generation)
-	f.logf("serve: event=sync outcome=ok peer=%s generation=%d datasets=%v",
+	fmt.Fprintf(os.Stderr, "serve: event=sync outcome=ok peer=%s generation=%d datasets=%v\n",
 		f.cfg.Peer, cat.Generation, f.store.Names())
 	return nil
 }
@@ -348,7 +340,7 @@ func (f *Follower) fetchFile(ctx context.Context, cf CatalogFile, dest string) e
 				f.mu.Lock()
 				f.st.CorruptRefused++
 				f.mu.Unlock()
-				f.logf("serve: event=fetch outcome=refused release=%s reason=checksum-mismatch", cf.Name)
+				fmt.Fprintf(os.Stderr, "serve: event=fetch outcome=refused release=%s reason=checksum-mismatch\n", cf.Name)
 				return resilience.MarkRetryable(fmt.Errorf("%s: bytes failed verification (want %d bytes crc32c %08x); refusing install and re-fetching",
 					op, cf.Size, cf.CRC))
 			}
@@ -439,7 +431,7 @@ func (f *Follower) RepairFile(ctx context.Context, path string) error {
 		if err := f.fetchFile(ctx, cf, dest); err != nil {
 			return fmt.Errorf("serve: follower: repairing %s: %w", path, err)
 		}
-		f.logf("serve: event=repair outcome=ok file=%s peer=%s", cf.File, f.cfg.Peer)
+		fmt.Fprintf(os.Stderr, "serve: event=repair outcome=ok file=%s peer=%s\n", cf.File, f.cfg.Peer)
 		return nil
 	}
 	return fmt.Errorf("serve: follower: repairing %s: peer %s no longer advertises it", path, f.cfg.Peer)
