@@ -13,6 +13,8 @@
 // beyond which stpt-run refuses to release (non-zero exit, no output).
 // A ledger has one writer: while another process (a stpt-pipeline
 // daemon, say) holds the file, the release is refused the same way.
+// stpt-run opens the ledger before it runs the algorithm, so either
+// refusal comes before any work.
 package main
 
 import (
@@ -86,6 +88,28 @@ func main() {
 		fatalf("dataset has %d readings; -ttrain %d leaves no release horizon", d.T(), *tTrain)
 	}
 
+	// Opening the ledger takes its one-writer lock, and a request the
+	// budget cannot cover is refused here, before the run. The charge
+	// after the run goes through the same handle and is the check that
+	// counts.
+	var led *dp.Ledger
+	var entry dp.LedgerEntry
+	if *ledgerP != "" {
+		entry = dp.LedgerEntry{Dataset: *dataset, Algorithm: *alg}
+		if entry.Dataset == "" {
+			entry.Dataset = filepath.Base(*in)
+		}
+		if *alg == "stpt" {
+			entry.EpsPattern, entry.EpsSanitize = *epsP, *epsS
+		} else {
+			entry.EpsSanitize = *eps // baselines spend their whole ε on sanitisation
+		}
+		if led, err = openLedger(*ledgerP, entry, *budget); err != nil {
+			fatalRefusal(err)
+		}
+		defer led.Close()
+	}
+
 	clipFactor := *clip
 	if clipFactor <= 0 {
 		_, clipFactor = d.GlobalMinMax()
@@ -144,21 +168,9 @@ func main() {
 	// The ledger charge comes strictly before the release leaves the
 	// process: a crash between the two over-counts spending, which is the
 	// safe direction for a privacy budget.
-	if *ledgerP != "" {
-		entry := dp.LedgerEntry{Dataset: *dataset, Algorithm: *alg}
-		if entry.Dataset == "" {
-			entry.Dataset = filepath.Base(*in)
-		}
-		if *alg == "stpt" {
-			entry.EpsPattern, entry.EpsSanitize = *epsP, *epsS
-		} else {
-			entry.EpsSanitize = *eps // baselines spend their whole ε on sanitisation
-		}
-		if err := chargeLedger(ctx, *ledgerP, entry, *budget); err != nil {
-			if errors.Is(err, dp.ErrBudgetExhausted) {
-				fatalf("refusing to release: %v", err)
-			}
-			fatalf("%v", err)
+	if led != nil {
+		if err := chargeLedger(ctx, led, *ledgerP, entry, *budget); err != nil {
+			fatalRefusal(err)
 		}
 	}
 
@@ -175,21 +187,39 @@ func main() {
 	}
 }
 
-// chargeLedger opens the ledger, durably records the release's spend,
-// and closes it, refusing with dp.ErrBudgetExhausted when the dataset's
-// lifetime budget would be exceeded.
-func chargeLedger(ctx context.Context, path string, entry dp.LedgerEntry, budget float64) error {
+// openLedger opens the ledger at path, which takes its one-writer lock,
+// and refuses with dp.ErrBudgetExhausted when entry would take its
+// dataset past budget.
+func openLedger(path string, entry dp.LedgerEntry, budget float64) (*dp.Ledger, error) {
 	led, err := dp.OpenLedger(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer led.Close()
+	if err := led.Check(entry, budget); err != nil {
+		led.Close()
+		return nil, err
+	}
+	return led, nil
+}
+
+// chargeLedger durably records the release's spend through led,
+// refusing with dp.ErrBudgetExhausted when the dataset's lifetime budget
+// would be exceeded.
+func chargeLedger(ctx context.Context, led *dp.Ledger, path string, entry dp.LedgerEntry, budget float64) error {
 	if err := led.Charge(ctx, entry, budget); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "stpt-run: ledger %s: charged ε=%.3g to %q (lifetime ε=%.3g)\n",
 		path, entry.Eps(), entry.Dataset, led.Spent(entry.Dataset))
 	return nil
+}
+
+// fatalRefusal reports a ledger that refused the release.
+func fatalRefusal(err error) {
+	if errors.Is(err, dp.ErrBudgetExhausted) {
+		fatalf("refusing to release: %v", err)
+	}
+	fatalf("%v", err)
 }
 
 // fatalCtx reports a run failure, naming the deadline when the cause was

@@ -187,20 +187,10 @@ func (l *Ledger) Len() int {
 // (ErrLedgerPoisoned) without counting the entry: a spend the disk may
 // not remember must refuse the publication.
 func (l *Ledger) Charge(ctx context.Context, e LedgerEntry, budget float64) error {
-	if e.Dataset == "" {
-		return errors.New("dp: ledger entry needs a dataset name")
-	}
-	if e.EpsPattern < 0 || e.EpsSanitize < 0 || !isFinite(e.Eps()) {
-		return fmt.Errorf("dp: invalid spend ε_pattern=%v ε_sanitize=%v", e.EpsPattern, e.EpsSanitize)
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.h.Err(); err != nil {
+	if err := l.refusal(e, budget); err != nil {
 		return err
-	}
-	const tol = 1e-9
-	if spent := l.spent[e.Dataset]; budget > 0 && e.Eps() > budget-spent+tol {
-		return &BudgetError{Dataset: e.Dataset, Requested: e.Eps(), Spent: spent, Budget: budget}
 	}
 	e.Seq = l.base + len(l.entries) + 1
 	line, err := journal.Encode(e)
@@ -215,6 +205,34 @@ func (l *Ledger) Charge(ctx context.Context, e LedgerEntry, budget float64) erro
 	}
 	l.entries = append(l.entries, e)
 	l.spent[e.Dataset] += e.Eps()
+	return nil
+}
+
+// Check returns the refusal Charge would return for e at budget now, or
+// nil, and records nothing. A writer that holds the ledger can check
+// before it computes a release and charge after; the charge stays the
+// check that counts.
+func (l *Ledger) Check(e LedgerEntry, budget float64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.refusal(e, budget)
+}
+
+// refusal is the one budget rule of Check and Charge. l.mu is held.
+func (l *Ledger) refusal(e LedgerEntry, budget float64) error {
+	if e.Dataset == "" {
+		return errors.New("dp: ledger entry needs a dataset name")
+	}
+	if e.EpsPattern < 0 || e.EpsSanitize < 0 || !isFinite(e.Eps()) {
+		return fmt.Errorf("dp: invalid spend ε_pattern=%v ε_sanitize=%v", e.EpsPattern, e.EpsSanitize)
+	}
+	if err := l.h.Err(); err != nil {
+		return err
+	}
+	const tol = 1e-9
+	if spent := l.spent[e.Dataset]; budget > 0 && e.Eps() > budget-spent+tol {
+		return &BudgetError{Dataset: e.Dataset, Requested: e.Eps(), Spent: spent, Budget: budget}
+	}
 	return nil
 }
 

@@ -2,6 +2,20 @@ package mat
 
 import "sync"
 
+// The five hot loops of the package run through these variables. They
+// hold the portable Go loops; on amd64, init in kernel_amd64.go swaps in
+// the AVX kernels once, before main runs, when CPUID and XGETBV report
+// AVX with YMM state enabled by the OS. Both give the same bits for every
+// output, so the Go loops serve as the fallback on every other CPU and
+// GOARCH and as the reference the vector kernels are tested against.
+var (
+	mulVec    = mulVecGo    // MulVecTo: dst = a·x
+	tmulVec   = tmulVecGo   // TMulVecTo: dst = aᵀ·x
+	addOuter  = addOuterGo  // AddOuter: m += a·bᵀ
+	mulRows   = mulRowsGo   // rows [r0, r1) of out = a·b (Mul, MulAutoTo)
+	mulATRows = mulATRowsGo // rows [r0, r1) of out = aᵀ·b (MulAutoATTo)
+)
+
 // Packed register-tiled matmul kernel.
 //
 // The kernel copies b into column panels of microNR columns (k-major inside
@@ -155,15 +169,15 @@ func mulPackedRows(out, a, bp []float64, k, n, r0, r1 int) {
 	}
 }
 
-// mulInto packs b once and runs the tiled kernel over every row of
-// out = a·b. out must not alias a or b.
-func mulInto(out, a, b []float64, m, k, n int) {
-	if m == 0 || n == 0 {
+// mulRowsGo computes rows [r0, r1) of out = a·b (a: m x k, b: k x n)
+// by packing b and running the tiled kernel. out must not alias a or b.
+func mulRowsGo(out, a, b []float64, k, n, r0, r1 int) {
+	if r0 >= r1 || n == 0 {
 		return
 	}
 	bp := borrowFloats(packedLen(k, n))
 	packB(*bp, b, k, n)
-	mulPackedRows(out, a, *bp, k, n, 0, m)
+	mulPackedRows(out, a, *bp, k, n, r0, r1)
 	returnFloats(bp)
 }
 
@@ -219,13 +233,13 @@ func mulBTRows(out, a, b []float64, k, n, r0, r1 int) {
 	}
 }
 
-// mulATRows computes rows [r0, r1) of out = aᵀ·b (a: k x m, b: k x n,
+// mulATRowsGo computes rows [r0, r1) of out = aᵀ·b (a: k x m, b: k x n,
 // out: m x n) without materialising the transpose: the k loop is innermost
 // with strided reads of a's columns, and each output element accumulates
 // in increasing k order, matching Mul(a.T(), b) bit-for-bit. Outputs run
 // as 2-row x 4-column register tiles, so eight independent sums share
 // each load of a and b.
-func mulATRows(out, a, b []float64, k, m, n, r0, r1 int) {
+func mulATRowsGo(out, a, b []float64, k, m, n, r0, r1 int) {
 	i := r0
 	for ; i+2 <= r1; i += 2 {
 		o0 := out[i*n : i*n+n]

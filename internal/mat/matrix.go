@@ -1,8 +1,9 @@
 // Package mat provides dense float64 matrix and vector algebra used by the
 // neural network, Kalman filter and convex optimisation substrates. It is a
 // deliberately small, allocation-conscious library: matrices are row-major
-// slices, every operation documents whether it allocates, and the hot path
-// (MatMul) is cache-blocked.
+// slices, every operation documents whether it allocates, and the five hot
+// loops run as AVX assembly on amd64 CPUs that have it, with the same bits
+// as the Go loops that run everywhere else (see kernel.go).
 package mat
 
 import (
@@ -152,9 +153,11 @@ func sameShape3(a, b, c *Matrix) {
 }
 
 // Mul stores a*b into m and returns m. m must not alias a or b.
-// The kernel packs b into column panels and computes register tiles (see
-// kernel.go); results are bit-identical to the historical k-blocked kernel
-// because each element still accumulates its k terms in increasing order.
+// Results are bit-identical to the historical k-blocked kernel because
+// each element still accumulates its k terms in increasing order, both
+// in the AVX row kernel, which reads b in place, and in the Go kernel,
+// which packs b into column panels and computes register tiles (see
+// kernel.go).
 func (m *Matrix) Mul(a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("mat: Mul inner dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -166,7 +169,7 @@ func (m *Matrix) Mul(a, b *Matrix) *Matrix {
 		m.Zero()
 		return m
 	}
-	mulInto(m.Data, a.Data, b.Data, a.Rows, a.Cols, b.Cols)
+	mulRows(m.Data, a.Data, b.Data, a.Cols, b.Cols, 0, a.Rows)
 	return m
 }
 
@@ -194,21 +197,28 @@ func (m *Matrix) MulVecTo(dst, x []float64) []float64 {
 	if len(dst) != m.Rows {
 		panic(fmt.Sprintf("mat: MulVecTo dst length %d, want %d", len(dst), m.Rows))
 	}
-	// Four rows run at a time with four independent accumulators, so the
-	// adds of one row no longer wait on each other's latency. Every output
-	// still sums its terms alone, from 0 and in increasing j, so values are
-	// unchanged. Rows are resliced to exactly len(x), which lets the
-	// compiler drop the bounds checks of the inner loop.
+	mulVec(dst, m.Data, x)
+	return dst
+}
+
+// mulVecGo is MulVecTo's portable loop over a (len(dst) x len(x)).
+//
+// Four rows run at a time with four independent accumulators, so the
+// adds of one row no longer wait on each other's latency. Every output
+// still sums its terms alone, from 0 and in increasing j, so values are
+// unchanged. Rows are resliced to exactly len(x), which lets the
+// compiler drop the bounds checks of the inner loop.
+func mulVecGo(dst, a, x []float64) {
 	n := len(x)
 	i := 0
-	for ; i+4 <= m.Rows; i += 4 {
-		r0 := m.Data[i*n:]
+	for ; i+4 <= len(dst); i += 4 {
+		r0 := a[i*n:]
 		r0 = r0[:len(x)]
-		r1 := m.Data[(i+1)*n:]
+		r1 := a[(i+1)*n:]
 		r1 = r1[:len(x)]
-		r2 := m.Data[(i+2)*n:]
+		r2 := a[(i+2)*n:]
 		r2 = r2[:len(x)]
-		r3 := m.Data[(i+3)*n:]
+		r3 := a[(i+3)*n:]
 		r3 = r3[:len(x)]
 		var s0, s1, s2, s3 float64
 		for j, xv := range x {
@@ -220,8 +230,8 @@ func (m *Matrix) MulVecTo(dst, x []float64) []float64 {
 		d := dst[i : i+4]
 		d[0], d[1], d[2], d[3] = s0, s1, s2, s3
 	}
-	for ; i < m.Rows; i++ {
-		row := m.Data[i*n:]
+	for ; i < len(dst); i++ {
+		row := a[i*n:]
 		row = row[:len(x)]
 		var s float64
 		for j, xv := range x {
@@ -229,7 +239,6 @@ func (m *Matrix) MulVecTo(dst, x []float64) []float64 {
 		}
 		dst[i] = s
 	}
-	return dst
 }
 
 // KahanSum returns a compensated sum of v, robust to cancellation.

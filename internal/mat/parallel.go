@@ -74,7 +74,8 @@ func MulAutoATTo(m, a, b *Matrix) *Matrix {
 // clamped to the number of microMR-row blocks, so tiny matrices never
 // spawn more goroutines than there are register-tile row blocks; at one
 // worker the serial kernel runs, which reproduces historical results
-// exactly.
+// exactly. Each shard runs the row kernel on b as stored, so the Go path
+// packs b once per shard.
 func mulParallelTo(m, a, b *Matrix, workers int) *Matrix {
 	if a.Cols != b.Rows {
 		panic("mat: mulParallelTo inner dimension mismatch")
@@ -92,9 +93,6 @@ func mulParallelTo(m, a, b *Matrix, workers int) *Matrix {
 	if workers <= 1 {
 		return m.Mul(a, b)
 	}
-	// Pack b once; every shard reads the shared panels.
-	bp := borrowFloats(packedLen(a.Cols, b.Cols))
-	packB(*bp, b.Data, a.Cols, b.Cols)
 	blocksPer := (rowBlocks + workers - 1) / workers
 	chunk := blocksPer * microMR // shard boundaries stay tile-aligned
 	var wg sync.WaitGroup
@@ -106,11 +104,10 @@ func mulParallelTo(m, a, b *Matrix, workers int) *Matrix {
 		wg.Add(1)
 		go func(r0, r1 int) {
 			defer wg.Done()
-			mulPackedRows(m.Data, a.Data, *bp, a.Cols, b.Cols, r0, r1)
+			mulRows(m.Data, a.Data, b.Data, a.Cols, b.Cols, r0, r1)
 		}(r0, r1)
 	}
 	wg.Wait()
-	returnFloats(bp)
 	return m
 }
 

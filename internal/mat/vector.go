@@ -133,30 +133,36 @@ func (m *Matrix) GlorotUniform(rng *rand.Rand, fanIn, fanOut int) *Matrix {
 
 // AddOuter performs m += a*bᵀ in place. Rows whose a value is exactly
 // zero are skipped, as sparse backward signals are common.
+func (m *Matrix) AddOuter(a, b []float64) *Matrix {
+	if m.Rows != len(a) || m.Cols != len(b) {
+		panic("mat: AddOuter shape mismatch")
+	}
+	addOuter(m.Data, a, b)
+	return m
+}
+
+// addOuterGo is AddOuter's portable loop over m (len(a) x len(b)).
 //
 // Rows run four at a time, so each b value loaded serves four rows. Every
 // element still receives its one product, so values are unchanged. A
 // group that holds an exact zero a falls back to the one-row loop, so the
 // skip stays per row.
-func (m *Matrix) AddOuter(a, b []float64) *Matrix {
-	if m.Rows != len(a) || m.Cols != len(b) {
-		panic("mat: AddOuter shape mismatch")
-	}
+func addOuterGo(m, a, b []float64) {
 	n := len(b)
 	i := 0
 	for ; i+4 <= len(a); i += 4 {
 		a0, a1, a2, a3 := a[i], a[i+1], a[i+2], a[i+3]
 		if a0 == 0 || a1 == 0 || a2 == 0 || a3 == 0 {
-			m.addOuterRows(a, b, i, i+4)
+			addOuterRows(m, a, b, i, i+4)
 			continue
 		}
-		r0 := m.Data[i*n:]
+		r0 := m[i*n:]
 		r0 = r0[:len(b)]
-		r1 := m.Data[(i+1)*n:]
+		r1 := m[(i+1)*n:]
 		r1 = r1[:len(b)]
-		r2 := m.Data[(i+2)*n:]
+		r2 := m[(i+2)*n:]
 		r2 = r2[:len(b)]
-		r3 := m.Data[(i+3)*n:]
+		r3 := m[(i+3)*n:]
 		r3 = r3[:len(b)]
 		for j, bv := range b {
 			r0[j] += a0 * bv
@@ -165,20 +171,19 @@ func (m *Matrix) AddOuter(a, b []float64) *Matrix {
 			r3[j] += a3 * bv
 		}
 	}
-	m.addOuterRows(a, b, i, len(a))
-	return m
+	addOuterRows(m, a, b, i, len(a))
 }
 
 // addOuterRows adds a[i]*bᵀ into rows [i0, i1) of m one row at a time,
 // skipping rows whose a value is exactly zero.
-func (m *Matrix) addOuterRows(a, b []float64, i0, i1 int) {
+func addOuterRows(m, a, b []float64, i0, i1 int) {
 	n := len(b)
 	for i := i0; i < i1; i++ {
 		av := a[i]
 		if av == 0 {
 			continue
 		}
-		row := m.Data[i*n:]
+		row := m[i*n:]
 		row = row[:len(b)]
 		for j, bv := range b {
 			row[j] += av * bv
@@ -193,14 +198,9 @@ func (m *Matrix) TMulVec(x []float64) []float64 {
 }
 
 // TMulVecTo computes dst = aᵀ*x into a caller-provided buffer and returns
-// dst. dst must not alias x; it is zeroed first, so results match TMulVec
+// dst. dst must not alias x; it is overwritten, so results match TMulVec
 // bit-for-bit. A row whose x value is exactly zero is skipped, which keeps
 // sparse backward signals cheap.
-//
-// Rows run four at a time: dst[j] stays in a register while rows i..i+3
-// add into it in increasing i, which is the order the one-row loop adds
-// them in, so every output keeps its bits. A group that holds an exact
-// zero x falls back to the one-row loop, so the skip stays per row.
 func (m *Matrix) TMulVecTo(dst, x []float64) []float64 {
 	if len(x) != m.Rows {
 		panic("mat: TMulVec length mismatch")
@@ -208,22 +208,33 @@ func (m *Matrix) TMulVecTo(dst, x []float64) []float64 {
 	if len(dst) != m.Cols {
 		panic("mat: TMulVecTo dst length mismatch")
 	}
+	tmulVec(dst, m.Data, x)
+	return dst
+}
+
+// tmulVecGo is TMulVecTo's portable loop over a (len(x) x len(dst)).
+//
+// Rows run four at a time: dst[j] stays in a register while rows i..i+3
+// add into it in increasing i, which is the order the one-row loop adds
+// them in, so every output keeps its bits. A group that holds an exact
+// zero x falls back to the one-row loop, so the skip stays per row.
+func tmulVecGo(dst, a, x []float64) {
 	clear(dst)
 	n := len(dst)
 	i := 0
 	for ; i+4 <= len(x); i += 4 {
 		x0, x1, x2, x3 := x[i], x[i+1], x[i+2], x[i+3]
 		if x0 == 0 || x1 == 0 || x2 == 0 || x3 == 0 {
-			m.tmulRows(dst, x, i, i+4)
+			tmulRows(dst, a, x, i, i+4)
 			continue
 		}
-		r0 := m.Data[i*n:]
+		r0 := a[i*n:]
 		r0 = r0[:len(dst)]
-		r1 := m.Data[(i+1)*n:]
+		r1 := a[(i+1)*n:]
 		r1 = r1[:len(dst)]
-		r2 := m.Data[(i+2)*n:]
+		r2 := a[(i+2)*n:]
 		r2 = r2[:len(dst)]
-		r3 := m.Data[(i+3)*n:]
+		r3 := a[(i+3)*n:]
 		r3 = r3[:len(dst)]
 		for j, d := range dst {
 			d += x0 * r0[j]
@@ -233,20 +244,19 @@ func (m *Matrix) TMulVecTo(dst, x []float64) []float64 {
 			dst[j] = d
 		}
 	}
-	m.tmulRows(dst, x, i, len(x))
-	return dst
+	tmulRows(dst, a, x, i, len(x))
 }
 
-// tmulRows adds rows [i0, i1) of m, scaled by x, into dst one row at a
+// tmulRows adds rows [i0, i1) of a, scaled by x, into dst one row at a
 // time, skipping rows whose x value is exactly zero.
-func (m *Matrix) tmulRows(dst, x []float64, i0, i1 int) {
+func tmulRows(dst, a, x []float64, i0, i1 int) {
 	n := len(dst)
 	for i := i0; i < i1; i++ {
 		xv := x[i]
 		if xv == 0 {
 			continue
 		}
-		row := m.Data[i*n:]
+		row := a[i*n:]
 		row = row[:len(dst)]
 		for j, v := range row {
 			dst[j] += xv * v
