@@ -130,7 +130,7 @@ func main() {
 		var err error
 		sh, err = experiments.ParseShard(*shard)
 		if err == nil {
-			_, err = experiments.NewSweepSpec(*exp, *dataset, *layout, opts).WorkList()
+			err = experiments.CheckShardable(*exp, *dataset, *layout)
 		}
 		if err != nil {
 			fatalf("-shard: %v", err)

@@ -22,9 +22,9 @@ type Row struct {
 
 // comparison declares one comparison table: STPT plus a fixed set of
 // alternatives, scored over rows of (dataset, layout) that each share
-// one dataset, truth and query draw. The in-process runner, the
-// distributed work list and the cell runner all read the declaration,
-// so a table's rows, columns and cell keys cannot drift between them.
+// one dataset, truth and query draw. RunComparison, RunFig6Single and
+// RunShard all run a table through runComparison, so a shard computes
+// the serial sweep's cells under the serial sweep's keys.
 type comparison struct {
 	name   string // the experiment, and the root of every cell key
 	single string // the experiment running one row of the table, if any

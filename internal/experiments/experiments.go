@@ -72,6 +72,11 @@ type Options struct {
 	// zero value keeps the historical fail-fast behaviour. (STPT runs
 	// carry their own policy inside core.Config.)
 	Retry resilience.Policy
+
+	// shard, when set, limits a sweep to the cells it owns: the others
+	// are neither computed nor recorded, so the sweep's averages are
+	// partial (RunShard).
+	shard *Shard
 }
 
 // Quick returns a configuration that exercises every code path in seconds.
@@ -253,6 +258,9 @@ func (o Options) runCells(ctx context.Context, algs []algCells) ([]AlgResult, er
 	err := parallel.Do(ctx, o.Workers, n, func(i int) error {
 		a, rep := i/reps, i%reps
 		key := repKey(algs[a].prefix, rep)
+		if o.shard != nil && !o.shard.Owns(key) {
+			return nil
+		}
 		if cached := o.lookupRep(key); cached != nil {
 			vals[i] = cached
 			return nil

@@ -95,7 +95,7 @@ func (o Options) patternPoints(ctx context.Context, d *timeseries.Dataset, vs []
 			return fail(v, err)
 		}
 		cells[i] = patternCell{MAE: res.PatternMAE, RMSE: res.PatternRMSE}
-		return o.Checkpoint.Record(key, cells[i])
+		return o.recordRep(ctx, key, cells[i])
 	})
 	if err != nil {
 		return nil, err

@@ -137,48 +137,69 @@ func TestSweepCancellation(t *testing.T) {
 }
 
 // TestCheckpointCrashBeforeWrite proves the crash-before-record window is
-// safe: a cell whose write is interrupted is simply recomputed on resume.
+// safe for both kinds of checkpointed cell, a comparison table's and a
+// Figure 8 pattern panel's: a cell whose write is interrupted is simply
+// recomputed on resume.
 func TestCheckpointCrashBeforeWrite(t *testing.T) {
-	o := micro()
-	path := filepath.Join(t.TempDir(), "sweep.json")
-	ck, err := journal.OpenCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Checkpoint = ck
+	for _, tc := range []struct {
+		name string
+		// key is the crashed cell; before is the cell recorded just before it.
+		key, before string
+		// run runs the sweep and returns how many results it produced.
+		run  func(context.Context, Options) (int, error)
+		want int
+	}{
+		{"fig6-single", "fig6/CA/uniform/identity/rep0", "fig6/CA/uniform/stpt/rep0", func(ctx context.Context, o Options) (int, error) {
+			row, err := RunFig6Single(ctx, o, datasets.CA, datasets.Uniform)
+			return len(row.Results), err
+		}, 8},
+		{"fig8ab", "fig8ab/pp0.05/rep0", "fig8ab/pp0.01/rep0", func(ctx context.Context, o Options) (int, error) {
+			pts, err := RunFig8PatternBudget(ctx, o)
+			return len(pts), err
+		}, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := micro()
+			path := filepath.Join(t.TempDir(), "sweep.json")
+			ck, err := journal.OpenCheckpoint(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			o.Checkpoint = ck
 
-	boom := errors.New("power loss")
-	key := "fig6/CA/uniform/identity/rep0"
-	in := resilience.NewInjector().On(resilience.FaultCheckpoint, func(_ context.Context, payload any) error {
-		if payload == key {
-			return boom
-		}
-		return nil
-	})
-	_, err = RunFig6Single(resilience.WithInjector(context.Background(), in), o, datasets.CA, datasets.Uniform)
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want power loss", err)
-	}
-	ck.Close()
-	ck2, err := journal.OpenCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cell mreCell
-	if ck2.Lookup(key, &cell) {
-		t.Fatal("interrupted cell was recorded")
-	}
-	// The cell before the crash (stpt/rep0) must have survived.
-	if !ck2.Lookup("fig6/CA/uniform/stpt/rep0", &cell) {
-		t.Fatal("cell completed before the crash is missing")
-	}
+			boom := errors.New("power loss")
+			in := resilience.NewInjector().On(resilience.FaultCheckpoint, func(_ context.Context, payload any) error {
+				if payload == tc.key {
+					return boom
+				}
+				return nil
+			})
+			if _, err := tc.run(resilience.WithInjector(context.Background(), in), o); !errors.Is(err, boom) {
+				t.Fatalf("err = %v, want power loss", err)
+			}
+			ck.Close()
+			ck2, err := journal.OpenCheckpoint(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ck2.Lookup(tc.key, nil) {
+				t.Fatal("interrupted cell was recorded")
+			}
+			if !ck2.Lookup(tc.before, nil) {
+				t.Fatal("cell completed before the crash is missing")
+			}
 
-	o.Checkpoint = ck2
-	row, err := RunFig6Single(context.Background(), o, datasets.CA, datasets.Uniform)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(row.Results) != 8 {
-		t.Fatalf("resumed results = %d", len(row.Results))
+			o.Checkpoint = ck2
+			n, err := tc.run(context.Background(), o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n != tc.want {
+				t.Fatalf("resumed results = %d, want %d", n, tc.want)
+			}
+			if !ck2.Lookup(tc.key, nil) {
+				t.Fatal("resume did not record the interrupted cell")
+			}
+		})
 	}
 }

@@ -28,16 +28,13 @@ func TestParseShard(t *testing.T) {
 	}
 }
 
-// TestShardsPartitionWorkList: for every shard count, the shards' cells
-// are the work list, each key in exactly one shard.
-func TestShardsPartitionWorkList(t *testing.T) {
+// TestShardsPartitionCells: for every shard count, the shards' cells
+// are the serial sweep's cells, each key in exactly one shard.
+func TestShardsPartitionCells(t *testing.T) {
 	o := micro()
 	o.Reps = 3
 	for _, exp := range []string{"fig6", "ldp"} {
-		keys, err := NewSweepSpec(exp, "", "", o).WorkList()
-		if err != nil {
-			t.Fatal(err)
-		}
+		keys := serialKeys(t, o, exp, "", "")
 		for n := 1; n <= 4; n++ {
 			owners := map[string]int{}
 			for i := 0; i < n; i++ {
@@ -75,6 +72,17 @@ func runSweep(ctx context.Context, o Options, exp, dataset, layout string) ([]Ro
 	}
 	row, err := RunFig6Single(ctx, o, spec, lay)
 	return []Row{row}, err
+}
+
+// serialKeys runs a sweep serially into a memory checkpoint and returns
+// the keys of the cells it recorded.
+func serialKeys(t *testing.T, o Options, exp, dataset, layout string) []string {
+	t.Helper()
+	o.Checkpoint = journal.NewMemoryCheckpoint()
+	if _, err := runSweep(context.Background(), o, exp, dataset, layout); err != nil {
+		t.Fatal(err)
+	}
+	return o.Checkpoint.Keys()
 }
 
 // openBound opens the checkpoint at path and binds it to o, as
@@ -124,14 +132,13 @@ func TestShardedSweepReducesToSerialRows(t *testing.T) {
 		t.Run(tc.exp, func(t *testing.T) {
 			o := micro()
 			o.Reps = 2
-			want, err := runSweep(context.Background(), o, tc.exp, tc.dataset, tc.layout)
+			serial := o
+			serial.Checkpoint = journal.NewMemoryCheckpoint()
+			want, err := runSweep(context.Background(), serial, tc.exp, tc.dataset, tc.layout)
 			if err != nil {
 				t.Fatal(err)
 			}
-			keys, err := NewSweepSpec(tc.exp, tc.dataset, tc.layout, o).WorkList()
-			if err != nil {
-				t.Fatal(err)
-			}
+			keys := serial.Checkpoint.Keys()
 
 			dir := t.TempDir()
 			var parts []string
@@ -215,7 +222,7 @@ func TestShardResumesFromItsOwnFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys, _ := NewSweepSpec("fig6-single", "CA", "uniform", o).WorkList()
+	keys := serialKeys(t, o, "fig6-single", "CA", "uniform")
 	if n != len(keys)-3 {
 		t.Fatalf("resumed shard computed %d cells, want the %d the first run left", n, len(keys)-3)
 	}
@@ -300,5 +307,173 @@ func TestBindCheckpointRefusesMixedOptions(t *testing.T) {
 	concat(t, agreeing, again1, seed1)
 	if _, n := openBound(t, agreeing, micro()); n != 2 {
 		t.Fatalf("agreeing shards hold %d cells, want 2", n)
+	}
+}
+
+// TestShardOfOneWritesSerialCheckpoint: for every sweep shards split, the
+// one shard of one at one worker writes the serial sweep's checkpoint
+// file byte for byte, so a shard keys, computes and records each cell as
+// the serial sweep does.
+func TestShardOfOneWritesSerialCheckpoint(t *testing.T) {
+	for _, tc := range []struct {
+		name, exp, dataset, layout string
+	}{
+		{"fig6-single-CA-uniform", "fig6-single", "CA", "uniform"},
+		{"fig6-single-CER-losangeles", "fig6-single", "CER", "losangeles"},
+		{"fig7", "fig7", "", ""},
+		{"ldp", "ldp", "", ""},
+		{"extended", "extended", "", ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := micro()
+			o.Reps = 2
+			o.Workers = 1
+			dir := t.TempDir()
+			serialPath, shardPath := filepath.Join(dir, "serial"), filepath.Join(dir, "shard")
+
+			serial := o
+			serial.Checkpoint, _ = openBound(t, serialPath, o)
+			if _, err := runSweep(context.Background(), serial, tc.exp, tc.dataset, tc.layout); err != nil {
+				t.Fatal(err)
+			}
+			sharded := o
+			sharded.Checkpoint, _ = openBound(t, shardPath, o)
+			n, err := RunShard(context.Background(), sharded, tc.exp, tc.dataset, tc.layout, Shard{I: 0, N: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cells := serial.Checkpoint.Len() - 1; n != cells {
+				t.Fatalf("shard computed %d cells, the serial sweep %d", n, cells)
+			}
+			want, err := os.ReadFile(serialPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(shardPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("shard 0/1 wrote\n%s\nthe serial sweep wrote\n%s", got, want)
+			}
+		})
+	}
+}
+
+// TestShardRefusesNonComparisonSweeps: only the comparison sweeps split
+// into shards. Any other experiment, and a fig6-single row naming an
+// unknown dataset or layout, is refused by CheckShardable and by
+// RunShard alike, before any cell runs.
+func TestShardRefusesNonComparisonSweeps(t *testing.T) {
+	for _, tc := range []struct{ exp, dataset, layout, want string }{
+		{"fig8c", "", "", "not a comparison sweep"},
+		{"table2", "", "", "not a comparison sweep"},
+		{"fig9", "", "", "not a comparison sweep"},
+		{"ablations", "", "", "not a comparison sweep"},
+		{"all", "", "", "not a comparison sweep"},
+		{"", "", "", "not a comparison sweep"},
+		{"fig6-single", "NOPE", "uniform", "NOPE"},
+		{"fig6-single", "CER", "sideways", "sideways"},
+	} {
+		err := CheckShardable(tc.exp, tc.dataset, tc.layout)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("CheckShardable(%q, %q, %q) = %v, want an error naming %q", tc.exp, tc.dataset, tc.layout, err, tc.want)
+		}
+		o := micro()
+		o.Checkpoint = journal.NewMemoryCheckpoint()
+		_, rerr := RunShard(context.Background(), o, tc.exp, tc.dataset, tc.layout, Shard{I: 0, N: 1})
+		if rerr == nil || rerr.Error() != err.Error() || o.Checkpoint.Len() != 0 {
+			t.Fatalf("RunShard(%q, %q, %q): err = %v with %d cells recorded, want %v and none", tc.exp, tc.dataset, tc.layout, rerr, o.Checkpoint.Len(), err)
+		}
+	}
+}
+
+// TestBindCheckpoint: a checkpoint is bound to the output-affecting
+// options of the run that created it. A run under different options is
+// refused (it would be served stale cells), a run differing only in
+// process-local knobs or the rep count resumes, and a non-empty file
+// with no options record cannot be matched to any options.
+func TestBindCheckpoint(t *testing.T) {
+	o := micro()
+	path := filepath.Join(t.TempDir(), "sweep.json")
+	ck, err := journal.OpenCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := BindCheckpoint(ck, o); err != nil || n != 0 {
+		t.Fatalf("fresh checkpoint: n = %d, err = %v", n, err)
+	}
+	cell := encodeMRE(map[query.Class]float64{query.Random: 1})
+	if err := ck.Record("fig6/CA/uniform/stpt/rep0", cell); err != nil {
+		t.Fatal(err)
+	}
+	ck.Close()
+	ck, err = journal.OpenCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ck.Lookup(optionsKey, nil) {
+		t.Fatal("fresh checkpoint did not record its options")
+	}
+
+	for name, mut := range map[string]func(*Options){
+		"seed":       func(o *Options) { o.Seed++ },
+		"cx":         func(o *Options) { o.Cx *= 2 },
+		"households": func(o *Options) { o.Households++ },
+	} {
+		other := o
+		mut(&other)
+		_, err := BindCheckpoint(ck, other)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf(`"seed":%d`, o.Seed)) ||
+			!strings.Contains(err.Error(), fmt.Sprintf(`"seed":%d`, other.Seed)) {
+			t.Fatalf("different %s: err = %v, want a mismatch naming both option sets", name, err)
+		}
+	}
+	for name, mut := range map[string]func(*Options){
+		"workers": func(o *Options) { o.Workers = 4 },
+		"reps":    func(o *Options) { o.Reps = 3 },
+		"retry":   func(o *Options) { o.Retry = resilience.DefaultPolicy() },
+	} {
+		other := o
+		mut(&other)
+		n, err := BindCheckpoint(ck, other)
+		if err != nil {
+			t.Fatalf("different %s: %v", name, err)
+		}
+		if n != 1 {
+			t.Fatalf("different %s: %d completed cells, want 1 (reserved entries excluded)", name, n)
+		}
+	}
+
+	legacy := journal.NewMemoryCheckpoint()
+	if err := legacy.Record("fig6/CA/uniform/stpt/rep0", cell); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BindCheckpoint(legacy, o); err == nil {
+		t.Fatal("a non-empty checkpoint without an options record was accepted")
+	}
+	if legacy.Lookup(optionsKey, nil) {
+		t.Fatal("refusing a legacy checkpoint recorded options into it")
+	}
+}
+
+// TestBindCheckpointKeepsRecordedLine pins the options record's bytes: a
+// fresh checkpoint bound to Quick() holds exactly the line earlier builds
+// wrote, and a file holding that line binds, so the checkpoints of
+// sweeps already running still resume.
+func TestBindCheckpointKeepsRecordedLine(t *testing.T) {
+	const line = `687cf21f {"key":"experiments:options","val":{"cx":16,"cy":16,"t_train":40,"horizon":48,"depth":3,"window_size":4,"quant_levels":8,"embed_dim":8,"hidden":8,"epochs":4,"eps_pattern":10,"eps_sanitize":20,"queries":100,"seed":1,"households":300}}` + "\n"
+	dir := t.TempDir()
+	fresh := filepath.Join(dir, "fresh")
+	openBound(t, fresh, Quick())
+	if raw, err := os.ReadFile(fresh); err != nil || string(raw) != line {
+		t.Fatalf("a fresh checkpoint holds %q (err %v), want %q", raw, err, line)
+	}
+	recorded := filepath.Join(dir, "recorded")
+	if err := os.WriteFile(recorded, []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, n := openBound(t, recorded, Quick()); n != 0 {
+		t.Fatalf("the recorded line binds with %d cells, want 0", n)
 	}
 }

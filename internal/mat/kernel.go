@@ -12,8 +12,8 @@ var (
 	mulVec    = mulVecGo    // MulVecTo: dst = a·x
 	tmulVec   = tmulVecGo   // TMulVecTo: dst = aᵀ·x
 	addOuter  = addOuterGo  // AddOuter: m += a·bᵀ
-	mulRows   = mulRowsGo   // rows [r0, r1) of out = a·b (Mul, MulAutoTo)
-	mulATRows = mulATRowsGo // rows [r0, r1) of out = aᵀ·b (MulAutoATTo)
+	mulRows   = mulRowsGo   // rows [r0, r1) of out = a·b (Mul)
+	mulATRows = mulATRowsGo // rows [r0, r1) of out = aᵀ·b (MulATTo)
 )
 
 // Packed register-tiled matmul kernel.

@@ -83,8 +83,8 @@ func TestMulBTMatchesTransposedMul(t *testing.T) {
 		want := Mul(a, b.T())
 		got := New(m, n)
 		got.Fill(99) // must be overwritten, not accumulated into
-		if !Equal(want, MulAutoBTTo(got, a, b), 0) {
-			t.Fatalf("MulAutoBTTo %v differs from Mul(a, b.T())", d)
+		if !Equal(want, MulBTTo(got, a, b), 0) {
+			t.Fatalf("MulBTTo %v differs from Mul(a, b.T())", d)
 		}
 	}
 }
@@ -98,47 +98,9 @@ func TestMulATMatchesTransposedMul(t *testing.T) {
 		want := Mul(a.T(), b)
 		got := New(m, n)
 		got.Fill(99) // must be overwritten, not accumulated into
-		if !Equal(want, MulAutoATTo(got, a, b), 0) {
-			t.Fatalf("MulAutoATTo %v differs from Mul(a.T(), b)", d)
+		if !Equal(want, MulATTo(got, a, b), 0) {
+			t.Fatalf("MulATTo %v differs from Mul(a.T(), b)", d)
 		}
-	}
-}
-
-// TestMulParallelClampsWorkers pins the satellite fix: tiny matrices must
-// not spawn more goroutines than there are microMR row blocks, and every
-// worker count must reproduce the serial kernel bit-for-bit.
-func TestMulParallelClampsWorkers(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	for _, rows := range []int{1, 2, 3, 5} {
-		a := randMat(rng, rows, 6)
-		b := randMat(rng, 6, 4)
-		want := Mul(a, b)
-		for _, workers := range []int{1, 2, 7, 64} {
-			got := mulParallelTo(New(rows, 4), a, b, workers)
-			if !Equal(want, got, 0) {
-				t.Fatalf("mulParallelTo(%d rows, %d workers) differs from Mul", rows, workers)
-			}
-		}
-	}
-	// The clamp itself: rowBlocks = ceil(rows/microMR); with rows=3 the
-	// kernel must cap at 2 shards no matter how many workers are asked for.
-	if got := (3 + microMR - 1) / microMR; got != 2 {
-		t.Fatalf("rowBlocks(3) = %d, want 2", got)
-	}
-}
-
-func TestMulParallelMatchesSerialLarge(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := randMat(rng, 67, 129)
-	b := randMat(rng, 129, 65)
-	want := Mul(a, b)
-	for _, workers := range []int{2, 3, 4, 16} {
-		if got := mulParallelTo(New(67, 65), a, b, workers); !Equal(want, got, 0) {
-			t.Fatalf("mulParallelTo workers=%d differs from serial", workers)
-		}
-	}
-	if got := MulAutoTo(New(67, 65), a, b); !Equal(want, got, 0) {
-		t.Fatal("MulAutoTo differs from serial")
 	}
 }
 
@@ -155,13 +117,13 @@ func TestMulToZeroAllocsSteadyState(t *testing.T) {
 		t.Fatalf("Mul into existing output allocates %v per run, want 0", allocs)
 	}
 	bt := randMat(rng, 12, 24) // a·btᵀ is 16 x 12
-	if allocs := testing.AllocsPerRun(50, func() { MulAutoBTTo(out, a, bt) }); allocs != 0 {
-		t.Fatalf("MulAutoBTTo into existing output allocates %v per run, want 0", allocs)
+	if allocs := testing.AllocsPerRun(50, func() { MulBTTo(out, a, bt) }); allocs != 0 {
+		t.Fatalf("MulBTTo into existing output allocates %v per run, want 0", allocs)
 	}
 	at := randMat(rng, 24, 16) // atᵀ·(at·?) — use atᵀ·b2 of shape 16 x 12
 	b2 := randMat(rng, 24, 12)
-	if allocs := testing.AllocsPerRun(50, func() { MulAutoATTo(out, at, b2) }); allocs != 0 {
-		t.Fatalf("MulAutoATTo into existing output allocates %v per run, want 0", allocs)
+	if allocs := testing.AllocsPerRun(50, func() { MulATTo(out, at, b2) }); allocs != 0 {
+		t.Fatalf("MulATTo into existing output allocates %v per run, want 0", allocs)
 	}
 }
 

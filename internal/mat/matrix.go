@@ -178,6 +178,34 @@ func Mul(a, b *Matrix) *Matrix {
 	return New(a.Rows, b.Cols).Mul(a, b)
 }
 
+// MulBTTo stores a·bᵀ into m and returns m. a is M x K, b is N x K and
+// m is M x N; m must not alias a or b. The result is bit-identical to
+// m.Mul(a, b.T()) without materialising the transpose.
+func MulBTTo(m, a, b *Matrix) *Matrix {
+	if a.Cols != b.Cols {
+		panic("mat: MulBTTo inner dimension mismatch")
+	}
+	if m.Rows != a.Rows || m.Cols != b.Rows {
+		panic("mat: MulBTTo output shape mismatch")
+	}
+	mulBTRows(m.Data, a.Data, b.Data, a.Cols, b.Rows, 0, a.Rows)
+	return m
+}
+
+// MulATTo stores aᵀ·b into m and returns m. a is K x M, b is K x N and
+// m is M x N; m must not alias a or b. The result is bit-identical to
+// m.Mul(a.T(), b) without materialising the transpose.
+func MulATTo(m, a, b *Matrix) *Matrix {
+	if a.Rows != b.Rows {
+		panic("mat: MulATTo inner dimension mismatch")
+	}
+	if m.Rows != a.Cols || m.Cols != b.Cols {
+		panic("mat: MulATTo output shape mismatch")
+	}
+	mulATRows(m.Data, a.Data, b.Data, a.Rows, a.Cols, b.Cols, 0, a.Cols)
+	return m
+}
+
 // MulVec computes y = a*x for a vector x of length a.Cols.
 func (m *Matrix) MulVec(x []float64) []float64 {
 	if len(x) != m.Cols {

@@ -66,7 +66,7 @@ func (a *SelfAttention) attend(c *attnCache, scores, y *mat.Matrix) {
 	for t := 0; t < c.x.Rows; t++ {
 		a.project(c.q.Row(t), c.k.Row(t), c.v.Row(t), c.x.Row(t))
 	}
-	mat.MulAutoBTTo(scores, c.q, c.k)
+	mat.MulBTTo(scores, c.q, c.k)
 	scale := a.scale()
 	for i := range scores.Data {
 		scores.Data[i] *= scale
@@ -93,7 +93,7 @@ func mix(attn, y, scores, v *mat.Matrix) {
 	for i := 0; i < scores.Rows; i++ {
 		mat.Softmax(attn.Row(i), scores.Row(i))
 	}
-	mat.MulAutoTo(y, attn, v)
+	y.Mul(attn, v)
 }
 
 // Backward accumulates parameter gradients given dL/dY and returns dL/dX.
@@ -103,8 +103,8 @@ func (a *SelfAttention) Backward(c *attnCache, dy *mat.Matrix) *mat.Matrix {
 	scale := a.scale()
 
 	// Y = A·V: dA = dY·Vᵀ, dV = Aᵀ·dY.
-	dA := mat.MulAutoBTTo(arenaMatrix(a.ar, n, n), dy, c.v)
-	dV := mat.MulAutoATTo(arenaMatrix(a.ar, n, d), c.attn, dy)
+	dA := mat.MulBTTo(arenaMatrix(a.ar, n, n), dy, c.v)
+	dV := mat.MulATTo(arenaMatrix(a.ar, n, d), c.attn, dy)
 
 	// Softmax backward row-wise: dS_ij = A_ij(dA_ij - Σ_k dA_ik A_ik).
 	dS := arenaMatrix(a.ar, n, n)
@@ -122,21 +122,21 @@ func (a *SelfAttention) Backward(c *attnCache, dy *mat.Matrix) *mat.Matrix {
 	}
 
 	// S = Q·Kᵀ (pre-scale): dQ = dS·K, dK = dSᵀ·Q.
-	dQ := mat.MulAutoTo(arenaMatrix(a.ar, n, d), dS, c.k)
-	dK := mat.MulAutoATTo(arenaMatrix(a.ar, n, d), dS, c.q)
+	dQ := arenaMatrix(a.ar, n, d).Mul(dS, c.k)
+	dK := mat.MulATTo(arenaMatrix(a.ar, n, d), dS, c.q)
 
 	// Q = X·Wqᵀ: dWq = dQᵀ·X, dX += dQ·Wq; same for K, V. The gradient
 	// additions stay two-step (compute product, then Add) so the sums are
 	// bit-identical to the historical code.
 	dW := arenaMatrix(a.ar, d, d)
-	a.Wq.G.Add(a.Wq.G, mat.MulAutoATTo(dW, dQ, c.x))
-	a.Wk.G.Add(a.Wk.G, mat.MulAutoATTo(dW, dK, c.x))
-	a.Wv.G.Add(a.Wv.G, mat.MulAutoATTo(dW, dV, c.x))
+	a.Wq.G.Add(a.Wq.G, mat.MulATTo(dW, dQ, c.x))
+	a.Wk.G.Add(a.Wk.G, mat.MulATTo(dW, dK, c.x))
+	a.Wv.G.Add(a.Wv.G, mat.MulATTo(dW, dV, c.x))
 
-	dx := mat.MulAutoTo(arenaMatrix(a.ar, n, d), dQ, a.Wq.W)
+	dx := arenaMatrix(a.ar, n, d).Mul(dQ, a.Wq.W)
 	t := arenaMatrix(a.ar, n, d)
-	dx.Add(dx, mat.MulAutoTo(t, dK, a.Wk.W))
-	dx.Add(dx, mat.MulAutoTo(t, dV, a.Wv.W))
+	dx.Add(dx, t.Mul(dK, a.Wk.W))
+	dx.Add(dx, t.Mul(dV, a.Wv.W))
 	return dx
 }
 
