@@ -1,13 +1,16 @@
 package ingest
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -305,5 +308,189 @@ func TestIngestBatchAllocations(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if got := (after.TotalAlloc - before.TotalAlloc) / calls; got >= 32<<10 {
 		t.Fatalf("a 256-line batch allocates %d bytes, want under 32 KB", got)
+	}
+}
+
+// oldIngestLines is Ingest's line handling before it parsed the scanner's
+// bytes, kept verbatim as the differential oracle: it returns the readings
+// the old code accepted and the dead-letter records it wrote.
+func oldIngestLines(cfg Config, input string) (accepted []Reading, dead []DeadLetterRecord) {
+	sc := bufio.NewScanner(strings.NewReader(input))
+	lineNo := 0
+	for sc.Scan() {
+		lineNo++
+		line := strings.TrimRight(sc.Text(), "\r")
+		if lineNo == 1 && line == "x,y,t,value" {
+			continue // header row from a piped matrix CSV
+		}
+		if line == "" {
+			continue
+		}
+		rec, perr := oldParseReading(cfg, line)
+		if perr != nil {
+			dead = append(dead, DeadLetterRecord{Line: lineNo, Reason: perr.Error(), Raw: line})
+			continue
+		}
+		accepted = append(accepted, rec)
+	}
+	return accepted, dead
+}
+
+func oldParseReading(cfg Config, line string) (Reading, error) {
+	var r Reading
+	fields := strings.Split(line, ",")
+	if len(fields) != 4 {
+		return r, fmt.Errorf("%d fields, want 4 (x,y,t,value)", len(fields))
+	}
+	for i, dst := range []*int{&r.X, &r.Y, &r.T} {
+		n, err := strconv.Atoi(strings.TrimSpace(fields[i]))
+		if err != nil {
+			return r, fmt.Errorf("%s=%q is not an integer", []string{"x", "y", "t"}[i], fields[i])
+		}
+		*dst = n
+	}
+	if r.X < 0 || r.X >= cfg.Cx || r.Y < 0 || r.Y >= cfg.Cy {
+		return r, fmt.Errorf("location (%d,%d) outside the %dx%d grid", r.X, r.Y, cfg.Cx, cfg.Cy)
+	}
+	if r.T < 0 || r.T >= cfg.Ct {
+		return r, fmt.Errorf("interval t=%d outside [0,%d)", r.T, cfg.Ct)
+	}
+	v, err := strconv.ParseFloat(strings.TrimSpace(fields[3]), 64)
+	if err != nil {
+		return r, fmt.Errorf("value %q is not a number", fields[3])
+	}
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return r, fmt.Errorf("non-finite value %q", fields[3])
+	}
+	if v < 0 {
+		return r, fmt.Errorf("negative consumption %g", v)
+	}
+	r.V = v
+	return r, nil
+}
+
+// TestIngestMatchesOldParser runs one stream through Ingest and through
+// the old line handling: the accepted readings (value bits included), and
+// each refused line's number, reason and raw text, must be identical.
+func TestIngestMatchesOldParser(t *testing.T) {
+	lines := []string{
+		"x,y,t,value", // header
+		"0,0,0,1.5",
+		"1,2,3,4\r", // CRLF
+		"1,2,3,4\r\r",
+		"",
+		"\r",
+		"   ",
+		"1,2,3",
+		"1,2,3,4,5",
+		",,,",
+		"1,2,3,",
+		" 1 , 2 ,\t3, 4.5 ",
+		" 1,2,3,4 ",
+		"+1,2,3,4",
+		"007,0,0,1",
+		"1,1,1,1e3",
+		"1,1,1,1E-3",
+		"0,0,0,-0",
+		"0,0,0,+0",
+		"0,0,0,NaN",
+		"0,0,0,nan",
+		"0,0,0,Inf",
+		"0,0,0,-Inf",
+		"0,0,0,+infinity",
+		"0,0,0,1e400",
+		"0,0,0,0x1p-2",
+		"0,0,0,1_000",
+		"0,0,0,-3",
+		"0,0,0,-1e-300",
+		"0,0,0,4 5",
+		"0,0,0,1.00000000000000000000000000000000000000000001",
+		"9,0,0,1",
+		"0,9,0,1",
+		"-1,0,0,1",
+		"0,-1,0,1",
+		"0,0,99,1",
+		"0,0,-1,1",
+		"0,0,-0,1",
+		"a,0,0,1",
+		"0,b,0,1",
+		"0,0,c,1",
+		"1.0,0,0,1",
+		"0x1,0,0,1",
+		"1_0,0,0,1",
+		"99999999999999999999,0,0,1",
+		"0,0,0,notafloat",
+		"\"1\",0,0,1",
+		"x,y,t,value", // a header past line 1 is a malformed reading
+		"3,3,7,4.25",
+	}
+	for _, input := range []string{strings.Join(lines, "\n"), strings.Join(lines, "\r\n"), strings.Join(lines[1:], "\n") + "\n"} {
+		cfg := Config{Cx: 4, Cy: 4, Ct: 8, BatchSize: 1000}
+		wantAcc, wantDead := oldIngestLines(cfg, input)
+
+		var dead bytes.Buffer
+		cfg.DeadLetter = &dead
+		path := filepath.Join(t.TempDir(), "feed.wal")
+		in, err := New(cfg, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc, quar, err := in.Ingest(context.Background(), strings.NewReader(input))
+		in.Close()
+		if err != nil || acc != int64(len(wantAcc)) || quar != int64(len(wantDead)) {
+			t.Fatalf("accepted %d, quarantined %d (%v); the old parser: %d and %d", acc, quar, err, len(wantAcc), len(wantDead))
+		}
+		var gotDead []DeadLetterRecord
+		for dec := json.NewDecoder(&dead); dec.More(); {
+			var r DeadLetterRecord
+			if err := dec.Decode(&r); err != nil {
+				t.Fatal(err)
+			}
+			gotDead = append(gotDead, r)
+		}
+		for i := range wantDead {
+			if gotDead[i] != wantDead[i] {
+				t.Errorf("dead letter %d = %+v, the old parser's %+v", i, gotDead[i], wantDead[i])
+			}
+		}
+		var gotAcc []Reading
+		w, err := OpenWALAfter(path, 0, func(batch []Reading) error {
+			gotAcc = append(gotAcc, batch...)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Close()
+		for i, want := range wantAcc {
+			got := gotAcc[i]
+			if got.X != want.X || got.Y != want.Y || got.T != want.T || math.Float64bits(got.V) != math.Float64bits(want.V) {
+				t.Errorf("reading %d = %+v, the old parser's %+v", i, got, want)
+			}
+		}
+	}
+}
+
+// TestIngestAllocsIndependentOfLines pins that a batch's allocations do
+// not grow with its lines: each line is parsed from the scanner's bytes.
+func TestIngestAllocsIndependentOfLines(t *testing.T) {
+	in, err := New(Config{Cx: 8, Cy: 8, Ct: 4}, filepath.Join(t.TempDir(), "feed.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	allocs := func(lines int) float64 {
+		batch := readingsCSV(genReadings(lines, 8, 8, 4, 7))
+		ingest := func() {
+			if acc, _, err := in.Ingest(context.Background(), strings.NewReader(batch)); err != nil || acc != int64(lines) {
+				t.Fatalf("ingest accepted %d of %d: %v", acc, lines, err)
+			}
+		}
+		ingest() // sizes the scanner buffer and the pending batch
+		return testing.AllocsPerRun(10, ingest)
+	}
+	few, many := allocs(16), allocs(256)
+	if many > few {
+		t.Fatalf("a 256-line batch makes %v allocations, a 16-line one %v: want no growth with lines", many, few)
 	}
 }

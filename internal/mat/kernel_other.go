@@ -2,5 +2,8 @@
 
 package mat
 
-// haveAVX is false off amd64: the Go loops are the only kernels.
-const haveAVX = false
+// Off amd64 the Go loops are the only kernels.
+const (
+	haveAVX           = false
+	vectorActivations = false
+)

@@ -49,7 +49,7 @@ func checkLen(a, b, c int) {
 }
 
 // Softmax writes the softmax of x into dst using the max-shift trick for
-// numerical stability.
+// numerical stability. dst may be x itself.
 func Softmax(dst, x []float64) {
 	if len(dst) != len(x) {
 		panic("mat: Softmax length mismatch")
@@ -63,10 +63,12 @@ func Softmax(dst, x []float64) {
 			max = v
 		}
 	}
-	var sum float64
 	for i, v := range x {
-		e := math.Exp(v - max)
-		dst[i] = e
+		dst[i] = v - max
+	}
+	ExpTo(dst, dst)
+	var sum float64
+	for _, e := range dst {
 		sum += e
 	}
 	inv := 1 / sum

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"math"
 	"math/rand"
 
 	"repro/internal/mat"
@@ -21,6 +20,10 @@ type RecurrentCell interface {
 	// StepBackward consumes dL/d(newState) and accumulates parameter
 	// gradients, returning dL/dx and dL/d(prevState).
 	StepBackward(cache any, dNewState []float64) (dx, dPrevState []float64)
+	// stepBackward is StepBackward; with wantPrev unset it skips
+	// dL/d(prevState) and returns nil for it, for the first timestep,
+	// whose initial state nothing trains.
+	stepBackward(cache any, dNewState []float64, wantPrev bool) (dx, dPrevState []float64)
 	Params() []*Param
 	// shadow returns a clone sharing the cell's weights but owning fresh
 	// gradients and scratch, for a worker's ShadowClone.
@@ -84,7 +87,7 @@ func (c *RNNCell) Step(x, state []float64) ([]float64, any) {
 	mat.AddVec(c.pre, c.pre, c.tmp)
 	mat.AddVec(c.pre, c.pre, c.B.W.Data)
 	h := arenaAlloc(c.ar, c.hidden)
-	tanhVec(h, c.pre)
+	mat.TanhTo(h, c.pre)
 	var cc *rnnCache
 	if c.ar != nil {
 		if c.ci == len(c.caches) {
@@ -107,6 +110,10 @@ func (c *RNNCell) shadow() RecurrentCell {
 
 // StepBackward backpropagates one timestep.
 func (c *RNNCell) StepBackward(cache any, dh []float64) (dx, dhPrev []float64) {
+	return c.stepBackward(cache, dh, true)
+}
+
+func (c *RNNCell) stepBackward(cache any, dh []float64, wantPrev bool) (dx, dhPrev []float64) {
 	cc := cache.(*rnnCache)
 	da := arenaAlloc(c.ar, c.hidden)
 	for i := range da {
@@ -115,7 +122,11 @@ func (c *RNNCell) StepBackward(cache any, dh []float64) (dx, dhPrev []float64) {
 	c.Wx.G.AddOuter(da, cc.x)
 	c.Wh.G.AddOuter(da, cc.hPrev)
 	mat.AxpyVec(c.B.G.Data, 1, da)
-	return tmulVec(c.ar, c.Wx.W, da), tmulVec(c.ar, c.Wh.W, da)
+	dx = tmulVec(c.ar, c.Wx.W, da)
+	if wantPrev {
+		dhPrev = tmulVec(c.ar, c.Wh.W, da)
+	}
+	return dx, dhPrev
 }
 
 // ---------------------------------------------------------------------------
@@ -218,20 +229,20 @@ func (c *GRUCell) step(cc *gruCache, hNew []float64) {
 	c.Uz.W.MulVecTo(c.tmp, h)
 	mat.AddVec(c.pre, c.pre, c.tmp)
 	mat.AddVec(c.pre, c.pre, c.Bz.W.Data)
-	sigmoidVec(z, c.pre)
+	mat.SigmoidTo(z, c.pre)
 
 	c.Wr.W.MulVecTo(c.pre, x)
 	c.Ur.W.MulVecTo(c.tmp, h)
 	mat.AddVec(c.pre, c.pre, c.tmp)
 	mat.AddVec(c.pre, c.pre, c.Br.W.Data)
-	sigmoidVec(r, c.pre)
+	mat.SigmoidTo(r, c.pre)
 
 	mat.HadamardVec(rh, r, h)
 	c.Wc.W.MulVecTo(c.pre, x)
 	c.Uc.W.MulVecTo(c.tmp, rh)
 	mat.AddVec(c.pre, c.pre, c.tmp)
 	mat.AddVec(c.pre, c.pre, c.Bc.W.Data)
-	tanhVec(cand, c.pre)
+	mat.TanhTo(cand, c.pre)
 
 	for i := range hNew {
 		hNew[i] = (1-z[i])*h[i] + z[i]*cand[i]
@@ -250,15 +261,17 @@ func (c *GRUCell) shadow() RecurrentCell {
 
 // StepBackward backpropagates one timestep.
 func (c *GRUCell) StepBackward(cache any, dh []float64) (dx, dhPrev []float64) {
+	return c.stepBackward(cache, dh, true)
+}
+
+func (c *GRUCell) stepBackward(cache any, dh []float64, wantPrev bool) (dx, dhPrev []float64) {
 	cc := cache.(*gruCache)
 	n := c.hidden
 	dz := arenaAlloc(c.ar, n)
 	dcand := arenaAlloc(c.ar, n)
-	dhp := arenaAlloc(c.ar, n)
 	for i := 0; i < n; i++ {
 		dz[i] = dh[i] * (cc.cand[i] - cc.hPrev[i])
 		dcand[i] = dh[i] * cc.z[i]
-		dhp[i] = dh[i] * (1 - cc.z[i])
 	}
 	// Through candidate tanh.
 	dcPre := arenaAlloc(c.ar, n)
@@ -268,11 +281,10 @@ func (c *GRUCell) StepBackward(cache any, dh []float64) (dx, dhPrev []float64) {
 	c.Wc.G.AddOuter(dcPre, cc.x)
 	c.Uc.G.AddOuter(dcPre, cc.rh)
 	mat.AxpyVec(c.Bc.G.Data, 1, dcPre)
-	drh := tmulVec(c.ar, c.Uc.W, dcPre)
+	drh := tmulVec(c.ar, c.Uc.W, dcPre) // dr needs it even when dhPrev is skipped
 	dr := arenaAlloc(c.ar, n)
 	for i := 0; i < n; i++ {
 		dr[i] = drh[i] * cc.hPrev[i]
-		dhp[i] += drh[i] * cc.r[i]
 	}
 	// Through gates.
 	dzPre := arenaAlloc(c.ar, n)
@@ -288,12 +300,20 @@ func (c *GRUCell) StepBackward(cache any, dh []float64) (dx, dhPrev []float64) {
 	c.Ur.G.AddOuter(drPre, cc.hPrev)
 	mat.AxpyVec(c.Br.G.Data, 1, drPre)
 
-	mat.AxpyVec(dhp, 1, tmulVec(c.ar, c.Uz.W, dzPre))
-	mat.AxpyVec(dhp, 1, tmulVec(c.ar, c.Ur.W, drPre))
-
 	dx = tmulVec(c.ar, c.Wz.W, dzPre)
 	mat.AxpyVec(dx, 1, tmulVec(c.ar, c.Wr.W, drPre))
 	mat.AxpyVec(dx, 1, tmulVec(c.ar, c.Wc.W, dcPre))
+	if !wantPrev {
+		return dx, nil
+	}
+
+	dhp := arenaAlloc(c.ar, n)
+	for i := 0; i < n; i++ {
+		dhp[i] = dh[i] * (1 - cc.z[i])
+		dhp[i] += drh[i] * cc.r[i]
+	}
+	mat.AxpyVec(dhp, 1, tmulVec(c.ar, c.Uz.W, dzPre))
+	mat.AxpyVec(dhp, 1, tmulVec(c.ar, c.Ur.W, drPre))
 	return dx, dhp
 }
 
@@ -370,17 +390,17 @@ func (c *LSTMCell) Step(x, state []float64) ([]float64, any) {
 		mat.AddVec(c.pre, c.pre, B.W.Data)
 		act(out, c.pre)
 	}
-	gate(c.Wi, c.Ui, c.Bi, sigmoidVec, i)
-	gate(c.Wf, c.Uf, c.Bf, sigmoidVec, f)
-	gate(c.Wo, c.Uo, c.Bo, sigmoidVec, o)
-	gate(c.Wg, c.Ug, c.Bg, tanhVec, g)
-	newState := arenaAlloc(c.ar, 2*n)
+	gate(c.Wi, c.Ui, c.Bi, mat.SigmoidTo, i)
+	gate(c.Wf, c.Uf, c.Bf, mat.SigmoidTo, f)
+	gate(c.Wo, c.Uo, c.Bo, mat.SigmoidTo, o)
+	gate(c.Wg, c.Ug, c.Bg, mat.TanhTo, g)
 	for k := 0; k < n; k++ {
 		cNew[k] = f[k]*cPrev[k] + i[k]*g[k]
-		tanhC[k] = math.Tanh(cNew[k])
-		newState[k] = o[k] * tanhC[k]
-		newState[n+k] = cNew[k]
 	}
+	mat.TanhTo(tanhC, cNew)
+	newState := arenaAlloc(c.ar, 2*n)
+	mat.HadamardVec(newState[:n], o, tanhC)
+	copy(newState[n:], cNew)
 	var cc *lstmCache
 	if c.ar != nil {
 		if c.ci == len(c.caches) {
@@ -409,6 +429,10 @@ func (c *LSTMCell) shadow() RecurrentCell {
 
 // StepBackward backpropagates one timestep. dState carries [dh | dc].
 func (c *LSTMCell) StepBackward(cache any, dState []float64) (dx, dPrevState []float64) {
+	return c.stepBackward(cache, dState, true)
+}
+
+func (c *LSTMCell) stepBackward(cache any, dState []float64, wantPrev bool) (dx, dPrevState []float64) {
 	cc := cache.(*lstmCache)
 	n := c.hidden
 	dh := dState[:n]
@@ -422,12 +446,10 @@ func (c *LSTMCell) StepBackward(cache any, dState []float64) (dx, dPrevState []f
 	di := arenaAlloc(c.ar, n)
 	df := arenaAlloc(c.ar, n)
 	dg := arenaAlloc(c.ar, n)
-	dcPrev := arenaAlloc(c.ar, n)
 	for k := 0; k < n; k++ {
 		di[k] = dc[k] * cc.g[k]
 		df[k] = dc[k] * cc.cPrev[k]
 		dg[k] = dc[k] * cc.i[k]
-		dcPrev[k] = dc[k] * cc.f[k]
 	}
 	// Pre-activation gradients.
 	diPre := arenaAlloc(c.ar, n)
@@ -454,6 +476,9 @@ func (c *LSTMCell) StepBackward(cache any, dState []float64) (dx, dPrevState []f
 	mat.AxpyVec(dx, 1, tmulVec(c.ar, c.Wf.W, dfPre))
 	mat.AxpyVec(dx, 1, tmulVec(c.ar, c.Wo.W, doPre))
 	mat.AxpyVec(dx, 1, tmulVec(c.ar, c.Wg.W, dgPre))
+	if !wantPrev {
+		return dx, nil
+	}
 
 	dhPrev := tmulVec(c.ar, c.Ui.W, diPre)
 	mat.AxpyVec(dhPrev, 1, tmulVec(c.ar, c.Uf.W, dfPre))
@@ -462,6 +487,8 @@ func (c *LSTMCell) StepBackward(cache any, dState []float64) (dx, dPrevState []f
 
 	dPrevState = arenaAlloc(c.ar, 2*n)
 	copy(dPrevState[:n], dhPrev)
-	copy(dPrevState[n:], dcPrev)
+	for k := 0; k < n; k++ {
+		dPrevState[n+k] = dc[k] * cc.f[k]
+	}
 	return dx, dPrevState
 }

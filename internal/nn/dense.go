@@ -135,9 +135,9 @@ func (d *Dense) apply(z, y, x []float64) {
 	case Linear:
 		copy(y, z)
 	case Tanh:
-		tanhVec(y, z)
+		mat.TanhTo(y, z)
 	case Sigmoid:
-		sigmoidVec(y, z)
+		mat.SigmoidTo(y, z)
 	case ReLU:
 		for i, v := range z {
 			y[i] = relu(v)

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/mat"
 )
 
 // numericalGrad estimates dLoss/dw for every weight of every parameter by
@@ -190,13 +192,13 @@ func TestClipGradsNoOp(t *testing.T) {
 }
 
 func TestSigmoidStability(t *testing.T) {
-	if v := sigmoid(1000); v != 1 {
+	if v := mat.Sigmoid(1000); v != 1 {
 		t.Fatalf("sigmoid(1000) = %v", v)
 	}
-	if v := sigmoid(-1000); v != 0 {
+	if v := mat.Sigmoid(-1000); v != 0 {
 		t.Fatalf("sigmoid(-1000) = %v", v)
 	}
-	if math.Abs(sigmoid(0)-0.5) > 1e-15 {
-		t.Fatalf("sigmoid(0) = %v", sigmoid(0))
+	if math.Abs(mat.Sigmoid(0)-0.5) > 1e-15 {
+		t.Fatalf("sigmoid(0) = %v", mat.Sigmoid(0))
 	}
 }

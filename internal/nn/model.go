@@ -176,14 +176,18 @@ func (m *RecurrentModel) Forward(window, ctx []float64) (float64, any) {
 }
 
 // Backward backpropagates through time, accumulating gradients.
-func (m *RecurrentModel) Backward(cache any, dPred float64) {
+func (m *RecurrentModel) Backward(cache any, dPred float64) { m.backward(cache, dPred, false) }
+
+// backward is Backward; with wantH0 unset the first step skips dL/dh₀,
+// which nothing reads.
+func (m *RecurrentModel) backward(cache any, dPred float64, wantH0 bool) {
 	c := cache.(*recurrentCache)
 	m.dPred[0] = dPred
 	dh := m.head.Backward(c.headCache, m.dPred[:])
 	dState := m.ar.alloc(m.cell.StateSize())
 	copy(dState[:m.cell.OutputSize()], dh)
 	for t := len(c.cellCaches) - 1; t >= 0; t-- {
-		dx, dPrev := m.cell.StepBackward(c.cellCaches[t], dState)
+		dx, dPrev := m.cell.stepBackward(c.cellCaches[t], dState, t > 0 || wantH0)
 		m.embed.Backward(c.embedCaches[t], dx)
 		dState = dPrev
 	}
@@ -276,14 +280,18 @@ func (m *AttentiveGRUModel) Forward(window, ctx []float64) (float64, any) {
 }
 
 // Backward backpropagates through the full stack.
-func (m *AttentiveGRUModel) Backward(cache any, dPred float64) {
+func (m *AttentiveGRUModel) Backward(cache any, dPred float64) { m.backward(cache, dPred, false) }
+
+// backward is Backward; with wantH0 unset the first GRU step skips dL/dh₀,
+// which nothing reads.
+func (m *AttentiveGRUModel) backward(cache any, dPred float64, wantH0 bool) {
 	c := cache.(*attentiveCache)
 	m.dPred[0] = dPred
 	dh := m.head.Backward(c.headCache, m.dPred[:])
 	dAtt := m.ar.matrix(m.ws, m.embed.Out)
 	dState := dh
 	for t := m.ws - 1; t >= 0; t-- {
-		dx, dPrev := m.cell.StepBackward(c.cellCaches[t], dState)
+		dx, dPrev := m.cell.stepBackward(c.cellCaches[t], dState, t > 0 || wantH0)
 		copy(dAtt.Row(t), dx)
 		dState = dPrev
 	}

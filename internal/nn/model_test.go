@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -92,5 +93,44 @@ func TestAttentionPermutationSensitivity(t *testing.T) {
 	p2, _ := m.Forward([]float64{0.8, 0.2, 0.9, 0.1}, nil)
 	if p1 == p2 {
 		t.Fatal("model insensitive to input order")
+	}
+}
+
+// TestBackwardSkipsH0 checks that skipping dL/dh₀ at the first timestep
+// leaves every gradient bit-equal to the full backward pass, for each
+// recurrent model, accumulated over several windows.
+func TestBackwardSkipsH0(t *testing.T) {
+	type skipper interface {
+		Model
+		backward(cache any, dPred float64, wantH0 bool)
+	}
+	for name, build := range map[string]func(rng *rand.Rand) skipper{
+		"rnn":           func(rng *rand.Rand) skipper { return NewRecurrentModel("m", 6, 2, 8, NewRNNCell("c", 8, 8, rng), rng) },
+		"gru":           func(rng *rand.Rand) skipper { return NewRecurrentModel("m", 6, 2, 8, NewGRUCell("c", 8, 8, rng), rng) },
+		"lstm":          func(rng *rand.Rand) skipper { return NewRecurrentModel("m", 6, 2, 8, NewLSTMCell("c", 8, 8, rng), rng) },
+		"attentive gru": func(rng *rand.Rand) skipper { return NewAttentiveGRUModel("m", 6, 2, 8, 8, rng) },
+	} {
+		full, skip := build(rand.New(rand.NewSource(9))), build(rand.New(rand.NewSource(9)))
+		rng := rand.New(rand.NewSource(10))
+		window, ctx := make([]float64, 6), make([]float64, 2)
+		for w := 0; w < 5; w++ {
+			for i := range window {
+				window[i] = rng.Float64()
+			}
+			ctx[0], ctx[1] = rng.Float64(), rng.Float64()
+			dPred := rng.NormFloat64()
+			_, c := full.Forward(window, ctx)
+			full.backward(c, dPred, true)
+			_, c = skip.Forward(window, ctx)
+			skip.backward(c, dPred, false)
+		}
+		want, got := full.Params(), skip.Params()
+		for i, p := range want {
+			for j, g := range p.G.Data {
+				if math.Float64bits(got[i].G.Data[j]) != math.Float64bits(g) {
+					t.Fatalf("%s: %s.G[%d] = %v skipping dL/dh₀, %v in full", name, p.Name, j, got[i].G.Data[j], g)
+				}
+			}
+		}
 	}
 }

@@ -91,28 +91,8 @@ func CheckFinite(ps []*Param) error {
 	return nil
 }
 
-// Activation helpers shared by the cells.
-
-func sigmoid(x float64) float64 {
-	// Split by sign for numerical stability.
-	if x >= 0 {
-		return 1 / (1 + math.Exp(-x))
-	}
-	e := math.Exp(x)
-	return e / (1 + e)
-}
-
-func sigmoidVec(dst, x []float64) {
-	for i, v := range x {
-		dst[i] = sigmoid(v)
-	}
-}
-
-func tanhVec(dst, x []float64) {
-	for i, v := range x {
-		dst[i] = math.Tanh(v)
-	}
-}
+// Activation derivatives shared by the cells. The activations themselves
+// are mat.SigmoidTo and mat.TanhTo.
 
 // dTanhFromOutput returns the derivative tanh'(z) given y = tanh(z).
 func dTanhFromOutput(y float64) float64 { return 1 - y*y }
