@@ -105,7 +105,7 @@ func BenchmarkFig7WPO(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(query.Evaluate(truth, rel, qs, 0), "wpo-MRE%")
+		b.ReportMetric(query.Evaluate(truth, rel, qs, 0, 1), "wpo-MRE%")
 	}
 }
 
@@ -232,7 +232,7 @@ func benchAblation(b *testing.B, mutate func(*core.Config)) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(query.Evaluate(truth, res.Sanitized, qs, 0), "MRE%")
+		b.ReportMetric(query.Evaluate(truth, res.Sanitized, qs, 0, 1), "MRE%")
 	}
 }
 
@@ -272,7 +272,7 @@ func BenchmarkExtensionLDP(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(query.Evaluate(truth, rel, qs, 0), "ldp-MRE%")
+		b.ReportMetric(query.Evaluate(truth, rel, qs, 0, 1), "ldp-MRE%")
 	}
 }
 

@@ -161,7 +161,7 @@ func main() {
 		for _, c := range query.Classes() {
 			qs := query.GenerateSeeded(query.ClassSeed(*seed, c), c, truth.Cx, truth.Cy, truth.Ct, *queries)
 			fmt.Fprintf(os.Stderr, "stpt-run: %-6s queries MRE %.2f%%\n", c,
-				query.EvaluateWorkers(truth, release, qs, 0, parallel.Workers(*workers)))
+				query.Evaluate(truth, release, qs, 0, parallel.Workers(*workers)))
 		}
 	}
 

@@ -2,9 +2,13 @@ package core
 
 import (
 	"context"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/nn"
+	"repro/internal/timeseries"
 )
 
 // QuantizeModeWorkers must reproduce the serial partitioning exactly —
@@ -91,6 +95,59 @@ func TestRunWorkersPersistenceBitIdentical(t *testing.T) {
 		for i, v := range base.Sanitized.Data() {
 			if got.Sanitized.Data()[i] != v {
 				t.Fatalf("persistence release differs at workers=%d", workers)
+			}
+		}
+	}
+}
+
+// The rollout draws no randomness, so one trained model must roll out to
+// the same pattern bit for bit on any number of shards: the model itself
+// at one worker, a shadow clone per shard at several, and more workers
+// than rows.
+func TestRolloutWorkersBitIdentical(t *testing.T) {
+	const cx, cy, tTrain, horizon = 4, 5, 12, 9
+	cfg := tinyConfig()
+	cfg.Model = ModelAttentiveGRU
+	rng := rand.New(rand.NewSource(21))
+	model, err := buildModel(cfg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainEst := grid.NewMatrix(cx, cy, tTrain)
+	for i := range trainEst.Data() {
+		trainEst.Data()[i] = rng.Float64()
+	}
+	var samples []timeseries.Window
+	for y := 0; y < cy; y++ {
+		for x := 0; x < cx; x++ {
+			samples = append(samples, timeseries.SlidingWindows(trainEst.Pillar(x, y), cfg.WindowSize)...)
+		}
+	}
+	trainer := &nn.Trainer{Model: model, Opt: nn.NewRMSProp(cfg.LR), Cfg: cfg.Train, Rng: rng}
+	if _, err := trainer.FitContext(context.Background(), samples); err != nil {
+		t.Fatal(err)
+	}
+	cellCtx := func(x, y int, frac float64) []float64 {
+		return []float64{(float64(x) + 0.5) / cx, (float64(y) + 0.5) / cy, frac}
+	}
+	roll := func(workers int) *grid.Matrix {
+		c := cfg
+		c.Workers = workers
+		p := grid.NewMatrix(cx, cy, horizon)
+		if err := rolloutPattern(context.Background(), model, trainEst, p, c, cellCtx, 0.25, horizon); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	want := roll(1)
+	if want.Total() == 0 {
+		t.Fatal("rollout produced an all-zero pattern")
+	}
+	for _, workers := range []int{2, 3, cy + 3} {
+		got := roll(workers)
+		for i, v := range want.Data() {
+			if math.Float64bits(got.Data()[i]) != math.Float64bits(v) {
+				t.Fatalf("workers=%d: cell %d = %v, want %v (workers=1)", workers, i, got.Data()[i], v)
 			}
 		}
 	}

@@ -177,46 +177,29 @@ func patternStep(ctx context.Context, norm *timeseries.Dataset, cfg Config, rng 
 }
 
 // rolloutPattern fills pattern with each cell's autoregressive rollout.
-// Rows are sharded across cfg.Workers, each shard driving its own shadow
-// clone of the trained model (rollout only reads weights, but model
-// instances own scratch buffers and are single-goroutine). Rollout draws
-// no randomness, so the result is bit-identical for every worker count.
+// Rows are sharded across cfg.Workers, each shard driving its own model
+// (see rolloutClones): rollout only reads weights, but model instances own
+// scratch buffers and are single-goroutine. Rollout draws no randomness,
+// so the result is bit-identical for every worker count.
 func rolloutPattern(ctx context.Context, model nn.Model, trainEst, pattern *grid.Matrix, cfg Config, cellCtx func(x, y int, frac float64) []float64, leafFrac float64, horizon int) error {
-	rollRow := func(m nn.Model, y int) error {
-		for x := 0; x < pattern.Cx; x++ {
-			seed := trainEst.Pillar(x, y)
-			if len(seed) < cfg.WindowSize {
-				return fmt.Errorf("core: training path %d shorter than window %d", len(seed), cfg.WindowSize)
-			}
-			pred := rolloutLeveled(m, seed, cellCtx(x, y, leafFrac), horizon)
-			for t, v := range pred {
-				pattern.Set(x, y, t, v)
-			}
-		}
-		return nil
-	}
 	clones := rolloutClones(model, cfg.Workers, pattern.Cy)
-	if clones == nil {
-		for y := 0; y < pattern.Cy; y++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := rollRow(model, y); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	errs := make([]error, len(clones))
-	parallel.ForEachShard(cfg.Workers, pattern.Cy, func(s int, r parallel.Range) {
+	parallel.ForEachShard(len(clones), pattern.Cy, func(s int, r parallel.Range) {
 		for y := r.Lo; y < r.Hi; y++ {
 			if err := ctx.Err(); err != nil {
 				errs[s] = err
 				return
 			}
-			if err := rollRow(clones[s], y); err != nil {
-				errs[s] = err
-				return
+			for x := 0; x < pattern.Cx; x++ {
+				seed := trainEst.Pillar(x, y)
+				if len(seed) < cfg.WindowSize {
+					errs[s] = fmt.Errorf("core: training path %d shorter than window %d", len(seed), cfg.WindowSize)
+					return
+				}
+				pred := rolloutLeveled(clones[s], seed, cellCtx(x, y, leafFrac), horizon)
+				for t, v := range pred {
+					pattern.Set(x, y, t, v)
+				}
 			}
 		}
 	})
@@ -228,17 +211,15 @@ func rolloutPattern(ctx context.Context, model nn.Model, trainEst, pattern *grid
 	return nil
 }
 
-// rolloutClones returns one model clone per rollout shard, or nil when
-// the rollout should run serially.
+// rolloutClones returns the model each rollout shard drives: the trained
+// model itself when the rows make one shard (or the model cannot be
+// cloned), else one shadow clone per shard.
 func rolloutClones(model nn.Model, workers, rows int) []nn.Model {
-	if workers <= 1 || rows < 2 {
-		return nil
-	}
-	sc, ok := model.(nn.ShadowCloner)
-	if !ok {
-		return nil
-	}
 	shards := parallel.Shards(rows, workers)
+	sc, ok := model.(nn.ShadowCloner)
+	if len(shards) <= 1 || !ok {
+		return []nn.Model{model}
+	}
 	clones := make([]nn.Model, len(shards))
 	for i := range clones {
 		clones[i] = sc.ShadowClone()

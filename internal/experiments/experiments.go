@@ -151,7 +151,7 @@ type AlgResult struct {
 func evalRelease(truth, release *grid.Matrix, qs map[query.Class][]grid.Query) map[query.Class]float64 {
 	out := make(map[query.Class]float64, len(qs))
 	for c, queries := range qs {
-		out[c] = query.Evaluate(truth, release, queries, 0)
+		out[c] = query.Evaluate(truth, release, queries, 0, 1)
 	}
 	return out
 }

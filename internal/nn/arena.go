@@ -19,8 +19,7 @@ type arena struct {
 	cur   int // active slab index
 	off   int // bump offset inside the active slab
 
-	mats []mat.Matrix // pooled matrix headers handed out by matrix()
-	mcur int
+	mats pool[mat.Matrix] // matrix headers handed out by matrix()
 }
 
 // arenaSlab is the minimum slab size in float64s. One training pass of the
@@ -30,7 +29,8 @@ const arenaSlab = 1 << 12
 // reset rewinds the arena to empty, keeping every slab for reuse. Previously
 // returned slices become invalid (they will be handed out again).
 func (a *arena) reset() {
-	a.cur, a.off, a.mcur = 0, 0, 0
+	a.cur, a.off = 0, 0
+	a.mats.reset()
 }
 
 // alloc returns a zeroed slice of n float64s with capacity exactly n (so
@@ -61,52 +61,47 @@ func (a *arena) alloc(n int) []float64 {
 }
 
 // matrix returns a rows x cols matrix backed by arena storage. The header
-// itself comes from a pooled slice so steady-state passes allocate no
-// headers either. Pointers returned earlier in the same pass stay valid
-// even when the header pool grows: entries are fully initialised before
-// being handed out and never moved within a pass.
+// itself comes from a pool so steady-state passes allocate no headers
+// either.
 func (a *arena) matrix(rows, cols int) *mat.Matrix {
-	if a.mcur == len(a.mats) {
-		a.mats = append(a.mats, mat.Matrix{})
-	}
-	m := &a.mats[a.mcur]
-	a.mcur++
+	m := a.mats.next()
 	m.Rows, m.Cols = rows, cols
 	m.Data = a.alloc(rows * cols)
 	return m
 }
 
-// arenaUser is implemented by layers and cells that can run their scratch
-// on a model-owned arena. setArena attaches the arena; resetScratch rewinds
-// per-pass cache pools and is called at the start of every model Forward.
+// tmulVec returns wᵀ·x in arena storage.
+func (a *arena) tmulVec(w *mat.Matrix, x []float64) []float64 {
+	return w.TMulVecTo(a.alloc(w.Cols), x)
+}
+
+// pool hands out T values that live for one pass, the way arena hands out
+// floats: next returns the following value, growing the pool on first
+// use, and reset rewinds it at the start of the next pass. Callers set
+// every field of the value next returns. A pointer from next stays valid
+// for the rest of the pass even when a later next grows the pool: it
+// still reaches the old backing array, which nothing writes again.
+type pool[T any] struct {
+	items []T
+	n     int
+}
+
+func (p *pool[T]) next() *T {
+	if p.n == len(p.items) {
+		var zero T
+		p.items = append(p.items, zero)
+	}
+	v := &p.items[p.n]
+	p.n++
+	return v
+}
+
+func (p *pool[T]) reset() { p.n = 0 }
+
+// arenaUser is implemented by every layer and cell: setArena attaches the
+// owning model's arena, and resetScratch rewinds the layer's per-pass
+// pools at the start of every model Forward.
 type arenaUser interface {
 	setArena(*arena)
 	resetScratch()
-}
-
-// arenaAlloc returns arena storage when ar is set, else a fresh zeroed
-// slice — the historical behaviour for standalone layers.
-func arenaAlloc(ar *arena, n int) []float64 {
-	if ar != nil {
-		return ar.alloc(n)
-	}
-	return make([]float64, n)
-}
-
-// tmulVec computes wᵀ·x into arena storage when available. Values are
-// bit-identical to w.TMulVec either way.
-func tmulVec(ar *arena, w *mat.Matrix, x []float64) []float64 {
-	if ar != nil {
-		return w.TMulVecTo(ar.alloc(w.Cols), x)
-	}
-	return w.TMulVec(x)
-}
-
-// arenaMatrix returns an arena-backed matrix when available, else a fresh
-// heap matrix.
-func arenaMatrix(ar *arena, rows, cols int) *mat.Matrix {
-	if ar != nil {
-		return ar.matrix(rows, cols)
-	}
-	return mat.New(rows, cols)
 }

@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// onArena wires standalone layers to one fresh arena, as a model's
+// constructor does, and returns the model's per-pass rewind: call it before
+// each pass. Scratch a pass hands out is reused by the next one.
+func onArena(layers ...arenaUser) (beginPass func()) {
+	var m modelArena
+	m.wire(0, layers...)
+	return m.beginPass
+}
+
 // trainStep is the inner loop of Trainer.FitContext for one sample: zero the
 // gradients, forward the window, backprop the loss derivative.
 func trainStep(m Model, window, ctx []float64, ps []*Param) {

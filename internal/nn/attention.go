@@ -9,20 +9,21 @@ import (
 
 // SelfAttention is single-head scaled dot-product self-attention over a
 // sequence of n embedding vectors: Q = X·Wqᵀ, K = X·Wkᵀ, V = X·Wvᵀ,
-// Y = softmax(QKᵀ/√d)·V. Input and output are n x Dim matrices.
+// Y = softmax(QKᵀ/√d)·V. Input and output are n x Dim matrices. It runs
+// inside a model, on the model's arena.
 type SelfAttention struct {
 	Dim        int
 	Wq, Wk, Wv *Param // Dim x Dim
 
-	ar    *arena // per-pass storage when owned by a model; nil standalone
+	ar    *arena // the owning model's per-pass storage
 	cache attnCache
 }
 
 func (a *SelfAttention) setArena(ar *arena) { a.ar = ar }
 func (a *SelfAttention) resetScratch()      {}
 
-// NewSelfAttention creates a single-head attention layer.
-func NewSelfAttention(name string, dim int, rng *rand.Rand) *SelfAttention {
+// newSelfAttention creates a single-head attention layer.
+func newSelfAttention(name string, dim int, rng *rand.Rand) *SelfAttention {
 	mk := func(suffix string) *Param {
 		p := NewParam(name+suffix, dim, dim)
 		p.W.GlorotUniform(rng, dim, dim)
@@ -46,17 +47,12 @@ func (a *SelfAttention) Forward(x *mat.Matrix) (*mat.Matrix, *attnCache) {
 		panic("nn: attention input dim mismatch")
 	}
 	n := x.Rows
-	var c *attnCache
-	if a.ar != nil {
-		c = &a.cache
-	} else {
-		c = &attnCache{}
-	}
+	c := &a.cache
 	c.x = x
-	c.q, c.k, c.v = arenaMatrix(a.ar, n, a.Dim), arenaMatrix(a.ar, n, a.Dim), arenaMatrix(a.ar, n, a.Dim)
-	c.attn = arenaMatrix(a.ar, n, n)
-	y := arenaMatrix(a.ar, n, a.Dim)
-	a.attend(c, arenaMatrix(a.ar, n, n), y)
+	c.q, c.k, c.v = a.ar.matrix(n, a.Dim), a.ar.matrix(n, a.Dim), a.ar.matrix(n, a.Dim)
+	c.attn = a.ar.matrix(n, n)
+	y := a.ar.matrix(n, a.Dim)
+	a.attend(c, a.ar.matrix(n, n), y)
 	return y, c
 }
 
@@ -103,11 +99,11 @@ func (a *SelfAttention) Backward(c *attnCache, dy *mat.Matrix) *mat.Matrix {
 	scale := a.scale()
 
 	// Y = A·V: dA = dY·Vᵀ, dV = Aᵀ·dY.
-	dA := mat.MulBTTo(arenaMatrix(a.ar, n, n), dy, c.v)
-	dV := mat.MulATTo(arenaMatrix(a.ar, n, d), c.attn, dy)
+	dA := mat.MulBTTo(a.ar.matrix(n, n), dy, c.v)
+	dV := mat.MulATTo(a.ar.matrix(n, d), c.attn, dy)
 
 	// Softmax backward row-wise: dS_ij = A_ij(dA_ij - Σ_k dA_ik A_ik).
-	dS := arenaMatrix(a.ar, n, n)
+	dS := a.ar.matrix(n, n)
 	for i := 0; i < n; i++ {
 		arow := c.attn.Row(i)
 		darow := dA.Row(i)
@@ -122,32 +118,33 @@ func (a *SelfAttention) Backward(c *attnCache, dy *mat.Matrix) *mat.Matrix {
 	}
 
 	// S = Q·Kᵀ (pre-scale): dQ = dS·K, dK = dSᵀ·Q.
-	dQ := arenaMatrix(a.ar, n, d).Mul(dS, c.k)
-	dK := mat.MulATTo(arenaMatrix(a.ar, n, d), dS, c.q)
+	dQ := a.ar.matrix(n, d).Mul(dS, c.k)
+	dK := mat.MulATTo(a.ar.matrix(n, d), dS, c.q)
 
 	// Q = X·Wqᵀ: dWq = dQᵀ·X, dX += dQ·Wq; same for K, V. The gradient
 	// additions stay two-step (compute product, then Add) so the sums are
 	// bit-identical to the historical code.
-	dW := arenaMatrix(a.ar, d, d)
+	dW := a.ar.matrix(d, d)
 	a.Wq.G.Add(a.Wq.G, mat.MulATTo(dW, dQ, c.x))
 	a.Wk.G.Add(a.Wk.G, mat.MulATTo(dW, dK, c.x))
 	a.Wv.G.Add(a.Wv.G, mat.MulATTo(dW, dV, c.x))
 
-	dx := arenaMatrix(a.ar, n, d).Mul(dQ, a.Wq.W)
-	t := arenaMatrix(a.ar, n, d)
+	dx := a.ar.matrix(n, d).Mul(dQ, a.Wq.W)
+	t := a.ar.matrix(n, d)
 	dx.Add(dx, t.Mul(dK, a.Wk.W))
 	dx.Add(dx, t.Mul(dV, a.Wv.W))
 	return dx
 }
 
 // LayerNorm normalises each row of a sequence matrix to zero mean and unit
-// variance, then applies a learned affine map.
+// variance, then applies a learned affine map. It runs inside a model, on
+// the model's arena.
 type LayerNorm struct {
 	Dim   int
 	Gamma *Param // 1 x Dim
 	Beta  *Param // 1 x Dim
 
-	ar    *arena // per-pass storage when owned by a model; nil standalone
+	ar    *arena // the owning model's per-pass storage
 	cache lnCache
 	dxh   []float64 // per-row backward scratch, dead after each row
 }
@@ -155,8 +152,8 @@ type LayerNorm struct {
 func (l *LayerNorm) setArena(ar *arena) { l.ar = ar }
 func (l *LayerNorm) resetScratch()      {}
 
-// NewLayerNorm creates a layer-norm with gamma=1, beta=0.
-func NewLayerNorm(name string, dim int) *LayerNorm {
+// newLayerNorm creates a layer-norm with gamma=1, beta=0.
+func newLayerNorm(name string, dim int) *LayerNorm {
 	ln := &LayerNorm{Dim: dim, Gamma: NewParam(name+".gamma", 1, dim), Beta: NewParam(name+".beta", 1, dim)}
 	ln.Gamma.W.Fill(1)
 	return ln
@@ -178,15 +175,10 @@ func (l *LayerNorm) Forward(x *mat.Matrix) (*mat.Matrix, *lnCache) {
 		panic("nn: layernorm dim mismatch")
 	}
 	n := x.Rows
-	y := arenaMatrix(l.ar, n, l.Dim)
-	var c *lnCache
-	if l.ar != nil {
-		c = &l.cache
-	} else {
-		c = &lnCache{}
-	}
-	c.xhat = arenaMatrix(l.ar, n, l.Dim)
-	c.invStd = arenaAlloc(l.ar, n)
+	y := l.ar.matrix(n, l.Dim)
+	c := &l.cache
+	c.xhat = l.ar.matrix(n, l.Dim)
+	c.invStd = l.ar.alloc(n)
 	for i := 0; i < n; i++ {
 		row := x.Row(i)
 		mean := mat.Mean(row)
@@ -207,7 +199,7 @@ func (l *LayerNorm) Forward(x *mat.Matrix) (*mat.Matrix, *lnCache) {
 func (l *LayerNorm) Backward(c *lnCache, dy *mat.Matrix) *mat.Matrix {
 	n := dy.Rows
 	d := float64(l.Dim)
-	dx := arenaMatrix(l.ar, n, l.Dim)
+	dx := l.ar.matrix(n, l.Dim)
 	if l.dxh == nil {
 		l.dxh = make([]float64, l.Dim)
 	}

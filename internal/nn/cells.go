@@ -9,8 +9,10 @@ import (
 // RecurrentCell is a stateful sequence cell stepped once per timestep. The
 // full state is a flat vector; its first OutputSize elements are the
 // externally visible hidden output h (for LSTM the remainder is the cell
-// state c).
+// state c). A cell runs inside a model (NewRecurrentModel), on the
+// model's arena.
 type RecurrentCell interface {
+	arenaUser
 	InputSize() int
 	StateSize() int
 	OutputSize() int
@@ -44,16 +46,15 @@ type RNNCell struct {
 	Wx, Wh, B  *Param
 	pre, tmp   []float64 // pre-activation scratch, dead after each Step
 
-	ar     *arena // per-pass storage when owned by a model; nil standalone
-	caches []rnnCache
-	ci     int
+	ar     *arena // the owning model's per-pass storage
+	caches pool[rnnCache]
 }
 
 func (c *RNNCell) setArena(a *arena) { c.ar = a }
-func (c *RNNCell) resetScratch()     { c.ci = 0 }
+func (c *RNNCell) resetScratch()     { c.caches.reset() }
 
 // NewRNNCell creates an Elman cell with Glorot weights and a near-identity
-// recurrent matrix scale.
+// recurrent matrix scale, to run inside a model (NewRecurrentModel).
 func NewRNNCell(name string, in, hidden int, rng *rand.Rand) *RNNCell {
 	c := &RNNCell{in: in, hidden: hidden,
 		Wx: NewParam(name+".Wx", hidden, in),
@@ -86,18 +87,9 @@ func (c *RNNCell) Step(x, state []float64) ([]float64, any) {
 	c.Wh.W.MulVecTo(c.tmp, state)
 	mat.AddVec(c.pre, c.pre, c.tmp)
 	mat.AddVec(c.pre, c.pre, c.B.W.Data)
-	h := arenaAlloc(c.ar, c.hidden)
+	h := c.ar.alloc(c.hidden)
 	mat.TanhTo(h, c.pre)
-	var cc *rnnCache
-	if c.ar != nil {
-		if c.ci == len(c.caches) {
-			c.caches = append(c.caches, rnnCache{})
-		}
-		cc = &c.caches[c.ci]
-		c.ci++
-	} else {
-		cc = &rnnCache{}
-	}
+	cc := c.caches.next()
 	cc.x, cc.hPrev, cc.hNew = x, state, h
 	return h, cc
 }
@@ -115,16 +107,16 @@ func (c *RNNCell) StepBackward(cache any, dh []float64) (dx, dhPrev []float64) {
 
 func (c *RNNCell) stepBackward(cache any, dh []float64, wantPrev bool) (dx, dhPrev []float64) {
 	cc := cache.(*rnnCache)
-	da := arenaAlloc(c.ar, c.hidden)
+	da := c.ar.alloc(c.hidden)
 	for i := range da {
 		da[i] = dh[i] * dTanhFromOutput(cc.hNew[i])
 	}
 	c.Wx.G.AddOuter(da, cc.x)
 	c.Wh.G.AddOuter(da, cc.hPrev)
 	mat.AxpyVec(c.B.G.Data, 1, da)
-	dx = tmulVec(c.ar, c.Wx.W, da)
+	dx = c.ar.tmulVec(c.Wx.W, da)
 	if wantPrev {
-		dhPrev = tmulVec(c.ar, c.Wh.W, da)
+		dhPrev = c.ar.tmulVec(c.Wh.W, da)
 	}
 	return dx, dhPrev
 }
@@ -140,16 +132,16 @@ type GRUCell struct {
 	Wc, Uc, Bc             *Param
 	pre, tmp               []float64 // pre-activation scratch, dead after each Step
 
-	ar      *arena // per-pass storage when owned by a model; nil standalone
-	caches  []gruCache
-	ci      int
+	ar      *arena // the owning model's per-pass storage
+	caches  pool[gruCache]
 	scratch gruCache // stepInfer's reused gate vectors
 }
 
 func (c *GRUCell) setArena(a *arena) { c.ar = a }
-func (c *GRUCell) resetScratch()     { c.ci = 0 }
+func (c *GRUCell) resetScratch()     { c.caches.reset() }
 
-// NewGRUCell creates a GRU cell with Glorot weights.
+// NewGRUCell creates a GRU cell with Glorot weights, to run inside a model
+// (NewRecurrentModel).
 func NewGRUCell(name string, in, hidden int, rng *rand.Rand) *GRUCell {
 	mk := func(suffix string, rows, cols, fanIn, fanOut int) *Param {
 		p := NewParam(name+suffix, rows, cols)
@@ -181,17 +173,8 @@ func (c *GRUCell) Step(x, state []float64) ([]float64, any) {
 	// The per-step vectors z, r, rh, cand, hNew outlive this call via the
 	// cache (BPTT keeps every timestep), so they come from one slab; only
 	// the gate pre-activations are reusable scratch.
-	slab := arenaAlloc(c.ar, 5*n)
-	var cc *gruCache
-	if c.ar != nil {
-		if c.ci == len(c.caches) {
-			c.caches = append(c.caches, gruCache{})
-		}
-		cc = &c.caches[c.ci]
-		c.ci++
-	} else {
-		cc = &gruCache{}
-	}
+	slab := c.ar.alloc(5 * n)
+	cc := c.caches.next()
 	cc.x, cc.hPrev = x, state
 	cc.z, cc.r, cc.rh, cc.cand = slab[0:n:n], slab[n:2*n:2*n], slab[2*n:3*n:3*n], slab[3*n:4*n:4*n]
 	hNew := slab[4*n:]
@@ -267,28 +250,28 @@ func (c *GRUCell) StepBackward(cache any, dh []float64) (dx, dhPrev []float64) {
 func (c *GRUCell) stepBackward(cache any, dh []float64, wantPrev bool) (dx, dhPrev []float64) {
 	cc := cache.(*gruCache)
 	n := c.hidden
-	dz := arenaAlloc(c.ar, n)
-	dcand := arenaAlloc(c.ar, n)
+	dz := c.ar.alloc(n)
+	dcand := c.ar.alloc(n)
 	for i := 0; i < n; i++ {
 		dz[i] = dh[i] * (cc.cand[i] - cc.hPrev[i])
 		dcand[i] = dh[i] * cc.z[i]
 	}
 	// Through candidate tanh.
-	dcPre := arenaAlloc(c.ar, n)
+	dcPre := c.ar.alloc(n)
 	for i := range dcPre {
 		dcPre[i] = dcand[i] * dTanhFromOutput(cc.cand[i])
 	}
 	c.Wc.G.AddOuter(dcPre, cc.x)
 	c.Uc.G.AddOuter(dcPre, cc.rh)
 	mat.AxpyVec(c.Bc.G.Data, 1, dcPre)
-	drh := tmulVec(c.ar, c.Uc.W, dcPre) // dr needs it even when dhPrev is skipped
-	dr := arenaAlloc(c.ar, n)
+	drh := c.ar.tmulVec(c.Uc.W, dcPre) // dr needs it even when dhPrev is skipped
+	dr := c.ar.alloc(n)
 	for i := 0; i < n; i++ {
 		dr[i] = drh[i] * cc.hPrev[i]
 	}
 	// Through gates.
-	dzPre := arenaAlloc(c.ar, n)
-	drPre := arenaAlloc(c.ar, n)
+	dzPre := c.ar.alloc(n)
+	drPre := c.ar.alloc(n)
 	for i := 0; i < n; i++ {
 		dzPre[i] = dz[i] * dSigmoidFromOutput(cc.z[i])
 		drPre[i] = dr[i] * dSigmoidFromOutput(cc.r[i])
@@ -300,20 +283,20 @@ func (c *GRUCell) stepBackward(cache any, dh []float64, wantPrev bool) (dx, dhPr
 	c.Ur.G.AddOuter(drPre, cc.hPrev)
 	mat.AxpyVec(c.Br.G.Data, 1, drPre)
 
-	dx = tmulVec(c.ar, c.Wz.W, dzPre)
-	mat.AxpyVec(dx, 1, tmulVec(c.ar, c.Wr.W, drPre))
-	mat.AxpyVec(dx, 1, tmulVec(c.ar, c.Wc.W, dcPre))
+	dx = c.ar.tmulVec(c.Wz.W, dzPre)
+	mat.AxpyVec(dx, 1, c.ar.tmulVec(c.Wr.W, drPre))
+	mat.AxpyVec(dx, 1, c.ar.tmulVec(c.Wc.W, dcPre))
 	if !wantPrev {
 		return dx, nil
 	}
 
-	dhp := arenaAlloc(c.ar, n)
+	dhp := c.ar.alloc(n)
 	for i := 0; i < n; i++ {
 		dhp[i] = dh[i] * (1 - cc.z[i])
 		dhp[i] += drh[i] * cc.r[i]
 	}
-	mat.AxpyVec(dhp, 1, tmulVec(c.ar, c.Uz.W, dzPre))
-	mat.AxpyVec(dhp, 1, tmulVec(c.ar, c.Ur.W, drPre))
+	mat.AxpyVec(dhp, 1, c.ar.tmulVec(c.Uz.W, dzPre))
+	mat.AxpyVec(dhp, 1, c.ar.tmulVec(c.Ur.W, drPre))
 	return dx, dhp
 }
 
@@ -330,15 +313,15 @@ type LSTMCell struct {
 	Wg, Ug, Bg *Param
 	pre, tmp   []float64 // pre-activation scratch, dead after each Step
 
-	ar     *arena // per-pass storage when owned by a model; nil standalone
-	caches []lstmCache
-	ci     int
+	ar     *arena // the owning model's per-pass storage
+	caches pool[lstmCache]
 }
 
 func (c *LSTMCell) setArena(a *arena) { c.ar = a }
-func (c *LSTMCell) resetScratch()     { c.ci = 0 }
+func (c *LSTMCell) resetScratch()     { c.caches.reset() }
 
-// NewLSTMCell creates an LSTM cell with Glorot weights and forget bias 1.
+// NewLSTMCell creates an LSTM cell with Glorot weights and forget bias 1,
+// to run inside a model (NewRecurrentModel).
 func NewLSTMCell(name string, in, hidden int, rng *rand.Rand) *LSTMCell {
 	mk := func(suffix string, rows, cols, fanIn, fanOut int) *Param {
 		p := NewParam(name+suffix, rows, cols)
@@ -380,7 +363,7 @@ func (c *LSTMCell) Step(x, state []float64) ([]float64, any) {
 	}
 	// Gate activations and derived vectors are kept by the cache for BPTT:
 	// one slab for all six, plus the returned state.
-	slab := arenaAlloc(c.ar, 6*n)
+	slab := c.ar.alloc(6 * n)
 	i, f, o := slab[0:n:n], slab[n:2*n:2*n], slab[2*n:3*n:3*n]
 	g, cNew, tanhC := slab[3*n:4*n:4*n], slab[4*n:5*n:5*n], slab[5*n:]
 	gate := func(W, U, B *Param, act func(dst, x []float64), out []float64) {
@@ -398,19 +381,10 @@ func (c *LSTMCell) Step(x, state []float64) ([]float64, any) {
 		cNew[k] = f[k]*cPrev[k] + i[k]*g[k]
 	}
 	mat.TanhTo(tanhC, cNew)
-	newState := arenaAlloc(c.ar, 2*n)
+	newState := c.ar.alloc(2 * n)
 	mat.HadamardVec(newState[:n], o, tanhC)
 	copy(newState[n:], cNew)
-	var cc *lstmCache
-	if c.ar != nil {
-		if c.ci == len(c.caches) {
-			c.caches = append(c.caches, lstmCache{})
-		}
-		cc = &c.caches[c.ci]
-		c.ci++
-	} else {
-		cc = &lstmCache{}
-	}
+	cc := c.caches.next()
 	cc.x, cc.hPrev, cc.cPrev = x, h, cPrev
 	cc.i, cc.f, cc.o, cc.g, cc.cNew, cc.tanhC = i, f, o, g, cNew, tanhC
 	return newState, cc
@@ -437,25 +411,25 @@ func (c *LSTMCell) stepBackward(cache any, dState []float64, wantPrev bool) (dx,
 	n := c.hidden
 	dh := dState[:n]
 	dcIn := dState[n:]
-	dc := arenaAlloc(c.ar, n)
-	do := arenaAlloc(c.ar, n)
+	dc := c.ar.alloc(n)
+	do := c.ar.alloc(n)
 	for k := 0; k < n; k++ {
 		do[k] = dh[k] * cc.tanhC[k]
 		dc[k] = dcIn[k] + dh[k]*cc.o[k]*dTanhFromOutput(cc.tanhC[k])
 	}
-	di := arenaAlloc(c.ar, n)
-	df := arenaAlloc(c.ar, n)
-	dg := arenaAlloc(c.ar, n)
+	di := c.ar.alloc(n)
+	df := c.ar.alloc(n)
+	dg := c.ar.alloc(n)
 	for k := 0; k < n; k++ {
 		di[k] = dc[k] * cc.g[k]
 		df[k] = dc[k] * cc.cPrev[k]
 		dg[k] = dc[k] * cc.i[k]
 	}
 	// Pre-activation gradients.
-	diPre := arenaAlloc(c.ar, n)
-	dfPre := arenaAlloc(c.ar, n)
-	doPre := arenaAlloc(c.ar, n)
-	dgPre := arenaAlloc(c.ar, n)
+	diPre := c.ar.alloc(n)
+	dfPre := c.ar.alloc(n)
+	doPre := c.ar.alloc(n)
+	dgPre := c.ar.alloc(n)
 	for k := 0; k < n; k++ {
 		diPre[k] = di[k] * dSigmoidFromOutput(cc.i[k])
 		dfPre[k] = df[k] * dSigmoidFromOutput(cc.f[k])
@@ -472,20 +446,20 @@ func (c *LSTMCell) stepBackward(cache any, dState []float64, wantPrev bool) (dx,
 	acc(c.Wo, c.Uo, c.Bo, doPre)
 	acc(c.Wg, c.Ug, c.Bg, dgPre)
 
-	dx = tmulVec(c.ar, c.Wi.W, diPre)
-	mat.AxpyVec(dx, 1, tmulVec(c.ar, c.Wf.W, dfPre))
-	mat.AxpyVec(dx, 1, tmulVec(c.ar, c.Wo.W, doPre))
-	mat.AxpyVec(dx, 1, tmulVec(c.ar, c.Wg.W, dgPre))
+	dx = c.ar.tmulVec(c.Wi.W, diPre)
+	mat.AxpyVec(dx, 1, c.ar.tmulVec(c.Wf.W, dfPre))
+	mat.AxpyVec(dx, 1, c.ar.tmulVec(c.Wo.W, doPre))
+	mat.AxpyVec(dx, 1, c.ar.tmulVec(c.Wg.W, dgPre))
 	if !wantPrev {
 		return dx, nil
 	}
 
-	dhPrev := tmulVec(c.ar, c.Ui.W, diPre)
-	mat.AxpyVec(dhPrev, 1, tmulVec(c.ar, c.Uf.W, dfPre))
-	mat.AxpyVec(dhPrev, 1, tmulVec(c.ar, c.Uo.W, doPre))
-	mat.AxpyVec(dhPrev, 1, tmulVec(c.ar, c.Ug.W, dgPre))
+	dhPrev := c.ar.tmulVec(c.Ui.W, diPre)
+	mat.AxpyVec(dhPrev, 1, c.ar.tmulVec(c.Uf.W, dfPre))
+	mat.AxpyVec(dhPrev, 1, c.ar.tmulVec(c.Uo.W, doPre))
+	mat.AxpyVec(dhPrev, 1, c.ar.tmulVec(c.Ug.W, dgPre))
 
-	dPrevState = arenaAlloc(c.ar, 2*n)
+	dPrevState = c.ar.alloc(2 * n)
 	copy(dPrevState[:n], dhPrev)
 	for k := 0; k < n; k++ {
 		dPrevState[n+k] = dc[k] * cc.f[k]

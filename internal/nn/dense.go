@@ -6,7 +6,8 @@ import (
 	"repro/internal/mat"
 )
 
-// Dense is a fully connected layer y = act(W·x + b) over vectors.
+// Dense is a fully connected layer y = act(W·x + b) over vectors. It runs
+// inside a model, on the model's arena.
 //
 // A Dense layer owns reusable scratch buffers, so a given instance must
 // only be used from one goroutine at a time; data-parallel training gives
@@ -20,30 +21,15 @@ type Dense struct {
 	z  []float64 // pre-activation scratch, reused across Forward calls
 	dz []float64 // pre-activation gradient scratch for Backward
 
-	// ar, when set by an owning model, supplies per-pass storage for
-	// outputs and caches; nil keeps the historical allocate-per-call path
-	// for standalone layers. caches/ci pool the denseCache structs per
-	// pass (a model may call Forward once per timestep).
+	// ar is the owning model's per-pass storage for outputs and caches;
+	// caches pools the denseCache structs per pass (a model may call
+	// Forward once per timestep).
 	ar     *arena
-	caches []denseCache
-	ci     int
+	caches pool[denseCache]
 }
 
 func (d *Dense) setArena(a *arena) { d.ar = a }
-func (d *Dense) resetScratch()     { d.ci = 0 }
-
-// nextCache returns a pooled cache struct (arena mode) or a fresh one.
-func (d *Dense) nextCache() *denseCache {
-	if d.ar == nil {
-		return &denseCache{}
-	}
-	if d.ci == len(d.caches) {
-		d.caches = append(d.caches, denseCache{})
-	}
-	c := &d.caches[d.ci]
-	d.ci++
-	return c
-}
+func (d *Dense) resetScratch()     { d.caches.reset() }
 
 // Activation selects the elementwise non-linearity of a Dense layer.
 type Activation int
@@ -59,8 +45,8 @@ const (
 	ReLU
 )
 
-// NewDense creates a Dense layer with Glorot-uniform weights.
-func NewDense(name string, in, out int, act Activation, rng *rand.Rand) *Dense {
+// newDense creates a Dense layer with Glorot-uniform weights.
+func newDense(name string, in, out int, act Activation, rng *rand.Rand) *Dense {
 	d := &Dense{In: in, Out: out, Act: act,
 		W: NewParam(name+".W", out, in),
 		B: NewParam(name+".b", 1, out),
@@ -95,14 +81,14 @@ func (d *Dense) Forward(x []float64) ([]float64, *denseCache) {
 	// their derivative from y alone, so z can live in reusable scratch.
 	var z, y []float64
 	if d.Act == ReLU {
-		slab := arenaAlloc(d.ar, 2*d.Out)
+		slab := d.ar.alloc(2 * d.Out)
 		z, y = slab[:d.Out], slab[d.Out:]
 	} else {
 		z = d.scratchZ()
-		y = arenaAlloc(d.ar, d.Out)
+		y = d.ar.alloc(d.Out)
 	}
 	d.apply(z, y, x)
-	c := d.nextCache()
+	c := d.caches.next()
 	c.x, c.y, c.z = x, y, nil
 	if d.Act == ReLU {
 		c.z = z
@@ -176,8 +162,5 @@ func (d *Dense) Backward(c *denseCache, dy []float64) []float64 {
 	}
 	d.W.G.AddOuter(dz, c.x)
 	mat.AxpyVec(d.B.G.Data, 1, dz)
-	if d.ar != nil {
-		return d.W.W.TMulVecTo(d.ar.alloc(d.In), dz)
-	}
-	return d.W.W.TMulVec(dz)
+	return d.ar.tmulVec(d.W.W, dz)
 }

@@ -53,14 +53,18 @@ func testWindow(rng *rand.Rand, ws int) ([]float64, []float64, float64) {
 func TestDenseGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, act := range []Activation{Linear, Tanh, Sigmoid, ReLU} {
-		d := NewDense("d", 4, 3, act, rng)
+		d := newDense("d", 4, 3, act, rng)
+		beginPass := onArena(d)
 		x := []float64{0.3, -0.2, 0.7, 0.1}
 		dy := []float64{0.5, -1.2, 0.8}
 		ZeroGrads(d.Params())
+		beginPass()
 		_, cache := d.Forward(x)
-		dx := d.Backward(cache, dy)
+		// dx lives in the arena, which the loss passes below rewind.
+		dx := append([]float64(nil), d.Backward(cache, dy)...)
 		// Numeric check of input gradient via scalar loss L = dy·y.
 		loss := func() float64 {
+			beginPass()
 			y, _ := d.Forward(x)
 			var s float64
 			for i := range y {
@@ -140,6 +144,7 @@ func TestTransformerModelGradients(t *testing.T) {
 func TestLSTMStateLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cell := NewLSTMCell("l", 2, 3, rng)
+	onArena(cell) // Step allocates from the arena a model would wire
 	if cell.StateSize() != 6 || cell.OutputSize() != 3 {
 		t.Fatalf("state %d output %d", cell.StateSize(), cell.OutputSize())
 	}

@@ -58,7 +58,7 @@ func checkInputs(m Model, zeros, window, ctx []float64) []float64 {
 // storage (each timestep's input is kept alive by the layer caches, so it
 // must live for the whole pass).
 func stepInput(ar *arena, v float64, ctx []float64) []float64 {
-	in := arenaAlloc(ar, 1+len(ctx))
+	in := ar.alloc(1 + len(ctx))
 	in[0] = v
 	copy(in[1:], ctx)
 	return in
@@ -74,17 +74,13 @@ type modelArena struct {
 	zeros []float64  // the context read when a caller passes none; never written
 }
 
-// wire attaches a fresh arena to every layer that supports one and sizes
-// the zero context.
-func (m *modelArena) wire(ctxDim int, layers ...any) {
+// wire attaches a fresh arena to every layer and sizes the zero context.
+func (m *modelArena) wire(ctxDim int, layers ...arenaUser) {
 	m.ar = &arena{}
-	m.users = nil
+	m.users = layers
 	m.zeros = make([]float64, ctxDim)
-	for _, l := range layers {
-		if u, ok := l.(arenaUser); ok {
-			u.setArena(m.ar)
-			m.users = append(m.users, u)
-		}
+	for _, u := range layers {
+		u.setArena(m.ar)
 	}
 }
 
@@ -123,9 +119,9 @@ func NewRecurrentModel(name string, ws, ctxDim, embedDim int, cell RecurrentCell
 		name:  name,
 		ws:    ws,
 		ctx:   ctxDim,
-		embed: NewDense(name+".embed", 1+ctxDim, embedDim, Tanh, rng),
+		embed: newDense(name+".embed", 1+ctxDim, embedDim, Tanh, rng),
 		cell:  cell,
-		head:  NewDense(name+".head", cell.OutputSize(), 1, Linear, rng),
+		head:  newDense(name+".head", cell.OutputSize(), 1, Linear, rng),
 	}
 	m.wire(ctxDim, m.embed, m.cell, m.head)
 	return m
@@ -219,10 +215,10 @@ func NewAttentiveGRUModel(name string, ws, ctxDim, embedDim, hidden int, rng *ra
 		name:  name,
 		ws:    ws,
 		ctx:   ctxDim,
-		embed: NewDense(name+".embed", 1+ctxDim, embedDim, Tanh, rng),
-		attn:  NewSelfAttention(name+".attn", embedDim, rng),
+		embed: newDense(name+".embed", 1+ctxDim, embedDim, Tanh, rng),
+		attn:  newSelfAttention(name+".attn", embedDim, rng),
 		cell:  NewGRUCell(name+".gru", embedDim, hidden, rng),
-		head:  NewDense(name+".head", hidden, 1, Linear, rng),
+		head:  newDense(name+".head", hidden, 1, Linear, rng),
 	}
 	m.wire(ctxDim, m.embed, m.attn, m.cell, m.head)
 	return m
@@ -329,14 +325,14 @@ func NewTransformerModel(name string, ws, ctxDim, dim, ffnDim int, rng *rand.Ran
 		name:  name,
 		ws:    ws,
 		ctx:   ctxDim,
-		embed: NewDense(name+".embed", 1+ctxDim, dim, Tanh, rng),
+		embed: newDense(name+".embed", 1+ctxDim, dim, Tanh, rng),
 		pos:   mat.New(ws, dim),
-		attn:  NewSelfAttention(name+".attn", dim, rng),
-		ln1:   NewLayerNorm(name+".ln1", dim),
-		ffn1:  NewDense(name+".ffn1", dim, ffnDim, ReLU, rng),
-		ffn2:  NewDense(name+".ffn2", ffnDim, dim, Linear, rng),
-		ln2:   NewLayerNorm(name+".ln2", dim),
-		head:  NewDense(name+".head", dim, 1, Linear, rng),
+		attn:  newSelfAttention(name+".attn", dim, rng),
+		ln1:   newLayerNorm(name+".ln1", dim),
+		ffn1:  newDense(name+".ffn1", dim, ffnDim, ReLU, rng),
+		ffn2:  newDense(name+".ffn2", ffnDim, dim, Linear, rng),
+		ln2:   newLayerNorm(name+".ln2", dim),
+		head:  newDense(name+".head", dim, 1, Linear, rng),
 	}
 	for t := 0; t < ws; t++ {
 		for j := 0; j < dim; j++ {

@@ -165,17 +165,21 @@ func equalF64(a, b []float64) bool {
 	return true
 }
 
-// --- Satellite: per-step allocation budget -------------------------------
+// --- Per-step allocation budget: zero on an arena rewound per pass ------
 
 func TestDenseForwardAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x := make([]float64, 8)
 	for _, act := range []Activation{Linear, Tanh, Sigmoid, ReLU} {
-		d := NewDense("d", 8, 8, act, rng)
-		d.Forward(x) // warm the scratch buffers
-		n := testing.AllocsPerRun(100, func() { d.Forward(x) })
-		if n > 2 {
-			t.Errorf("Dense.Forward(act=%d) allocates %v per call, want <= 2", act, n)
+		d := newDense("d", 8, 8, act, rng)
+		beginPass := onArena(d)
+		pass := func() {
+			beginPass()
+			d.Forward(x)
+		}
+		pass() // warm the arena and the cache pool
+		if n := testing.AllocsPerRun(100, pass); n > 0 {
+			t.Errorf("Dense.Forward(act=%d) allocates %v per pass, want 0", act, n)
 		}
 	}
 }
@@ -184,33 +188,37 @@ func TestDenseBackwardAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x := make([]float64, 8)
 	dy := make([]float64, 8)
-	d := NewDense("d", 8, 8, Tanh, rng)
-	_, c := d.Forward(x)
-	d.Backward(c, dy)
-	// One allocation: the returned dL/dx.
-	if n := testing.AllocsPerRun(100, func() { d.Backward(c, dy) }); n > 1 {
-		t.Errorf("Dense.Backward allocates %v per call, want <= 1", n)
+	d := newDense("d", 8, 8, Tanh, rng)
+	beginPass := onArena(d)
+	pass := func() {
+		beginPass()
+		_, c := d.Forward(x)
+		d.Backward(c, dy)
+	}
+	pass() // warm the arena, the cache pool and the gradient scratch
+	if n := testing.AllocsPerRun(100, pass); n > 0 {
+		t.Errorf("Dense Forward+Backward allocates %v per pass, want 0", n)
 	}
 }
 
 func TestCellStepAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	cells := map[string]struct {
-		cell   RecurrentCell
-		budget float64
-	}{
-		// RNN: hNew + cache. GRU: slab + cache. LSTM: slab + state + cache.
-		"rnn":  {NewRNNCell("r", 6, 10, rng), 2},
-		"gru":  {NewGRUCell("g", 6, 10, rng), 2},
-		"lstm": {NewLSTMCell("l", 6, 10, rng), 3},
+	cells := map[string]RecurrentCell{
+		"rnn":  NewRNNCell("r", 6, 10, rng),
+		"gru":  NewGRUCell("g", 6, 10, rng),
+		"lstm": NewLSTMCell("l", 6, 10, rng),
 	}
 	x := make([]float64, 6)
-	for name, tc := range cells {
-		state := ZeroState(tc.cell)
-		tc.cell.Step(x, state) // warm the scratch buffers
-		n := testing.AllocsPerRun(100, func() { tc.cell.Step(x, state) })
-		if n > tc.budget {
-			t.Errorf("%s.Step allocates %v per call, want <= %v", name, n, tc.budget)
+	for name, cell := range cells {
+		beginPass := onArena(cell)
+		state := ZeroState(cell)
+		pass := func() {
+			beginPass()
+			cell.Step(x, state)
+		}
+		pass() // warm the arena, the cache pool and the gate scratch
+		if n := testing.AllocsPerRun(100, pass); n > 0 {
+			t.Errorf("%s.Step allocates %v per pass, want 0", name, n)
 		}
 	}
 }

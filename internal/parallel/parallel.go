@@ -49,29 +49,6 @@ func (p *TaskPanic) Unwrap() error {
 	return nil
 }
 
-// panicSlot collects the winning (lowest-index) panic from a pool.
-type panicSlot struct {
-	mu sync.Mutex
-	p  *TaskPanic
-}
-
-func (s *panicSlot) capture(i int, v any) {
-	stack := debug.Stack()
-	s.mu.Lock()
-	if s.p == nil || i < s.p.Index {
-		s.p = &TaskPanic{Index: i, Value: v, Stack: stack}
-	}
-	s.mu.Unlock()
-}
-
-// rethrow panics with the captured *TaskPanic, if any. It must run on
-// the calling goroutine, after the pool has drained.
-func (s *panicSlot) rethrow() {
-	if s.p != nil {
-		panic(s.p)
-	}
-}
-
 // Workers resolves a worker-count knob for callers that want "as parallel
 // as the hardware": n > 0 is honoured verbatim, anything else maps to
 // GOMAXPROCS. Library structs deliberately do NOT use this: their zero
@@ -116,95 +93,32 @@ func Shards(n, workers int) []Range {
 	return out
 }
 
-// ForEach runs fn(i) for every i in [0, n) on up to workers goroutines.
-// fn must only write state owned by index i (disjoint writes need no
-// synchronisation). workers <= 1 runs the plain serial loop on the
-// calling goroutine.
+// ForEach runs fn(i) for every i in [0, n) on up to workers goroutines:
+// Do with a background context and a task that cannot fail. fn must only
+// write state owned by index i (disjoint writes need no synchronisation).
+// workers <= 1 runs the plain serial loop on the calling goroutine.
 //
-// A panic in fn does not die on a pool goroutine: the first panic is
-// captured, no new tasks are started (tasks already running finish),
-// and the pool re-panics on the calling goroutine with a *TaskPanic
-// naming the failing index. The serial path keeps the historical
-// behaviour of propagating the panic directly.
+// A panic in fn follows Do's rules: no new tasks start, the lowest
+// panicking index wins, and it re-panics on the calling goroutine as a
+// *TaskPanic naming that index. The serial path propagates the panic
+// directly.
 func ForEach(workers, n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var (
-		next atomic.Int64
-		stop atomic.Bool
-		wg   sync.WaitGroup
-		ps   panicSlot
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if stop.Load() {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				func() {
-					defer func() {
-						if v := recover(); v != nil {
-							stop.Store(true)
-							ps.capture(i, v)
-						}
-					}()
-					fn(i)
-				}()
-			}
-		}()
-	}
-	wg.Wait()
-	ps.rethrow()
+	_ = Do(context.Background(), workers, n, func(i int) error {
+		fn(i)
+		return nil
+	})
 }
 
 // ForEachShard partitions [0, n) into contiguous shards (one per worker,
-// at most workers of them) and runs fn(s, r) concurrently, where s is the
-// shard index and r its range. Use this instead of ForEach when each
-// worker needs private scratch state (e.g. a model clone): state can be
-// keyed by s. With one shard the call runs serially on the caller.
+// at most workers of them) and runs fn(s, r) for each, one Do task per
+// shard, where s is the shard index and r its range. Use this instead of
+// ForEach when each worker needs private scratch state (e.g. a model
+// clone): state can be keyed by s. With one shard the call runs serially
+// on the caller. A panic re-panics as a *TaskPanic whose Index is the
+// shard.
 func ForEachShard(workers, n int, fn func(s int, r Range)) {
 	shards := Shards(n, workers)
-	switch len(shards) {
-	case 0:
-		return
-	case 1:
-		fn(0, shards[0])
-		return
-	}
-	var (
-		wg sync.WaitGroup
-		ps panicSlot
-	)
-	for s := range shards {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			defer func() {
-				if v := recover(); v != nil {
-					ps.capture(s, v)
-				}
-			}()
-			fn(s, shards[s])
-		}(s)
-	}
-	wg.Wait()
-	ps.rethrow() // *TaskPanic.Index is the shard index here
+	ForEach(len(shards), len(shards), func(s int) { fn(s, shards[s]) })
 }
 
 // Do runs fn(i) for every i in [0, n) on up to workers goroutines with
@@ -213,7 +127,7 @@ func ForEachShard(workers, n int, fn func(s int, r Range)) {
 // index (so a parallel sweep reports the same failure a serial sweep
 // would). After the first failure or context cancellation no new tasks
 // are started; tasks already running finish normally. A panicking task
-// is handled like ForEach's: captured, remaining work cancelled, and
+// is captured, remaining work cancelled, and the lowest-index panic
 // re-panicked on the calling goroutine as a *TaskPanic (panics outrank
 // returned errors).
 //
@@ -239,11 +153,12 @@ func Do(ctx context.Context, workers, n int, fn func(i int) error) error {
 		return ctx.Err()
 	}
 	var (
-		next atomic.Int64
-		stop atomic.Bool
-		wg   sync.WaitGroup
-		ps   panicSlot
-		errs = make([]error, n)
+		next  atomic.Int64
+		stop  atomic.Bool
+		wg    sync.WaitGroup
+		mu    sync.Mutex // guards first
+		first *TaskPanic // the lowest-index panic so far
+		errs  = make([]error, n)
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -261,7 +176,12 @@ func Do(ctx context.Context, workers, n int, fn func(i int) error) error {
 					defer func() {
 						if v := recover(); v != nil {
 							stop.Store(true)
-							ps.capture(i, v)
+							stack := debug.Stack()
+							mu.Lock()
+							if first == nil || i < first.Index {
+								first = &TaskPanic{Index: i, Value: v, Stack: stack}
+							}
+							mu.Unlock()
 						}
 					}()
 					if err := fn(i); err != nil {
@@ -276,7 +196,9 @@ func Do(ctx context.Context, workers, n int, fn func(i int) error) error {
 	// A panic outranks any error: it means a task died without even
 	// producing one, and hiding it behind a lower-index error would lose
 	// the stack.
-	ps.rethrow()
+	if first != nil {
+		panic(first)
+	}
 	for _, err := range errs {
 		if err != nil {
 			return err

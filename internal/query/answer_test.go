@@ -60,3 +60,23 @@ func TestAnswerMatchesEvaluate(t *testing.T) {
 		}
 	}
 }
+
+// TestAnswerAllocs pins the steady-state allocation count of the serving
+// daemon's per-request hot path: zero.
+func TestAnswerAllocs(t *testing.T) {
+	const cx, cy, ct = 16, 12, 24
+	rng := rand.New(rand.NewSource(17))
+	m := grid.NewMatrix(cx, cy, ct)
+	for i := range m.Data() {
+		m.Data()[i] = rng.NormFloat64() * 100
+	}
+	p := grid.NewPrefixSum(m)
+	queries := GenerateSeeded(5, Random, cx, cy, ct, 64)
+	i := 0
+	if n := testing.AllocsPerRun(200, func() {
+		Answer(p, queries[i%len(queries)])
+		i++
+	}); n > 0 {
+		t.Errorf("Answer allocates %v per run, want 0", n)
+	}
+}

@@ -111,30 +111,19 @@ func span(rng *rand.Rand, n int) (int, int) {
 // max(1, 0.1% of the true mass scaled to the query's volume), or a fixed
 // value when floor > 0 is passed. Queries at or above the floor use their
 // true answer as the denominator (Eq. 5 verbatim). When every query is
-// sub-floor the function returns 0.
-func Evaluate(truth, release *grid.Matrix, queries []grid.Query, floor float64) float64 {
-	return EvaluateWorkers(truth, release, queries, floor, 1)
-}
-
-// EvaluateWorkers is Evaluate with the query loop sharded across workers.
-// Each shard accumulates its own (error sum, counted queries) pair over a
-// contiguous stretch of the query list, and the pairs are reduced in shard
-// order, so the result is deterministic for any fixed worker count and
-// matches the serial evaluation up to float summation regrouping
-// (bit-identically at workers <= 1).
-func EvaluateWorkers(truth, release *grid.Matrix, queries []grid.Query, floor float64, workers int) float64 {
+// sub-floor the function returns 0. The query loop is sharded across
+// workers as Evaluator.Evaluate documents.
+func Evaluate(truth, release *grid.Matrix, queries []grid.Query, floor float64, workers int) float64 {
 	return NewEvaluator(truth, release).Evaluate(queries, floor, workers)
 }
 
-// Evaluator holds the tiled range-sum indexes of one (truth, release) pair
-// so repeated evaluations — the three workload classes of EvaluateAll, or
-// sweeps that re-score the same release under different floors — reuse the
-// O(cells) summed-volume construction instead of rebuilding it per call.
-// Results are bit-identical to the historical per-call construction: the
-// tile index answers every query with the same float arithmetic as the
-// plain prefix sum.
+// Evaluator holds the range-sum indexes of one (truth, release) pair so
+// repeated evaluations — the three workload classes of EvaluateAll, or
+// sweeps that re-score the same release under different floors — reuse
+// the O(cells) summed-volume construction instead of rebuilding it per
+// call.
 type Evaluator struct {
-	tp, rp       *grid.TileIndex
+	tp, rp       *grid.PrefixSum
 	perCellFloor float64
 }
 
@@ -144,14 +133,18 @@ func NewEvaluator(truth, release *grid.Matrix) *Evaluator {
 		panic("query: truth/release dimension mismatch")
 	}
 	return &Evaluator{
-		tp:           grid.NewTileIndex(truth),
-		rp:           grid.NewTileIndex(release),
+		tp:           grid.NewPrefixSum(truth),
+		rp:           grid.NewPrefixSum(release),
 		perCellFloor: truth.Total() * 0.001 / float64(truth.Len()),
 	}
 }
 
-// Evaluate scores the queries as documented on the package-level Evaluate,
-// sharding the loop across workers.
+// Evaluate scores the queries as documented on the package-level
+// Evaluate. Each of up to workers shards accumulates its own (error sum,
+// counted queries) pair over a contiguous stretch of the query list, and
+// the pairs are reduced in shard order, so the result is deterministic
+// for any fixed worker count and matches the serial evaluation up to
+// float summation regrouping (bit-identically at workers <= 1).
 func (e *Evaluator) Evaluate(queries []grid.Query, floor float64, workers int) float64 {
 	shards := parallel.Shards(len(queries), workers)
 	sums := make([]float64, len(shards))
@@ -188,21 +181,13 @@ func (e *Evaluator) Evaluate(queries []grid.Query, floor float64, workers int) f
 	return sum / float64(n)
 }
 
-// Index is the read side of a range-sum index. Both *grid.PrefixSum and
-// *grid.TileIndex implement it; Answer accepts either so callers can
-// upgrade to the tiled index without changing query semantics.
-type Index interface {
-	Dims() (cx, cy, ct int)
-	RangeSum(grid.Query) float64
-}
-
 // Answer evaluates a single range query against an indexed release: the
 // query is canonicalised (bound order is untrusted) and clipped to the
 // index's box, then answered in O(1). ok is false — and the sum 0 — when
 // the query does not intersect the box at all. This is the evaluation
 // path the serving daemon uses per request, factored here so the sweep
 // code and the server cannot drift apart on query semantics.
-func Answer(p Index, q grid.Query) (sum float64, ok bool) {
+func Answer(p *grid.PrefixSum, q grid.Query) (sum float64, ok bool) {
 	cx, cy, ct := p.Dims()
 	clipped, ok := q.Canonicalize().Clip(cx, cy, ct)
 	if !ok {

@@ -67,7 +67,7 @@ func TestEvaluateExactReleaseIsZero(t *testing.T) {
 		m.Data()[i] = rng.Float64() * 5
 	}
 	qs := Generate(rng, Random, 6, 6, 10, 200)
-	if got := Evaluate(m, m, qs, 0); got != 0 {
+	if got := Evaluate(m, m, qs, 0, 1); got != 0 {
 		t.Fatalf("exact release MRE = %v", got)
 	}
 }
@@ -80,7 +80,7 @@ func TestEvaluateKnownError(t *testing.T) {
 		release.Data()[i] = 12 // uniformly +20%
 	}
 	qs := []grid.Query{{X0: 0, X1: 1, Y0: 0, Y1: 1, T0: 0, T1: 1}}
-	got := Evaluate(truth, release, qs, 1)
+	got := Evaluate(truth, release, qs, 1, 1)
 	if math.Abs(got-20) > 1e-9 {
 		t.Fatalf("MRE = %v, want 20", got)
 	}
@@ -96,13 +96,13 @@ func TestEvaluateSkipsSubFloorQueries(t *testing.T) {
 		{X0: 0, X1: 0, Y0: 0, Y1: 0, T0: 0, T1: 0}, // true 20 → counted
 		{X0: 1, X1: 1, Y0: 1, Y1: 1, T0: 1, T1: 1}, // true 0 → skipped
 	}
-	got := Evaluate(truth, release, qs, 10)
+	got := Evaluate(truth, release, qs, 10, 1)
 	if math.Abs(got-50) > 1e-9 {
 		t.Fatalf("MRE = %v, want 50 (empty-region query skipped)", got)
 	}
 	// All queries sub-floor → 0 by convention.
 	empty := grid.NewMatrix(2, 2, 2)
-	if got := Evaluate(empty, release, qs, 10); got != 0 {
+	if got := Evaluate(empty, release, qs, 10, 1); got != 0 {
 		t.Fatalf("all-skipped MRE = %v, want 0", got)
 	}
 }
@@ -124,7 +124,7 @@ func TestEvaluateAllCoversClasses(t *testing.T) {
 	}
 }
 
-// EvaluateWorkers reduces per-shard (sum, count) pairs in shard order —
+// Evaluate's workers reduce per-shard (sum, count) pairs in shard order —
 // identical queries per shard, so the only difference from serial is float
 // summation regrouping.
 func TestEvaluateWorkersMatchesSerial(t *testing.T) {
@@ -136,19 +136,19 @@ func TestEvaluateWorkersMatchesSerial(t *testing.T) {
 		release.Data()[i] = truth.Data()[i] * (0.8 + 0.4*rng.Float64())
 	}
 	qs := Generate(rng, Random, 9, 7, 13, 301)
-	serial := Evaluate(truth, release, qs, 0)
+	serial := Evaluate(truth, release, qs, 0, 1)
 	for _, workers := range []int{0, 1, 2, 3, 7, 64} {
-		got := EvaluateWorkers(truth, release, qs, 0, workers)
+		got := Evaluate(truth, release, qs, 0, workers)
 		if math.Abs(got-serial) > 1e-9*(1+math.Abs(serial)) {
 			t.Fatalf("workers=%d: MRE %v, want %v", workers, got, serial)
 		}
 	}
 	// workers<=1 takes the identical serial path: bit-for-bit.
-	if EvaluateWorkers(truth, release, qs, 0, 1) != serial {
-		t.Fatal("workers=1 not bit-identical to Evaluate")
+	if Evaluate(truth, release, qs, 0, 0) != serial {
+		t.Fatal("workers=0 not bit-identical to workers=1")
 	}
 	// Determinism at a fixed worker count.
-	if EvaluateWorkers(truth, release, qs, 0, 5) != EvaluateWorkers(truth, release, qs, 0, 5) {
+	if Evaluate(truth, release, qs, 0, 5) != Evaluate(truth, release, qs, 0, 5) {
 		t.Fatal("workers=5 not deterministic")
 	}
 }
@@ -185,7 +185,7 @@ func TestEvaluateDimensionMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Evaluate(grid.NewMatrix(2, 2, 2), grid.NewMatrix(2, 2, 3), nil, 1)
+	Evaluate(grid.NewMatrix(2, 2, 2), grid.NewMatrix(2, 2, 3), nil, 1, 1)
 }
 
 func TestClassString(t *testing.T) {

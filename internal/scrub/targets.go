@@ -38,16 +38,13 @@ func releaseTarget(path string, size int64, sum uint32) Target {
 
 // StoreTargets enumerates a serve store's loaded releases: every file
 // the catalog would vouch for, verified against the size and CRC-32C the
-// store hashed at load time. Releases loaded from memory (no Source) are
-// skipped — there is no at-rest artifact to rot.
+// store hashed at load time.
 func StoreTargets(store *serve.Store) func() []Target {
 	return func() []Target {
 		rels, _ := store.Snapshot()
 		var out []Target
 		for _, rel := range rels {
-			if src := rel.Source; src != nil && src.Path != "" {
-				out = append(out, releaseTarget(src.Path, src.Size, src.CRC))
-			}
+			out = append(out, releaseTarget(rel.Source.Path, rel.Source.Size, rel.Source.CRC))
 		}
 		return out
 	}

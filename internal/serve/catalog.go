@@ -39,9 +39,7 @@ type Catalog struct {
 	// increments on every successful swap, so "follower caught up" is
 	// one integer comparison.
 	Generation uint64 `json:"generation"`
-	// Files lists every file-backed release in the generation, sorted
-	// by name. Releases registered programmatically (Store.Add) have no
-	// source file and are not replicable.
+	// Files lists every release in the generation, sorted by name.
 	Files []CatalogFile `json:"files"`
 }
 
@@ -103,9 +101,6 @@ func BuildCatalog(store *Store) Catalog {
 	rels, gen := store.Snapshot()
 	cat := Catalog{Generation: gen, Files: []CatalogFile{}}
 	for _, rel := range rels {
-		if rel.Source == nil {
-			continue
-		}
 		cat.Files = append(cat.Files, CatalogFile{
 			Name: rel.Name,
 			File: filepath.Base(rel.Source.Path),
@@ -136,10 +131,6 @@ func (s *Server) handleCatalogFile(w http.ResponseWriter, r *http.Request) {
 	rel, err := s.store.Get(name)
 	if err != nil {
 		writeError(w, http.StatusNotFound, err.Error())
-		return
-	}
-	if rel.Source == nil {
-		writeError(w, http.StatusNotFound, fmt.Sprintf("release %q is not file-backed", rel.Name))
 		return
 	}
 	f, err := os.Open(rel.Source.Path)

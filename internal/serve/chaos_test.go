@@ -130,7 +130,7 @@ func TestMidDrainFaultForcesAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := NewStore()
-	store.Add("rel", testMatrix())
+	loadReleases(t, store, "rel")
 	s := New(ctx, store, Config{DrainTimeout: 50 * time.Millisecond})
 
 	runCtx, cancel := context.WithCancel(ctx)

@@ -361,7 +361,7 @@ func TestReadyzFlipsDuringDrainStall(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := NewStore()
-	store.Add("rel", testMatrix())
+	loadReleases(t, store, "rel")
 	s := New(ctx, store, Config{DrainTimeout: 5 * time.Second})
 
 	runCtx, cancel := context.WithCancel(ctx)

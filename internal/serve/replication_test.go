@@ -113,16 +113,12 @@ func fileCRC32C(t *testing.T, path string) (int64, uint32) {
 }
 
 // TestCatalogDescribesServingSet: /catalog advertises exactly the
-// file-backed releases with the true on-disk sizes and CRCs, and the
+// serving releases with the true on-disk sizes and CRCs, and the
 // generation id of the same snapshot.
 func TestCatalogDescribesServingSet(t *testing.T) {
 	leader := newLeader(t, context.Background(), map[string]*grid.Matrix{
 		"alpha": testMatrix(), "beta": scaledMatrix(2),
 	})
-	// A programmatic release must not be advertised: followers cannot
-	// fetch something that has no file.
-	leader.store.Add("ephemeral", testMatrix())
-
 	status, body := get(t, leader.ts.URL+"/catalog")
 	if status != http.StatusOK {
 		t.Fatalf("/catalog: status %d body %s", status, body)
@@ -135,7 +131,7 @@ func TestCatalogDescribesServingSet(t *testing.T) {
 		t.Fatalf("catalog generation %d, store %d", cat.Generation, leader.store.Generation())
 	}
 	if len(cat.Files) != 2 {
-		t.Fatalf("catalog has %d files, want 2 (ephemeral excluded): %+v", len(cat.Files), cat.Files)
+		t.Fatalf("catalog has %d files, want 2: %+v", len(cat.Files), cat.Files)
 	}
 	for _, cf := range cat.Files {
 		rel, err := leader.store.Get(cf.Name)

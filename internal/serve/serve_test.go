@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -31,12 +32,27 @@ func testMatrix() *grid.Matrix {
 	return m
 }
 
+// loadReleases writes testMatrix() to one release file per name and
+// loads them into store as its whole spec set.
+func loadReleases(t *testing.T, store *Store, names ...string) {
+	t.Helper()
+	dir := t.TempDir()
+	specs := make([]LoadSpec, len(names))
+	for i, n := range names {
+		specs[i] = LoadSpec{Name: n, Path: filepath.Join(dir, n+".csv")}
+		writeRelease(t, specs[i].Path, testMatrix())
+	}
+	if err := store.LoadAll(specs); err != nil {
+		t.Fatalf("LoadAll: %v", err)
+	}
+}
+
 // newTestServer builds a server over one release named "rel" and wraps
 // it in httptest. The base context may carry a fault injector.
 func newTestServer(t *testing.T, ctx context.Context, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	store := NewStore()
-	store.Add("rel", testMatrix())
+	loadReleases(t, store, "rel")
 	s := New(ctx, store, cfg)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -226,7 +242,7 @@ func TestHealthAndDatasets(t *testing.T) {
 // omitted; ambiguity (two releases) is a 400 naming the choices.
 func TestDefaultDatasetResolution(t *testing.T) {
 	store := NewStore()
-	store.Add("only", testMatrix())
+	loadReleases(t, store, "only")
 	s := New(context.Background(), store, Config{})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -235,7 +251,7 @@ func TestDefaultDatasetResolution(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("single-release default: %d %s", status, body)
 	}
-	store.Add("second", testMatrix())
+	loadReleases(t, store, "only", "second")
 	status, body = get(t, ts.URL+"/query?x0=0&x1=1&y0=0&y1=1&t0=0&t1=1")
 	if status != http.StatusBadRequest {
 		t.Fatalf("ambiguous default: %d, want 400", status)

@@ -105,7 +105,7 @@ func TestSigtermDrainsInFlightUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	store := NewStore()
-	store.Add("rel", testMatrix())
+	loadReleases(t, store, "rel")
 	s := New(ctx, store, Config{
 		Capacity:       2,
 		Queue:          2,
@@ -187,7 +187,7 @@ func TestSigtermDrainsInFlightUnderLoad(t *testing.T) {
 // instantly and returns nil.
 func TestDrainCompletesWithoutLoad(t *testing.T) {
 	store := NewStore()
-	store.Add("rel", testMatrix())
+	loadReleases(t, store, "rel")
 	s := New(context.Background(), store, Config{DrainTimeout: time.Second})
 	ctx, cancel := context.WithCancel(context.Background())
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -221,7 +221,7 @@ func TestStuckHandlerForcesDrainAbort(t *testing.T) {
 	})
 	ctx := resilience.WithInjector(context.Background(), in)
 	store := NewStore()
-	store.Add("rel", testMatrix())
+	loadReleases(t, store, "rel")
 	s := New(ctx, store, Config{
 		Capacity:       1,
 		DefaultTimeout: time.Minute, // the handler, not the deadline, is the problem

@@ -17,22 +17,20 @@ import (
 )
 
 // Release is one published matrix the server answers queries against.
-// The tiled range-sum index is built once at load time; after that every
-// query is O(1) — tile-aligned blocks from the coarse table, everything
-// else from the full summed-volume table — and the matrix itself is never
-// written again, so concurrent readers need no locking.
+// The range-sum index is built once at load time; after that every query
+// is O(1), and the matrix itself is never written again, so concurrent
+// readers need no locking.
 type Release struct {
 	Name   string
 	Matrix *grid.Matrix
-	Index  *grid.TileIndex
+	Index  *grid.PrefixSum
 	// Source describes the file this release was loaded from — the
 	// exact bytes, not whatever is on disk now — so the /catalog a
 	// follower syncs against always matches the data actually serving.
-	// Nil for releases registered programmatically via Add.
-	Source *ReleaseSource
+	Source ReleaseSource
 }
 
-// ReleaseSource records a spec-loaded release's provenance: the path it
+// ReleaseSource records a release's provenance: the path it
 // came from and the size and CRC-32C of the bytes that were parsed into
 // the serving matrix. Followers compare these against their own files
 // during anti-entropy, and verify fetched bytes against CRC before a
@@ -69,8 +67,8 @@ func newReleaseSet(rel map[string]*Release) *releaseSet {
 }
 
 // Store holds the current release set behind an atomic pointer. Reads
-// (every query) are lock-free; writers — Add and Reload — serialise on
-// a mutex, build a complete replacement set off to the side, and swap
+// (every query) are lock-free; Reload, the one writer, serialises on a
+// mutex, build a complete replacement set off to the side, and swap
 // it in with one pointer store. That swap is the zero-downtime reload:
 // in-flight queries finish on the snapshot they already loaded while
 // new requests see the new generation.
@@ -82,7 +80,7 @@ type Store struct {
 }
 
 // NewStore returns an empty store. The empty set is generation 0; every
-// successful publish — Add, LoadAll, Reload — bumps the generation.
+// successful publish — LoadAll or Reload — bumps the generation.
 func NewStore() *Store {
 	s := &Store{}
 	s.cur.Store(newReleaseSet(map[string]*Release{}))
@@ -102,24 +100,6 @@ func (s *Store) publishLocked(set *releaseSet) {
 // leaves it unchanged — the number names the data still answering
 // queries.
 func (s *Store) Generation() uint64 { return s.cur.Load().gen }
-
-// Add indexes a matrix and registers it under name, replacing any
-// previous release with that name. Releases added this way are not part
-// of the Reload spec set — a later Reload rebuilds from the configured
-// specs only.
-func (s *Store) Add(name string, m *grid.Matrix) *Release {
-	r := &Release{Name: name, Matrix: m, Index: grid.NewTileIndex(m)}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := s.cur.Load()
-	next := make(map[string]*Release, len(cur.rel)+1)
-	for k, v := range cur.rel {
-		next[k] = v
-	}
-	next[name] = r
-	s.publishLocked(newReleaseSet(next))
-	return r
-}
 
 // Get looks a release up by name in the current generation. The empty
 // name resolves when exactly one release is loaded — the common
@@ -215,7 +195,7 @@ func (s *Store) Reload() error {
 		if err != nil {
 			return err
 		}
-		next[sp.Name] = &Release{Name: sp.Name, Matrix: m, Index: grid.NewTileIndex(m), Source: src}
+		next[sp.Name] = &Release{Name: sp.Name, Matrix: m, Index: grid.NewPrefixSum(m), Source: src}
 	}
 	s.mu.Lock()
 	s.publishLocked(newReleaseSet(next))
@@ -244,14 +224,14 @@ func CheckCRC32C(data []byte, size int64, sum uint32) error {
 // parses those same bytes, so the returned ReleaseSource describes
 // exactly what was parsed — not what a later reader might find at the
 // same path.
-func loadSpecFile(sp LoadSpec) (*grid.Matrix, *ReleaseSource, error) {
+func loadSpecFile(sp LoadSpec) (*grid.Matrix, ReleaseSource, error) {
 	data, err := os.ReadFile(sp.Path)
 	if err != nil {
-		return nil, nil, fmt.Errorf("serve: %w", err)
+		return nil, ReleaseSource{}, fmt.Errorf("serve: %w", err)
 	}
 	m, err := datasets.LoadMatrixCSV(bytes.NewReader(data))
 	if err != nil {
-		return nil, nil, fmt.Errorf("serve: %s: %w", sp.Path, err)
+		return nil, ReleaseSource{}, fmt.Errorf("serve: %s: %w", sp.Path, err)
 	}
-	return m, &ReleaseSource{Path: sp.Path, Size: int64(len(data)), CRC: crc32.Checksum(data, castagnoli)}, nil
+	return m, ReleaseSource{Path: sp.Path, Size: int64(len(data)), CRC: crc32.Checksum(data, castagnoli)}, nil
 }

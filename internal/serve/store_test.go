@@ -108,11 +108,11 @@ func TestStoreGetSemantics(t *testing.T) {
 	if _, err := s.Get(""); err == nil {
 		t.Error("empty store resolved a default release")
 	}
-	s.Add("b", grid.NewMatrix(2, 2, 2))
+	loadReleases(t, s, "b")
 	if rel, err := s.Get(""); err != nil || rel.Name != "b" {
 		t.Errorf("single-release default: %v, %v", rel, err)
 	}
-	s.Add("a", grid.NewMatrix(2, 2, 2))
+	loadReleases(t, s, "a", "b")
 	if _, err := s.Get(""); err == nil {
 		t.Error("ambiguous default resolved")
 	}

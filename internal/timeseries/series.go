@@ -95,31 +95,12 @@ func (d *Dataset) SeriesAt(loc Location) *Series {
 
 // GlobalMinMax returns the smallest and largest reading across all
 // households and times. It panics on an empty dataset.
-func (d *Dataset) GlobalMinMax() (min, max float64) {
-	if len(d.Series) == 0 || d.T() == 0 {
-		panic("timeseries: GlobalMinMax of empty dataset")
-	}
-	min, max = math.Inf(1), math.Inf(-1)
-	for _, s := range d.Series {
-		for _, v := range s.Values {
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-		}
-	}
-	return min, max
-}
+func (d *Dataset) GlobalMinMax() (min, max float64) { return d.GlobalMinMaxWorkers(1) }
 
 // GlobalMinMaxWorkers is GlobalMinMax with the household range sharded
 // across workers. Min/max reduction is exact under any regrouping, so the
 // result is bit-identical to the serial scan for every worker count.
 func (d *Dataset) GlobalMinMaxWorkers(workers int) (min, max float64) {
-	if workers <= 1 || len(d.Series) < 2 {
-		return d.GlobalMinMax()
-	}
 	if len(d.Series) == 0 || d.T() == 0 {
 		panic("timeseries: GlobalMinMax of empty dataset")
 	}

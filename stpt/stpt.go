@@ -163,7 +163,7 @@ func TruthMatrix(d *Dataset, tTrain int) *Matrix {
 // and returns the mean relative error in percent (Eq. 5).
 func EvaluateMRE(truth, release *Matrix, class query.Class, count int, seed int64) float64 {
 	qs := query.GenerateSeeded(seed, class, truth.Cx, truth.Cy, truth.Ct, count)
-	return query.Evaluate(truth, release, qs, 0)
+	return query.Evaluate(truth, release, qs, 0, 1)
 }
 
 // SuggestBudgetSplit returns the analytically recommended fraction of
