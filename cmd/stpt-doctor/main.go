@@ -3,8 +3,8 @@
 // invariants no single artifact can witness alone — every published
 // manifest window has an on-disk release with the journalled checksum,
 // the ledger's spent ε equals the tree composition's expected spend for
-// the manifest tip, WAL coverage is gapless up to the snapshot
-// high-water, and (given a peer) every catalog file's local bytes match
+// the manifest tip, the WAL's generation follows its snapshot's with no
+// gap, and (given a peer) every catalog file's local bytes match
 // the peer's catalog — then prints the findings as a typed repair plan.
 // The per-file checks are the ones the daemons' background scrubbers
 // run (scrub.PipelineTargets, one release target per catalog file);

@@ -58,8 +58,8 @@ import (
 )
 
 // WAL compaction thresholds: fold the log into a snapshot after this
-// many committed batches, or once the active segment passes this many
-// bytes, whichever comes first.
+// many committed batches, or once the log passes this many bytes,
+// whichever comes first.
 const (
 	walCompactBatches = 1024
 	walCompactBytes   = 64 << 20
@@ -184,9 +184,9 @@ func main() {
 		if *scrubEvery > 0 {
 			// The pipeline has no upstream to repair from: a corrupt
 			// journal or release latches /readyz "corrupt" until
-			// stpt-doctor (or an operator) restores the bytes. The active
-			// WAL segment is excluded by PipelineTargets — its torn tail is
-			// a legal crash signature, not rot.
+			// stpt-doctor (or an operator) restores the bytes. The WAL
+			// itself is excluded by PipelineTargets — its torn tail is a
+			// legal crash signature, not rot.
 			sc, err = scrub.New(scrub.Config{
 				Interval:    *scrubEvery,
 				BytesPerSec: *scrubRate,
@@ -246,7 +246,9 @@ func serveHTTP(ctx context.Context, sup *pipeline.Supervisor, sc *scrub.Scrubber
 	hcfg := pipeline.HandlerConfig{Token: token}
 	if sc != nil {
 		hcfg.Integrity = sc
-		hcfg.Metrics = scrubMetricsHandler(sc)
+		reg := metrics.NewRegistry()
+		reg.ScrubGauges("stpt_pipeline", func() metrics.Scrubber { return sc })
+		hcfg.Metrics = reg.Handler()
 	}
 	h := pipeline.Handler(sup, hcfg)
 	srv := &http.Server{Addr: addr, Handler: h}
@@ -267,31 +269,6 @@ func serveHTTP(ctx context.Context, sup *pipeline.Supervisor, sc *scrub.Scrubber
 		fatalf("shutdown: %v", err)
 	}
 	fmt.Fprintln(os.Stderr, "stpt-pipeline: drained")
-}
-
-// scrubMetricsHandler exposes the scrub counters in Prometheus text
-// format on the pipeline's /metrics.
-func scrubMetricsHandler(sc *scrub.Scrubber) http.Handler {
-	reg := metrics.NewRegistry()
-	count := func(pick func(p, c, r, q uint64) uint64) func() float64 {
-		return func() float64 { return float64(pick(sc.ScrubCounts())) }
-	}
-	reg.GaugeFunc("stpt_pipeline_scrub_passes_total",
-		"Completed integrity-scrub passes over the at-rest artifacts.",
-		count(func(p, _, _, _ uint64) uint64 { return p }))
-	reg.GaugeFunc("stpt_pipeline_scrub_corrupt_found_total",
-		"Artifacts found corrupt by the integrity scrubber.",
-		count(func(_, c, _, _ uint64) uint64 { return c }))
-	reg.GaugeFunc("stpt_pipeline_scrub_repaired_total",
-		"Corrupt artifacts repaired and byte-verified.",
-		count(func(_, _, r, _ uint64) uint64 { return r }))
-	reg.GaugeFunc("stpt_pipeline_scrub_quarantined_total",
-		"Corrupt artifacts quarantined to <path>.corrupt.",
-		count(func(_, _, _, q uint64) uint64 { return q }))
-	reg.GaugeFunc("stpt_pipeline_scrub_corrupt_artifacts",
-		"Artifacts currently latched corrupt (readiness reports 'corrupt' while > 0).",
-		func() float64 { return float64(len(sc.CorruptArtifacts())) })
-	return reg.Handler()
 }
 
 func fatalf(format string, args ...any) {

@@ -12,6 +12,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"syscall"
@@ -529,4 +530,71 @@ func TestOneShotHTTPSource(t *testing.T) {
 	if got := publishedFiles(t, dir, "missing"); len(got) != 0 {
 		t.Fatalf("404 source published %d files", len(got))
 	}
+}
+
+// TestDaemonScrubMetrics: once the daemon's scrubber latches a corrupt
+// window, /metrics carries all five stpt_pipeline_scrub_* series with
+// the scrubber's counts.
+func TestDaemonScrubMetrics(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and execs the binary")
+	}
+	dir := t.TempDir()
+	d := startDaemon(t, buildPipelineBin(t, dir), dir, "-scrub-interval", "100ms")
+	d.ingestFeed()
+	victim := filepath.Join(dir, "out", "window-000002.csv")
+	raw, err := os.ReadFile(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[7] ^= 0x20
+	if err := os.WriteFile(victim, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var got map[string]float64
+	d.waitFor("the scrubber to latch the flipped window", func() bool {
+		got = scrapeMetrics(t, d.base+"/metrics")
+		return got["stpt_pipeline_scrub_corrupt_artifacts"] == 1
+	})
+	for name, want := range map[string]float64{
+		"stpt_pipeline_scrub_corrupt_found_total": 1,
+		"stpt_pipeline_scrub_repaired_total":      0,
+		"stpt_pipeline_scrub_quarantined_total":   1,
+		"stpt_pipeline_scrub_corrupt_artifacts":   1,
+	} {
+		if v, ok := got[name]; !ok || v != want {
+			t.Errorf("%s = %v (present %v), want %v", name, v, ok, want)
+		}
+	}
+	if passes := got["stpt_pipeline_scrub_passes_total"]; passes < 1 || passes != float64(int(passes)) {
+		t.Errorf("stpt_pipeline_scrub_passes_total = %v, want a whole number of passes ≥ 1", passes)
+	}
+	d.stop(syscall.SIGTERM)
+}
+
+// scrapeMetrics reads a Prometheus text page into its samples by name.
+func scrapeMetrics(t *testing.T, url string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := map[string]float64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		name, value, ok := strings.Cut(line, " ")
+		if !ok || strings.HasPrefix(line, "#") {
+			continue
+		}
+		v, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("metrics line %q: %v", line, err)
+		}
+		samples[name] = v
+	}
+	return samples
 }

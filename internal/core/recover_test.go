@@ -86,6 +86,52 @@ func TestRunDegradesToPersistence(t *testing.T) {
 	}
 }
 
+// TestRunFallbackSeedCountsChainAttempts: a fallback model's attempts
+// take their seeds from the attempt count across the whole chain. A run
+// that degrades to persistence after 2 diverged attempts equals, bit for
+// bit, a direct persistence run at Seed + 2·SeedJitter — and not one at
+// the caller's seed.
+func TestRunFallbackSeedCountsChainAttempts(t *testing.T) {
+	d := testDataset(8, 8, 60, 24, 1)
+	cfg := tinyConfig()
+	cfg.Retry = resilience.Policy{MaxAttempts: 2, SeedJitter: 101}
+	cfg.FallbackModels = []ModelKind{ModelPersistence}
+	inj := resilience.NewInjector().On(resilience.FaultTrainStep, func(_ context.Context, payload any) error {
+		poisonParams(payload) // every NN attempt diverges
+		return nil
+	})
+	degraded, err := RunContext(resilience.WithInjector(context.Background(), inj), d, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := degraded.Recovery; rec.Attempts != 3 || !rec.Degraded {
+		t.Fatalf("recovery = %+v, want 2 diverged attempts and a degraded third", rec)
+	}
+	direct := func(seed int64) *Result {
+		c := cfg
+		c.Model, c.FallbackModels, c.Seed = ModelPersistence, nil, seed
+		res, err := RunContext(context.Background(), d, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	same := func(a, b *Result) bool {
+		for i, v := range a.Sanitized.Data() {
+			if math.Float64bits(v) != math.Float64bits(b.Sanitized.Data()[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if !same(degraded, direct(cfg.Seed+2*cfg.Retry.SeedJitter)) {
+		t.Fatal("the degraded release differs from a persistence run at Seed + 2·SeedJitter")
+	}
+	if same(degraded, direct(cfg.Seed)) {
+		t.Fatal("the degraded release equals a persistence run at the caller's seed: the seed does not tell the attempts apart")
+	}
+}
+
 // TestRunFailsWithoutFallback: with retries exhausted and no fallback
 // chain, the run fails with the (retryable) divergence error.
 func TestRunFailsWithoutFallback(t *testing.T) {

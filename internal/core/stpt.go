@@ -71,34 +71,34 @@ func RunContext(ctx context.Context, d *timeseries.Dataset, cfg Config) (*Result
 			chain = append(chain, k)
 		}
 	}
-	var lastErr error
+	var err error
 	for mi, kind := range chain {
 		attempt := cfg
 		attempt.Model = kind
-		for a := 0; a < cfg.Retry.Attempts(); a++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			// Attempt 0 of the configured model runs with the caller's
+		var res *Result
+		err = resilience.Retry(ctx, cfg.Retry, func(int, int64) error {
+			// Seeds count attempts across the whole chain, not per model:
+			// attempt 0 of the configured model runs with the caller's
 			// exact seed, preserving bit-for-bit reproducibility of
-			// non-failing runs.
+			// non-failing runs, and no two attempts share a seed.
 			attempt.Seed = cfg.Seed + int64(report.Attempts)*cfg.Retry.SeedJitter
 			report.Attempts++
-			res, err := runOnce(ctx, d, attempt)
-			if err == nil {
-				report.Degraded = mi > 0
-				report.Final = kind.String()
-				res.Recovery = report
-				return res, nil
-			}
-			lastErr = err
-			report.Note(err)
-			if !resilience.IsRetryable(err) {
-				return nil, err
-			}
+			var rerr error
+			res, rerr = runOnce(ctx, d, attempt)
+			report.Note(rerr)
+			return rerr
+		})
+		if err == nil {
+			report.Degraded = mi > 0
+			report.Final = kind.String()
+			res.Recovery = report
+			return res, nil
+		}
+		if !resilience.IsRetryable(err) {
+			return nil, err
 		}
 	}
-	return nil, fmt.Errorf("core: all %d attempts failed: %w", report.Attempts, lastErr)
+	return nil, fmt.Errorf("core: all %d attempts failed: %w", report.Attempts, err)
 }
 
 // runOnce executes one pipeline attempt.

@@ -140,10 +140,8 @@ func (g *Gateway) client() *http.Client {
 // available counts replicas currently considered routable.
 func (g *Gateway) available() int {
 	n := 0
-	now := time.Now()
 	for _, rep := range g.replicas {
 		if rep.healthy.Load() && rep.br.current() != stateOpen {
-			_ = now
 			n++
 		}
 	}

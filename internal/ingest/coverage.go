@@ -6,92 +6,42 @@ import (
 	"os"
 )
 
-// CheckWAL walks the log at path strictly read-only — no truncation, no
-// handle kept, no covered segment deleted — and proves (or refuses)
-// gapless coverage under exactly the rules recovery applies: the
-// snapshot decodes, the sealed segments run contiguously from its
-// high-water (the split and gap rule OpenWALAfter uses) and parse to
-// their last byte, and only the active file may carry a torn tail. Any
-// gap or damage is an error wrapping ErrWALCorrupt (or
-// ErrSnapshotCorrupt) that names the file refused; a missing active
-// file is tolerated (the log may have just rotated).
+// CheckWAL audits the log at path strictly read-only — no truncation,
+// no restart, no handle kept — under exactly the rules recovery applies
+// (walkLog): the snapshot decodes, the log's generation follows it, and
+// the log's records parse, with only a torn tail tolerated. Damage or a
+// generation the snapshot does not account for is an error wrapping
+// ErrWALCorrupt (or ErrSnapshotCorrupt) that names the file refused, as
+// is a log an earlier build wrote. A missing log is tolerated beside a
+// snapshot: recovery creates it empty.
 //
-// covered counts the sealed segments the snapshot already folds that
-// are still on disk — the leftovers of a compaction that crashed
-// between the snapshot commit and the segment deletes, which the next
-// open sweeps. It is safe to run against a live ingester: the only
-// concurrent mutation of the active file is an append, observed at
-// worst as a tolerated torn tail.
-func CheckWAL(path string) (covered int, err error) {
-	snap, err := LoadSnapshot(path + ".snap")
-	if err != nil {
-		return 0, err
-	}
-	var base uint64
-	if snap != nil {
-		base = snap.Upto
-	}
-	folded, tail, err := walSegments(path, base)
-	if err != nil {
-		return 0, err
-	}
-	for _, seq := range tail {
-		name := segName(path, seq)
-		raw, err := os.ReadFile(name)
-		if err != nil {
-			return 0, fmt.Errorf("ingest: reading sealed segment: %w", err)
-		}
-		if err := VerifySegmentBytes(raw, name, true); err != nil {
-			return 0, err
-		}
+// covered reports a log whose generation the snapshot already folds —
+// a compaction stopped between its snapshot and its reset, and the next
+// open restarts the log. CheckWAL is safe to run against a live
+// ingester because it reads the log before the snapshot: a compaction
+// can only move the snapshot forward past what was read, which at worst
+// turns a replayable log into a covered one, never into a gap. An
+// append racing the read shows as a tolerated torn tail.
+func CheckWAL(path string) (covered bool, err error) {
+	if err := refuseSegments(path); err != nil {
+		return false, err
 	}
 	raw, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		if snap == nil && len(tail) == 0 {
-			return 0, fmt.Errorf("ingest: no WAL at %s (no active file, sealed segments, or snapshot)", path)
-		}
-		return len(folded), nil
+	missing := os.IsNotExist(err)
+	if err != nil && !missing {
+		return false, fmt.Errorf("ingest: reading WAL: %w", err)
 	}
+	snap, err := LoadSnapshot(path + ".snap")
 	if err != nil {
-		return 0, fmt.Errorf("ingest: reading WAL: %w", err)
+		return false, err
 	}
-	if err := VerifySegmentBytes(raw, path, false); err != nil {
-		return 0, err
+	var base uint64
+	switch {
+	case snap != nil:
+		base = snap.Upto
+	case missing:
+		return false, fmt.Errorf("ingest: no WAL at %s (no log or snapshot)", path)
 	}
-	return len(folded), nil
-}
-
-// SealedSegmentPaths lists the sealed segment files next to path,
-// ascending by sequence — the immutable artifacts a background scrubber
-// re-verifies between compactions.
-func SealedSegmentPaths(path string) ([]string, error) {
-	seqs, err := listSegments(path)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(seqs))
-	for i, seq := range seqs {
-		out[i] = segName(path, seq)
-	}
-	return out, nil
-}
-
-// VerifySegmentBytes validates one segment image with the record
-// scanner recovery uses: magic, record checksums, batch decode. sealed
-// refuses a torn tail; otherwise a torn tail — including a header cut
-// short by a crash during the active file's creation — is tolerated as
-// the active file's crash signature. It is the byte-level check the
-// scrubber runs against sealed segments at rest.
-func VerifySegmentBytes(raw []byte, path string, sealed bool) error {
-	if !sealed && len(raw) < walHeaderLen {
-		// No record was ever durable; recovery rewrites the header. Any
-		// prefix of the magic is fine, anything else is someone else's
-		// file.
-		if string(raw) != string(walMagic[:len(raw)]) {
-			return fmt.Errorf("%w: %s is not a WAL (bad magic)", ErrWALCorrupt, path)
-		}
-		return nil
-	}
-	_, _, err := scanSegment(bytes.NewReader(raw), int64(len(raw)), path, sealed, nil)
-	return err
+	gen, _, _, err := walkLog(bytes.NewReader(raw), int64(len(raw)), path, base, nil)
+	return gen != 0 && gen <= base, err
 }

@@ -3,180 +3,213 @@ package ingest
 import (
 	"context"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/resilience"
 )
 
-// A rotated and compacted WAL — snapshot plus sealed segments plus an
-// active file — proves gapless coverage, and a covered segment a crashed
-// compaction left behind is counted, not refused.
+// A compacted WAL — a snapshot plus a restarted log holding the batches
+// since — proves its coverage, and a log that a compaction stopped
+// between its snapshot and its reset left covered is reported, not
+// refused; the next open restarts it.
 func TestWALCoverageRotatedCompacted(t *testing.T) {
 	ctx := context.Background()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "feed.wal")
-
-	in, err := New(Config{Cx: 2, Cy: 2, Ct: 16, BatchSize: 2}, path)
+	path := filepath.Join(t.TempDir(), "feed.wal")
+	cfg := Config{Cx: 2, Cy: 2, Ct: 16, BatchSize: 2}
+	in, err := New(cfg, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	feed := func(t0, t1 int) string {
-		var sb strings.Builder
-		for tt := t0; tt < t1; tt++ {
-			for x := 0; x < 2; x++ {
-				for y := 0; y < 2; y++ {
-					fmt.Fprintf(&sb, "%d,%d,%d,%g\n", x, y, tt, 1.0)
-				}
-			}
-		}
-		return sb.String()
-	}
-	if _, _, err := in.Ingest(ctx, strings.NewReader(feed(0, 4))); err != nil {
+	defer in.Close()
+	if _, _, err := in.Ingest(ctx, strings.NewReader(readingsCSV(genReadings(16, 2, 2, 16, 1)))); err != nil {
 		t.Fatal(err)
 	}
 	if err := in.Compact(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := in.Ingest(ctx, strings.NewReader(feed(4, 8))); err != nil {
+	if _, _, err := in.Ingest(ctx, strings.NewReader(readingsCSV(genReadings(16, 2, 2, 16, 2)))); err != nil {
 		t.Fatal(err)
 	}
-	// Seal the post-snapshot batches too, then write a little more into
-	// the fresh active file — the fullest shape a live WAL takes.
-	if _, err := in.wal.Rotate(ctx); err != nil {
-		t.Fatal(err)
+	if snap, err := LoadSnapshot(path + ".snap"); err != nil || snap == nil || snap.Upto != 1 || in.wal.gen != 2 {
+		t.Fatalf("snapshot %+v (%v) beside a log of generation %d, want 1 and 2", snap, err, in.wal.gen)
 	}
-	if _, _, err := in.Ingest(ctx, strings.NewReader(feed(8, 10))); err != nil {
-		t.Fatal(err)
-	}
-	if err := in.Close(); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := LoadSnapshot(path + ".snap")
-	if err != nil || snap == nil || snap.Upto == 0 {
-		t.Fatalf("snapshot not written: %+v, %v", snap, err)
-	}
-	if segs, err := SealedSegmentPaths(path); err != nil || len(segs) != 1 {
-		t.Fatalf("sealed segments beyond the snapshot: %v, %v", segs, err)
+	if covered, err := CheckWAL(path); err != nil || covered {
+		t.Fatalf("CheckWAL = %v, %v; want false, nil", covered, err)
 	}
 
-	covered, err := CheckWAL(path)
-	if err != nil || covered != 0 {
-		t.Fatalf("CheckWAL = %d, %v; want 0, nil", covered, err)
+	// The second compaction commits its snapshot, then stops before the
+	// reset.
+	stop := resilience.NewInjector().On(resilience.FaultWALReset, func(context.Context, any) error {
+		return errors.New("injected: reset stopped")
+	})
+	if err := in.Compact(resilience.WithInjector(ctx, stop)); !errors.Is(err, ErrWALPoisoned) {
+		t.Fatalf("compaction whose reset failed: %v, want ErrWALPoisoned", err)
 	}
-	// A compaction that crashed mid-delete leaves a folded segment
-	// behind: harmless residue that CheckWAL counts and never scans.
-	if err := os.WriteFile(segName(path, snap.Upto), []byte("folded away"), 0o644); err != nil {
-		t.Fatal(err)
+	if covered, err := CheckWAL(path); err != nil || !covered {
+		t.Fatalf("CheckWAL of a covered log = %v, %v; want true, nil", covered, err)
 	}
-	if covered, err := CheckWAL(path); err != nil || covered != 1 {
-		t.Fatalf("CheckWAL with residue = %d, %v; want 1, nil", covered, err)
-	}
-}
-
-// A deleted sealed segment is a replay gap the coverage proof must
-// refuse loudly, naming the missing sequence.
-func TestWALCoverageRefusesGap(t *testing.T) {
-	ctx := context.Background()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "g.wal")
-	w, err := OpenWALAfter(path, 0, nil)
+	want := in.Snapshot()
+	in.Close()
+	re, err := New(cfg, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seg := 0; seg < 3; seg++ {
-		if err := w.Append(ctx, []Reading{{X: seg, Y: 0, T: seg, V: 1}}); err != nil {
+	defer re.Close()
+	if !matricesEqual(re.Snapshot(), want) || re.wal.gen != 3 || re.wal.Records() != 0 {
+		t.Fatalf("recovery over a covered log: generation %d, %d records", re.wal.gen, re.wal.Records())
+	}
+	if covered, err := CheckWAL(path); err != nil || covered {
+		t.Fatalf("CheckWAL after the restart = %v, %v; want false, nil", covered, err)
+	}
+}
+
+// A log more than one generation past its snapshot — the snapshot of
+// the generations between is lost — is a replay gap both the audit and
+// recovery refuse, naming the log; so is a log past generation 1 with
+// no snapshot at all.
+func TestWALCoverageRefusesGap(t *testing.T) {
+	ctx := context.Background()
+	path := filepath.Join(t.TempDir(), "g.wal")
+	cfg := Config{Cx: 2, Cy: 2, Ct: 16, BatchSize: 4}
+	in, err := New(cfg, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first []byte
+	for gen := 0; gen < 2; gen++ {
+		if _, _, err := in.Ingest(ctx, strings.NewReader(readingsCSV(genReadings(4, 2, 2, 16, int64(gen))))); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := w.Rotate(ctx); err != nil {
+		if err := in.Compact(ctx); err != nil {
 			t.Fatal(err)
+		}
+		if first == nil {
+			if first, err = os.ReadFile(path + ".snap"); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	w.Close()
-
+	if _, _, err := in.Ingest(ctx, strings.NewReader(readingsCSV(genReadings(4, 2, 2, 16, 3)))); err != nil {
+		t.Fatal(err)
+	}
+	in.Close()
 	if _, err := CheckWAL(path); err != nil {
 		t.Fatalf("intact log: %v", err)
 	}
-	if err := os.Remove(segName(path, 2)); err != nil {
+	log, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = CheckWAL(path)
-	if !errors.Is(err, ErrWALCorrupt) || !strings.Contains(err.Error(), "2 missing") {
-		t.Fatalf("gap: %v, want ErrWALCorrupt naming segment 2", err)
+
+	// Generation 2's snapshot is lost: the log at generation 3 follows
+	// a snapshot of generation 1.
+	if err := os.WriteFile(path+".snap", first, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	// Recovery walks the same split: it refuses the gap before deleting
-	// the segment a snapshot at base 1 would cover.
-	if _, err := OpenWALAfter(path, 1, nil); !errors.Is(err, ErrWALCorrupt) || !strings.Contains(err.Error(), "2 missing") {
-		t.Fatalf("recovery over the gap: %v, want ErrWALCorrupt naming segment 2", err)
-	}
-	if _, err := os.Stat(segName(path, 1)); err != nil {
-		t.Fatalf("a refused recovery deleted a covered segment: %v", err)
+	for _, stage := range []string{"stale snapshot", "no snapshot"} {
+		if stage == "no snapshot" {
+			if err := os.Remove(path + ".snap"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := CheckWAL(path); !errors.Is(err, ErrWALCorrupt) || !strings.Contains(err.Error(), path+" is at generation 3") {
+			t.Fatalf("%s: audit = %v, want ErrWALCorrupt naming the log's generation", stage, err)
+		}
+		if _, err := New(cfg, path); !errors.Is(err, ErrWALCorrupt) || !strings.Contains(err.Error(), path) {
+			t.Fatalf("%s: recovery = %v, want ErrWALCorrupt naming the log", stage, err)
+		}
+		if got, _ := os.ReadFile(path); string(got) != string(log) {
+			t.Fatalf("%s: a refused recovery changed the log", stage)
+		}
 	}
 }
 
-// A torn tail is the active file's legal crash signature — reported,
-// not refused — but on a sealed segment it is corruption.
+// A torn tail — or a header a crash cut short — is the log's legal
+// crash signature, tolerated by the audit; a flipped byte in a complete
+// record is corruption, refused naming the log.
 func TestWALCoverageTornTails(t *testing.T) {
 	ctx := context.Background()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "t.wal")
-	w, err := OpenWALAfter(path, 0, nil)
+	path := filepath.Join(t.TempDir(), "t.wal")
+	w, err := OpenWAL(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Append(ctx, []Reading{{X: 1, Y: 1, T: 1, V: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Rotate(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Append(ctx, []Reading{{X: 2, Y: 2, T: 2, V: 2}}); err != nil {
-		t.Fatal(err)
+	for i := 1; i <= 2; i++ {
+		if err := w.Append(ctx, []Reading{{X: i, Y: i, T: i, V: 1}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	w.Close()
-
-	appendBytes := func(p string, b []byte) {
-		f, err := os.OpenFile(p, os.O_WRONLY|os.O_APPEND, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write(b); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-	}
-
-	appendBytes(path, []byte{0xde, 0xad})
-	if _, err := CheckWAL(path); err != nil {
-		t.Fatalf("torn active: %v", err)
-	}
-
-	sealed := segName(path, 1)
-	clean, err := os.ReadFile(sealed)
+	clean, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendBytes(sealed, []byte{0xbe, 0xef})
-	if _, err := CheckWAL(path); !errors.Is(err, ErrWALCorrupt) || !strings.Contains(err.Error(), sealed) {
-		t.Fatalf("torn sealed segment: %v, want ErrWALCorrupt naming %s", err, sealed)
+	for _, cut := range []int{len(clean) - 3, walHeaderLen - 6, 0} {
+		if err := os.WriteFile(path, clean[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if covered, err := CheckWAL(path); err != nil || covered {
+			t.Fatalf("log cut to %d bytes: %v, %v", cut, covered, err)
+		}
 	}
-	// VerifySegmentBytes mirrors the same rule for the scrubber.
-	raw, _ := os.ReadFile(segName(path, 1))
-	if err := VerifySegmentBytes(raw, segName(path, 1), true); !errors.Is(err, ErrWALCorrupt) {
-		t.Fatalf("VerifySegmentBytes sealed: %v, want ErrWALCorrupt", err)
-	}
-	if err := VerifySegmentBytes(raw, segName(path, 1), false); err != nil {
-		t.Fatalf("VerifySegmentBytes unsealed tolerates a torn tail: %v", err)
-	}
-
-	// A flipped payload byte is a checksum failure, refused naming the
-	// segment it sits in.
-	clean[len(clean)-1] ^= 0x01
-	if err := os.WriteFile(sealed, clean, 0o644); err != nil {
+	flipped := append([]byte(nil), clean...)
+	flipped[walHeaderLen+recHeaderLen+1] ^= 0x01
+	if err := os.WriteFile(path, flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CheckWAL(path); !errors.Is(err, ErrWALCorrupt) || !strings.Contains(err.Error(), sealed) {
-		t.Fatalf("flipped sealed segment: %v, want ErrWALCorrupt naming %s", err, sealed)
+	if _, err := CheckWAL(path); !errors.Is(err, ErrWALCorrupt) || !strings.Contains(err.Error(), path) {
+		t.Fatalf("flipped record: %v, want ErrWALCorrupt naming %s", err, path)
 	}
+}
+
+// TestCheckWALBesideCompaction: an audit running beside a live
+// ingester that compacts over and over reads the log before the
+// snapshot, so it sees at worst a covered log — never a generation gap
+// that is only the two reads straddling one compaction. The 512 KiB
+// snapshot makes each read long enough to be straddled: with the reads
+// the other way round, this test failed in each of 30 runs on a 2-vCPU
+// container.
+func TestCheckWALBesideCompaction(t *testing.T) {
+	ctx := context.Background()
+	path := filepath.Join(t.TempDir(), "live.wal")
+	in, err := New(Config{Cx: 32, Cy: 32, Ct: 64, BatchSize: 4}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	const compactions = 60
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(done)
+		for i := 0; i < compactions; i++ {
+			if _, _, err := in.Ingest(ctx, strings.NewReader(readingsCSV(genReadings(4, 32, 32, 64, int64(i))))); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := in.Compact(ctx); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	audits := 0
+	for running := true; running; audits++ {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		if _, err := CheckWAL(path); err != nil {
+			t.Errorf("audit %d beside a compacting ingester: %v", audits, err)
+			break
+		}
+	}
+	wg.Wait()
 }

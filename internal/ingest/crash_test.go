@@ -67,20 +67,16 @@ func TestIngestCrashChild(t *testing.T) {
 		// Freeze after the record's bytes are written but before fsync:
 		// the record was never acknowledged, but its bytes may survive.
 		inj.On(resilience.FaultWALSync, stallAtOrdinal)
-	case "mid-rotate":
-		// Freeze inside compaction's rotate window: the active segment is
-		// sealed and no active file exists at the WAL path.
-		inj.On(resilience.FaultWALRotate, stall)
 	case "mid-snapshot":
 		// Freeze inside the snapshot's commit window: temp file written and
 		// fsynced, rename pending — the snapshot must not exist afterwards
-		// and the sealed segments must still replay everything.
+		// and the log must still replay everything.
 		inj.On(resilience.FaultAtomicRename, stall)
-	case "mid-compact-delete":
-		// Freeze between the durable snapshot and the segment deletes: both
-		// the snapshot and the covered segments exist, and recovery must
-		// not apply the segments twice.
-		inj.On(resilience.FaultCompactDelete, stall)
+	case "mid-reset":
+		// Freeze between the durable snapshot and the log's reset: the
+		// snapshot covers the log's generation, and recovery must restart
+		// the log rather than apply its batches twice.
+		inj.On(resilience.FaultWALReset, stall)
 	default:
 		fmt.Fprintln(os.Stderr, "unknown crash mode", mode)
 		os.Exit(3)
@@ -99,7 +95,7 @@ func TestIngestCrashChild(t *testing.T) {
 		os.Exit(3)
 	}
 	switch mode {
-	case "mid-rotate", "mid-snapshot", "mid-compact-delete":
+	case "mid-snapshot", "mid-reset":
 		err := in.Compact(ctx)
 		fmt.Fprintln(os.Stderr, "child compact returned:", err)
 	}
@@ -111,10 +107,7 @@ func TestIngestKillReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess crash test")
 	}
-	for _, mode := range []string{
-		"mid-batch", "mid-sync",
-		"mid-rotate", "mid-snapshot", "mid-compact-delete",
-	} {
+	for _, mode := range []string{"mid-batch", "mid-sync", "mid-snapshot", "mid-reset"} {
 		t.Run(mode, func(t *testing.T) { runKillReplay(t, mode) })
 	}
 }
@@ -166,26 +159,19 @@ func runKillReplay(t *testing.T, mode string) {
 	// Compaction crash windows leave characteristic on-disk layouts;
 	// check them before recovery mutates anything.
 	switch mode {
-	case "mid-rotate":
-		if _, err := os.Stat(walPath); !os.IsNotExist(err) {
-			t.Fatalf("active WAL file exists inside the rotate window (stat err=%v)", err)
-		}
-		if segs, _ := listSegments(walPath); len(segs) == 0 {
-			t.Fatal("no sealed segment inside the rotate window")
-		}
 	case "mid-snapshot":
 		if _, err := os.Stat(walPath + ".snap"); !os.IsNotExist(err) {
 			t.Fatalf("snapshot exists before its rename (stat err=%v)", err)
 		}
-		if segs, _ := listSegments(walPath); len(segs) == 0 {
-			t.Fatal("no sealed segments awaiting the snapshot")
+		if covered, err := CheckWAL(walPath); err != nil || covered {
+			t.Fatalf("log awaiting the snapshot: covered=%v, %v; want a replayable log", covered, err)
 		}
-	case "mid-compact-delete":
+	case "mid-reset":
 		if _, err := os.Stat(walPath + ".snap"); err != nil {
-			t.Fatalf("snapshot missing in the delete window: %v", err)
+			t.Fatalf("snapshot missing in the reset window: %v", err)
 		}
-		if segs, _ := listSegments(walPath); len(segs) == 0 {
-			t.Fatal("covered segments already gone before any delete")
+		if covered, err := CheckWAL(walPath); err != nil || !covered {
+			t.Fatalf("log in the reset window: covered=%v, %v; want a covered log", covered, err)
 		}
 	}
 
@@ -215,9 +201,9 @@ func runKillReplay(t *testing.T, mode string) {
 		}
 	default:
 		// Every compaction window: all batches were durably
-		// acknowledged before the crash, so all must replay — from sealed
-		// segments, snapshot + segments, or snapshot alone, depending on
-		// where the kill landed.
+		// acknowledged before the crash, so all must replay — from the
+		// log, or from the snapshot alone, depending on where the kill
+		// landed.
 		if committed != crashTotal/crashBatch {
 			t.Fatalf("replayed %d batches, want all %d", committed, crashTotal/crashBatch)
 		}
@@ -248,20 +234,15 @@ func runKillReplay(t *testing.T, mode string) {
 		if !matricesEqual(re.Snapshot(), matrixOf(readings, crashCx, crashCy, crashCt)) {
 			t.Fatal("resumed matrix differs from the full input")
 		}
-	case "mid-rotate", "mid-snapshot", "mid-compact-delete":
-		// The interrupted compaction must be finishable: compact again,
-		// reopen, and land on the byte-identical matrix with no segments
-		// left behind.
-		if mode == "mid-compact-delete" {
-			if segs, _ := listSegments(walPath); len(segs) != 0 {
-				t.Fatalf("recovery open left covered segments behind: %v", segs)
-			}
-		}
+	case "mid-snapshot", "mid-reset":
+		// The interrupted compaction must be finishable: compact again
+		// (a no-op over a restarted log), reopen, and land on the
+		// byte-identical matrix beside an empty log of generation 2.
 		if err := re.Compact(context.Background()); err != nil {
 			t.Fatalf("compaction after crash recovery: %v", err)
 		}
-		if segs, _ := listSegments(walPath); len(segs) != 0 {
-			t.Fatalf("segments survive the post-recovery compaction: %v", segs)
+		if raw, err := os.ReadFile(walPath); err != nil || !bytes.Equal(raw, header(2)) {
+			t.Fatalf("log after the finished compaction: % x (%v), want the header of generation 2", raw, err)
 		}
 		re.Close()
 		re2, err := New(Config{Cx: crashCx, Cy: crashCy, Ct: crashCt, BatchSize: crashBatch}, walPath)

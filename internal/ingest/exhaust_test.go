@@ -36,7 +36,7 @@ func enospcOn(fault resilience.Fault) context.Context {
 func TestWALAppendPartialWriteTruncates(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "p.wal")
-	w, err := OpenWALAfter(path, 0, nil)
+	w, err := OpenWAL(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestWALAppendPartialWriteTruncates(t *testing.T) {
 	if err := w.Append(context.Background(), good); err != nil {
 		t.Fatal(err)
 	}
-	durable := w.ActiveBytes()
+	durable := w.Size()
 
 	ctx := enospcOn(resilience.FaultShortWrite)
 	err = w.Append(ctx, []Reading{{X: 2, Y: 2, T: 2, V: 3}})
@@ -68,7 +68,7 @@ func TestWALAppendPartialWriteTruncates(t *testing.T) {
 	}
 	w.Close()
 	n := 0
-	re, err := OpenWALAfter(path, 0, func(b []Reading) error { n += len(b); return nil })
+	re, err := OpenWAL(path, 0, func(b []Reading) error { n += len(b); return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestWALAppendPartialWriteTruncates(t *testing.T) {
 func TestWALAppendENOSPCNothingWritten(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "n.wal")
-	w, err := OpenWALAfter(path, 0, nil)
+	w, err := OpenWAL(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestWALAppendENOSPCNothingWritten(t *testing.T) {
 func TestWALSyncEIOPoisons(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "s.wal")
-	w, err := OpenWALAfter(path, 0, nil)
+	w, err := OpenWAL(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestWALSyncEIOPoisons(t *testing.T) {
 	// Restart: the unacknowledged record's bytes may or may not have hit
 	// the platter; either a clean 0-record or 1-record log is honest.
 	w.Close()
-	re, err := OpenWALAfter(path, 0, nil)
+	re, err := OpenWAL(path, 0, nil)
 	if err != nil {
 		t.Fatalf("recovery after poisoning: %v", err)
 	}
@@ -193,9 +193,9 @@ func TestIngesterDiskFullDrill(t *testing.T) {
 }
 
 // TestCompactionENOSPCDegrades: a snapshot write failing with ENOSPC
-// must not lose anything — the segments it would have covered stay, the
-// error is recorded, and a later compaction (space back) succeeds with
-// recovery still exact.
+// must not lose anything — the log it would have covered stays as it
+// was and usable, the error is recorded, and a later compaction (space
+// back) succeeds with recovery still exact.
 func TestCompactionENOSPCDegrades(t *testing.T) {
 	for _, fault := range []resilience.Fault{
 		resilience.FaultWriteENOSPC, resilience.FaultShortWrite, resilience.FaultSyncEIO,
@@ -214,6 +214,10 @@ func TestCompactionENOSPCDegrades(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := in.Snapshot()
+			log, err := os.ReadFile(wal)
+			if err != nil {
+				t.Fatal(err)
+			}
 
 			if err := in.Compact(enospcOn(fault)); err == nil {
 				t.Fatal("compaction survived an injected snapshot failure")
@@ -224,10 +228,12 @@ func TestCompactionENOSPCDegrades(t *testing.T) {
 			if _, err := os.Stat(wal + ".snap"); !os.IsNotExist(err) {
 				t.Fatalf("failed compaction left a snapshot (stat err=%v)", err)
 			}
-			// Nothing lost: the rotation already happened, the sealed segment
-			// still holds every batch.
-			if segs, _ := listSegments(wal); len(segs) == 0 {
-				t.Fatal("failed compaction also lost the sealed segments")
+			// Nothing lost: the log still holds every batch.
+			if got, _ := os.ReadFile(wal); string(got) != string(log) {
+				t.Fatal("failed compaction changed the log")
+			}
+			if h := in.Health(); h.Poisoned {
+				t.Fatalf("a snapshot that never reached its path poisoned the log: %+v", h)
 			}
 
 			// Space returns: compaction succeeds and recovery stays exact.
@@ -247,50 +253,82 @@ func TestCompactionENOSPCDegrades(t *testing.T) {
 	}
 }
 
-// TestCompactionDeleteEIORecovers: segment deletion failing after a
-// durable snapshot leaves covered segments behind; the next open
-// finishes the job and replays identically.
-func TestCompactionDeleteEIORecovers(t *testing.T) {
-	dir := t.TempDir()
-	wal := filepath.Join(dir, "dd.wal")
-	const cx, cy, ct, batch, total = 4, 4, 5, 8, 64
-	cfg := Config{Cx: cx, Cy: cy, Ct: ct, BatchSize: batch}
-	in, err := New(cfg, wal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	readings := genReadings(total, cx, cy, ct, 31)
-	if _, _, err := in.Ingest(context.Background(), strings.NewReader(readingsCSV(readings))); err != nil {
-		t.Fatal(err)
-	}
-	want := in.Snapshot()
-	inj := resilience.NewInjector()
-	inj.On(resilience.FaultCompactDelete, func(ctx context.Context, payload any) error {
-		return errors.New("EIO: injected unlink failure")
-	})
-	if err := in.Compact(resilience.WithInjector(context.Background(), inj)); err == nil {
-		t.Fatal("compaction reported success with the delete failing")
-	}
-	if _, err := os.Stat(wal + ".snap"); err != nil {
-		t.Fatalf("snapshot missing after delete-phase failure: %v", err)
-	}
-	if segs, _ := listSegments(wal); len(segs) == 0 {
-		t.Fatal("delete failed yet segments are gone")
-	}
-	in.Close()
-	re, err := New(cfg, wal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if segs, _ := listSegments(wal); len(segs) != 0 {
-		t.Fatalf("open did not finish the crashed compaction: %v", segs)
-	}
-	if !matricesEqual(re.Snapshot(), want) {
-		t.Fatal("recovery with covered segments present differs")
-	}
-	if got := re.Stats().Replayed; got != total {
-		t.Fatalf("Replayed = %d, want %d (covered segments must not double-count)", got, total)
+// TestCompactionFailurePoisonsWithoutLoss: once a compaction's
+// snapshot may be on disk but the log was not restarted — (a) the reset
+// fails after the snapshot commits, or (b) only the directory fsync
+// fails, so the snapshot's rename may yet be undone — the log is
+// poisoned. The next Ingest is refused with ErrWALPoisoned, so it
+// acknowledges nothing that the next open would skip as covered, and a
+// reopen recovers every reading acknowledged before the failure; the
+// refused readings are then resent and land exactly once.
+func TestCompactionFailurePoisonsWithoutLoss(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		fault resilience.Fault
+		fail  func(dir string) resilience.Hook
+	}{
+		{"reset-fails", resilience.FaultWALReset, func(string) resilience.Hook {
+			return func(context.Context, any) error { return errors.New("EIO: injected reset failure") }
+		}},
+		{"dir-fsync-fails", resilience.FaultSyncEIO, func(dir string) resilience.Hook {
+			return func(_ context.Context, payload any) error {
+				if payload == dir {
+					return errors.New("EIO: injected directory fsync failure")
+				}
+				return nil
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			wal := filepath.Join(dir, "dd.wal")
+			const cx, cy, ct, batch, total, late = 4, 4, 5, 8, 64, 32
+			cfg := Config{Cx: cx, Cy: cy, Ct: ct, BatchSize: batch}
+			in, err := New(cfg, wal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer in.Close()
+			readings := genReadings(total+late, cx, cy, ct, 31)
+			ctx := context.Background()
+			if _, _, err := in.Ingest(ctx, strings.NewReader(readingsCSV(readings[:total]))); err != nil {
+				t.Fatal(err)
+			}
+			inj := resilience.NewInjector().On(tc.fault, tc.fail(dir))
+			err = in.Compact(resilience.WithInjector(ctx, inj))
+			if !errors.Is(err, ErrWALPoisoned) {
+				t.Fatalf("failed compaction: %v, want ErrWALPoisoned", err)
+			}
+			if _, err := os.Stat(wal + ".snap"); err != nil {
+				t.Fatalf("no snapshot after a failure past its rename: %v", err)
+			}
+			if h := in.Health(); !h.Poisoned {
+				t.Fatalf("health after the failed compaction: %+v", h)
+			}
+			accepted, _, err := in.Ingest(ctx, strings.NewReader(readingsCSV(readings[total:])))
+			if !errors.Is(err, ErrWALPoisoned) || accepted != 0 {
+				t.Fatalf("ingest after the failed compaction acknowledged %d readings: %v, want ErrWALPoisoned", accepted, err)
+			}
+			in.Close()
+
+			re, err := New(cfg, wal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if !matricesEqual(re.Snapshot(), matrixOf(readings[:total], cx, cy, ct)) {
+				t.Fatal("recovery lost readings acknowledged before the failed compaction")
+			}
+			if got := re.Stats().Replayed; got != total {
+				t.Fatalf("Replayed = %d, want %d (a covered log must not double-count)", got, total)
+			}
+			if _, _, err := re.Ingest(ctx, strings.NewReader(readingsCSV(readings[total:]))); err != nil {
+				t.Fatal(err)
+			}
+			if !matricesEqual(re.Snapshot(), matrixOf(readings, cx, cy, ct)) {
+				t.Fatal("the resent readings did not land exactly once")
+			}
+		})
 	}
 }
 

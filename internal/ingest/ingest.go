@@ -26,7 +26,8 @@ type Config struct {
 	// BatchSize is how many accepted readings accumulate before a WAL
 	// append + fsync. Larger batches amortise the fsync; smaller ones
 	// bound how much acknowledged-but-unflushed input a crash can
-	// replay-miss (zero: Ingest flushes its tail, so nothing). Default 256.
+	// replay-miss (zero: Ingest flushes its tail, so nothing). Default
+	// 256; at most 838,860, the most one WAL record carries.
 	BatchSize int
 	// DeadLetter receives one JSON line per quarantined record (see
 	// DeadLetterRecord). nil discards quarantined records (still counted).
@@ -35,8 +36,7 @@ type Config struct {
 	// have committed since the last snapshot. 0 disables the trigger
 	// (compaction still runs via Compact).
 	CompactBatches int
-	// CompactBytes triggers snapshot compaction once the uncompacted WAL
-	// (sealed segments awaiting deletion plus the active file) exceeds
+	// CompactBytes triggers snapshot compaction once the WAL exceeds
 	// this many bytes. 0 disables the trigger.
 	CompactBytes int64
 }
@@ -59,6 +59,9 @@ func (c Config) withDefaults() (Config, error) {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 256
 	}
+	if c.BatchSize > maxBatch {
+		return c, fmt.Errorf("ingest: batch size %d exceeds %d, the most readings one WAL record carries", c.BatchSize, maxBatch)
+	}
 	if c.CompactBatches < 0 || c.CompactBytes < 0 {
 		return c, fmt.Errorf("ingest: negative compaction thresholds %d/%d", c.CompactBatches, c.CompactBytes)
 	}
@@ -78,10 +81,11 @@ type Stats struct {
 	Quarantined int64 // readings diverted to the dead letter
 	Batches     int64 // WAL records appended by this process
 	Replayed    int64 // readings recovered from snapshot + WAL at open
-	// Compactions counts successful snapshot compactions; CompactErrors
-	// counts attempts that failed (state stays consistent, the next
-	// attempt retries). CommitFailures counts batches refused at the WAL
-	// (the unacknowledged readings are dropped for the caller to resend).
+	// Compactions counts committed snapshots; CompactErrors counts
+	// attempts that failed (state stays consistent: the next attempt
+	// retries, or a restart recovers a poisoned log). CommitFailures
+	// counts batches refused at the WAL (the unacknowledged readings are
+	// dropped for the caller to resend).
 	Compactions    int64
 	CompactErrors  int64
 	CommitFailures int64
@@ -95,8 +99,10 @@ type Stats struct {
 type Health struct {
 	// Ready means the last durable write succeeded (or none failed yet).
 	Ready bool `json:"ready"`
-	// Poisoned means a failed fsync made the WAL's disk state unknowable;
-	// only a restart (which replays the durable prefix) recovers.
+	// Poisoned means the WAL takes no further append (ErrWALPoisoned): a
+	// failed fsync made its disk state unknowable, or a compaction's
+	// snapshot may cover it; only a restart (which recovers the snapshot
+	// and the durable log) recovers.
 	Poisoned bool `json:"poisoned,omitempty"`
 	// DiskFull means the last failure was ENOSPC: the ingester self-healed
 	// the log and will resume as soon as space returns.
@@ -143,7 +149,7 @@ func New(cfg Config, walPath string) (*Ingester, error) {
 	if err != nil {
 		return nil, err
 	}
-	var base uint64
+	var base uint64 // the WAL generation the snapshot folds, 0 without one
 	if snap != nil {
 		if snap.Cx != cfg.Cx || snap.Cy != cfg.Cy || snap.Ct != cfg.Ct {
 			return nil, fmt.Errorf("ingest: snapshot %s is %dx%dx%d, configured matrix is %dx%dx%d — was it written for different dimensions?",
@@ -170,7 +176,7 @@ func New(cfg Config, walPath string) (*Ingester, error) {
 	} else {
 		in.m = grid.NewMatrix(cfg.Cx, cfg.Cy, cfg.Ct)
 	}
-	wal, err := OpenWALAfter(walPath, base, func(batch []Reading) error {
+	wal, err := OpenWAL(walPath, base, func(batch []Reading) error {
 		for _, r := range batch {
 			if r.X >= cfg.Cx || r.Y >= cfg.Cy || r.T >= cfg.Ct || r.X < 0 || r.Y < 0 || r.T < 0 {
 				return fmt.Errorf("ingest: WAL reading (%d,%d,%d) outside the configured %dx%dx%d matrix — was the WAL written for different dimensions?",
@@ -212,7 +218,7 @@ func (in *Ingester) Health() Health {
 	h := Health{Ready: true}
 	switch {
 	case in.wal.Broken():
-		h = Health{Poisoned: true, Reason: "WAL poisoned by a failed fsync; restart to recover the durable prefix"}
+		h = Health{Poisoned: true, Reason: "WAL poisoned by a failed fsync or compaction; restart to recover the durable log"}
 	case in.lastErr != nil && resilience.IsDiskFull(in.lastErr):
 		h = Health{DiskFull: true, Reason: in.lastErr.Error()}
 	case in.lastErr != nil:
@@ -397,10 +403,11 @@ func (in *Ingester) commitLocked(ctx context.Context) error {
 // maybeCompactLocked runs compaction when a configured threshold is
 // exceeded. Failure is recorded, not returned: the triggering batch is
 // already durable, so a failed compaction must not fail the ingest —
-// the log just stays longer until the next attempt succeeds.
+// the log just stays longer until the next attempt succeeds, or, when
+// the failure poisoned the log, the next batch is refused.
 func (in *Ingester) maybeCompactLocked(ctx context.Context) {
 	trigger := (in.cfg.CompactBatches > 0 && in.dirty >= in.cfg.CompactBatches) ||
-		(in.cfg.CompactBytes > 0 && in.wal.ActiveBytes() > in.cfg.CompactBytes)
+		(in.cfg.CompactBytes > 0 && in.wal.Size() > in.cfg.CompactBytes)
 	if !trigger {
 		return
 	}
@@ -410,13 +417,14 @@ func (in *Ingester) maybeCompactLocked(ctx context.Context) {
 	}
 }
 
-// Compact folds the whole committed log into a checksummed snapshot and
-// deletes the WAL segments it covers. Safe to call at any time; a no-op
-// when nothing committed since the last snapshot. A SIGKILL at any
-// instant — mid-rotate, mid-snapshot, mid-delete — recovers to the
-// byte-identical matrix: the snapshot commit is atomic, and recovery
-// either replays the segments (snapshot missing) or skips and deletes
-// them (snapshot present).
+// Compact folds the whole committed log into a checksummed snapshot
+// and restarts the log empty. Safe to call at any time; a no-op when
+// nothing committed since the last snapshot. A SIGKILL at any instant —
+// mid-snapshot, mid-reset — recovers to the byte-identical matrix: the
+// snapshot commit is atomic, and recovery either replays the log
+// (snapshot missing) or restarts it (snapshot covers it). A reset that
+// fails after the snapshot commit poisons the log (see WAL.Fold): the
+// next restart recovers every acknowledged reading.
 func (in *Ingester) Compact(ctx context.Context) error {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -432,32 +440,22 @@ func (in *Ingester) compactLocked(ctx context.Context) error {
 	if in.dirty == 0 {
 		return nil
 	}
-	// Seal the active segment so the sealed set covers every committed
-	// batch, then snapshot the matrix — which is exactly the fold of
-	// those segments (and any prior snapshot).
-	upto, err := in.wal.Rotate(ctx)
-	if err != nil {
+	// The matrix is exactly the fold of the previous snapshot and every
+	// batch of the log's generation.
+	return in.wal.Fold(ctx, func(gen uint64) error {
+		err := WriteSnapshot(ctx, in.snapPath, &Snapshot{
+			Cx: in.cfg.Cx, Cy: in.cfg.Cy, Ct: in.cfg.Ct,
+			Upto:     gen,
+			Batches:  uint64(in.batch),
+			Accepted: uint64(in.stats.Accepted),
+			Cells:    in.m.Data(),
+		})
+		if err == nil {
+			in.dirty = 0
+			in.stats.Compactions++
+		}
 		return err
-	}
-	snap := &Snapshot{
-		Cx: in.cfg.Cx, Cy: in.cfg.Cy, Ct: in.cfg.Ct,
-		Upto:     upto,
-		Batches:  uint64(in.batch),
-		Accepted: uint64(in.stats.Accepted),
-		Cells:    in.m.Data(),
-	}
-	if err := WriteSnapshot(ctx, in.snapPath, snap); err != nil {
-		return err
-	}
-	// The snapshot is durable: everything at or below upto is dead
-	// weight. A crash mid-delete leaves covered segments for the next
-	// open to finish off.
-	in.dirty = 0
-	in.stats.Compactions++
-	if err := in.wal.DropThrough(ctx, upto); err != nil {
-		return err
-	}
-	return nil
+	})
 }
 
 // Flush commits any buffered tail batch.

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strconv"
@@ -200,6 +201,26 @@ func TestIngestBatchBoundaries(t *testing.T) {
 	if got := in.Stats(); got.Batches != 3 || got.Accepted != 7 {
 		t.Fatalf("stats = %+v, want 3 batches / 7 accepted", got)
 	}
+}
+
+// TestIngestBatchSizeBound: a batch size larger than one WAL record
+// carries — a batch the log's own recovery would refuse — is refused at
+// New, naming the bound, before the log is created; the bound itself
+// is accepted.
+func TestIngestBatchSizeBound(t *testing.T) {
+	dir := t.TempDir()
+	over := filepath.Join(dir, "over.wal")
+	if _, err := New(Config{Cx: 4, Cy: 4, Ct: 4, BatchSize: 838_861}, over); err == nil || !strings.Contains(err.Error(), "exceeds 838860") {
+		t.Fatalf("batch size 838,861: %v, want a refusal naming the bound 838860", err)
+	}
+	if _, err := os.Stat(over); !os.IsNotExist(err) {
+		t.Fatalf("a refused config created the log (stat err=%v)", err)
+	}
+	in, err := New(Config{Cx: 4, Cy: 4, Ct: 4, BatchSize: 838_860}, filepath.Join(dir, "max.wal"))
+	if err != nil {
+		t.Fatalf("batch size 838,860: %v", err)
+	}
+	in.Close()
 }
 
 // TestHighWaterAndCutWindow: the window-cut API the pipeline builds on.
@@ -454,7 +475,7 @@ func TestIngestMatchesOldParser(t *testing.T) {
 			}
 		}
 		var gotAcc []Reading
-		w, err := OpenWALAfter(path, 0, func(batch []Reading) error {
+		w, err := OpenWAL(path, 0, func(batch []Reading) error {
 			gotAcc = append(gotAcc, batch...)
 			return nil
 		})

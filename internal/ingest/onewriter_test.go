@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
@@ -14,10 +15,11 @@ import (
 )
 
 // TestIngestOneWriter: while an ingester holds its WAL, a second New —
-// which would delete the sealed segment the snapshot already covers and
-// truncate the active segment's torn tail — is refused with
-// journal.ErrLocked, naming the WAL, before it touches either. Once the
-// holder is closed, New recovers the same matrix and finishes both jobs.
+// which would restart the log the snapshot already covers, cutting away
+// the bytes the holder is part way through writing — is refused with
+// journal.ErrLocked, naming the WAL, before it touches anything. Once
+// the holder is closed, New recovers the same matrix and restarts the
+// log.
 func TestIngestOneWriter(t *testing.T) {
 	const cx, cy, ct = 6, 5, 12
 	ctx := context.Background()
@@ -31,22 +33,18 @@ func TestIngestOneWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer in.Close()
-	if _, _, err := in.Ingest(ctx, strings.NewReader(readingsCSV(readings[:32]))); err != nil {
+	if _, _, err := in.Ingest(ctx, strings.NewReader(readingsCSV(readings))); err != nil {
 		t.Fatal(err)
 	}
-	// The snapshot commits but the covered segment's delete fails, so
-	// segment 1 stays on disk for the next open to sweep.
-	keep := resilience.NewInjector().On(resilience.FaultCompactDelete, func(context.Context, any) error {
-		return errors.New("injected delete failure")
+	// The snapshot commits but the reset fails, so the log the snapshot
+	// covers stays on disk for the next open to restart.
+	keep := resilience.NewInjector().On(resilience.FaultWALReset, func(context.Context, any) error {
+		return errors.New("injected reset failure")
 	})
 	if err := in.Compact(resilience.WithInjector(ctx, keep)); err == nil {
-		t.Fatal("compaction with a failing delete succeeded")
+		t.Fatal("compaction with a failing reset succeeded")
 	}
-	if _, _, err := in.Ingest(ctx, strings.NewReader(readingsCSV(readings[32:]))); err != nil {
-		t.Fatal(err)
-	}
-	// A record the holder is part way through writing: to any other
-	// opener, a torn tail.
+	// A record the holder is part way through writing.
 	f, err := os.OpenFile(wal, os.O_WRONLY|os.O_APPEND, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -56,8 +54,8 @@ func TestIngestOneWriter(t *testing.T) {
 	}
 	f.Close()
 	before := dirFiles(t, dir)
-	if _, ok := before[filepath.Base(segName(wal, 1))]; !ok {
-		t.Fatalf("no covered segment on disk: %v", before)
+	if covered, err := CheckWAL(wal); err != nil || !covered {
+		t.Fatalf("CheckWAL = %v, %v; want a covered log", covered, err)
 	}
 
 	if _, err := New(cfg, wal); !errors.Is(err, journal.ErrLocked) || !strings.Contains(err.Error(), wal) {
@@ -77,12 +75,8 @@ func TestIngestOneWriter(t *testing.T) {
 	if !matricesEqual(re.Snapshot(), want) {
 		t.Fatal("recovered matrix differs from the holder's")
 	}
-	after := dirFiles(t, dir)
-	if _, ok := after[filepath.Base(segName(wal, 1))]; ok {
-		t.Fatal("recovery left the covered segment on disk")
-	}
-	if got, held := len(after["held.wal"]), len(before["held.wal"]); got != held-3 {
-		t.Fatalf("active segment is %d bytes after recovery, want the torn tail of %d bytes cut to %d", got, held, held-3)
+	if got := dirFiles(t, dir)["held.wal"]; !bytes.Equal(got, header(2)) {
+		t.Fatalf("log after recovery: % x, want the header of generation 2", got)
 	}
 }
 

@@ -17,11 +17,11 @@ import (
 
 // Snapshot is a checksummed, atomically written copy of the accumulated
 // consumption matrix plus the bookkeeping that lets recovery skip the
-// WAL segments it covers. On-disk format (all little-endian):
+// WAL generations it covers. On-disk format (all little-endian):
 //
 //	[8-byte magic "STPTSNP\x01"]
 //	u32 cx, u32 cy, u32 ct
-//	u64 upto      — newest sealed WAL segment folded into the matrix
+//	u64 upto      — newest WAL generation folded into the matrix
 //	u64 batches   — total batches folded (monotone across snapshots)
 //	u64 accepted  — total readings folded
 //	cx*cy*ct f64  — matrix cells, index (t*cy + y)*cx + x
@@ -32,7 +32,7 @@ import (
 // identical file — the round-trip FuzzSnapshotDecode relies on this.
 type Snapshot struct {
 	Cx, Cy, Ct int
-	Upto       uint64 // sealed segments <= Upto are folded in
+	Upto       uint64 // WAL generations <= Upto are folded in
 	Batches    uint64
 	Accepted   uint64
 	Cells      []float64

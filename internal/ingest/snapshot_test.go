@@ -73,10 +73,11 @@ func TestSnapshotDecodeRejectsDamage(t *testing.T) {
 }
 
 // TestCompactionFoldsAndDeletes: explicit compaction writes the
-// snapshot, drops every covered segment, and recovery from snapshot +
-// empty tail reproduces the byte-identical matrix. Ingestion continuing
-// after the compaction lands in the fresh active segment and replays on
-// top of the snapshot.
+// snapshot, deletes every folded record by restarting the log in place
+// under the next generation, and recovery from snapshot + empty log
+// reproduces the byte-identical matrix. Ingestion continuing after the
+// compaction lands in the restarted log and replays on top of the
+// snapshot.
 func TestCompactionFoldsAndDeletes(t *testing.T) {
 	dir := t.TempDir()
 	wal := filepath.Join(dir, "c.wal")
@@ -99,11 +100,11 @@ func TestCompactionFoldsAndDeletes(t *testing.T) {
 	if st := in.Stats(); st.Compactions != 1 || st.CompactErrors != 0 {
 		t.Fatalf("stats after compact: %+v", st)
 	}
-	if segs, _ := listSegments(wal); len(segs) != 0 {
-		t.Fatalf("covered segments survived compaction: %v", segs)
+	if raw, err := os.ReadFile(wal); err != nil || !bytes.Equal(raw, header(2)) {
+		t.Fatalf("log after compaction: % x (%v), want the header of generation 2", raw, err)
 	}
-	if _, err := os.Stat(wal + ".snap"); err != nil {
-		t.Fatalf("no snapshot after compaction: %v", err)
+	if snap, err := LoadSnapshot(wal + ".snap"); err != nil || snap == nil || snap.Upto != 1 {
+		t.Fatalf("snapshot after compaction: %+v, %v; want one folding generation 1", snap, err)
 	}
 	// Compacting again with nothing new is a no-op.
 	if err := in.Compact(ctx); err != nil {
@@ -112,7 +113,7 @@ func TestCompactionFoldsAndDeletes(t *testing.T) {
 	if st := in.Stats(); st.Compactions != 1 {
 		t.Fatalf("no-op compaction wrote a snapshot: %+v", st)
 	}
-	// Keep ingesting into the fresh active segment, then close.
+	// Keep ingesting into the restarted log, then close.
 	if _, _, err := in.Ingest(ctx, strings.NewReader(readingsCSV(readings[half:]))); err != nil {
 		t.Fatal(err)
 	}

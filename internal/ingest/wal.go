@@ -9,19 +9,21 @@
 // published by internal/pipeline.
 //
 // Under continual release the log would otherwise grow without bound,
-// so the WAL supports snapshot-based compaction: the ingester
-// periodically seals the active segment, writes a checksummed snapshot
-// of the accumulated matrix, and deletes every sealed segment the
-// snapshot covers. Recovery is then snapshot + tail replay.
+// so the WAL supports snapshot-based compaction: the ingester writes a
+// checksummed snapshot of the accumulated matrix that folds the log's
+// generation, then restarts the same file in place under the next
+// generation. Recovery is then snapshot + replay of the one generation
+// past it.
 //
-// Recovery (OpenWALAfter) and the read-only audit stpt-doctor runs
-// (CheckWAL) walk the log the same way: one helper lists the sealed
-// segments, splits them at the snapshot high-water and refuses a gap,
-// and one record scanner validates every segment, so the audit refuses
-// exactly the layouts a restart would.
+// Recovery (OpenWAL) and the read-only audit stpt-doctor runs
+// (CheckWAL) walk the log the same way (walkLog): a log one generation
+// past the snapshot replays, a log at or below it is already folded in
+// and restarts, and anything else is refused, so the audit refuses
+// exactly the logs a restart would.
 package ingest
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -29,9 +31,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/journal"
 	"repro/internal/resilience"
@@ -45,9 +45,9 @@ type Reading struct {
 	V       float64
 }
 
-// WAL on-disk format (per segment):
+// WAL on-disk format: one file,
 //
-//	[8-byte magic "STPTWAL\x01"]
+//	[8-byte magic "STPTWAL\x02"][u64 LE generation]
 //	repeated records: [u32 LE payload length][u32 LE CRC32(payload)][payload]
 //
 // where payload is one encoded batch (see encodeBatch). Each Append is
@@ -57,130 +57,85 @@ type Reading struct {
 // full-length record whose checksum fails cannot result from a torn
 // append and is reported as corruption, never silently skipped.
 //
-// The log is a sequence of segments: sealed, immutable files named
-// `<path>.<seq>` (eight decimal digits) plus the active file at
-// `<path>`. Rotation renames the active file to the next sealed name
-// and starts a fresh one; compaction deletes sealed segments once a
-// snapshot covers them. Only the active segment may carry a torn tail —
-// a sealed segment was fully fsynced before its rename, so any damage
-// there is corruption.
-var walMagic = [8]byte{'S', 'T', 'P', 'T', 'W', 'A', 'L', 1}
+// The generation ties the log to the snapshot beside it: compaction
+// writes the snapshot with Upto set to the log's generation g, then
+// truncates the file in place and writes the header of g+1. So at open
+// a log of generation Upto+1 holds exactly the batches the snapshot
+// lacks; a log at or below Upto is already folded in (the compaction
+// stopped before its reset) and restarts empty; and a header cut short
+// held no record. Generations start at 1, so a log past generation 1
+// with no snapshot, or more than one past its snapshot, lost the
+// snapshot of the generations between and is corrupt.
+var walMagic = [8]byte{'S', 'T', 'P', 'T', 'W', 'A', 'L', 2}
+
+// oldWALMagic heads the segmented log earlier builds wrote.
+var oldWALMagic = [8]byte{'S', 'T', 'P', 'T', 'W', 'A', 'L', 1}
 
 const (
-	walHeaderLen  = 8
+	walHeaderLen  = 16      // magic + u64 generation
 	recHeaderLen  = 8       // u32 length + u32 crc
 	readingLen    = 20      // u32 x + u32 y + u32 t + f64 bits
-	maxRecordWire = 1 << 24 // 16 MiB: no legitimate batch comes close
+	maxRecordWire = 1 << 24 // 16 MiB: the largest record recovery accepts
+	// maxBatch is the most readings one record can carry within
+	// maxRecordWire (its payload is a u32 count plus the readings).
+	maxBatch = (maxRecordWire - 4) / readingLen
 )
+
+// earlierBuild is how to move a log an earlier build wrote to this one.
+const earlierBuild = "written by an earlier build: compact it with that build, then remove the 8-byte header-only log that leaves"
 
 // ErrWALCorrupt marks damage that a torn final append cannot explain —
 // a bad magic, an absurd length field, a checksum mismatch on a
-// complete record, or a missing sealed segment. Callers must stop, not
-// skip: silently dropping an interior batch would replay to a different
-// matrix than the one the ingester built.
+// complete record, or a generation the snapshot does not account for.
+// Callers must stop, not skip: silently dropping an interior batch
+// would replay to a different matrix than the one the ingester built.
 var ErrWALCorrupt = errors.New("ingest: WAL corrupt")
 
-// ErrWALPoisoned marks a WAL whose last fsync (or self-heal after a
-// failed write) did not succeed: the kernel may have dropped dirty
-// pages, so the on-disk state of the final record is unknowable from
-// this handle. Every further append is refused; the process must
-// restart and recover from the log, which replays exactly the durable
-// prefix.
-var ErrWALPoisoned = errors.New("ingest: WAL poisoned by a failed fsync; restart and recover")
+// ErrWALPoisoned marks a WAL that must take no further append: its last
+// fsync (or self-heal after a failed write) did not succeed, so the
+// on-disk state of the final record is unknowable from this handle; or
+// a snapshot that folds its generation may be on disk while the log was
+// not restarted, so recovery would skip a later append. Every further
+// append is refused; the process must restart and recover from the
+// snapshot and the log, which keep every acknowledged batch.
+var ErrWALPoisoned = errors.New("ingest: WAL poisoned; restart and recover")
 
-// WAL is an append-only, segmented write-ahead log of accepted batches.
-// Not safe for concurrent use; the Ingester serialises access.
+// WAL is the append-only write-ahead log of accepted batches. Not safe
+// for concurrent use; the Ingester serialises access.
 type WAL struct {
-	h       *journal.Appender // the active segment
-	path    string            // active segment path; sealed segments are path.<seq>
-	records int               // complete batches replayed at open + appended since
-	active  int               // records in the active segment
-	seq     uint64            // sequence the active segment receives when sealed
-	sealed  []uint64
+	h       *journal.Appender
+	gen     uint64 // the generation appends land in
+	records int    // complete batches replayed at open + appended since
 	buf     []byte
 }
 
-// segName returns the sealed-segment path for seq.
-func segName(path string, seq uint64) string { return fmt.Sprintf("%s.%08d", path, seq) }
+// header returns the file header of generation gen.
+func header(gen uint64) []byte {
+	h := make([]byte, walHeaderLen)
+	copy(h, walMagic[:])
+	binary.LittleEndian.PutUint64(h[len(walMagic):], gen)
+	return h
+}
 
-// listSegments returns the sealed segment sequence numbers present next
-// to path, ascending. Only suffixes of exactly eight digits count, so
-// snapshots (`.snap`), dead letters and temp files never match.
-func listSegments(path string) ([]uint64, error) {
-	matches, err := filepath.Glob(path + ".*")
-	if err != nil {
+// OpenWAL opens (or creates) the log at path beside a snapshot that
+// folds every generation up to base (0: no snapshot), validates it, and
+// hands each decoded batch of a log one generation past base to replay
+// in append order. A short tail — the signature of a torn final append
+// — is truncated away so the log is ready for new appends. A log at or
+// below base, or one whose header a crash cut short, holds nothing the
+// snapshot lacks: it restarts in place as an empty log of generation
+// base+1. Any other generation or damage is an ErrWALCorrupt. replay
+// may be nil to skip delivery (still validates).
+//
+// The file is locked first (journal.OpenLocked): while another handle
+// holds the log, the open is refused with journal.ErrLocked before any
+// byte is read or truncated. A log an earlier build wrote — a
+// STPTWAL\x01 file, or a sealed <path>.NNNNNNNN segment beside it — is
+// refused, naming the file, before anything is created or changed.
+func OpenWAL(path string, base uint64, replay func(batch []Reading) error) (_ *WAL, err error) {
+	if err := refuseSegments(path); err != nil {
 		return nil, err
 	}
-	var seqs []uint64
-	for _, m := range matches {
-		suffix := m[len(path)+1:]
-		if len(suffix) != 8 {
-			continue
-		}
-		var seq uint64
-		ok := true
-		for _, c := range suffix {
-			if c < '0' || c > '9' {
-				ok = false
-				break
-			}
-			seq = seq*10 + uint64(c-'0')
-		}
-		if ok {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	return seqs, nil
-}
-
-// walSegments lists the sealed segments next to path and splits them at
-// the snapshot high-water base: folded are the segments <= base that a
-// snapshot already covers (leftovers of a compaction that crashed
-// mid-delete), tail the ones recovery must replay. The tail must run
-// contiguously from base+1; a gap means a segment no snapshot covers was
-// lost, and the log cannot replay faithfully. Recovery (OpenWALAfter)
-// and the read-only audit (CheckWAL) both walk the log through here, so
-// they refuse exactly the same layouts.
-func walSegments(path string, base uint64) (folded, tail []uint64, err error) {
-	seqs, err := listSegments(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ingest: listing WAL segments: %w", err)
-	}
-	next := base + 1
-	for _, seq := range seqs {
-		if seq <= base {
-			folded = append(folded, seq)
-			continue
-		}
-		if seq != next {
-			return nil, nil, fmt.Errorf("%w: sealed segment %d present but %d missing — replay has a gap", ErrWALCorrupt, seq, next)
-		}
-		tail = append(tail, seq)
-		next++
-	}
-	return folded, tail, nil
-}
-
-// OpenWALAfter opens (or creates) the log at path, validates every
-// existing record, and hands each decoded batch to replay in append
-// order. A short tail on the active segment — the signature of a torn
-// final append — is truncated away so the log is ready for new appends;
-// any other damage is an ErrWALCorrupt. replay may be nil to skip
-// delivery (still validates).
-//
-// The active file is locked first (journal.OpenLocked): while another
-// handle holds the log, the open is refused with journal.ErrLocked
-// before any segment is read, deleted or truncated.
-//
-// Sealed segments with sequence <= base are skipped — those are folded
-// into a snapshot the caller has already loaded (base 0 means no
-// snapshot). The sealed segments that remain must be contiguous from
-// base+1 (see walSegments); a gap is refused before any segment is
-// touched. Covered segments still on disk (a crash landed between the
-// snapshot commit and the segment deletes) are then deleted, finishing
-// the interrupted compaction.
-func OpenWALAfter(path string, base uint64, replay func(batch []Reading) error) (_ *WAL, err error) {
 	f, err := journal.OpenLocked(path)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: opening WAL: %w", err)
@@ -190,117 +145,80 @@ func OpenWALAfter(path string, base uint64, replay func(batch []Reading) error) 
 			f.Close()
 		}
 	}()
-	folded, tail, err := walSegments(path, base)
-	if err != nil {
-		return nil, err
-	}
-	for _, seq := range folded {
-		if err := os.Remove(segName(path, seq)); err != nil && !os.IsNotExist(err) {
-			return nil, fmt.Errorf("ingest: dropping snapshot-covered segment %d: %w", seq, err)
-		}
-	}
-	w := &WAL{path: path, seq: base + 1}
-	for _, seq := range tail {
-		if err := w.replaySealed(segName(path, seq), replay); err != nil {
-			return nil, err
-		}
-		w.sealed = append(w.sealed, seq)
-		w.seq = seq + 1
-	}
-	if w.h, err = w.recoverActive(f, replay); err != nil {
-		return nil, err
-	}
-	return w, nil
-}
-
-// replaySealed validates and delivers one sealed, immutable segment.
-// Sealed segments were fully fsynced before their rename, so unlike the
-// active file they tolerate no torn tail: every byte must parse.
-func (w *WAL) replaySealed(path string, replay func(batch []Reading) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("ingest: opening sealed segment: %w", err)
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return fmt.Errorf("ingest: sealed segment stat: %w", err)
-	}
-	_, n, err := scanSegment(f, info.Size(), path, true, replay)
-	if err != nil {
-		return err
-	}
-	w.records += n
-	return nil
-}
-
-// recoverActive scans the active file, delivers complete batches, and
-// attaches the append handle after the last complete record, truncating
-// a torn tail.
-func (w *WAL) recoverActive(f *os.File, replay func(batch []Reading) error) (*journal.Appender, error) {
 	info, err := f.Stat()
 	if err != nil {
 		return nil, fmt.Errorf("ingest: WAL stat: %w", err)
 	}
 	size := info.Size()
-	if size < walHeaderLen {
-		// Empty or a crash during header creation: either way no record
-		// was ever durable, but refuse if the bytes present are not a
-		// prefix of our magic — that is someone else's file.
-		head := make([]byte, size)
-		if _, err := f.ReadAt(head, 0); err != nil {
-			return nil, fmt.Errorf("ingest: reading WAL header: %w", err)
-		}
-		if string(head) != string(walMagic[:size]) {
-			return nil, fmt.Errorf("%w: %s is not a WAL (bad magic)", ErrWALCorrupt, w.path)
-		}
-		if _, err := f.WriteAt(walMagic[:], 0); err != nil {
-			return nil, fmt.Errorf("ingest: writing WAL header: %w", err)
-		}
-		if err := f.Sync(); err != nil {
-			return nil, fmt.Errorf("ingest: syncing WAL header: %w", err)
-		}
-		return journal.Attach(f, walHeaderLen, walHeaderLen, ErrWALPoisoned)
-	}
-	off, n, err := scanRecords(f, size, w.path, replay)
+	gen, end, n, err := walkLog(f, size, path, base, replay)
 	if err != nil {
 		return nil, err
 	}
-	w.records += n
-	w.active = n
-	// The torn tail past off was never acknowledged as durable.
-	return journal.Attach(f, size, off, ErrWALPoisoned)
-}
-
-// scanSegment runs scanRecords over one segment image and applies the
-// torn-tail rule: a sealed segment was fully fsynced before its rename,
-// so unlike the active file it must parse to its last byte.
-func scanSegment(f io.ReaderAt, size int64, path string, sealed bool, replay func(batch []Reading) error) (int64, int, error) {
-	off, n, err := scanRecords(f, size, path, replay)
-	if err == nil && sealed && off < size {
-		err = fmt.Errorf("%w: sealed segment %s has a torn tail at offset %d", ErrWALCorrupt, path, off)
+	w := &WAL{gen: base + 1, records: n}
+	if gen == w.gen {
+		// The torn tail past end was never acknowledged as durable.
+		w.h, err = journal.Attach(f, size, end, ErrWALPoisoned)
+	} else if w.h, err = journal.Attach(f, size, size, ErrWALPoisoned); err == nil {
+		// A covered log, or a header cut short, restarts empty.
+		err = w.h.Reset(context.Background(), header(w.gen))
 	}
-	return off, n, err
+	if err != nil {
+		return nil, err
+	}
+	return w, nil
 }
 
-// scanRecords validates records from the start of one segment image,
+// refuseSegments refuses a sealed segment an earlier build left beside
+// path: its batches are in no snapshot or log this build reads.
+func refuseSegments(path string) error {
+	segs, err := filepath.Glob(path + ".[0-9][0-9][0-9][0-9][0-9][0-9][0-9][0-9]")
+	if err != nil {
+		return fmt.Errorf("ingest: looking for WAL segments: %w", err)
+	}
+	if len(segs) > 0 {
+		return fmt.Errorf("ingest: %s is a WAL segment %s", segs[0], earlierBuild)
+	}
+	return nil
+}
+
+// walkLog validates the log image f of size bytes beside a snapshot
+// that folds every generation up to base; recovery (OpenWAL) and the
+// audit (CheckWAL) share it. It returns the log's generation, 0 when a
+// crash cut the header short. Only a log of generation base+1 is read
+// past its header: each complete batch goes to replay (when non-nil),
+// end is the offset after the last complete record — short of size when
+// a torn tail follows — and n counts the records. Every refusal names
+// path.
+func walkLog(f io.ReaderAt, size int64, path string, base uint64, replay func(batch []Reading) error) (gen uint64, end int64, n int, err error) {
+	head := make([]byte, min(size, walHeaderLen))
+	if got, err := f.ReadAt(head, 0); got < len(head) {
+		return 0, 0, 0, fmt.Errorf("ingest: reading WAL header: %w", err)
+	}
+	magic := head[:min(len(head), len(walMagic))]
+	switch {
+	case bytes.Equal(magic, oldWALMagic[:]):
+		return 0, 0, 0, fmt.Errorf("ingest: %s is a WAL %s", path, earlierBuild)
+	case !bytes.Equal(magic, walMagic[:len(magic)]):
+		return 0, 0, 0, fmt.Errorf("%w: %s is not a WAL (bad magic)", ErrWALCorrupt, path)
+	case len(head) < walHeaderLen:
+		return 0, 0, 0, nil // no record was ever durable
+	}
+	switch gen = binary.LittleEndian.Uint64(head[len(walMagic):]); {
+	case gen != 0 && gen <= base:
+		return gen, 0, 0, nil
+	case gen != base+1:
+		return 0, 0, 0, fmt.Errorf("%w: %s is at generation %d, but its snapshot folds generations up to %d (0: no snapshot), so only %d can follow",
+			ErrWALCorrupt, path, gen, base, base+1)
+	}
+	end, n, err = scanRecords(f, size, path, replay)
+	return gen, end, n, err
+}
+
+// scanRecords validates the records after the header of one log image,
 // delivering each complete batch, and returns the offset after the last
 // complete record plus the record count. An offset short of the size
-// means a torn tail; the caller decides whether that is recoverable
-// (active segment) or corruption (sealed segment). Taking an io.ReaderAt
-// lets the read-only audit (CheckWAL, the scrubber) reuse exactly the
-// scanner recovery trusts. Every refusal names path.
+// means a torn tail. Every refusal names path.
 func scanRecords(f io.ReaderAt, size int64, path string, replay func(batch []Reading) error) (int64, int, error) {
-	if size < walHeaderLen {
-		return 0, 0, fmt.Errorf("%w: segment %s shorter than its header", ErrWALCorrupt, path)
-	}
-	var head [walHeaderLen]byte
-	if _, err := f.ReadAt(head[:], 0); err != nil {
-		return 0, 0, fmt.Errorf("ingest: reading WAL header: %w", err)
-	}
-	if head != walMagic {
-		return 0, 0, fmt.Errorf("%w: %s is not a WAL (bad magic)", ErrWALCorrupt, path)
-	}
 	off := int64(walHeaderLen)
 	n := 0
 	var rec [recHeaderLen]byte
@@ -343,20 +261,21 @@ func scanRecords(f io.ReaderAt, size int64, path string, replay func(batch []Rea
 	return off, n, nil
 }
 
-// Records returns how many complete batches the log holds beyond any
-// snapshot base — replayed at open plus appended since.
+// Records returns how many complete batches were replayed at open plus
+// appended since.
 func (w *WAL) Records() int { return w.records }
 
-// ActiveBytes returns the durable size of the active segment — the
-// bytes a compaction would fold away.
-func (w *WAL) ActiveBytes() int64 { return w.h.End() }
+// Size returns the durable size of the log — what a compaction would
+// fold away.
+func (w *WAL) Size() int64 { return w.h.End() }
 
-// Broken reports whether the handle is poisoned by a failed fsync.
+// Broken reports whether the log is poisoned.
 func (w *WAL) Broken() bool { return w.h.Err() != nil }
 
 // Append encodes batch as one record, writes it in a single call, and
 // fsyncs before returning — only then may the caller apply the batch to
-// in-memory state.
+// in-memory state. A batch larger than one record can carry is refused
+// before anything is written: recovery would refuse its record.
 //
 // Failure semantics follow the disk, not hope: a failed or short write
 // (ENOSPC mid-record) triggers self-healing — the file is truncated
@@ -369,6 +288,9 @@ func (w *WAL) Broken() bool { return w.h.Err() != nil }
 func (w *WAL) Append(ctx context.Context, batch []Reading) error {
 	if len(batch) == 0 {
 		return nil
+	}
+	if len(batch) > maxBatch {
+		return fmt.Errorf("ingest: a batch of %d readings exceeds the %d one WAL record holds", len(batch), maxBatch)
 	}
 	// Header and payload share one buffer, reused across appends, so the
 	// record goes out in a single write.
@@ -384,73 +306,42 @@ func (w *WAL) Append(ctx context.Context, batch []Reading) error {
 		return fmt.Errorf("ingest: appending WAL record: %w", err)
 	}
 	w.records++
-	w.active++
 	return nil
 }
 
-// Rotate seals the active segment: the file (already durable — every
-// acknowledged append fsynced) is renamed to the next sealed-segment
-// name and a fresh active file replaces it. Returns the sealed
-// segment's sequence, or the newest already-sealed sequence when the
-// active file holds no records. A fault hook error at FaultWALRotate is
-// returned after the fresh active file is in place, so an injected
-// rotation failure leaves the log consistent — exactly what a crashed
-// compaction leaves for recovery to finish.
-func (w *WAL) Rotate(ctx context.Context) (uint64, error) {
+// Fold compacts the log. commit must durably write a snapshot that
+// folds every batch of generation gen, the log's own (Snapshot.Upto =
+// gen); the file is then truncated in place — keeping its inode and its
+// lock — and restarted under generation gen+1.
+//
+// Between the two steps the log is covered: recovery restarts it
+// instead of replaying it. So once the snapshot may be on disk —
+// commit returned nil, or an error wrapping
+// resilience.ErrRenameNotDurable — a log that was not restarted is
+// poisoned, because an append to it would be acknowledged and then
+// skipped at the next open. Any other commit error leaves the log as
+// it was.
+func (w *WAL) Fold(ctx context.Context, commit func(gen uint64) error) error {
 	if err := w.h.Err(); err != nil {
-		return 0, err
+		return err
 	}
-	if w.active == 0 {
-		return w.seq - 1, nil
-	}
-	sealed := w.seq
-	if err := os.Rename(w.path, segName(w.path, sealed)); err != nil {
-		return 0, fmt.Errorf("ingest: sealing segment %d: %w", sealed, err)
-	}
-	// Rename durability is advisory: if the dir entry update is lost to a
-	// power cut, recovery sees the pre-rotation layout, which replays to
-	// the same matrix.
-	_ = resilience.SyncDir(ctx, filepath.Dir(w.path))
-	// Crash window: no active file exists at path.
-	ferr := resilience.Fire(ctx, resilience.FaultWALRotate, sealed)
-	if err := w.h.Reopen(walMagic[:]); err != nil {
-		return 0, fmt.Errorf("ingest: starting fresh active segment: %w", err)
-	}
-	w.sealed = append(w.sealed, sealed)
-	w.seq = sealed + 1
-	w.active = 0
-	if ferr != nil {
-		return sealed, fmt.Errorf("ingest: rotating WAL: %w", ferr)
-	}
-	return sealed, nil
-}
-
-// DropThrough deletes sealed segments with sequence <= seq — they are
-// covered by a durably committed snapshot. Deletion is idempotent and
-// restartable: a crash partway through leaves covered segments that the
-// next OpenWALAfter removes.
-func (w *WAL) DropThrough(ctx context.Context, seq uint64) error {
-	kept := w.sealed[:0]
-	var failed error
-	for _, s := range w.sealed {
-		if s > seq || failed != nil {
-			kept = append(kept, s)
-			continue
+	if err := commit(w.gen); err != nil {
+		if !errors.Is(err, resilience.ErrRenameNotDurable) {
+			return err
 		}
-		name := segName(w.path, s)
-		if err := resilience.Fire(ctx, resilience.FaultCompactDelete, name); err != nil {
-			failed = fmt.Errorf("ingest: dropping compacted segment %d: %w", s, err)
-			kept = append(kept, s)
-			continue
-		}
-		if err := os.Remove(name); err != nil && !os.IsNotExist(err) {
-			failed = fmt.Errorf("ingest: dropping compacted segment %d: %w", s, err)
-			kept = append(kept, s)
-		}
+		w.h.Poison()
+		return fmt.Errorf("%w: the snapshot of generation %d may be on disk: %w", ErrWALPoisoned, w.gen, err)
 	}
-	w.sealed = append([]uint64(nil), kept...)
-	_ = resilience.SyncDir(ctx, filepath.Dir(w.path))
-	return failed
+	// A kill here leaves a covered log for the next open to restart.
+	if err := resilience.Fire(ctx, resilience.FaultWALReset, w.gen); err != nil {
+		w.h.Poison()
+		return fmt.Errorf("%w: restarting the log after generation %d: %w", ErrWALPoisoned, w.gen, err)
+	}
+	if err := w.h.Reset(ctx, header(w.gen+1)); err != nil {
+		return fmt.Errorf("ingest: restarting the log after generation %d: %w", w.gen, err)
+	}
+	w.gen++
+	return nil
 }
 
 // Close releases the file handle. The log is already durable — every

@@ -1,11 +1,14 @@
 package ingest
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/resilience"
@@ -28,7 +31,7 @@ func testBatches(n int) [][]Reading {
 
 func appendAll(t *testing.T, path string, batches [][]Reading) {
 	t.Helper()
-	w, err := OpenWALAfter(path, 0, nil)
+	w, err := OpenWAL(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +49,7 @@ func appendAll(t *testing.T, path string, batches [][]Reading) {
 func replayAll(t *testing.T, path string) [][]Reading {
 	t.Helper()
 	var got [][]Reading
-	w, err := OpenWALAfter(path, 0, func(batch []Reading) error {
+	w, err := OpenWAL(path, 0, func(batch []Reading) error {
 		cp := make([]Reading, len(batch))
 		copy(cp, batch)
 		got = append(got, cp)
@@ -86,7 +89,7 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatalf("replay mismatch: got %d batches, want %d", len(got), len(batches))
 	}
 	// Reopen-and-extend.
-	w, err := OpenWALAfter(path, 0, nil)
+	w, err := OpenWAL(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +122,7 @@ func TestWALTornTailEveryOffset(t *testing.T) {
 	var recordEnds []int
 	{
 		off := walHeaderLen
-		w, err := OpenWALAfter(full, 0, func([]Reading) error { return nil })
+		w, err := OpenWAL(full, 0, func([]Reading) error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +151,7 @@ func TestWALTornTailEveryOffset(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got int
-		w, err := OpenWALAfter(path, 0, func([]Reading) error { got++; return nil })
+		w, err := OpenWAL(path, 0, func([]Reading) error { got++; return nil })
 		if err != nil {
 			t.Fatalf("cut %d: reopen failed: %v", cut, err)
 		}
@@ -187,7 +190,7 @@ func TestWALInteriorCorruptionRefused(t *testing.T) {
 			if err := os.WriteFile(path, b, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			_, err := OpenWALAfter(path, 0, nil)
+			_, err := OpenWAL(path, 0, nil)
 			if !errors.Is(err, ErrWALCorrupt) {
 				t.Fatalf("err = %v, want ErrWALCorrupt", err)
 			}
@@ -223,7 +226,7 @@ func TestWALFsyncFailurePoisons(t *testing.T) {
 	})
 	ctx := resilience.WithInjector(context.Background(), inj)
 
-	w, err := OpenWALAfter(path, 0, nil)
+	w, err := OpenWAL(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +284,7 @@ func TestWALTornWriteInjection(t *testing.T) {
 	})
 	ctx := resilience.WithInjector(context.Background(), inj)
 
-	w, err := OpenWALAfter(path, 0, nil)
+	w, err := OpenWAL(path, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,24 +304,155 @@ func TestWALTornWriteInjection(t *testing.T) {
 	}
 }
 
-// TestWALEmptyAndHeaderOnly: a zero-byte file and a partially written
-// header both recover to an empty, appendable log.
+// TestWALEmptyAndHeaderOnly: a zero-byte file and every cut of a
+// header — beside no snapshot, or beside one a compaction committed
+// before its reset was cut short — recover to an empty log of the
+// generation after the snapshot, which accepts appends.
 func TestWALEmptyAndHeaderOnly(t *testing.T) {
-	for cut := 0; cut <= walHeaderLen; cut++ {
-		path := filepath.Join(t.TempDir(), fmt.Sprintf("w%d.wal", cut))
-		if err := os.WriteFile(path, walMagic[:cut], 0o644); err != nil {
+	for _, base := range []uint64{0, 2} {
+		for cut := 0; cut <= walHeaderLen; cut++ {
+			path := filepath.Join(t.TempDir(), fmt.Sprintf("w%d.wal", cut))
+			if err := os.WriteFile(path, header(base + 1)[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			w, err := OpenWAL(path, base, nil)
+			if err != nil {
+				t.Fatalf("base %d, cut %d: %v", base, cut, err)
+			}
+			if w.Records() != 0 || w.gen != base+1 {
+				t.Fatalf("base %d, cut %d: %d records at generation %d", base, cut, w.Records(), w.gen)
+			}
+			if err := w.Append(context.Background(), []Reading{{V: 2}}); err != nil {
+				t.Fatalf("base %d, cut %d: %v", base, cut, err)
+			}
+			w.Close()
+			got, err := OpenWAL(path, base, nil)
+			if err != nil || got.Records() != 1 {
+				t.Fatalf("base %d, cut %d: reopen after the append: %v", base, cut, err)
+			}
+			got.Close()
+		}
+	}
+}
+
+// TestWALGenerations pins the recovery rule: beside a snapshot that
+// folds every generation up to base, a log of generation base+1
+// replays, a log at or below base restarts empty (a compaction stopped
+// before its reset; its batches are in the snapshot), and any other
+// generation is ErrWALCorrupt, refused with no byte changed.
+func TestWALGenerations(t *testing.T) {
+	batches := testBatches(3)
+	logAt := func(t *testing.T, gen uint64) (string, []byte) {
+		path := filepath.Join(t.TempDir(), "g.wal")
+		appendAll(t, path, batches)
+		raw, err := os.ReadFile(path)
+		if err != nil {
 			t.Fatal(err)
 		}
-		w, err := OpenWALAfter(path, 0, nil)
-		if err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
+		copy(raw, header(gen))
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if w.Records() != 0 {
-			t.Fatalf("cut %d: %d records in empty log", cut, w.Records())
+		return path, raw
+	}
+	for _, tc := range []struct {
+		name      string
+		gen, base uint64
+	}{
+		{"replays one past its snapshot", 4, 3},
+		{"replays generation 1 with no snapshot", 1, 0},
+		{"restarts at its snapshot", 3, 3},
+		{"restarts below its snapshot", 1, 3},
+		{"refuses two past its snapshot", 5, 3},
+		{"refuses generation 2 with no snapshot", 2, 0},
+		{"refuses generation 0", 0, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path, raw := logAt(t, tc.gen)
+			replayed := 0
+			w, err := OpenWAL(path, tc.base, func([]Reading) error { replayed++; return nil })
+			switch {
+			case tc.gen == tc.base+1:
+				if err != nil || replayed != len(batches) || w.gen != tc.gen {
+					t.Fatalf("replayed %d of %d batches: %v", replayed, len(batches), err)
+				}
+				w.Close()
+			case tc.gen != 0 && tc.gen <= tc.base:
+				if err != nil || replayed != 0 || w.Records() != 0 {
+					t.Fatalf("covered log: replayed %d, %v", replayed, err)
+				}
+				w.Close()
+				if got, _ := os.ReadFile(path); !bytes.Equal(got, header(tc.base+1)) {
+					t.Fatalf("covered log restarted as % x, want the header of generation %d", got, tc.base+1)
+				}
+			default:
+				if !errors.Is(err, ErrWALCorrupt) || !strings.Contains(err.Error(), path) {
+					t.Fatalf("err = %v, want ErrWALCorrupt naming %s", err, path)
+				}
+				if got, _ := os.ReadFile(path); !bytes.Equal(got, raw) {
+					t.Fatal("a refused open changed the log")
+				}
+			}
+		})
+	}
+}
+
+// TestWALEarlierBuildRefused: a log an earlier build wrote — its
+// segmented format's STPTWAL\x01 file, or a sealed segment beside a log
+// — is refused by recovery and by the audit, naming the file, and no
+// byte on disk changes.
+func TestWALEarlierBuildRefused(t *testing.T) {
+	dir := t.TempDir()
+	old := filepath.Join(dir, "old.wal")
+	oldLog := append(oldWALMagic[:], 8, 0, 0, 0, 1, 2, 3, 4)
+	if err := os.WriteFile(old, oldLog, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, "seg.wal")
+	appendAll(t, seg, testBatches(1))
+	sealed := seg + ".00000001"
+	if err := os.WriteFile(sealed, oldLog, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	lone := filepath.Join(dir, "lone.wal")
+	if err := os.WriteFile(lone+".00000003", oldLog, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for path, named := range map[string]string{old: old, seg: sealed, lone: lone + ".00000003"} {
+		before := dirFiles(t, dir)
+		if _, err := OpenWAL(path, 0, nil); err == nil || !strings.Contains(err.Error(), named) || !strings.Contains(err.Error(), "earlier build") {
+			t.Fatalf("open %s: %v, want a refusal naming %s", path, err, named)
 		}
-		if err := w.Append(context.Background(), []Reading{{V: 2}}); err != nil {
-			t.Fatalf("cut %d: %v", cut, err)
+		if _, err := CheckWAL(path); err == nil || !strings.Contains(err.Error(), named) {
+			t.Fatalf("audit %s: %v, want a refusal naming %s", path, err, named)
 		}
-		w.Close()
+		if after := dirFiles(t, dir); !reflect.DeepEqual(after, before) {
+			t.Fatalf("refusing %s changed the directory", path)
+		}
+	}
+}
+
+// TestWALAppendRefusesOversizeBatch: a batch one record cannot carry is
+// refused before any byte is written, so the log never holds a record
+// its own recovery would refuse, and the handle stays usable.
+func TestWALAppendRefusesOversizeBatch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "big.wal")
+	w, err := OpenWAL(path, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := w.Append(context.Background(), testBatches(1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := os.ReadFile(path)
+	if err := w.Append(context.Background(), make([]Reading, maxBatch+1)); err == nil {
+		t.Fatal("an oversize batch was appended")
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+		t.Fatal("a refused oversize append changed the log")
+	}
+	if w.Broken() {
+		t.Fatal("a refused oversize append poisoned the log")
 	}
 }

@@ -262,31 +262,42 @@ func (a *Appender) heal() error {
 	return a.f.Sync()
 }
 
-// Reopen follows the file being renamed away from its path (WAL
-// rotation): it locks a fresh file at the path through OpenLocked, only
-// then truncates it to hold init, fsyncs it, and closes the old
-// descriptor. A failure, a file another writer holds included, poisons
-// the handle.
-func (a *Appender) Reopen(init []byte) error {
-	f, err := OpenLocked(a.f.Name())
+// Reset restarts the file in place with init as its only content (WAL
+// compaction): it truncates the file and fsyncs that, then writes init
+// and fsyncs again, so a crash leaves the old bytes, no bytes, or a
+// prefix of init — never init in front of old bytes. The file keeps its
+// inode, and with it the writer's lock. A failure poisons the handle:
+// which of those states is durable is unknowable from here.
+func (a *Appender) Reset(ctx context.Context, init []byte) error {
+	if err := a.Err(); err != nil {
+		return err
+	}
+	err := a.f.Truncate(0)
 	if err == nil {
-		if err = f.Truncate(0); err == nil {
-			if _, err = f.Write(init); err == nil {
-				err = f.Sync()
-			}
-		}
-		if err != nil {
-			f.Close()
-		}
+		err = resilience.Sync(ctx, a.f)
+	}
+	if err == nil {
+		_, err = a.f.Seek(0, io.SeekStart)
+	}
+	if err == nil {
+		_, err = resilience.Write(ctx, a.f, init)
+	}
+	if err == nil {
+		err = resilience.Sync(ctx, a.f)
 	}
 	if err != nil {
 		a.broken = true
-		return fmt.Errorf("%w: reopening %s: %w", a.poison, a.f.Name(), err)
+		return fmt.Errorf("%w: resetting %s: %w", a.poison, a.f.Name(), err)
 	}
-	a.f.Close()
-	a.f, a.end = f, int64(len(init))
+	a.end = int64(len(init))
 	return nil
 }
+
+// Poison refuses every later append, as a failed fsync does. The owner
+// calls it once the file's bytes may have stopped meaning what its
+// appends meant, which only a reopen can sort out: the WAL, once a
+// snapshot that folds its records may be on disk.
+func (a *Appender) Poison() { a.broken = true }
 
 // Close releases the file and with it the writer's lock; every
 // committed record is already durable.

@@ -186,6 +186,49 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.register(name, &Gauge{name: name, help: help, fn: fn})
 }
 
+// Scrubber is what the scrub gauges read: an at-rest integrity
+// scrubber's lifetime counters and its latched corrupt artifacts.
+type Scrubber interface {
+	ScrubCounts() (passes, corruptFound, repaired, quarantined uint64)
+	CorruptArtifacts() []string
+}
+
+// ScrubGauges registers the five integrity-scrub gauges every daemon
+// that scrubs exports, as <prefix>_scrub_passes_total,
+// _corrupt_found_total, _repaired_total, _quarantined_total and
+// _corrupt_artifacts. Each is read at scrape time from src(), and reads
+// 0 while src returns nil.
+func (r *Registry) ScrubGauges(prefix string, src func() Scrubber) {
+	count := func(pick func(passes, corrupt, repaired, quarantined uint64) uint64) func() float64 {
+		return func() float64 {
+			if s := src(); s != nil {
+				return float64(pick(s.ScrubCounts()))
+			}
+			return 0
+		}
+	}
+	r.GaugeFunc(prefix+"_scrub_passes_total",
+		"Completed integrity-scrub passes over the at-rest artifacts.",
+		count(func(p, _, _, _ uint64) uint64 { return p }))
+	r.GaugeFunc(prefix+"_scrub_corrupt_found_total",
+		"Artifacts found corrupt by the integrity scrubber.",
+		count(func(_, c, _, _ uint64) uint64 { return c }))
+	r.GaugeFunc(prefix+"_scrub_repaired_total",
+		"Corrupt artifacts repaired and byte-verified.",
+		count(func(_, _, r, _ uint64) uint64 { return r }))
+	r.GaugeFunc(prefix+"_scrub_quarantined_total",
+		"Corrupt artifacts quarantined to <path>.corrupt.",
+		count(func(_, _, _, q uint64) uint64 { return q }))
+	r.GaugeFunc(prefix+"_scrub_corrupt_artifacts",
+		"Artifacts currently latched corrupt (readiness reports 'corrupt' while > 0).",
+		func() float64 {
+			if s := src(); s != nil {
+				return float64(len(s.CorruptArtifacts()))
+			}
+			return 0
+		})
+}
+
 // Set stores the gauge value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 

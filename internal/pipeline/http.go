@@ -34,7 +34,7 @@ const diskFullRetryAfter = "5"
 // Handler exposes the supervisor and its ingester over HTTP:
 //
 //	POST /ingest     CSV body (x,y,t,value lines) → {"accepted":N,"quarantined":M}
-//	POST /-/compact  fold the WAL into a snapshot and drop covered segments
+//	POST /-/compact  fold the WAL into a snapshot and restart the log
 //	GET  /stats      ingest lifetime counters + matrix dimensions
 //	GET  /healthz    liveness
 //	GET  /readyz     readiness: 503 while artifacts are latched corrupt,

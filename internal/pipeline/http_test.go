@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -121,7 +122,8 @@ func TestHTTPDiskFull503Resume(t *testing.T) {
 		t.Fatal("matrix after the HTTP drill differs from the full input")
 	}
 
-	// /-/compact works over HTTP and folds the log.
+	// /-/compact works over HTTP: the snapshot folds the log, which
+	// restarts as a bare 16-byte header.
 	cresp, err := postAuthed(ts.URL+"/-/compact", "")
 	if err != nil {
 		t.Fatal(err)
@@ -130,8 +132,11 @@ func TestHTTPDiskFull503Resume(t *testing.T) {
 	if cresp.StatusCode != http.StatusOK {
 		t.Fatalf("/-/compact: %d", cresp.StatusCode)
 	}
-	if segs, _ := filepath.Glob(filepath.Join(dir, "feed.wal.0*")); len(segs) != 0 {
-		t.Fatalf("segments survive /-/compact: %v", segs)
+	if _, err := os.Stat(filepath.Join(dir, "feed.wal.snap")); err != nil {
+		t.Fatalf("no snapshot after /-/compact: %v", err)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, "feed.wal")); err != nil || fi.Size() != 16 {
+		t.Fatalf("log after /-/compact: %v, %v; want a bare 16-byte header", fi, err)
 	}
 }
 

@@ -24,8 +24,8 @@ var ErrRenameNotDurable = errors.New("resilience: rename not durable")
 // survives a power cut. Every file written whole (release CSVs, ingest
 // snapshots, a compacted ledger) commits this way, and a nil return
 // means the new content is durable at path: callers journal a window
-// as published, unlink the WAL segments a snapshot covers, or unlink a
-// window's staged cut on the strength of it. An error wrapping
+// as published, restart the WAL a snapshot covers, or unlink a window's
+// staged cut on the strength of it. An error wrapping
 // ErrRenameNotDurable means path already holds the new content; any
 // other error leaves path untouched.
 //

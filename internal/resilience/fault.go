@@ -66,16 +66,13 @@ const (
 	// prefix of the record (WriteOp.Short bytes; half by default) — the
 	// ENOSPC-mid-record tear that leaves a poisoned tail on disk.
 	FaultShortWrite Fault = "fs/short-write"
-	// FaultWALRotate fires during WAL rotation after the active segment
-	// is sealed (renamed) but before the fresh active file exists, with
-	// the sealed segment's sequence number as payload — the window where
-	// a kill leaves the log with no active segment.
-	FaultWALRotate Fault = "ingest/wal-rotate"
-	// FaultCompactDelete fires before each snapshot-covered WAL segment
-	// is deleted during compaction, with the segment path as payload, so
-	// a kill can land with the snapshot written but covered segments
-	// still on disk.
-	FaultCompactDelete Fault = "ingest/compact-delete"
+	// FaultWALReset fires during WAL compaction after the snapshot that
+	// folds the log's generation is committed but before the log is
+	// truncated and restarted under the next generation, with the folded
+	// generation (uint64) as payload — the window where a kill leaves a
+	// covered log that recovery must restart, not replay. A hook error
+	// stands for a failed reset: the log is poisoned.
+	FaultWALReset Fault = "ingest/wal-reset"
 	// FaultWindowCut fires in the continual-release pipeline after a
 	// window's boundaries are decided but before its frozen cut file is
 	// written, with the window ordinal (int) as payload. A stalled hook

@@ -84,8 +84,8 @@ func Sync(ctx context.Context, f *os.File) error {
 // SyncDir fsyncs the directory dir through the fault seam
 // (FaultSyncEIO, payload: the directory path), making a just-completed
 // rename or remove in it durable against power loss. AtomicWriteFile
-// fails on its error; the WAL's rotation and segment drops and
-// Quarantine ignore it, because recovery accepts either outcome there.
+// fails on its error; Quarantine ignores it, because a power cut that
+// undoes its rename leaves the damage where the next scrub finds it.
 func SyncDir(ctx context.Context, dir string) error {
 	if in := InjectorFrom(ctx); in != nil {
 		if err := in.fire(ctx, FaultSyncEIO, dir); err != nil {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -252,6 +253,54 @@ func TestBitFlipDrill(t *testing.T) {
 		got, err := os.ReadFile(path)
 		if err != nil || string(got) != string(want) {
 			t.Fatalf("artifact %s diverged from golden after the drill (%v)", path, err)
+		}
+	}
+}
+
+// TestScrubMetricsServe: a serving daemon whose scrubber latched a
+// corrupt release exports all five stpt_serve_scrub_* series on
+// /metrics with the scrubber's counts.
+func TestScrubMetricsServe(t *testing.T) {
+	ctx := context.Background()
+	path := filepath.Join(t.TempDir(), "alpha.csv")
+	if err := datasets.SaveMatrixCSVFile(ctx, path, drillMatrix(1)); err != nil {
+		t.Fatal(err)
+	}
+	store := serve.NewStore()
+	if err := store.LoadAll([]serve.LoadSpec{{Name: "alpha", Path: path}}); err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.New(ctx, store, serve.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	sc, err := New(Config{Targets: StoreTargets(store)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.SetIntegrity(sc)
+	flipByte(t, path, 10)
+	if err := sc.RunPass(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"stpt_serve_scrub_passes_total 1\n",
+		"stpt_serve_scrub_corrupt_found_total 1\n",
+		"stpt_serve_scrub_repaired_total 0\n",
+		"stpt_serve_scrub_quarantined_total 1\n",
+		"stpt_serve_scrub_corrupt_artifacts 1\n",
+	} {
+		if !strings.Contains(string(body), "\n"+want) {
+			t.Errorf("/metrics lacks the sample %q:\n%s", want, body)
 		}
 	}
 }

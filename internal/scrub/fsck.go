@@ -37,8 +37,8 @@ type FsckConfig struct {
 	// Sensitivity parameterises release rebuilds during repair
 	// (default 1, matching the pipeline's default).
 	Sensitivity float64
-	// WAL is the ingest write-ahead log path; coverage is proved gapless
-	// from the snapshot high-water through the active file.
+	// WAL is the ingest write-ahead log path; the log's generation is
+	// proved to follow its snapshot's, and its records to parse.
 	WAL string
 	// Peer is a healthy replica's base URL ("http://host:port"); with
 	// DataDir set, every catalog file is verified against local bytes
@@ -53,7 +53,7 @@ type FsckConfig struct {
 
 // Severity ranks a finding: an "error" breaks an invariant the system
 // relies on; a "warn" is residue worth an operator's glance (a stale
-// quarantine file, a covered WAL segment awaiting cleanup).
+// quarantine file, a covered WAL awaiting its restart).
 type Severity string
 
 const (
@@ -146,8 +146,8 @@ var findingCodes = map[string]struct{ unreadable, corrupt string }{
 // file a peer's catalog advertises, once, and runs its Check; a failure
 // becomes a finding carrying the target's Repair. On top of that it
 // adds only what no single file can show: ledger spend against the
-// manifest, WAL gaplessness, torn-tail warnings for the two journals,
-// and quarantine residue.
+// manifest, WAL coverage, torn-tail warnings for the two journals, and
+// quarantine residue.
 func Fsck(ctx context.Context, cfg FsckConfig) (*Report, error) {
 	if cfg.Manifest == "" && cfg.Ledger == "" && cfg.WAL == "" && cfg.OutDir == "" && cfg.Peer == "" {
 		return nil, fmt.Errorf("scrub: fsck has nothing to check — configure at least one artifact group")
@@ -197,16 +197,16 @@ func Fsck(ctx context.Context, cfg FsckConfig) (*Report, error) {
 		}
 	}
 	if cfg.WAL != "" {
-		// Gaplessness under recovery's own rules: the snapshot decodes,
-		// sealed segments run contiguously from its high-water and parse
-		// whole, and only the active file may be torn.
+		// Coverage under recovery's own rules: the snapshot decodes, the
+		// log's generation follows it, and the log parses up to a torn
+		// tail.
 		rep.Checked++
 		if covered, err := ingest.CheckWAL(cfg.WAL); err != nil {
 			rep.add(Finding{Code: "wal-coverage-broken", Severity: SeverityError,
 				Artifact: cfg.WAL, Detail: err.Error()})
-		} else if covered > 0 {
+		} else if covered {
 			rep.add(Finding{Code: "wal-covered-residue", Severity: SeverityWarn, Artifact: cfg.WAL,
-				Detail: fmt.Sprintf("%d sealed segment(s) already folded into the snapshot remain on disk (a compaction crashed mid-delete; recovery sweeps them)", covered)})
+				Detail: "the snapshot already folds the log's generation (a compaction stopped before restarting the log; the next open restarts it)"})
 		}
 	}
 	fsckQuarantineResidue(cfg, rep)

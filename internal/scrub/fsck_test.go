@@ -298,37 +298,51 @@ func TestFsckLedgerCorruption(t *testing.T) {
 	}
 }
 
-// A deleted sealed WAL segment is a replay gap fsck must refuse.
+// A log the snapshot already covers — a compaction stopped before its
+// reset — is a warning: the next open restarts it. A log past
+// generation 1 with no snapshot has lost the snapshot of the
+// generations before it: a replay gap fsck must refuse.
 func TestFsckWALGap(t *testing.T) {
 	ctx := context.Background()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "g.wal")
-	w, err := ingest.OpenWALAfter(path, 0, nil)
+	path := filepath.Join(t.TempDir(), "g.wal")
+	cfg := ingest.Config{Cx: 2, Cy: 2, Ct: 4, BatchSize: 4}
+	in, err := ingest.New(cfg, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seg := 0; seg < 3; seg++ {
-		if err := w.Append(ctx, []ingest.Reading{{X: seg, Y: 0, T: seg, V: 1}}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.Rotate(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Close()
-	segs, err := ingest.SealedSegmentPaths(path)
-	if err != nil || len(segs) != 3 {
-		t.Fatalf("sealed segments: %v, %v", segs, err)
-	}
-	if err := os.Remove(segs[1]); err != nil {
+	if _, _, err := in.Ingest(ctx, strings.NewReader("0,0,0,1\n1,1,1,2\n")); err != nil {
 		t.Fatal(err)
 	}
-
+	stop := resilience.NewInjector().On(resilience.FaultWALReset, func(context.Context, any) error {
+		return errors.New("injected: reset stopped")
+	})
+	if err := in.Compact(resilience.WithInjector(ctx, stop)); err == nil {
+		t.Fatal("compaction with a failing reset succeeded")
+	}
+	in.Close()
 	rep, err := Fsck(ctx, FsckConfig{WAL: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f := findingByCode(rep, "wal-coverage-broken"); f == nil {
+	if f := findingByCode(rep, "wal-covered-residue"); rep.Errors() != 0 || f == nil || f.Severity != SeverityWarn {
+		t.Fatalf("covered log: %+v, want one wal-covered-residue warning", rep.Findings)
+	}
+
+	// Recovery restarts the log at generation 2; without its snapshot,
+	// generation 1's batches are nowhere.
+	in, err = ingest.New(cfg, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in.Close()
+	if err := os.Remove(path + ".snap"); err != nil {
+		t.Fatal(err)
+	}
+	rep, err = Fsck(ctx, FsckConfig{WAL: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := findingByCode(rep, "wal-coverage-broken"); f == nil || !strings.Contains(f.Detail, "generation 2") {
 		t.Fatalf("gap not detected: %+v", rep.Findings)
 	}
 }
@@ -358,23 +372,13 @@ func TestFsckQuarantineResidueWarns(t *testing.T) {
 // list and stpt-doctor audit one inventory. For every artifact kind
 // PipelineTargets lists, one damaged file is latched — alone — by a
 // single scrub pass, and every error finding Fsck reports names that
-// same file: as its artifact, or for the WAL kinds in the
+// same file: as its artifact, or for the snapshot in the
 // wal-coverage-broken detail.
 func TestScrubPipelineTargetsAgreeWithFsck(t *testing.T) {
-	for _, kind := range []string{"window", "latest", "manifest", "ledger", "snapshot", "wal-segment"} {
+	for _, kind := range []string{"window", "latest", "manifest", "ledger", "snapshot"} {
 		t.Run(kind, func(t *testing.T) {
 			ctx := context.Background()
 			h := newFsckHarness(t, 2)
-			// Leave a sealed segment past the snapshot: a compaction whose
-			// rotation fails has sealed the active file but written no
-			// snapshot. Zero readings change no cell.
-			inj := resilience.NewInjector()
-			inj.On(resilience.FaultWALRotate, func(context.Context, any) error { return errors.New("injected: rotation") })
-			feed := strings.Repeat(fmt.Sprintf("0,0,%d,0\n", fsCt-1), 16)
-			if _, _, err := h.in.Ingest(resilience.WithInjector(ctx, inj), strings.NewReader(feed)); err != nil {
-				t.Fatal(err)
-			}
-
 			targets := PipelineTargets(h.cfg.OutDir, h.cfg.Manifest, h.cfg.Ledger, h.cfg.WAL)
 			listed := map[string]string{}
 			for _, tg := range targets() {
@@ -382,8 +386,8 @@ func TestScrubPipelineTargetsAgreeWithFsck(t *testing.T) {
 					listed[tg.Kind] = tg.Path
 				}
 			}
-			if len(listed) != 6 {
-				t.Fatalf("PipelineTargets lists kinds %v, want all six", listed)
+			if len(listed) != 5 {
+				t.Fatalf("PipelineTargets lists kinds %v, want all five", listed)
 			}
 			victim := listed[kind]
 			raw, err := os.ReadFile(victim)

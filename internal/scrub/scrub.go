@@ -10,23 +10,23 @@
 // plan); the daemons scrub those lists, and Fsck audits the same list —
 // plus one release target per file a peer's catalog advertises — adding
 // only the relational checks: ledger spend against the manifest, WAL
-// gaplessness (ingest.CheckWAL, the walk recovery uses), torn tails and
+// coverage (ingest.CheckWAL, the walk recovery uses), torn tails and
 // quarantine residue.
 //
 // The threat model is silent corruption below the crash model the rest
 // of the repo defends against: bit rot, torn sectors, fsync lies, an
 // operator's stray write. Every artifact already carries a checksum
-// (CRC-32C in the serve catalog, CRC-32 in the journals, WAL records and
-// release manifests); what was missing is anything that *reads* them
+// (CRC-32C in the serve catalog, CRC-32 in the journals, the WAL
+// snapshot and release manifests); what was missing is anything that *reads* them
 // again after the write-time verification. A scrubber pass is that read.
 //
 // Quarantine follows the artifact's mutability. Immutable artifacts
 // (published releases, catalog files) are renamed to <path>.corrupt —
 // serving a damaged release is strictly worse than 404ing it, and the
 // rename makes the catalog refuse it to followers too. Live artifacts
-// (open journals, WAL segments a recovery would replay) are quarantined
-// by copy: renaming a file out from under an open handle hides the
-// damage from the process that must refuse to trust it.
+// (open journals, the WAL snapshot a recovery would load) are
+// quarantined by copy: renaming a file out from under an open handle
+// hides the damage from the process that must refuse to trust it.
 package scrub
 
 import (
@@ -56,13 +56,13 @@ type Chunk struct {
 // streamed through the fault point and handed to Check.
 type Target struct {
 	// Kind labels the artifact class in logs and status ("release",
-	// "manifest", "ledger", "wal-segment", "snapshot", "window",
-	// "latest").
+	// "manifest", "ledger", "snapshot", "window", "latest").
 	Kind string
 	// Path is the artifact on disk.
 	Path string
-	// Live marks artifacts held open by a running process (journals, the
-	// WAL): quarantined by copy, never renamed away.
+	// Live marks artifacts held open or replaced by a running process
+	// (journals, the WAL snapshot): quarantined by copy, never renamed
+	// away.
 	Live bool
 	// Check validates the full file image. It must be read-only and
 	// side-effect free: a pass may run it twice on one artifact.
@@ -142,8 +142,8 @@ func (s *Scrubber) Run(ctx context.Context) error {
 //
 // A Check failure is confirmed against a *freshly enumerated* target
 // before it counts: the artifact set mutates underneath a pass (a
-// publish atomically replaces latest.csv, a compaction deletes WAL
-// segments), and a read raced against an atomic replace can see the old
+// publish atomically replaces latest.csv, a compaction the WAL
+// snapshot), and a read raced against an atomic replace can see the old
 // inode while the enumeration already promised the new checksum. If the
 // path is no longer listed the failure is dropped; if the fresh check
 // passes the latch is cleared.

@@ -66,15 +66,15 @@ func catalogTargets(cat serve.Catalog, peer, dataDir string) []Target {
 
 // PipelineTargets enumerates a continual-release pipeline's at-rest
 // artifacts: the window manifest and ε ledger (full read-only journal
-// scans), the WAL snapshot and sealed segments, every published window
-// file against its journalled release checksum, and latest.csv against
-// the newest published window. It is the one inventory of the pipeline
-// tier: the daemon's scrubber re-verifies it in the background and
-// stpt-doctor's Fsck audits it offline. Journals and WAL files are Live
-// — a running daemon holds them open, so they quarantine by copy. The
-// active WAL segment is deliberately not scrubbed: its torn tail is a
-// legal crash signature and its bytes change under every append, so
-// verification belongs to recovery (and ingest.CheckWAL), not the
+// scans), the WAL snapshot, every published window file against its
+// journalled release checksum, and latest.csv against the newest
+// published window. It is the one inventory of the pipeline tier: the
+// daemon's scrubber re-verifies it in the background and stpt-doctor's
+// Fsck audits it offline. Journals and the snapshot are Live — a
+// running daemon holds or replaces them, so they quarantine by copy.
+// The WAL itself is deliberately not scrubbed: its torn tail is a legal
+// crash signature and its bytes change under every append and reset,
+// so verification belongs to recovery (and ingest.CheckWAL), not the
 // scrubber. Empty arguments disable their artifact group.
 //
 // Window and latest.csv targets carry the Repair Fsck plans for them:
@@ -111,17 +111,6 @@ func PipelineTargets(outDir, manifestPath, ledgerPath, walPath string) func() []
 						return err
 					},
 				})
-			}
-			if sealed, err := ingest.SealedSegmentPaths(walPath); err == nil {
-				for _, seg := range sealed {
-					seg := seg
-					out = append(out, Target{
-						Kind: "wal-segment", Path: seg, Live: true,
-						Check: func(data []byte) error {
-							return ingest.VerifySegmentBytes(data, seg, true)
-						},
-					})
-				}
 			}
 		}
 		if outDir != "" && manifestPath != "" {

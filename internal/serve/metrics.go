@@ -58,34 +58,7 @@ func newServeMetrics(s *Server) *serveMetrics {
 			}
 			return 0
 		})
-	scrubCount := func(pick func(passes, corrupt, repaired, quarantined uint64) uint64) func() float64 {
-		return func() float64 {
-			if src := s.Integrity(); src != nil {
-				return float64(pick(src.ScrubCounts()))
-			}
-			return 0
-		}
-	}
-	reg.GaugeFunc("stpt_serve_scrub_passes_total",
-		"Completed integrity-scrub passes over the at-rest artifacts.",
-		scrubCount(func(p, _, _, _ uint64) uint64 { return p }))
-	reg.GaugeFunc("stpt_serve_scrub_corrupt_found_total",
-		"Artifacts found corrupt by the integrity scrubber.",
-		scrubCount(func(_, c, _, _ uint64) uint64 { return c }))
-	reg.GaugeFunc("stpt_serve_scrub_repaired_total",
-		"Corrupt artifacts repaired (replica re-fetch) and byte-verified.",
-		scrubCount(func(_, _, r, _ uint64) uint64 { return r }))
-	reg.GaugeFunc("stpt_serve_scrub_quarantined_total",
-		"Corrupt artifacts quarantined to <path>.corrupt.",
-		scrubCount(func(_, _, _, q uint64) uint64 { return q }))
-	reg.GaugeFunc("stpt_serve_scrub_corrupt_artifacts",
-		"Artifacts currently latched corrupt (readiness reports 'corrupt' while > 0).",
-		func() float64 {
-			if src := s.Integrity(); src != nil {
-				return float64(len(src.CorruptArtifacts()))
-			}
-			return 0
-		})
+	reg.ScrubGauges("stpt_serve", func() metrics.Scrubber { return s.Integrity() })
 	return m
 }
 
