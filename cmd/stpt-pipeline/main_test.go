@@ -98,6 +98,22 @@ func TestOneShotPublishesEveryWindow(t *testing.T) {
 	if !bytes.Equal(latest, windows[3]) {
 		t.Fatal("latest.csv is not the newest window")
 	}
+	// Published files are created like the ledger beside them (0644 less
+	// the umask), so a server running as another user can read them (the
+	// WAL snapshot's mode is checked by ingest's TestSnapshotFileMode).
+	mode := func(path string) os.FileMode {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Mode().Perm()
+	}
+	ledger := mode(filepath.Join(dir, "budget.ledger"))
+	for _, f := range []string{filepath.Join(out, "window-000001.csv"), filepath.Join(out, "latest.csv")} {
+		if m := mode(f); m != ledger {
+			t.Errorf("%s: mode %v, want the ledger's %v", filepath.Base(f), m, ledger)
+		}
+	}
 
 	// Same WAL, nothing new to say: the manifest resumes at the tip and
 	// publishes nothing — the files do not change.
@@ -555,6 +571,13 @@ func TestDaemonScrubMetrics(t *testing.T) {
 	d.waitFor("the scrubber to latch the flipped window", func() bool {
 		got = scrapeMetrics(t, d.base+"/metrics")
 		return got["stpt_pipeline_scrub_corrupt_artifacts"] == 1
+	})
+	// A pass latches an artifact before it quarantines it, and counts
+	// itself only at its end: wait for the latching pass to finish.
+	latched := got["stpt_pipeline_scrub_passes_total"]
+	d.waitFor("the latching scrub pass to finish", func() bool {
+		got = scrapeMetrics(t, d.base+"/metrics")
+		return got["stpt_pipeline_scrub_passes_total"] > latched
 	})
 	for name, want := range map[string]float64{
 		"stpt_pipeline_scrub_corrupt_found_total": 1,

@@ -152,3 +152,68 @@ func TestRolloutWorkersBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestRolloutRowsMatchPerCell pins rolloutPattern, which rolls each grid
+// row's cells in lockstep, to the per-cell loop it replaced (each cell's
+// shape rolled alone by nn.Rollout, then re-leveled) bit for bit: every
+// model kind, on 1, 2 and 3 shards. Row 0 holds a cell whose seed is all
+// zeros, and the clamp bites in it.
+func TestRolloutRowsMatchPerCell(t *testing.T) {
+	const cx, cy, tTrain, horizon = 5, 3, 12, 7
+	for _, kind := range []ModelKind{ModelRNN, ModelGRU, ModelLSTM, ModelAttentiveGRU, ModelTransformer} {
+		cfg := tinyConfig()
+		cfg.Model = kind
+		rng := rand.New(rand.NewSource(23))
+		model, err := buildModel(cfg, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trainEst := grid.NewMatrix(cx, cy, tTrain)
+		for i := range trainEst.Data() {
+			trainEst.Data()[i] = rng.Float64()
+		}
+		for tt := 0; tt < tTrain; tt++ {
+			trainEst.Set(2, 0, tt, 0)
+		}
+		cellCtx := func(x, y int, frac float64) []float64 {
+			return []float64{(float64(x) + 0.5) / cx, (float64(y) + 0.5) / cy, frac}
+		}
+		want := grid.NewMatrix(cx, cy, horizon)
+		bit := false
+		for y := 0; y < cy; y++ {
+			for x := 0; x < cx; x++ {
+				seed := trainEst.Pillar(x, y)
+				ws := cfg.WindowSize
+				level := windowLevel(seed[len(seed)-ws:])
+				shape := make([]float64, ws)
+				for j, v := range seed[len(seed)-ws:] {
+					shape[j] = v / level
+				}
+				feed := func(p float64) float64 {
+					c := clampShape(p)
+					bit = bit || (y == 0 && c != p)
+					return c
+				}
+				for tt, v := range nn.Rollout(model, shape, cellCtx(x, y, 0.25), horizon, feed) {
+					want.Set(x, y, tt, v*level)
+				}
+			}
+		}
+		if !bit {
+			t.Fatalf("%v: the clamp never bit in row 0", kind)
+		}
+		for _, workers := range []int{1, 2, 3} {
+			c := cfg
+			c.Workers = workers
+			got := grid.NewMatrix(cx, cy, horizon)
+			if err := rolloutPattern(context.Background(), model, trainEst, got, c, cellCtx, 0.25, horizon); err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range want.Data() {
+				if math.Float64bits(got.Data()[i]) != math.Float64bits(v) {
+					t.Fatalf("%v workers=%d: cell %d = %v, per cell %v", kind, workers, i, got.Data()[i], v)
+				}
+			}
+		}
+	}
+}

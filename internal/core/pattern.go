@@ -179,12 +179,17 @@ func patternStep(ctx context.Context, norm *timeseries.Dataset, cfg Config, rng 
 // rolloutPattern fills pattern with each cell's autoregressive rollout.
 // Rows are sharded across cfg.Workers, each shard driving its own model
 // (see rolloutClones): rollout only reads weights, but model instances own
-// scratch buffers and are single-goroutine. Rollout draws no randomness,
-// so the result is bit-identical for every worker count.
+// scratch buffers and are single-goroutine. A shard rolls its cells one
+// grid row at a time, the row's cells in lockstep (nn.Rollouts), with
+// every bit as a per-cell nn.Rollout gives it. Rollout draws no
+// randomness, so the result is bit-identical for every worker count.
 func rolloutPattern(ctx context.Context, model nn.Model, trainEst, pattern *grid.Matrix, cfg Config, cellCtx func(x, y int, frac float64) []float64, leafFrac float64, horizon int) error {
 	clones := rolloutClones(model, cfg.Workers, pattern.Cy)
 	errs := make([]error, len(clones))
 	parallel.ForEachShard(len(clones), pattern.Cy, func(s int, r parallel.Range) {
+		levels := make([]float64, pattern.Cx)
+		shapes := make([][]float64, pattern.Cx)
+		ctxs := make([][]float64, pattern.Cx)
 		for y := r.Lo; y < r.Hi; y++ {
 			if err := ctx.Err(); err != nil {
 				errs[s] = err
@@ -196,9 +201,12 @@ func rolloutPattern(ctx context.Context, model nn.Model, trainEst, pattern *grid
 					errs[s] = fmt.Errorf("core: training path %d shorter than window %d", len(seed), cfg.WindowSize)
 					return
 				}
-				pred := rolloutLeveled(clones[s], seed, cellCtx(x, y, leafFrac), horizon)
+				levels[x], shapes[x] = leveledShape(seed, cfg.WindowSize)
+				ctxs[x] = cellCtx(x, y, leafFrac)
+			}
+			for x, pred := range nn.Rollouts(clones[s], shapes, ctxs, horizon, clampShape) {
 				for t, v := range pred {
-					pattern.Set(x, y, t, v)
+					pattern.Set(x, y, t, v*levels[x])
 				}
 			}
 		}
@@ -238,25 +246,21 @@ func windowLevel(w []float64) float64 {
 	return m
 }
 
-// rolloutLeveled extends the seed autoregressively in shape space: the
-// cell's level is anchored once from the seed window, the model rolls the
-// shape forward (predictions clamped to the training shapes' range so
-// autoregression cannot drift), and the level is re-applied to every
-// prediction. This is the rollout counterpart of the shape-normalised
-// training windows: the temporal pattern comes from the model, the spatial
-// level from the cell's own sanitised history.
-func rolloutLeveled(model nn.Model, seed []float64, ctx []float64, horizon int) []float64 {
-	ws := model.WindowSize()
-	level := windowLevel(seed[len(seed)-ws:])
-	shape := make([]float64, ws)
+// leveledShape splits a cell's seed for rollout in shape space: the
+// cell's level is anchored once from the last ws seed values, and the
+// model rolls their shape (the values over the level) forward,
+// predictions clamped to the training shapes' range so autoregression
+// cannot drift; the caller re-applies the level to every prediction.
+// This is the rollout counterpart of the shape-normalised training
+// windows: the temporal pattern comes from the model, the spatial level
+// from the cell's own sanitised history.
+func leveledShape(seed []float64, ws int) (level float64, shape []float64) {
+	level = windowLevel(seed[len(seed)-ws:])
+	shape = make([]float64, ws)
 	for j, v := range seed[len(seed)-ws:] {
 		shape[j] = v / level
 	}
-	out := nn.Rollout(model, shape, ctx, horizon, clampShape)
-	for i := range out {
-		out[i] *= level
-	}
-	return out
+	return level, shape
 }
 
 // clampShape bounds a predicted shape value before it is fed back.

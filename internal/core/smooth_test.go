@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -152,17 +153,26 @@ func TestSanitizeStepMassAndClamping(t *testing.T) {
 func TestRolloutLeveledAnchorsEmptyCells(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	// A model that always predicts shape 1.5 — rollout output must stay
-	// proportional to the seed's level.
+	// proportional to the seed's level. Cell (0, 0) is empty, cell (1, 0)
+	// dense, and the two roll out in one row.
 	m := buildConstantModel(t, rng)
-	zeroSeed := []float64{0, 0, 0, 0}
-	out := rolloutLeveled(m, zeroSeed, []float64{0.5, 0.5, 0.1}, 5)
+	est := grid.NewMatrix(2, 1, 4)
+	for t := 0; t < 4; t++ {
+		est.Set(1, 0, t, 10)
+	}
+	cfg := tinyConfig()
+	cfg.WindowSize = 4
+	pattern := grid.NewMatrix(2, 1, 5)
+	cellCtx := func(x, y int, frac float64) []float64 { return []float64{0.5, 0.5, frac} }
+	if err := rolloutPattern(context.Background(), m, est, pattern, cfg, cellCtx, 0.1, 5); err != nil {
+		t.Fatal(err)
+	}
+	out, outBig := pattern.Pillar(0, 0), pattern.Pillar(1, 0)
 	for _, v := range out {
 		if v > 0.01 {
 			t.Fatalf("empty-cell rollout leaked mass: %v", out)
 		}
 	}
-	bigSeed := []float64{10, 10, 10, 10}
-	outBig := rolloutLeveled(m, bigSeed, []float64{0.5, 0.5, 0.1}, 5)
 	if outBig[0] < 1 {
 		t.Fatalf("dense-cell rollout lost its level: %v", outBig)
 	}

@@ -61,9 +61,10 @@ func SaveMatrixCSV(m *grid.Matrix, w io.Writer) error {
 // the same directory, fsync, rename — so a crash mid-save leaves either
 // the previous file or the complete new one, never a torn release that
 // LoadMatrixCSV would half-read. This is the only way release files
-// should reach disk.
+// should reach disk. The file is created 0644 less the umask, so a
+// server running under another account can read the release.
 func SaveMatrixCSVFile(ctx context.Context, path string, m *grid.Matrix) error {
-	return resilience.AtomicWriteFile(ctx, path, func(w io.Writer) error {
+	return resilience.AtomicWriteFile(ctx, path, 0o644, func(w io.Writer) error {
 		return SaveMatrixCSV(m, w)
 	})
 }

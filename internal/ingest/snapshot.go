@@ -125,9 +125,10 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 // rename. A crash at any instant leaves either the previous snapshot or
 // the complete new one, never a torn file. Writes run through the
 // filesystem fault seam, so exhaustion drills can fail a snapshot
-// mid-write and assert compaction degrades cleanly.
+// mid-write and assert compaction degrades cleanly. The snapshot is
+// created 0644 less the umask, as the WAL it folds is.
 func WriteSnapshot(ctx context.Context, path string, s *Snapshot) error {
-	return resilience.AtomicWriteFile(ctx, path, func(w io.Writer) error {
+	return resilience.AtomicWriteFile(ctx, path, 0o644, func(w io.Writer) error {
 		_, err := w.Write(EncodeSnapshot(s))
 		return err
 	})

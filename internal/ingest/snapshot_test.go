@@ -248,3 +248,33 @@ func TestSnapshotCorruptRefused(t *testing.T) {
 		t.Fatal("corrupted snapshot accepted")
 	}
 }
+
+// TestSnapshotFileMode checks that a compaction's snapshot gets the mode
+// of the WAL beside it (0644 less the umask), though it is written
+// through a temp file and a rename rather than opened in place.
+func TestSnapshotFileMode(t *testing.T) {
+	dir := t.TempDir()
+	wal := filepath.Join(dir, "m.wal")
+	in, err := New(Config{Cx: 2, Cy: 2, Ct: 3, BatchSize: 4}, wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	if _, _, err := in.Ingest(context.Background(), strings.NewReader(readingsCSV(genReadings(8, 2, 2, 3, 5)))); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Compact(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	var modes [2]os.FileMode
+	for i, f := range []string{wal, wal + ".snap"} {
+		fi, err := os.Stat(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		modes[i] = fi.Mode().Perm()
+	}
+	if modes[1] != modes[0] {
+		t.Errorf("snapshot mode %v, want the WAL's %v", modes[1], modes[0])
+	}
+}

@@ -7,7 +7,8 @@ import (
 	"testing"
 )
 
-// refSoftmax is Softmax as it was before it called ExpTo, kept verbatim.
+// refSoftmax is the one-row softmax as it was before it called ExpTo,
+// kept verbatim.
 func refSoftmax(dst, x []float64) {
 	if len(x) == 0 {
 		return
@@ -79,10 +80,12 @@ func activationValue(c byte, rng *rand.Rand) float64 {
 }
 
 // FuzzActivations runs ExpTo, SigmoidTo and TanhTo, on the chosen path and
-// on the Go loop, and Softmax at fuzzer-chosen lengths 0–40 (so every tail
-// runs), into a separate dst and in place, and compares each element with
-// the scalar call (with refSoftmax for Softmax) by math.Float64bits; any
-// NaN counts equal to any NaN.
+// on the Go loop, and SoftmaxRows on one row, at fuzzer-chosen lengths
+// 0–40 (so every tail runs), into a separate dst and in place, and
+// compares each element with the scalar call (with refSoftmax for the
+// softmax) by math.Float64bits; any NaN counts equal to any NaN.
+// SoftmaxRows also runs on the same values cut into rows of 1–7, each row
+// compared with refSoftmax.
 func FuzzActivations(f *testing.F) {
 	edges := make([]byte, len(activationEdges))
 	for i := range edges {
@@ -144,7 +147,20 @@ func FuzzActivations(f *testing.F) {
 		}
 		want := make([]float64, n)
 		refSoftmax(want, x)
-		check("Softmax", run(Softmax), want)
+		check("SoftmaxRows one row", run(func(dst, x []float64) {
+			SoftmaxRows(FromSlice(1, len(x), dst), FromSlice(1, len(x), x))
+		}), want)
+		// SoftmaxRows over x cut into rows of w elements (a short tail
+		// row dropped): each row as refSoftmax gives it.
+		w := 1 + int(uint64(seed)%7)
+		rows := n / w
+		for r := 0; r < rows; r++ {
+			refSoftmax(want[r*w:(r+1)*w], x[r*w:(r+1)*w])
+		}
+		got := run(func(dst, x []float64) {
+			SoftmaxRows(FromSlice(rows, w, dst[:rows*w]), FromSlice(rows, w, x[:rows*w]))
+		})
+		check("SoftmaxRows", got[:rows*w], want[:rows*w])
 	})
 }
 

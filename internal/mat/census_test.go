@@ -66,14 +66,17 @@ func TestKernelCensus(t *testing.T) {
 	t.Log("\n" + b.String())
 
 	// The model's shapes at bench scale (embed and hidden 16, window 6,
-	// three context features): the GRU's 16x16 weights, the embedding
-	// read as 16x4 (one value plus the context), the 1x16 head, and the
-	// attention's 6x16 sequences and 6x6 scores.
+	// three context features, two workers, batches of 32), run as block
+	// products: the GRU's 16x16 gate products over a training shard's 16
+	// samples and over a grid row's 32 cells, their weight gradients over
+	// a shard's 16·6 (sample, timestep) rows, the embedding (16x4: one
+	// value plus the context) over a shard's 96 rows, and per sequence the
+	// attention's 6x16 A·V and its backward.
 	for _, c := range []mat.CensusCall{
-		{Kernel: "MulVecTo", Rows: 16, Cols: 16, Inner: 1},
-		{Kernel: "AddOuter", Rows: 16, Cols: 16, Inner: 1},
-		{Kernel: "TMulVecTo", Rows: 16, Cols: 16, Inner: 1},
-		{Kernel: "MulVecTo", Rows: 1, Cols: 16, Inner: 1},
+		{Kernel: "Mul", Rows: 16, Cols: 16, Inner: 16},
+		{Kernel: "Mul", Rows: 32, Cols: 16, Inner: 16},
+		{Kernel: "MulAT", Rows: 16, Cols: 16, Inner: 96},
+		{Kernel: "Mul", Rows: 96, Cols: 16, Inner: 4},
 		{Kernel: "Mul", Rows: 6, Cols: 16, Inner: 6},
 		{Kernel: "MulAT", Rows: 6, Cols: 16, Inner: 6},
 	} {
@@ -85,13 +88,18 @@ func TestKernelCensus(t *testing.T) {
 		t.Errorf("vector kernels take %d of %d multiply-adds, want at least 90%%", vecMACs, macs)
 	}
 
-	// Every GRU gate and the tanh embedding are 16 long, and each softmax
-	// row is 6 long, so on the vector path only the last 2 elements of
-	// each softmax row run in Go.
-	want := map[mat.CensusCall]int{ // vector elements per call
-		{Kernel: "SigmoidTo", Rows: 1, Cols: 16, Inner: 1}: 16,
-		{Kernel: "TanhTo", Rows: 1, Cols: 16, Inner: 1}:    16,
-		{Kernel: "ExpTo", Rows: 1, Cols: 6, Inner: 1}:      4,
+	// Every GRU gate and the tanh embedding run over a block of rows of
+	// 16, and the softmax over a block of 6x6 score matrices, so every
+	// activation's length is a multiple of 16 or 36, and on the vector
+	// path every element runs in the vector kernels.
+	vectorPerCall := func(c mat.CensusCall) (int, bool) {
+		switch {
+		case (c.Kernel == "SigmoidTo" || c.Kernel == "TanhTo") && c.Cols%16 == 0:
+			return c.Cols, true
+		case c.Kernel == "ExpTo" && c.Cols%36 == 0:
+			return c.Cols, true
+		}
+		return 0, false
 	}
 	var shapes []mat.CensusCall
 	var elems, vecElems int
@@ -114,7 +122,7 @@ func TestKernelCensus(t *testing.T) {
 	t.Log("\n" + b.String())
 	for _, c := range shapes {
 		a := activations[c]
-		perCall, ok := want[c]
+		perCall, ok := vectorPerCall(c)
 		switch {
 		case !ok:
 			t.Errorf("%s at length %d: not a bench-scale activation shape", c.Kernel, c.Cols)
@@ -124,7 +132,12 @@ func TestKernelCensus(t *testing.T) {
 			t.Errorf("%s at length %d: %d of %d elements vector, want %d", c.Kernel, c.Cols, a.Vector, a.Elements, perCall*a.Calls)
 		}
 	}
-	for c := range want {
+	for _, c := range []mat.CensusCall{
+		{Kernel: "SigmoidTo", Rows: 1, Cols: 256, Inner: 1}, // a training shard's GRU gate
+		{Kernel: "SigmoidTo", Rows: 1, Cols: 512, Inner: 1}, // a grid row's GRU gate
+		{Kernel: "TanhTo", Rows: 1, Cols: 1536, Inner: 1},   // a training shard's embedding
+		{Kernel: "ExpTo", Rows: 1, Cols: 576, Inner: 1},     // a training shard's softmax
+	} {
 		if activations[c] == nil {
 			t.Errorf("no %s call at length %d", c.Kernel, c.Cols)
 		}

@@ -216,7 +216,8 @@ func TestOuterAndAddOuter(t *testing.T) {
 func TestSoftmax(t *testing.T) {
 	x := []float64{1, 2, 3}
 	dst := make([]float64, 3)
-	Softmax(dst, x)
+	softmax := func(dst, x []float64) { SoftmaxRows(FromSlice(1, 3, dst), FromSlice(1, 3, x)) }
+	softmax(dst, x)
 	var sum float64
 	for _, v := range dst {
 		sum += v
@@ -228,7 +229,7 @@ func TestSoftmax(t *testing.T) {
 		t.Fatalf("softmax not monotone: %v", dst)
 	}
 	// Large inputs must not overflow.
-	Softmax(dst, []float64{1000, 1000, 1000})
+	softmax(dst, []float64{1000, 1000, 1000})
 	for _, v := range dst {
 		if math.IsNaN(v) || math.Abs(v-1.0/3) > 1e-12 {
 			t.Fatalf("softmax overflow: %v", dst)

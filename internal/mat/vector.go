@@ -48,32 +48,40 @@ func checkLen(a, b, c int) {
 	}
 }
 
-// Softmax writes the softmax of x into dst using the max-shift trick for
-// numerical stability. dst may be x itself.
-func Softmax(dst, x []float64) {
-	if len(dst) != len(x) {
-		panic("mat: Softmax length mismatch")
-	}
-	if len(x) == 0 {
+// SoftmaxRows writes the softmax of each row of x into the same row of dst
+// (dst may be x itself): it subtracts the row's maximum (the max-shift
+// trick for numerical stability), runs one ExpTo over every row at once,
+// and divides each row by its sum, taken in index order. ExpTo gives each
+// element its bits wherever it sits, so every row gets the bits a one-row
+// call gives it.
+func SoftmaxRows(dst, x *Matrix) {
+	sameShape2(dst, x)
+	if x.Cols == 0 {
 		return
 	}
-	max := x[0]
-	for _, v := range x[1:] {
-		if v > max {
-			max = v
+	for i := 0; i < x.Rows; i++ {
+		row, out := x.Row(i), dst.Row(i)
+		max := row[0]
+		for _, v := range row[1:] {
+			if v > max {
+				max = v
+			}
+		}
+		for j, v := range row {
+			out[j] = v - max
 		}
 	}
-	for i, v := range x {
-		dst[i] = v - max
-	}
-	ExpTo(dst, dst)
-	var sum float64
-	for _, e := range dst {
-		sum += e
-	}
-	inv := 1 / sum
-	for i := range dst {
-		dst[i] *= inv
+	ExpTo(dst.Data, dst.Data)
+	for i := 0; i < dst.Rows; i++ {
+		out := dst.Row(i)
+		var sum float64
+		for _, e := range out {
+			sum += e
+		}
+		inv := 1 / sum
+		for j := range out {
+			out[j] *= inv
+		}
 	}
 }
 

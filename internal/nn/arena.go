@@ -70,6 +70,17 @@ func (a *arena) matrix(rows, cols int) *mat.Matrix {
 	return m
 }
 
+// block returns a rows x cols matrix backed by arena storage, as a value,
+// for a field or a local that needs no pooled header.
+func (a *arena) block(rows, cols int) mat.Matrix {
+	return mat.Matrix{Rows: rows, Cols: cols, Data: a.alloc(rows * cols)}
+}
+
+// rowsOf returns rows [r0, r0+n) of m as a matrix sharing m's storage.
+func rowsOf(m *mat.Matrix, r0, n int) mat.Matrix {
+	return mat.Matrix{Rows: n, Cols: m.Cols, Data: m.Data[r0*m.Cols : (r0+n)*m.Cols]}
+}
+
 // tmulVec returns wᵀ·x in arena storage.
 func (a *arena) tmulVec(w *mat.Matrix, x []float64) []float64 {
 	return w.TMulVecTo(a.alloc(w.Cols), x)

@@ -36,61 +36,58 @@ func newSelfAttention(name string, dim int, rng *rand.Rand) *SelfAttention {
 func (a *SelfAttention) Params() []*Param { return []*Param{a.Wq, a.Wk, a.Wv} }
 
 type attnCache struct {
-	x       *mat.Matrix // n x d input
-	q, k, v *mat.Matrix // n x d
-	attn    *mat.Matrix // n x n softmax rows
+	x       mat.Matrix // n x d input
+	q, k, v mat.Matrix // n x d
+	attn    mat.Matrix // n x n softmax rows
 }
 
-// Forward computes attention over the sequence x (n rows of Dim features).
+// Forward computes attention over the sequence x (n rows of Dim
+// features): project and attend for one sequence.
 func (a *SelfAttention) Forward(x *mat.Matrix) (*mat.Matrix, *attnCache) {
 	if x.Cols != a.Dim {
 		panic("nn: attention input dim mismatch")
 	}
 	n := x.Rows
 	c := &a.cache
-	c.x = x
-	c.q, c.k, c.v = a.ar.matrix(n, a.Dim), a.ar.matrix(n, a.Dim), a.ar.matrix(n, a.Dim)
-	c.attn = a.ar.matrix(n, n)
+	c.x = *x
+	c.q, c.k, c.v = a.ar.block(n, a.Dim), a.ar.block(n, a.Dim), a.ar.block(n, a.Dim)
+	c.attn = a.ar.block(n, n)
 	y := a.ar.matrix(n, a.Dim)
+	a.project(&c.q, &c.k, &c.v, &c.x, false)
 	a.attend(c, a.ar.matrix(n, n), y)
 	return y, c
 }
 
-// attend is the layer's arithmetic: it fills c.q, c.k, c.v and c.attn from
-// c.x and writes Y into y, using scores (n x n) as scratch.
+// project sets Q = X·Wqᵀ, K = X·Wkᵀ and V = X·Wvᵀ for every row of x, one
+// mulWT each. Row t of each depends on input row t alone, so the rows of
+// several sequences can be projected as one block.
+func (a *SelfAttention) project(q, k, v, x *mat.Matrix, block bool) {
+	mulWT(q, x, a.Wq, block)
+	mulWT(k, x, a.Wk, block)
+	mulWT(v, x, a.Wv, block)
+}
+
+// attend is the rest of the layer's arithmetic for one sequence: from
+// c.q, c.k and c.v it fills c.attn and writes Y into y, using scores
+// (n x n) for the scaled scores. A block of sequences runs the same
+// steps, with one softmax over all their rows (see forward in block.go).
 func (a *SelfAttention) attend(c *attnCache, scores, y *mat.Matrix) {
-	for t := 0; t < c.x.Rows; t++ {
-		a.project(c.q.Row(t), c.k.Row(t), c.v.Row(t), c.x.Row(t))
-	}
-	mat.MulBTTo(scores, c.q, c.k)
+	a.score(scores, c)
+	mat.SoftmaxRows(&c.attn, scores)
+	y.Mul(&c.attn, &c.v)
+}
+
+// score sets scores = Q·Kᵀ/√d for one sequence.
+func (a *SelfAttention) score(scores *mat.Matrix, c *attnCache) {
+	mat.MulBTTo(scores, &c.q, &c.k)
 	scale := a.scale()
 	for i := range scores.Data {
 		scores.Data[i] *= scale
 	}
-	mix(c.attn, y, scores, c.v)
-}
-
-// project writes one row of Q, K and V for the input row x. Each element
-// is W's row i dotted with x in increasing k, which is bit for bit the
-// (t, i) element of X·Wᵀ (a*b commutes exactly), and it depends on that
-// one input row alone.
-func (a *SelfAttention) project(q, k, v, x []float64) {
-	a.Wq.W.MulVecTo(q, x)
-	a.Wk.W.MulVecTo(k, x)
-	a.Wv.W.MulVecTo(v, x)
 }
 
 // scale is the 1/√d factor applied to every raw score.
 func (a *SelfAttention) scale() float64 { return 1 / math.Sqrt(float64(a.Dim)) }
-
-// mix turns each row of the scaled scores into softmax weights in attn and
-// returns y = attn·V.
-func mix(attn, y, scores, v *mat.Matrix) {
-	for i := 0; i < scores.Rows; i++ {
-		mat.Softmax(attn.Row(i), scores.Row(i))
-	}
-	y.Mul(attn, v)
-}
 
 // Backward accumulates parameter gradients given dL/dY and returns dL/dX.
 func (a *SelfAttention) Backward(c *attnCache, dy *mat.Matrix) *mat.Matrix {
@@ -99,8 +96,8 @@ func (a *SelfAttention) Backward(c *attnCache, dy *mat.Matrix) *mat.Matrix {
 	scale := a.scale()
 
 	// Y = A·V: dA = dY·Vᵀ, dV = Aᵀ·dY.
-	dA := mat.MulBTTo(a.ar.matrix(n, n), dy, c.v)
-	dV := mat.MulATTo(a.ar.matrix(n, d), c.attn, dy)
+	dA := mat.MulBTTo(a.ar.matrix(n, n), dy, &c.v)
+	dV := mat.MulATTo(a.ar.matrix(n, d), &c.attn, dy)
 
 	// Softmax backward row-wise: dS_ij = A_ij(dA_ij - Σ_k dA_ik A_ik).
 	dS := a.ar.matrix(n, n)
@@ -118,16 +115,16 @@ func (a *SelfAttention) Backward(c *attnCache, dy *mat.Matrix) *mat.Matrix {
 	}
 
 	// S = Q·Kᵀ (pre-scale): dQ = dS·K, dK = dSᵀ·Q.
-	dQ := a.ar.matrix(n, d).Mul(dS, c.k)
-	dK := mat.MulATTo(a.ar.matrix(n, d), dS, c.q)
+	dQ := a.ar.matrix(n, d).Mul(dS, &c.k)
+	dK := mat.MulATTo(a.ar.matrix(n, d), dS, &c.q)
 
 	// Q = X·Wqᵀ: dWq = dQᵀ·X, dX += dQ·Wq; same for K, V. The gradient
 	// additions stay two-step (compute product, then Add) so the sums are
 	// bit-identical to the historical code.
 	dW := a.ar.matrix(d, d)
-	a.Wq.G.Add(a.Wq.G, mat.MulATTo(dW, dQ, c.x))
-	a.Wk.G.Add(a.Wk.G, mat.MulATTo(dW, dK, c.x))
-	a.Wv.G.Add(a.Wv.G, mat.MulATTo(dW, dV, c.x))
+	a.Wq.G.Add(a.Wq.G, mat.MulATTo(dW, dQ, &c.x))
+	a.Wk.G.Add(a.Wk.G, mat.MulATTo(dW, dK, &c.x))
+	a.Wv.G.Add(a.Wv.G, mat.MulATTo(dW, dV, &c.x))
 
 	dx := a.ar.matrix(n, d).Mul(dQ, a.Wq.W)
 	t := a.ar.matrix(n, d)

@@ -23,8 +23,8 @@ type RecurrentCell interface {
 	// gradients, returning dL/dx and dL/d(prevState).
 	StepBackward(cache any, dNewState []float64) (dx, dPrevState []float64)
 	// stepBackward is StepBackward; with wantPrev unset it skips
-	// dL/d(prevState) and returns nil for it, for the first timestep,
-	// whose initial state nothing trains.
+	// dL/d(prevState) and returns nil for it, for a model's first
+	// timestep, whose initial state is zero and not trained.
 	stepBackward(cache any, dNewState []float64, wantPrev bool) (dx, dPrevState []float64)
 	Params() []*Param
 	// shadow returns a clone sharing the cell's weights but owning fresh
@@ -130,11 +130,10 @@ type GRUCell struct {
 	in, hidden             int
 	Wz, Uz, Bz, Wr, Ur, Br *Param
 	Wc, Uc, Bc             *Param
-	pre, tmp               []float64 // pre-activation scratch, dead after each Step
+	pre, tmp               []float64 // gate pre-activation scratch, dead after each step
 
-	ar      *arena // the owning model's per-pass storage
-	caches  pool[gruCache]
-	scratch gruCache // stepInfer's reused gate vectors
+	ar     *arena // the owning model's per-pass storage
+	caches pool[gruCache]
 }
 
 func (c *GRUCell) setArena(a *arena) { c.ar = a }
@@ -162,12 +161,15 @@ func (c *GRUCell) Params() []*Param {
 	return []*Param{c.Wz, c.Uz, c.Bz, c.Wr, c.Ur, c.Br, c.Wc, c.Uc, c.Bc}
 }
 
+// gruCache is one timestep of a block of sequences, one row each: the
+// input and previous state the step read and the gate vectors it
+// computed.
 type gruCache struct {
-	x, hPrev       []float64
-	z, r, cand, rh []float64
+	x, hPrev       mat.Matrix
+	z, r, cand, rh mat.Matrix
 }
 
-// Step advances the cell one timestep.
+// Step advances the cell one timestep: the one-row case of step.
 func (c *GRUCell) Step(x, state []float64) ([]float64, any) {
 	n := c.hidden
 	// The per-step vectors z, r, rh, cand, hNew outlive this call via the
@@ -175,61 +177,45 @@ func (c *GRUCell) Step(x, state []float64) ([]float64, any) {
 	// the gate pre-activations are reusable scratch.
 	slab := c.ar.alloc(5 * n)
 	cc := c.caches.next()
-	cc.x, cc.hPrev = x, state
-	cc.z, cc.r, cc.rh, cc.cand = slab[0:n:n], slab[n:2*n:2*n], slab[2*n:3*n:3*n], slab[3*n:4*n:4*n]
-	hNew := slab[4*n:]
-	c.step(cc, hNew)
-	return hNew, cc
+	cc.x, cc.hPrev = rowOf(x), rowOf(state)
+	cc.z, cc.r, cc.rh, cc.cand = rowOf(slab[0:n:n]), rowOf(slab[n:2*n:2*n]), rowOf(slab[2*n:3*n:3*n]), rowOf(slab[3*n:4*n:4*n])
+	hNew := rowOf(slab[4*n:])
+	c.step(cc, &hNew, false)
+	return hNew.Data, cc
 }
 
-// stepInfer is Step without the cache: it writes the new state into dst
-// (len StateSize, aliasing neither x nor state) through gate vectors the
-// cell reuses, for inference passes that never run backward.
-func (c *GRUCell) stepInfer(x, state, dst []float64) {
-	s := &c.scratch
-	if s.z == nil {
-		n := c.hidden
-		slab := make([]float64, 4*n)
-		s.z, s.r, s.rh, s.cand = slab[0:n:n], slab[n:2*n:2*n], slab[2*n:3*n:3*n], slab[3*n:]
+// step is the cell's arithmetic for one timestep of a block of sequences,
+// one row each: it reads cc.x and cc.hPrev, fills cc's gate rows and
+// writes the new states into hNew. Each of the six gate products is one
+// mulWT over the block and each activation runs once over it.
+func (c *GRUCell) step(cc *gruCache, hNew *mat.Matrix, block bool) {
+	n := cc.x.Rows * c.hidden
+	if len(c.pre) < n {
+		c.pre, c.tmp = make([]float64, n), make([]float64, n)
 	}
-	s.x, s.hPrev = x, state
-	c.step(s, dst)
+	pre := mat.Matrix{Rows: cc.x.Rows, Cols: c.hidden, Data: c.pre[:n]}
+	tmp := mat.Matrix{Rows: cc.x.Rows, Cols: c.hidden, Data: c.tmp[:n]}
+
+	gate(&pre, &tmp, &cc.x, &cc.hPrev, c.Wz, c.Uz, c.Bz, block)
+	mat.SigmoidTo(cc.z.Data, pre.Data)
+	gate(&pre, &tmp, &cc.x, &cc.hPrev, c.Wr, c.Ur, c.Br, block)
+	mat.SigmoidTo(cc.r.Data, pre.Data)
+	mat.HadamardVec(cc.rh.Data, cc.r.Data, cc.hPrev.Data)
+	gate(&pre, &tmp, &cc.x, &cc.rh, c.Wc, c.Uc, c.Bc, block)
+	mat.TanhTo(cc.cand.Data, pre.Data)
+
+	z, h, cand := cc.z.Data, cc.hPrev.Data, cc.cand.Data
+	for i := range hNew.Data {
+		hNew.Data[i] = (1-z[i])*h[i] + z[i]*cand[i]
+	}
 }
 
-// step is the cell's arithmetic for one timestep: it reads cc.x and
-// cc.hPrev, fills cc's gate vectors and writes the new state into hNew.
-// Step runs it on a cache it keeps for StepBackward, stepInfer on one
-// scratch cache it reuses.
-func (c *GRUCell) step(cc *gruCache, hNew []float64) {
-	x, h := cc.x, cc.hPrev
-	z, r, rh, cand := cc.z, cc.r, cc.rh, cc.cand
-	if c.pre == nil {
-		c.pre = make([]float64, c.hidden)
-		c.tmp = make([]float64, c.hidden)
-	}
-
-	c.Wz.W.MulVecTo(c.pre, x)
-	c.Uz.W.MulVecTo(c.tmp, h)
-	mat.AddVec(c.pre, c.pre, c.tmp)
-	mat.AddVec(c.pre, c.pre, c.Bz.W.Data)
-	mat.SigmoidTo(z, c.pre)
-
-	c.Wr.W.MulVecTo(c.pre, x)
-	c.Ur.W.MulVecTo(c.tmp, h)
-	mat.AddVec(c.pre, c.pre, c.tmp)
-	mat.AddVec(c.pre, c.pre, c.Br.W.Data)
-	mat.SigmoidTo(r, c.pre)
-
-	mat.HadamardVec(rh, r, h)
-	c.Wc.W.MulVecTo(c.pre, x)
-	c.Uc.W.MulVecTo(c.tmp, rh)
-	mat.AddVec(c.pre, c.pre, c.tmp)
-	mat.AddVec(c.pre, c.pre, c.Bc.W.Data)
-	mat.TanhTo(cand, c.pre)
-
-	for i := range hNew {
-		hNew[i] = (1-z[i])*h[i] + z[i]*cand[i]
-	}
+// gate sets pre = x·Wᵀ + h·Uᵀ + b, added in that order, using tmp.
+func gate(pre, tmp, x, h *mat.Matrix, w, u, b *Param, block bool) {
+	mulWT(pre, x, w, block)
+	mulWT(tmp, h, u, block)
+	mat.AddVec(pre.Data, pre.Data, tmp.Data)
+	addBias(pre, b)
 }
 
 // shadow returns a clone sharing weights with c but owning fresh gradient
@@ -247,57 +233,85 @@ func (c *GRUCell) StepBackward(cache any, dh []float64) (dx, dhPrev []float64) {
 	return c.stepBackward(cache, dh, true)
 }
 
+// stepBackward is the one-row case of backStep: it adds the step's
+// gradients to the parameters at once, as a recurrent model's
+// per-sample backward does.
 func (c *GRUCell) stepBackward(cache any, dh []float64, wantPrev bool) (dx, dhPrev []float64) {
 	cc := cache.(*gruCache)
 	n := c.hidden
-	dz := c.ar.alloc(n)
-	dcand := c.ar.alloc(n)
-	for i := 0; i < n; i++ {
-		dz[i] = dh[i] * (cc.cand[i] - cc.hPrev[i])
-		dcand[i] = dh[i] * cc.z[i]
+	slab := c.ar.alloc(3 * n)
+	g := gruGrads{z: rowOf(slab[:n:n]), r: rowOf(slab[n : 2*n : 2*n]), c: rowOf(slab[2*n:])}
+	dxm, dhm := rowOf(c.ar.alloc(c.in)), rowOf(dh)
+	var dhp *mat.Matrix
+	if wantPrev {
+		m := rowOf(c.ar.alloc(n))
+		dhp = &m
 	}
-	// Through candidate tanh.
-	dcPre := c.ar.alloc(n)
-	for i := range dcPre {
-		dcPre[i] = dcand[i] * dTanhFromOutput(cc.cand[i])
+	c.backStep(cc, &dhm, &g, &dxm, dhp)
+	x, h := cc.x.Data, cc.hPrev.Data
+	c.Wc.G.AddOuter(g.c.Data, x)
+	c.Uc.G.AddOuter(g.c.Data, cc.rh.Data)
+	mat.AxpyVec(c.Bc.G.Data, 1, g.c.Data)
+	c.Wz.G.AddOuter(g.z.Data, x)
+	c.Uz.G.AddOuter(g.z.Data, h)
+	mat.AxpyVec(c.Bz.G.Data, 1, g.z.Data)
+	if wantPrev {
+		c.Wr.G.AddOuter(g.r.Data, x)
+		c.Ur.G.AddOuter(g.r.Data, h)
+		mat.AxpyVec(c.Br.G.Data, 1, g.r.Data)
+		dhPrev = dhp.Data
 	}
-	c.Wc.G.AddOuter(dcPre, cc.x)
-	c.Uc.G.AddOuter(dcPre, cc.rh)
-	mat.AxpyVec(c.Bc.G.Data, 1, dcPre)
-	drh := c.ar.tmulVec(c.Uc.W, dcPre) // dr needs it even when dhPrev is skipped
-	dr := c.ar.alloc(n)
-	for i := 0; i < n; i++ {
-		dr[i] = drh[i] * cc.hPrev[i]
-	}
-	// Through gates.
-	dzPre := c.ar.alloc(n)
-	drPre := c.ar.alloc(n)
-	for i := 0; i < n; i++ {
-		dzPre[i] = dz[i] * dSigmoidFromOutput(cc.z[i])
-		drPre[i] = dr[i] * dSigmoidFromOutput(cc.r[i])
-	}
-	c.Wz.G.AddOuter(dzPre, cc.x)
-	c.Uz.G.AddOuter(dzPre, cc.hPrev)
-	mat.AxpyVec(c.Bz.G.Data, 1, dzPre)
-	c.Wr.G.AddOuter(drPre, cc.x)
-	c.Ur.G.AddOuter(drPre, cc.hPrev)
-	mat.AxpyVec(c.Br.G.Data, 1, drPre)
+	return dxm.Data, dhPrev
+}
 
-	dx = c.ar.tmulVec(c.Wz.W, dzPre)
-	mat.AxpyVec(dx, 1, c.ar.tmulVec(c.Wr.W, drPre))
-	mat.AxpyVec(dx, 1, c.ar.tmulVec(c.Wc.W, dcPre))
-	if !wantPrev {
-		return dx, nil
-	}
+// gruGrads is one timestep's gate pre-activation gradients dL/d(pre) for
+// z, r and the candidate, one row per sequence.
+type gruGrads struct{ z, r, c mat.Matrix }
 
-	dhp := c.ar.alloc(n)
-	for i := 0; i < n; i++ {
-		dhp[i] = dh[i] * (1 - cc.z[i])
-		dhp[i] += drh[i] * cc.r[i]
+// backStep is the cell's backward arithmetic for one timestep of a block
+// of sequences, one row each: from dh = dL/dhNew and the step's cache it
+// sets the gate gradients g, dx = dz·Wz + dr·Wr + dc·Wc and, unless
+// dhPrev is nil, dhPrev = dL/dhPrev. Every product is one Mul(D, W),
+// which sums each output from +0 in increasing row of W like TMulVecTo.
+// It adds nothing to the parameters' gradients: callers do.
+//
+// A nil dhPrev marks a model's first step, which starts from the zero
+// state and whose dL/dh₀ nothing reads. There dr = (dc·Uc)∘h₀ is ±0, so
+// the reset gate adds nothing anywhere (AddOuter skips its rows, and its
+// dx share is +0): backStep skips the Uc product and leaves g.r as the
+// caller's zeros.
+func (c *GRUCell) backStep(cc *gruCache, dh *mat.Matrix, g *gruGrads, dx, dhPrev *mat.Matrix) {
+	rows, n := dh.Rows, c.hidden
+	z, r, cand, h := cc.z.Data, cc.r.Data, cc.cand.Data, cc.hPrev.Data
+	for i, d := range dh.Data {
+		dz := d * (cand[i] - h[i])
+		dcand := d * z[i]
+		g.c.Data[i] = dcand * dTanhFromOutput(cand[i])
+		g.z.Data[i] = dz * dSigmoidFromOutput(z[i])
 	}
-	mat.AxpyVec(dhp, 1, c.ar.tmulVec(c.Uz.W, dzPre))
-	mat.AxpyVec(dhp, 1, c.ar.tmulVec(c.Ur.W, drPre))
-	return dx, dhp
+	tx := c.ar.block(rows, c.in)
+	dx.Mul(&g.z, c.Wz.W)
+	if dhPrev == nil {
+		mat.AddVec(dx.Data, dx.Data, tx.Mul(&g.c, c.Wc.W).Data)
+		return
+	}
+	drh := c.ar.block(rows, n)
+	drh.Mul(&g.c, c.Uc.W)
+	for i, v := range drh.Data {
+		dr := v * h[i]
+		g.r.Data[i] = dr * dSigmoidFromOutput(r[i])
+	}
+	mat.AddVec(dx.Data, dx.Data, tx.Mul(&g.r, c.Wr.W).Data)
+	mat.AddVec(dx.Data, dx.Data, tx.Mul(&g.c, c.Wc.W).Data)
+
+	dhp := dhPrev.Data
+	for i, d := range dh.Data {
+		dhp[i] = d * (1 - z[i])
+		dhp[i] += drh.Data[i] * r[i]
+	}
+	th := c.ar.block(rows, n)
+	mat.AddVec(dhp, dhp, th.Mul(&g.z, c.Uz.W).Data)
+	mat.AddVec(dhp, dhp, th.Mul(&g.r, c.Ur.W).Data)
 }
 
 // ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ type Dense struct {
 	B       *Param // 1 x Out
 	Act     Activation
 
-	z  []float64 // pre-activation scratch, reused across Forward calls
-	dz []float64 // pre-activation gradient scratch for Backward
+	z  []float64 // one row's pre-activation scratch, reused across Forward calls
+	dz []float64 // one row's pre-activation gradient scratch for Backward
 
 	// ar is the owning model's per-pass storage for outputs and caches;
 	// caches pools the denseCache structs per pass (a model may call
@@ -71,7 +71,8 @@ type denseCache struct {
 	z []float64 // pre-activation, kept only for ReLU
 }
 
-// Forward computes the layer output and a cache for Backward.
+// Forward computes the layer output and a cache for Backward: the
+// one-row case of apply.
 func (d *Dense) Forward(x []float64) ([]float64, *denseCache) {
 	if len(x) != d.In {
 		panic("nn: Dense input size mismatch")
@@ -84,10 +85,14 @@ func (d *Dense) Forward(x []float64) ([]float64, *denseCache) {
 		slab := d.ar.alloc(2 * d.Out)
 		z, y = slab[:d.Out], slab[d.Out:]
 	} else {
-		z = d.scratchZ()
+		if d.z == nil {
+			d.z = make([]float64, d.Out)
+		}
+		z = d.z
 		y = d.ar.alloc(d.Out)
 	}
-	d.apply(z, y, x)
+	zm, ym, xm := rowOf(z), rowOf(y), rowOf(x)
+	d.apply(&zm, &ym, &xm, false)
 	c := d.caches.next()
 	c.x, c.y, c.z = x, y, nil
 	if d.Act == ReLU {
@@ -96,71 +101,72 @@ func (d *Dense) Forward(x []float64) ([]float64, *denseCache) {
 	return y, c
 }
 
-// infer computes the layer output into y and records nothing: the
-// inference-only counterpart of Forward.
-func (d *Dense) infer(y, x []float64) {
-	if len(x) != d.In {
-		panic("nn: Dense input size mismatch")
-	}
-	d.apply(d.scratchZ(), y, x)
-}
+// rowOf wraps a vector as a one-row matrix.
+func rowOf(v []float64) mat.Matrix { return mat.Matrix{Rows: 1, Cols: len(v), Data: v} }
 
-func (d *Dense) scratchZ() []float64 {
-	if d.z == nil {
-		d.z = make([]float64, d.Out)
-	}
-	return d.z
-}
-
-// apply is the layer's arithmetic: z = W·x + b, y = act(z). Forward and
-// infer differ only in where z and y live and in what Forward records.
-func (d *Dense) apply(z, y, x []float64) {
-	d.W.W.MulVecTo(z, x)
-	mat.AddVec(z, z, d.B.W.Data)
+// apply is the layer's arithmetic over a block of rows: Z = X·Wᵀ + b and
+// Y = act(Z), the product as mulWT computes it for block and the
+// activation run once over the whole block. Forward runs it on one row.
+func (d *Dense) apply(z, y, x *mat.Matrix, block bool) {
+	mulWT(z, x, d.W, block)
+	addBias(z, d.B)
 	switch d.Act {
 	case Linear:
-		copy(y, z)
+		copy(y.Data, z.Data)
 	case Tanh:
-		mat.TanhTo(y, z)
+		mat.TanhTo(y.Data, z.Data)
 	case Sigmoid:
-		mat.SigmoidTo(y, z)
+		mat.SigmoidTo(y.Data, z.Data)
 	case ReLU:
-		for i, v := range z {
-			y[i] = relu(v)
+		for i, v := range z.Data {
+			y.Data[i] = relu(v)
 		}
 	}
 }
 
 // Backward accumulates parameter gradients given dL/dy and returns dL/dx.
 func (d *Dense) Backward(c *denseCache, dy []float64) []float64 {
+	return d.ar.tmulVec(d.W.W, d.accumulate(c, dy))
+}
+
+// accumulate is Backward without dL/dx: it adds the parameter gradients
+// and returns dL/dz. A model's first layer runs it, because nothing reads
+// the gradient of the model's input.
+func (d *Dense) accumulate(c *denseCache, dy []float64) []float64 {
 	if len(dy) != d.Out {
 		panic("nn: Dense gradient size mismatch")
 	}
 	if d.dz == nil {
 		d.dz = make([]float64, d.Out)
 	}
-	dz := d.dz
+	d.preGrad(d.dz, dy, c.y, c.z)
+	d.W.G.AddOuter(d.dz, c.x)
+	mat.AxpyVec(d.B.G.Data, 1, d.dz)
+	return d.dz
+}
+
+// preGrad sets dz = dL/dz elementwise from dy = dL/dy and the forward's
+// output y (and its pre-activation z, which only ReLU reads), over rows
+// of any number.
+func (d *Dense) preGrad(dz, dy, y, z []float64) {
 	switch d.Act {
 	case Linear:
 		copy(dz, dy)
 	case Tanh:
 		for i := range dz {
-			dz[i] = dy[i] * dTanhFromOutput(c.y[i])
+			dz[i] = dy[i] * dTanhFromOutput(y[i])
 		}
 	case Sigmoid:
 		for i := range dz {
-			dz[i] = dy[i] * dSigmoidFromOutput(c.y[i])
+			dz[i] = dy[i] * dSigmoidFromOutput(y[i])
 		}
 	case ReLU:
 		for i := range dz {
-			if c.z[i] > 0 {
+			if z[i] > 0 {
 				dz[i] = dy[i]
 			} else {
 				dz[i] = 0
 			}
 		}
 	}
-	d.W.G.AddOuter(dz, c.x)
-	mat.AxpyVec(d.B.G.Data, 1, dz)
-	return d.ar.tmulVec(d.W.W, dz)
 }

@@ -22,15 +22,10 @@ type Model interface {
 	Backward(cache any, dPred float64)
 }
 
-// Predict returns the model's prediction for one window. The attentive GRU
-// runs its inference-only forward pass, the first step of its incremental
-// roll (see attnRoll), which records no cache for Backward; other models
-// run Forward. On one model instance, Predict reuses the storage of the
-// previous Forward, Predict or Rollout, like Forward itself.
+// Predict returns the model's prediction for one window: its Forward,
+// one sequence at a time. On one model instance, Predict reuses the
+// storage of the previous Forward, Predict or Rollout, like Forward itself.
 func Predict(m Model, window, ctx []float64) float64 {
-	if am, ok := m.(*AttentiveGRUModel); ok {
-		return am.roller().start(window, ctx)
-	}
 	p, _ := m.Forward(window, ctx)
 	return p
 }
@@ -184,7 +179,7 @@ func (m *RecurrentModel) backward(cache any, dPred float64, wantH0 bool) {
 	copy(dState[:m.cell.OutputSize()], dh)
 	for t := len(c.cellCaches) - 1; t >= 0; t-- {
 		dx, dPrev := m.cell.stepBackward(c.cellCaches[t], dState, t > 0 || wantH0)
-		m.embed.Backward(c.embedCaches[t], dx)
+		m.embed.accumulate(c.embedCaches[t], dx)
 		dState = dPrev
 	}
 }
@@ -205,8 +200,7 @@ type AttentiveGRUModel struct {
 	head  *Dense
 
 	modelArena
-	cache attentiveCache
-	roll  *attnRoll // inference state, allocated on first use
+	blk attnBlock // the block pass's state (block.go)
 }
 
 // NewAttentiveGRUModel builds the attention+GRU regressor.
@@ -241,60 +235,27 @@ func (m *AttentiveGRUModel) Params() []*Param {
 	return append(ps, m.head.Params()...)
 }
 
-type attentiveCache struct {
-	embedCaches []*denseCache
-	attnCache   *attnCache
-	cellCaches  []any
-	headCache   *denseCache
-}
-
-// Forward runs the window through embed → attention → GRU → head. The
-// returned cache is valid until the next Forward on this instance.
+// Forward runs the window through embed → attention → GRU → head: the
+// one-sequence case of the block pass. The returned cache is valid until
+// the next Forward on this instance.
 func (m *AttentiveGRUModel) Forward(window, ctx []float64) (float64, any) {
-	m.beginPass()
-	ctx = checkInputs(m, m.zeros, window, ctx)
-	c := &m.cache
-	c.embedCaches = c.embedCaches[:0]
-	c.cellCaches = c.cellCaches[:0]
-	seq := m.ar.matrix(m.ws, m.embed.Out)
-	for t, v := range window {
-		e, ec := m.embed.Forward(stepInput(m.ar, v, ctx))
-		c.embedCaches = append(c.embedCaches, ec)
-		copy(seq.Row(t), e)
-	}
-	att, ac := m.attn.Forward(seq)
-	c.attnCache = ac
-	state := m.ar.alloc(m.cell.StateSize())
-	for t := 0; t < m.ws; t++ {
-		var sc any
-		state, sc = m.cell.Step(att.Row(t), state)
-		c.cellCaches = append(c.cellCaches, sc)
-	}
-	out, hc := m.head.Forward(state)
-	c.headCache = hc
-	return out[0], c
+	k := m.begin(1)
+	m.fill(k, 0, window, ctx)
+	m.forward(k)
+	return k.out.Data[0], k
 }
 
-// Backward backpropagates through the full stack.
+// Backward backpropagates through the full stack: the one-sequence case
+// of the block pass. It adds the sequence's gradient, each weight's
+// summed from +0, to the parameters.
 func (m *AttentiveGRUModel) Backward(cache any, dPred float64) { m.backward(cache, dPred, false) }
 
 // backward is Backward; with wantH0 unset the first GRU step skips dL/dh₀,
 // which nothing reads.
 func (m *AttentiveGRUModel) backward(cache any, dPred float64, wantH0 bool) {
-	c := cache.(*attentiveCache)
-	m.dPred[0] = dPred
-	dh := m.head.Backward(c.headCache, m.dPred[:])
-	dAtt := m.ar.matrix(m.ws, m.embed.Out)
-	dState := dh
-	for t := m.ws - 1; t >= 0; t-- {
-		dx, dPrev := m.cell.stepBackward(c.cellCaches[t], dState, t > 0 || wantH0)
-		copy(dAtt.Row(t), dx)
-		dState = dPrev
-	}
-	dSeq := m.attn.Backward(c.attnCache, dAtt)
-	for t := m.ws - 1; t >= 0; t-- {
-		m.embed.Backward(c.embedCaches[t], dSeq.Row(t))
-	}
+	k := cache.(*attnBlock)
+	k.dPred[0] = dPred
+	m.backprop(k, wantH0)
 }
 
 // ---------------------------------------------------------------------------
@@ -448,6 +409,6 @@ func (m *TransformerModel) Backward(cache any, dPred float64) {
 	dFromAttn := m.attn.Backward(c.attnCache, dRes1)
 	dSeq.Add(dSeq, dFromAttn)
 	for t := m.ws - 1; t >= 0; t-- {
-		m.embed.Backward(c.embedCaches[t], dSeq.Row(t))
+		m.embed.accumulate(c.embedCaches[t], dSeq.Row(t))
 	}
 }

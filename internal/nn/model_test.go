@@ -97,8 +97,10 @@ func TestAttentionPermutationSensitivity(t *testing.T) {
 }
 
 // TestBackwardSkipsH0 checks that skipping dL/dh₀ at the first timestep
+// (and, in the GRU, the reset gate's work there, dead since h₀ is zero)
 // leaves every gradient bit-equal to the full backward pass, for each
-// recurrent model, accumulated over several windows.
+// recurrent model, accumulated over several windows, and for the
+// attentive GRU's lockstep block pass.
 func TestBackwardSkipsH0(t *testing.T) {
 	type skipper interface {
 		Model
@@ -130,6 +132,27 @@ func TestBackwardSkipsH0(t *testing.T) {
 				if math.Float64bits(got[i].G.Data[j]) != math.Float64bits(g) {
 					t.Fatalf("%s: %s.G[%d] = %v skipping dL/dh₀, %v in full", name, p.Name, j, got[i].G.Data[j], g)
 				}
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	samples := attnSamples(rng, 7, 6, 2)
+	batch := []int{0, 1, 2, 3, 4, 5, 6}
+	var grads [2][]*Param
+	for i, wantH0 := range []bool{true, false} {
+		m := NewAttentiveGRUModel("m", 6, 2, 8, 8, rand.New(rand.NewSource(9)))
+		pred, d := m.forwardBlock(samples, batch)
+		for s := range d {
+			d[s] = pred[s] - samples[s].Target
+		}
+		m.backprop(&m.blk, wantH0)
+		grads[i] = m.Params()
+	}
+	for i, p := range grads[0] {
+		for j, g := range p.G.Data {
+			if math.Float64bits(grads[1][i].G.Data[j]) != math.Float64bits(g) {
+				t.Fatalf("block: %s.G[%d] = %v skipping dL/dh₀, %v in full", p.Name, j, grads[1][i].G.Data[j], g)
 			}
 		}
 	}

@@ -19,6 +19,66 @@ type Param struct {
 	Name string
 	W    *mat.Matrix
 	G    *mat.Matrix
+
+	// wt is W's transpose, taken by transposeW for the block products of
+	// a lockstep pass. Each instance owns its own (Shadow starts without
+	// one), so workers sharing W never share it.
+	wt mat.Matrix
+}
+
+// transposeW sets p.wt to W's transpose. The weights stay fixed for the
+// duration of a block call, so it takes the transpose once per call.
+func (p *Param) transposeW() {
+	w := p.W
+	if p.wt.Data == nil {
+		p.wt = mat.Matrix{Rows: w.Cols, Cols: w.Rows, Data: make([]float64, len(w.Data))}
+	}
+	for i := 0; i < w.Rows; i++ {
+		for j, v := range w.Row(i) {
+			p.wt.Data[j*w.Rows+i] = v
+		}
+	}
+}
+
+// mulWT sets out = x·Wᵀ, one output row per row of x. With block set it
+// is one Mul against the transpose transposeW took; without, one W·x per
+// row, which needs no transpose. Both sum each output from +0 in
+// increasing k (a*b commutes exactly), so they give the same bits.
+func mulWT(out, x *mat.Matrix, p *Param, block bool) {
+	if block {
+		out.Mul(x, &p.wt)
+		return
+	}
+	for i := 0; i < x.Rows; i++ {
+		p.W.MulVecTo(out.Row(i), x.Row(i))
+	}
+}
+
+// addGrad adds the outer products of the rows of d and x, in row order,
+// to p.G as one product: p.G += dᵀ·x, the sum taken in prod (p.G's
+// shape) from +0 in increasing row. When p.G is zero, as at the start of
+// every training batch, that gives the bits AddOuter gives adding the
+// rows one at a time: both add the same terms in the same order, and an
+// accumulator that starts at +0 never becomes −0, so AddOuter's skip of
+// an exactly zero row, which adds ±0 terms, changes no bit (DESIGN §13).
+func (p *Param) addGrad(prod, d, x *mat.Matrix) {
+	p.G.Add(p.G, mat.MulATTo(prod, d, x))
+}
+
+// addBiasGrad adds each row of d to p.G in turn: the sums AxpyVec(G, 1,
+// row) takes one row at a time, since 1·a is a.
+func (p *Param) addBiasGrad(d *mat.Matrix) {
+	for i := 0; i < d.Rows; i++ {
+		mat.AddVec(p.G.Data, p.G.Data, d.Row(i))
+	}
+}
+
+// addBias adds the bias row b to every row of z.
+func addBias(z *mat.Matrix, b *Param) {
+	for i := 0; i < z.Rows; i++ {
+		row := z.Row(i)
+		mat.AddVec(row, row, b.W.Data)
+	}
 }
 
 // NewParam allocates a named parameter of the given shape with a zeroed

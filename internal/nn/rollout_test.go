@@ -99,9 +99,10 @@ func TestRolloutMatchesPredictLoop(t *testing.T) {
 	}
 }
 
-// TestRollStepAllocs pins Predict and every roll step at zero steady-state
-// allocations: the roll state lives with the model instance and is sized
-// once, not once per cell or per step.
+// TestRollStepAllocs pins Predict on every model kind and a lockstep roll
+// step of the attentive GRU, on blocks of one and five sequences, at zero
+// steady-state allocations: the block's storage is laid out once per
+// rollout in the model's arena, not once per step.
 func TestRollStepAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race runtime allocates inside instrumented code")
@@ -111,15 +112,21 @@ func TestRollStepAllocs(t *testing.T) {
 	window, ctx := randSlice(rng, ws), randSlice(rng, ctxDim)
 	for _, m := range rollModels(ws, ctxDim, rng) {
 		t.Run(m.Name(), func(t *testing.T) {
-			Rollout(m, window, ctx, 3, nil) // warm the roll state and scratch
+			Predict(m, window, ctx) // warm the arena and the scratch
 			if n := testing.AllocsPerRun(200, func() { Predict(m, window, ctx) }); n != 0 {
 				t.Errorf("Predict allocates %v per call, want 0", n)
 			}
-			r := rollerOf(m)
-			r.start(window, ctx)
-			if n := testing.AllocsPerRun(200, func() { r.next(0.5) }); n != 0 {
-				t.Errorf("roll step allocates %v per step, want 0", n)
-			}
 		})
+	}
+	for _, b := range []int{1, 5} {
+		m := NewAttentiveGRUModel("attn", ws, ctxDim, 6, 7, rng)
+		seeds, ctxs := make([][]float64, b), make([][]float64, b)
+		for i := range seeds {
+			seeds[i], ctxs[i] = randSlice(rng, ws), randSlice(rng, ctxDim)
+		}
+		Rollouts(m, seeds, ctxs, 3, nil) // lays out the block, kept until the next pass
+		if n := testing.AllocsPerRun(200, func() { m.rollNext(&m.blk) }); n != 0 {
+			t.Errorf("block of %d: roll step allocates %v per step, want 0", b, n)
+		}
 	}
 }

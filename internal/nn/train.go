@@ -70,14 +70,9 @@ func (tr *Trainer) FitContext(ctx context.Context, samples []timeseries.Window) 
 			batch := idx[start:end]
 			if clones == nil {
 				ZeroGrads(params)
-				for _, si := range batch {
-					s := samples[si]
-					pred, cache := tr.Model.Forward(s.Input, s.Ctx)
-					diff := pred - s.Target
-					epochLoss += diff * diff
-					// d(MSE)/dpred averaged over the batch.
-					tr.Model.Backward(cache, 2*diff/float64(len(batch)))
-				}
+				// d(MSE)/dpred averaged over the batch.
+				n := float64(len(batch))
+				pass(tr.Model, samples, batch, func(diff float64) float64 { return 2 * diff / n }, &epochLoss)
 			} else {
 				epochLoss += tr.parallelBatch(clones, samples, batch, params)
 			}
@@ -120,16 +115,9 @@ func (tr *Trainer) parallelBatch(clones []Model, samples []timeseries.Window, ba
 	scale := 2 / float64(len(batch))
 	parallel.ForEachShard(len(clones), len(batch), func(s int, r parallel.Range) {
 		m := clones[s]
-		cp := m.Params()
-		ZeroGrads(cp)
+		ZeroGrads(m.Params())
 		var loss float64
-		for _, si := range batch[r.Lo:r.Hi] {
-			w := samples[si]
-			pred, cache := m.Forward(w.Input, w.Ctx)
-			diff := pred - w.Target
-			loss += diff * diff
-			m.Backward(cache, scale*diff)
-		}
+		pass(m, samples, batch[r.Lo:r.Hi], func(diff float64) float64 { return scale * diff }, &loss)
 		lossByShard[s] = loss
 	})
 	// Shard-ordered reduction: Params() enumerates parameters in a fixed
@@ -144,4 +132,29 @@ func (tr *Trainer) parallelBatch(clones []Model, samples []timeseries.Window, ba
 		loss += lossByShard[s]
 	}
 	return loss
+}
+
+// pass runs forward and backward over samples[batch[i]] on m, in batch
+// order, adding each squared error to *loss and backpropagating dPred of
+// its error. The attentive GRU runs the batch as one lockstep block
+// (DESIGN §13), with the bits of the per-sample loop every other model
+// runs.
+func pass(m Model, samples []timeseries.Window, batch []int, dPred func(diff float64) float64, loss *float64) {
+	if am, ok := m.(*AttentiveGRUModel); ok {
+		pred, d := am.forwardBlock(samples, batch)
+		for i, si := range batch {
+			diff := pred[i] - samples[si].Target
+			*loss += diff * diff
+			d[i] = dPred(diff)
+		}
+		am.backwardBlock()
+		return
+	}
+	for _, si := range batch {
+		w := samples[si]
+		pred, cache := m.Forward(w.Input, w.Ctx)
+		diff := pred - w.Target
+		*loss += diff * diff
+		m.Backward(cache, dPred(diff))
+	}
 }

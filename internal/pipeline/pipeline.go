@@ -309,7 +309,9 @@ func (s *Supervisor) doCut(ctx context.Context, w int) error {
 	if err := resilience.Fire(ctx, resilience.FaultWindowCut, w); err != nil {
 		return err
 	}
-	if err := resilience.AtomicWriteFile(ctx, s.cutPath(w), func(wr io.Writer) error {
+	// The cut holds the window's raw, un-noised readings, so only the
+	// pipeline's own user may read it, unlike the releases beside it.
+	if err := resilience.AtomicWriteFile(ctx, s.cutPath(w), 0o600, func(wr io.Writer) error {
 		return datasets.SaveMatrixCSV(cut, wr)
 	}); err != nil {
 		return err
@@ -443,7 +445,7 @@ func (s *Supervisor) doPublish(ctx context.Context, w int) error {
 		return err
 	}
 	for _, path := range []string{s.windowPath(w), s.latestPath()} {
-		if err := resilience.AtomicWriteFile(ctx, path, func(wr io.Writer) error {
+		if err := resilience.AtomicWriteFile(ctx, path, 0o644, func(wr io.Writer) error {
 			_, werr := wr.Write(rel)
 			return werr
 		}); err != nil {

@@ -142,6 +142,40 @@ func TestPipelineEndToEnd(t *testing.T) {
 	}
 }
 
+// TestPipelineFileModes: a window's staged cut holds its raw, un-noised
+// readings, so no other user may read it, while the published window and
+// latest.csv are created like the manifest beside them (0644 less the
+// umask), so a server running as another user can read them.
+func TestPipelineFileModes(t *testing.T) {
+	dir := t.TempDir()
+	s, in := newPipeline(t, dir, Config{})
+	ingestCSV(t, in, feedCSV(tpCt))
+	// Cut, release, charge and publish window 1; the cut is swept only
+	// once the window is reloaded.
+	for i := 0; i < 4; i++ {
+		if _, err := s.Step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mode := func(path string) os.FileMode {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Mode().Perm()
+	}
+	if m := mode(s.cutPath(1)); m&0o077 != 0 {
+		t.Errorf("staged cut: mode %v, want no access for group or others", m)
+	}
+	manifest := mode(filepath.Join(dir, "manifest"))
+	for _, p := range []string{s.windowPath(1), s.latestPath()} {
+		if m := mode(p); m != manifest {
+			t.Errorf("%s: mode %v, want the manifest's %v", filepath.Base(p), m, manifest)
+		}
+	}
+}
+
 // TestPipelineDeterministicAcrossRuns: two independent stacks fed the
 // same readings with the same seed publish byte-identical releases —
 // the property crash recovery's redo-the-stage design rests on.

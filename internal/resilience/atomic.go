@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"strconv"
 )
 
 // ErrRenameNotDurable marks an AtomicWriteFile error raised after the
@@ -29,6 +31,11 @@ var ErrRenameNotDurable = errors.New("resilience: rename not durable")
 // ErrRenameNotDurable means path already holds the new content; any
 // other error leaves path untouched.
 //
+// perm is the new file's mode before the umask, as for os.OpenFile:
+// 0o644 for files other users read (a release a stpt-serve under its own
+// account serves, the ingest snapshot beside its 0o644 WAL), 0o600 for
+// one only the writer may read (a window's staged cut of raw readings).
+//
 // ctx is consulted only for fault injection (FaultAtomicRename fires
 // between the fsync and the rename so tests can kill a writer in the
 // commit window); pass context.Background() when no injector is in
@@ -37,9 +44,9 @@ var ErrRenameNotDurable = errors.New("resilience: rename not durable")
 // through the filesystem fault seam (FaultWriteENOSPC, FaultShortWrite,
 // FaultSyncEIO), so exhaustion drills can fail any atomic write and
 // assert the caller does not act on it.
-func AtomicWriteFile(ctx context.Context, path string, write func(io.Writer) error) error {
+func AtomicWriteFile(ctx context.Context, path string, perm os.FileMode, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	tmp, err := createTemp(path, perm)
 	if err != nil {
 		return fmt.Errorf("resilience: writing %s: %w", path, err)
 	}
@@ -70,6 +77,21 @@ func AtomicWriteFile(ctx context.Context, path string, write func(io.Writer) err
 		return fmt.Errorf("resilience: committing %s: %w: %w", path, ErrRenameNotDurable, err)
 	}
 	return nil
+}
+
+// createTemp creates a new file path.tmp-<random> for AtomicWriteFile.
+// Unlike os.CreateTemp, which always makes the file 0600, it passes perm
+// to the open, so the umask filters it as it does for every other file
+// the program creates.
+func createTemp(path string, perm os.FileMode) (*os.File, error) {
+	for try := 0; ; try++ {
+		name := path + ".tmp-" + strconv.FormatUint(uint64(rand.Uint32()), 10)
+		f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE|os.O_EXCL, perm)
+		if errors.Is(err, os.ErrExist) && try < 10000 {
+			continue
+		}
+		return f, err
+	}
 }
 
 // seamWriter routes an atomic write's stream through the fault seam so

@@ -126,7 +126,7 @@ func TestAtomicWriteFileSeam(t *testing.T) {
 			return fmt.Errorf("injected %s: %w", fault, syscall.ENOSPC)
 		})
 		ctx := WithInjector(context.Background(), inj)
-		err := AtomicWriteFile(ctx, dst, func(w io.Writer) error {
+		err := AtomicWriteFile(ctx, dst, 0o644, func(w io.Writer) error {
 			_, werr := w.Write([]byte("new content"))
 			return werr
 		})
@@ -169,7 +169,7 @@ func TestAtomicWriteFileDirSyncEIO(t *testing.T) {
 		}
 		return nil
 	})
-	err := AtomicWriteFile(WithInjector(context.Background(), inj), dst, func(w io.Writer) error {
+	err := AtomicWriteFile(WithInjector(context.Background(), inj), dst, 0o644, func(w io.Writer) error {
 		_, werr := w.Write([]byte("new content"))
 		return werr
 	})
@@ -184,6 +184,42 @@ func TestAtomicWriteFileDirSyncEIO(t *testing.T) {
 	}
 	if left, _ := filepath.Glob(filepath.Join(dir, "*.tmp-*")); len(left) != 0 {
 		t.Fatalf("temp debris %v", left)
+	}
+}
+
+// TestAtomicWriteFileMode: the file AtomicWriteFile commits has the mode
+// os.OpenFile gives a new file with the same perm (the umask applied),
+// whatever mode the file it replaces had.
+func TestAtomicWriteFileMode(t *testing.T) {
+	dir := t.TempDir()
+	for _, perm := range []os.FileMode{0o644, 0o600} {
+		ref := filepath.Join(dir, fmt.Sprintf("ref-%o", perm))
+		f, err := os.OpenFile(ref, os.O_RDWR|os.O_CREATE|os.O_EXCL, perm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		fi, err := os.Stat(ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fi.Mode().Perm()
+		dst := filepath.Join(dir, fmt.Sprintf("out-%o", perm))
+		if err := os.WriteFile(dst, []byte("old"), 0o640); err != nil {
+			t.Fatal(err)
+		}
+		if err := AtomicWriteFile(context.Background(), dst, perm, func(w io.Writer) error {
+			_, werr := w.Write([]byte("new content"))
+			return werr
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if fi, err = os.Stat(dst); err != nil {
+			t.Fatal(err)
+		}
+		if got := fi.Mode().Perm(); got != want {
+			t.Errorf("perm %v: committed mode %v, want %v", perm, got, want)
+		}
 	}
 }
 

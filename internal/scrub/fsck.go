@@ -311,7 +311,7 @@ func applyRewriteLatest(ctx context.Context, r *Repair) error {
 	if err := journalled(r.CRC)(raw); err != nil {
 		return fmt.Errorf("source %s: %v — repair the window file first", r.Source, err)
 	}
-	return resilience.AtomicWriteFile(ctx, r.Path, func(w io.Writer) error {
+	return resilience.AtomicWriteFile(ctx, r.Path, 0o644, func(w io.Writer) error {
 		_, werr := w.Write(raw)
 		return werr
 	})
@@ -353,7 +353,7 @@ func applyRebuildFromCut(ctx context.Context, cfg FsckConfig, r *Repair) error {
 	}
 	// A quarantined copy the scrubber renamed aside stays as evidence;
 	// the atomic write replaces only the artifact's own path.
-	return resilience.AtomicWriteFile(ctx, r.Path, func(w io.Writer) error {
+	return resilience.AtomicWriteFile(ctx, r.Path, 0o644, func(w io.Writer) error {
 		_, werr := w.Write(rel)
 		return werr
 	})
